@@ -222,15 +222,15 @@ def check_lemma21(f, a, r: float, rule: QuadratureRule, *, fd_step: float = None
     lhs = float(np.linalg.norm(_real_gradient_fd(f, a, fd_step)))
 
     fa = float(np.asarray(f(a.reshape(1, -1)))[0])
-    nodes = a + r * rule.nodes
+    gaps = np.abs(np.asarray(f(a + r * rule.nodes), dtype=float) - fa)
 
-    def boundary_mean(node_subset, weight_subset):
-        vals = np.abs(np.asarray(f(node_subset), dtype=float) - fa)
-        return float(np.sum(weight_subset * vals) / np.sum(weight_subset))
+    def boundary_mean(stride):
+        weights = rule.weights[::stride]
+        return float(np.sum(weights * gaps[::stride]) / np.sum(weights))
 
-    mean_full = boundary_mean(nodes, rule.weights)
+    mean_full = boundary_mean(1)
     # quadrature error estimate: compare against the half rule
-    mean_half = boundary_mean(nodes[::2], rule.weights[::2])
+    mean_half = boundary_mean(2)
     prefactor = 2.0 * (m - 1) * math.sqrt(m) / r
     rhs = prefactor * mean_full
     quad_err = prefactor * abs(mean_full - mean_half)
@@ -487,6 +487,11 @@ class HarnessConfig:
     pairs: int = 2000          # sampled pairs per pair sweep
     alpha: float = 1.0
     bound: float = 1.0         # the norm bound M
+
+    def __post_init__(self):
+        for name in ("samples", "trials", "pairs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return {

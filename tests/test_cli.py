@@ -91,6 +91,12 @@ class TestExtendCommand:
                        "--points", "0.5+0i,0.5+0i").returncode == 2
         assert run_cli("extend", "--n", "1", "--points", "0+0i").returncode == 2
 
+    def test_non_finite_point_exit_2(self):
+        proc = run_cli("extend", "--n", "1", "--boundary", "re", "--points", "nan+0i")
+        assert proc.returncode == 2
+        assert "not finite" in proc.stderr
+        assert proc.stdout == ""
+
     def test_numerical_failure_exit_3(self):
         # a point beyond the guard radius aborts with the offending input
         proc = run_cli("extend", "--n", "1", "--boundary", "re",
@@ -136,6 +142,13 @@ class TestVerifyCommand:
 
     def test_invalid_alpha_exit_2(self):
         assert run_cli("verify", "--suite", "landau", "--alpha", "0").returncode == 2
+
+    @pytest.mark.parametrize("flag, suite", [
+        ("--samples", "schwarzpick"), ("--trials", "lemmaB"), ("--pairs", "landau")])
+    def test_empty_sweep_exit_2(self, flag, suite):
+        proc = run_cli("verify", "--suite", suite, flag, "0")
+        assert proc.returncode == 2
+        assert f"config error: {flag[2:]} must be >= 1, got 0" in proc.stderr
 
     def test_reproducible_bytes(self, tmp_path):
         args = ("verify", "--suite", "lemma22", "--seed", "3", "--nodes", "512")

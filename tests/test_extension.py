@@ -68,6 +68,15 @@ class TestExtensionValues:
         with pytest.raises(NearSingularEvaluation):
             ext(np.array([[0.9 + 0.0j]]))
 
+    def test_non_finite_points_refused(self):
+        ext = h_extend(registry_map(1)["re1"], circle_rule(256))
+        for bad in (np.nan, np.inf, complex(0.1, np.nan)):
+            batch = np.array([[0.1 + 0.0j], [bad], [np.nan]])
+            with pytest.raises(ValueError, match="point 1 is not finite"):
+                ext(batch)
+            with pytest.raises(ValueError, match="point 1 is not finite"):
+                ext.values_with_errors(batch)
+
     def test_sup_bound_spot_check(self):
         bad = BoundaryFunction("bad", 1, lambda nodes: 2.0 * nodes[:, 0], sup_bound=1.0)
         with pytest.raises(ValueError):

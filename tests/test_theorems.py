@@ -77,6 +77,19 @@ class TestLemma21:
             check_lemma21(lambda pts: np.zeros(len(pts)), np.zeros(1), 0.5,
                           real_circle_rule(64))
 
+    def test_boundary_evaluated_once(self):
+        # the half-rule error estimate reuses every second boundary value
+        rule = real_circle_rule(512)
+        seen = []
+
+        def f(pts):
+            pts = np.atleast_2d(pts)
+            seen.append(len(pts))
+            return pts[:, 0] ** 2 - pts[:, 1] ** 2
+
+        check_lemma21(f, np.array([0.1, -0.2]), 0.3, rule)
+        assert sorted(seen) == [1, 8, 512]
+
     def test_harness_sweep_passes(self):
         cfg = HarnessConfig(n=1, nodes=1024, seed=3)
         reports = run_suite("lemma21", cfg)
@@ -303,6 +316,11 @@ class TestSuiteRunner:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite("nope", HarnessConfig())
+
+    def test_config_refuses_empty_sweeps(self):
+        for field in ("samples", "trials", "pairs"):
+            with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+                HarnessConfig(**{field: 0})
 
     def test_all_concatenates(self):
         cfg = HarnessConfig(n=1, nodes=512, seed=2, samples=20, trials=200, pairs=200)
