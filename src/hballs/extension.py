@@ -21,11 +21,15 @@ through the sum in blocks of 128, so a point-by-node tile and its
 temporaries fit in a 2 MB per-core L2 cache.
 
 Gradients come from differentiation under the integral using the kernel's
-closed-form Wirtinger derivatives.
+closed-form Wirtinger derivatives.  They are batched the same way: one call
+covers every point of a sweep, points go through the sum in blocks of 32
+against the same 1024-node chunks, and the nodes reduce in the value
+engine's order, so a gradient does not depend on the batch it arrives in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,7 +38,8 @@ import numpy as np
 from .calculus import WirtingerData
 from .errors import NearSingularEvaluation, StepTooLarge
 from .geometry import coords_of
-from .kernel import poisson_h_wirtinger_values
+# not called here: bench/tracing.py patches this module-level name
+from .kernel import poisson_h_wirtinger_values  # noqa: F401
 from .quadrature import CHUNK, QuadratureRule
 
 __all__ = [
@@ -54,6 +59,11 @@ LB_STEP_FACTOR = 1e-3
 # Xeon with that L2, an n = 2 batch of 8000 points ran 1.7x faster in
 # 128-point blocks than in 512-point blocks (4 MB tiles); 32 to 128 tied.
 _POINT_BLOCK = 128
+# The gradient engine keeps four complex and three real (block x 1024) tiles
+# live.  On the same Xeon, 32-point blocks (2.75 MB of tiles) were the fastest
+# at n = 1 and at n = 2; blocks of 8 to 128 points were at most 9% slower at
+# n = 2 and 21% slower at n = 1.
+_GRADIENT_BLOCK = 32
 
 
 def _int_power(x: np.ndarray, k: int) -> np.ndarray:
@@ -229,42 +239,104 @@ class HExtension:
         return self.wirtinger_with_error(z)[0]
 
     def wirtinger_with_error(self, z):
-        """(WirtingerData, standard error) in one pass over the rule."""
-        zc = coords_of(z)
-        self._check_guard(zc[None, :])
-        dk = poisson_h_wirtinger_values(zc, self.rule.nodes)   # (N, n)
-        w = self.rule.weights
+        """(WirtingerData, standard error) at one point: a one-row batch."""
+        data, errors = self.wirtinger_many(coords_of(z)[None, :])
+        return data[0], float(errors[0])
+
+    def wirtinger_many(self, points):
+        """Wirtinger derivatives and their standard errors for a (P, n) batch.
+
+        Returns a list of P ``WirtingerData`` and a (P,) array holding, per
+        row, the root-sum-square of the componentwise Monte Carlo standard
+        errors of the derivative integrands (0.0 for spectral rules).  Each
+        point-by-node tile evaluates ``kernel.poisson_h_wirtinger_values``
+        element for element, one (block, chunk) plane at a time, and nodes
+        reduce in the value engine's order: pairwise within each 1024-node
+        chunk, chunks in index order.  A gradient therefore does not depend
+        on the batch it arrives in or on the block size.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=complex))
+        self._check_guard(pts)
+        n = self.dim
         psi = self._psi_nodes if self._psi_nodes.ndim > 1 else self._psi_nodes[:, None]
         k_out = psi.shape[1]
-        fz = np.empty((k_out, zc.size), dtype=complex)
-        fzbar = np.empty((k_out, zc.size), dtype=complex)
-        var_total = 0.0
+        w = self.rule.weights
+        nodes = self.rule.nodes
         monte_carlo = self.rule.meta.get("kind", "").endswith("mc")
-        for j in range(k_out):
-            terms = dk * psi[:, j][:, None]
-            fz[j] = _chunk_sum(terms * w[:, None])
-            fzbar[j] = _chunk_sum(np.conj(dk) * (psi[:, j] * w)[:, None])
-            if monte_carlo:
-                mean_sq = _chunk_sum(np.abs(terms) ** 2 * w[:, None])
-                var_total += float(np.sum(np.maximum(mean_sq - np.abs(fz[j]) ** 2, 0.0)))
-        error = float(np.sqrt(var_total / len(self.rule))) if monte_carlo else 0.0
-        return WirtingerData(fz, fzbar), error
-
-    def gradient_error(self, z) -> float:
-        """Empirical standard error of the Wirtinger integrands (MC rules)."""
-        return self.wirtinger_with_error(z)[1]
+        num = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
+        # The kernel takes the point factor's logarithm with math.log.  A point
+        # on the sphere (guard radius >= 1) gets NaN: a node collision is then
+        # refused by the tile check, and any other such point yields
+        # non-finite data that WirtingerData refuses.
+        log_num = np.array([(2 * n - 2) * math.log(x) if x > 0.0 else math.nan for x in num])
+        zconj = np.conj(pts)
+        fz = np.zeros((len(pts), k_out, n), dtype=complex)
+        fzbar = np.zeros_like(fz)
+        mean_sq = np.zeros((len(pts), k_out, n))
+        shape = (min(_GRADIENT_BLOCK, len(pts)), min(CHUNK, len(nodes)))
+        diff_buf, bracket_buf, conj_buf, prod_buf = (
+            np.empty(shape, dtype=complex) for _ in range(4))
+        d2_buf, pref_buf, sq_buf = (np.empty(shape) for _ in range(3))
+        for pstart in range(0, len(pts), _GRADIENT_BLOCK):
+            pstop = min(pstart + _GRADIENT_BLOCK, len(pts))
+            psl = slice(pstart, pstop)
+            for start in range(0, len(nodes), CHUNK):
+                stop = min(start + CHUNK, len(nodes))
+                csl = slice(start, stop)
+                tile = (slice(0, pstop - pstart), slice(0, stop - start))
+                diff, bracket, dk_conj, prod = (
+                    diff_buf[tile], bracket_buf[tile], conj_buf[tile], prod_buf[tile])
+                d2, pref, sq = d2_buf[tile], pref_buf[tile], sq_buf[tile]
+                # kernel.poisson_h_wirtinger_values on the tile, keeping its operand
+                # order and dtypes so that every element has the kernel's bits
+                for k in range(n):
+                    np.subtract(nodes[csl, k][None, :], pts[psl, k, None], out=diff)
+                    if k == 0:
+                        np.square(np.abs(diff, out=d2), out=d2)
+                    else:
+                        np.square(np.abs(diff, out=sq), out=sq)
+                        np.add(d2, sq, out=d2)
+                if np.any(d2 < 1e-300):
+                    i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
+                    raise NearSingularEvaluation(
+                        "evaluation point collides with a quadrature node",
+                        point=pts[pstart + i], node=nodes[start + j],
+                    )
+                np.log(d2, out=pref)
+                np.multiply(2 * n, pref, out=pref)
+                np.subtract(log_num[psl, None], pref, out=pref)
+                np.exp(pref, out=pref)
+                np.multiply(-(2 * n - 1), pref, out=pref)
+                weights = w[csl][None, :]
+                for k in range(n):
+                    # bracket = conj(z_k) |zeta-z|^2 + (1-|z|^2)(conj(z_k) - conj(zeta_k))
+                    np.multiply(zconj[psl, k, None], d2, out=bracket)
+                    np.subtract(zconj[psl, k, None], np.conj(nodes[csl, k])[None, :], out=diff)
+                    np.multiply(num[psl, None], diff, out=diff)
+                    np.add(bracket, diff, out=bracket)
+                    dk = np.multiply(pref, bracket, out=bracket)
+                    np.conj(dk, out=dk_conj)
+                    for j in range(k_out):
+                        terms = np.multiply(dk, psi[csl, j][None, :], out=diff)
+                        fz[psl, j, k] += np.add.reduce(
+                            np.multiply(terms, weights, out=prod), axis=1)
+                        if monte_carlo:
+                            np.square(np.abs(terms, out=sq), out=sq)
+                            mean_sq[psl, j, k] += np.add.reduce(
+                                np.multiply(sq, weights, out=sq), axis=1)
+                        fzbar[psl, j, k] += np.add.reduce(np.multiply(
+                            dk_conj, (psi[csl, j] * w[csl])[None, :], out=prod), axis=1)
+        errors = np.zeros(len(pts))
+        if monte_carlo:
+            per_out = np.sum(np.maximum(mean_sq - np.abs(fz) ** 2, 0.0), axis=2)
+            for j in range(k_out):
+                errors += per_out[:, j]
+            errors = np.sqrt(errors / len(self.rule))
+        return [WirtingerData(fz[p], fzbar[p]) for p in range(len(pts))], errors
 
     def value_error(self, z) -> float:
         """Empirical standard error of the value integrand (MC rules)."""
         return float(self.values_with_errors(coords_of(z)[None, :])[1][0])
-
-
-def _chunk_sum(terms: np.ndarray) -> np.ndarray:
-    """Column sums in fixed 1024-row chunks, accumulated in index order."""
-    total = np.zeros(terms.shape[1:], dtype=terms.dtype)
-    for start in range(0, len(terms), CHUNK):
-        total += np.add.reduce(terms[start:start + CHUNK], axis=0)
-    return total
 
 
 def h_extend(boundary: BoundaryFunction, rule: QuadratureRule,

@@ -144,11 +144,18 @@ class TestVerifyCommand:
         assert run_cli("verify", "--suite", "landau", "--alpha", "0").returncode == 2
 
     @pytest.mark.parametrize("flag, suite", [
-        ("--samples", "schwarzpick"), ("--trials", "lemmaB"), ("--pairs", "landau")])
+        ("--samples", "schwarzpick"), ("--trials", "lemmaB"), ("--pairs", "landau"),
+        ("--n", "lemmaB")])
     def test_empty_sweep_exit_2(self, flag, suite):
         proc = run_cli("verify", "--suite", suite, flag, "0")
         assert proc.returncode == 2
         assert f"config error: {flag[2:]} must be >= 1, got 0" in proc.stderr
+
+    @pytest.mark.parametrize("rmax, suite", [("1.5", "schwarzpick"), ("-1", "lemma33")])
+    def test_rmax_outside_unit_interval_exit_2(self, rmax, suite):
+        proc = run_cli("verify", "--suite", suite, "--rmax", rmax)
+        assert proc.returncode == 2
+        assert f"config error: rmax must lie in (0, 1), got {float(rmax)}" in proc.stderr
 
     def test_reproducible_bytes(self, tmp_path):
         args = ("verify", "--suite", "lemma22", "--seed", "3", "--nodes", "512")

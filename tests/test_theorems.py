@@ -318,9 +318,14 @@ class TestSuiteRunner:
             run_suite("nope", HarnessConfig())
 
     def test_config_refuses_empty_sweeps(self):
-        for field in ("samples", "trials", "pairs"):
+        for field in ("samples", "trials", "pairs", "n"):
             with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
                 HarnessConfig(**{field: 0})
+
+    def test_config_refuses_rmax_outside_unit_interval(self):
+        for rmax in (1.5, 1.0, 0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match=r"^rmax must lie in \(0, 1\)"):
+                HarnessConfig(rmax=rmax)
 
     def test_all_concatenates(self):
         cfg = HarnessConfig(n=1, nodes=512, seed=2, samples=20, trials=200, pairs=200)
