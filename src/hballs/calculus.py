@@ -114,15 +114,13 @@ def wirtinger_from_real(ux, uy, vx, vy):
 
 def wirtinger_from_jacobian(jac: RealJacobian) -> WirtingerData:
     """Convert a real Jacobian to the Wirtinger matrices (f_z, f_zbar)."""
-    J = jac.matrix
-    k, n = J.shape[0] // 2, J.shape[1] // 2
-    fz = np.empty((k, n), dtype=complex)
-    fzbar = np.empty((k, n), dtype=complex)
-    for j in range(k):
-        ux, uy = J[2 * j, 0::2], J[2 * j, 1::2]
-        vx, vy = J[2 * j + 1, 0::2], J[2 * j + 1, 1::2]
-        fz[j], fzbar[j] = wirtinger_from_real(ux, uy, vx, vy)
-    return WirtingerData(fz, fzbar)
+    return WirtingerData(*_wirtinger_from_matrices(jac.matrix))
+
+
+def _wirtinger_from_matrices(J: np.ndarray):
+    """(f_z, f_zbar), each (..., k, n), from real Jacobians (..., 2k, 2n)."""
+    return wirtinger_from_real(J[..., 0::2, 0::2], J[..., 0::2, 1::2],
+                               J[..., 1::2, 0::2], J[..., 1::2, 1::2])
 
 
 def real_jacobian_from_wirtinger(data: WirtingerData) -> RealJacobian:
@@ -137,48 +135,45 @@ def real_jacobian_from_wirtinger(data: WirtingerData) -> RealJacobian:
     return RealJacobian(J)
 
 
-def _stencil(z: np.ndarray, step: float) -> np.ndarray:
-    """Points z +/- s e along each real coordinate, s in {h, h/2}, center last."""
-    n = z.size
-    offsets = []
-    for k in range(n):
-        for unit in (1.0, 1j):
-            for s in (step, -step, step / 2.0, -step / 2.0):
-                e = np.zeros(n, dtype=complex)
-                e[k] = unit * s
-                offsets.append(e)
-    offsets.append(np.zeros(n, dtype=complex))
-    return z[None, :] + np.asarray(offsets)
+_STENCIL_MOVES = np.array([1.0, -1.0, 0.5, -0.5])   # h, -h, h/2, -h/2
 
 
-def _first_derivatives(values: np.ndarray, step: float, n: int) -> np.ndarray:
-    """Richardson-extrapolated central first differences along x_k, y_k.
+def _stencils(points: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Central-difference stencils of a (P, n) batch, (P, 8n + 1, n).
 
-    ``values`` is the evaluator output on a ``_stencil`` batch, shaped
-    (8n + 1, ...); returns (2n, ...) derivatives in x_1, y_1, ..., x_n, y_n order.
+    Row p holds points[p] moved by h, -h, h/2, -h/2 (h = steps[p]) along
+    x_1, then y_1, ..., x_n, y_n, and finally points[p] itself.
     """
-    v = values.reshape(n, 2, 4, *values.shape[1:])
-    d_h = (v[:, :, 0] - v[:, :, 1]) / (2.0 * step)
-    d_h2 = (v[:, :, 2] - v[:, :, 3]) / step
-    rich = (4.0 * d_h2 - d_h) / 3.0
-    return rich.reshape(2 * n, *values.shape[1:])
+    count, n = points.shape
+    moves = steps[:, None] * _STENCIL_MOVES                 # (P, 4)
+    offsets = np.zeros((count, 8 * n + 1, n), dtype=complex)
+    for k in range(n):
+        offsets[:, 8 * k:8 * k + 4, k] = moves
+        offsets[:, 8 * k + 4:8 * k + 8, k] = 1j * moves
+    return points[:, None, :] + offsets
+
+
+def _fd_jacobians(f, points: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Real Jacobians (P, 2k, 2n) of f at a (P, n) batch, one evaluator call.
+
+    Central first differences with one Richardson level (steps h and h/2)
+    along x_1, y_1, ..., x_n, y_n; rows u_1, v_1, ..., u_k, v_k.
+    """
+    count, n = points.shape
+    values = np.asarray(f(_stencils(points, steps).reshape(-1, n)), dtype=complex)
+    v = values.reshape(count, 8 * n + 1, -1)[:, :-1].reshape(count, n, 2, 4, -1)
+    h = steps[:, None, None, None]
+    d_h = (v[:, :, :, 0] - v[:, :, :, 1]) / (2.0 * h)
+    d_h2 = (v[:, :, :, 2] - v[:, :, :, 3]) / h
+    partials = ((4.0 * d_h2 - d_h) / 3.0).reshape(count, 2 * n, -1)   # (P, 2n, k)
+    J = np.empty((count, 2 * partials.shape[2], 2 * n))
+    J[:, 0::2, :] = partials.real.transpose(0, 2, 1)
+    J[:, 1::2, :] = partials.imag.transpose(0, 2, 1)
+    return J
 
 
 def default_step(z: np.ndarray, factor: float = JACOBIAN_STEP_FACTOR) -> float:
     return factor * (1.0 - float(np.linalg.norm(z)))
-
-
-def _fd_partials(f, z, step):
-    """Evaluate f on the stencil and return real-coordinate partials."""
-    zc = coords_of(z)
-    n = zc.size
-    if step is None:
-        step = default_step(zc)
-    if float(np.linalg.norm(zc)) + step >= 1.0:
-        raise StepTooLarge(f"step {step:g} leaves the ball at |z| = {np.linalg.norm(zc):.4g}")
-    pts = _stencil(zc, step)
-    values = np.asarray(f(pts), dtype=complex)
-    return _first_derivatives(values[:-1], step, n), n
 
 
 def jacobian_real(f, z, step: float = None) -> RealJacobian:
@@ -186,13 +181,12 @@ def jacobian_real(f, z, step: float = None) -> RealJacobian:
 
     ``f`` maps a (P, n) batch to (P,) or (P, k) complex values.
     """
-    partials, n = _fd_partials(f, z, step)   # (2n,) or (2n, k) complex
-    partials = np.atleast_2d(partials.T)      # (k, 2n)
-    k = partials.shape[0]
-    J = np.empty((2 * k, 2 * n))
-    J[0::2, :] = partials.real
-    J[1::2, :] = partials.imag
-    return RealJacobian(J)
+    zc = coords_of(z)
+    if step is None:
+        step = default_step(zc)
+    if float(np.linalg.norm(zc)) + step >= 1.0:
+        raise StepTooLarge(f"step {step:g} leaves the ball at |z| = {np.linalg.norm(zc):.4g}")
+    return RealJacobian(_fd_jacobians(f, zc[None, :], np.array([step]))[0])
 
 
 def wirtinger_fd(f, z, step: float = None) -> WirtingerData:
@@ -204,28 +198,16 @@ def wirtinger_fd_many(f, points: np.ndarray, step_factor: float = JACOBIAN_STEP_
     """Wirtinger derivatives at every row of ``points``, one evaluator call.
 
     Returns a list of WirtingerData.  Steps follow the per-point policy
-    step = step_factor * (1 - |z|).
+    step = step_factor * (1 - |z|); row i equals ``wirtinger_fd(f, z_i, step_i)``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
-    count, n = points.shape
     steps = step_factor * (1.0 - np.linalg.norm(points, axis=1))
     if np.any(np.linalg.norm(points, axis=1) + steps >= 1.0):
         raise StepTooLarge("stencil leaves the ball for at least one sample")
-    batches = [
-        _stencil(points[i], steps[i]) for i in range(count)
-    ]
-    stencil_len = batches[0].shape[0]
-    values = np.asarray(f(np.concatenate(batches, axis=0)), dtype=complex)
-    out = []
-    for i in range(count):
-        chunk = values[i * stencil_len:(i + 1) * stencil_len]
-        partials = _first_derivatives(chunk[:-1], steps[i], n)
-        partials = np.atleast_2d(partials.T)
-        J = np.empty((2 * partials.shape[0], 2 * n))
-        J[0::2, :] = partials.real
-        J[1::2, :] = partials.imag
-        out.append(wirtinger_from_jacobian(RealJacobian(J)))
-    return out
+    J = _fd_jacobians(f, points, steps)
+    if not np.all(np.isfinite(J)):
+        raise ValueError("real Jacobian must be finite")
+    return [WirtingerData(fz, fzbar) for fz, fzbar in zip(*_wirtinger_from_matrices(J))]
 
 
 def operator_norm(matrix) -> float:

@@ -33,7 +33,7 @@ from . import __version__
 from .errors import HballsError, NearSingularEvaluation
 from .extension import boundary_registry, h_extend
 from .quadrature import STREAM_SAMPLES, circle_rule, rng_stream, sphere_rule_mc
-from .theorems import HarnessConfig, landau_constants, run_suite
+from .theorems import HarnessConfig, check_rmax, landau_constants, run_suite
 
 REPORT_SCHEMA = "hballs.verify-report/1"
 EXTEND_CSV_SCHEMA = "hballs.extend-csv/1"   # columns re(z_k), im(z_k), ..., re(f), im(f)
@@ -165,7 +165,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
             and args.nodes is not None:
         mc_nodes = args.nodes
     seed = resolve(args, file_values, "seed", int)
-    rmax = resolve(args, file_values, "rmax", float)
+    rmax = check_rmax(resolve(args, file_values, "rmax", float))
     if args.boundary is None or args.points is None:
         raise ConfigError("extend needs --boundary and --points")
     boundary = pick_boundary(args.boundary, n)

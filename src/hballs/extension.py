@@ -17,8 +17,12 @@ ball; only its boundary values and sup bound carry quadrature error.
 Evaluation is batched: one call against the rule covers a whole stencil or
 pair sweep, and each distinct point of a batch is evaluated once, which
 replaces any per-point cache of repeated Poisson integrals.  Points go
-through the sum in blocks of 128, so a point-by-node tile and its
-temporaries fit in a 2 MB per-core L2 cache.
+through the sum in blocks of 64 against 1024-node chunks, and every
+temporary of a tile lives in a buffer made once per call.  The columns of
+C^k-valued data share each tile's kernel values, and a column's arithmetic
+does not depend on k, so stacking scalar data into one vector extension
+gives every component the bits of its own extension at about the cost of
+one kernel pass.
 
 Gradients come from differentiation under the integral using the kernel's
 closed-form Wirtinger derivatives.  They are batched the same way: one call
@@ -35,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import WirtingerData
+from .calculus import WirtingerData, _stencils
 from .errors import NearSingularEvaluation, StepTooLarge
 from .geometry import coords_of
 # not called here: bench/tracing.py patches this module-level name
@@ -53,12 +57,16 @@ __all__ = [
 ]
 
 DEFAULT_GUARD_RADIUS = 0.8
+SPOT_CHECK_NODES = 4096     # rule nodes a declared sup bound is checked on
 LB_STEP_FACTOR = 1e-3
-# 128 points x 1024 nodes of float64 is a 1 MB tile, so the distance tile
-# and the temporaries built from it stay in a 2 MB per-core L2 cache.  On a
-# Xeon with that L2, an n = 2 batch of 8000 points ran 1.7x faster in
-# 128-point blocks than in 512-point blocks (4 MB tiles); 32 to 128 tied.
-_POINT_BLOCK = 128
+# A 64-point block makes 512 KB real and 1 MB complex tiles; the value
+# engine keeps two real and two complex ones (three real with second
+# moments), reused for every tile.  On a 2-vCPU Xeon with a 2 MB L2 per
+# core, 5760 n = 2 points against 1500 nodes took 270-370 ms when every
+# tile allocated its temporaries and 170-260 ms with the reused buffers,
+# for blocks of 32 to 128 alike; the thm24 + lemma22 sweep at n = 2 ran
+# 0.65 s in 32- and 64-point blocks and 0.73 s in 128-point blocks.
+_POINT_BLOCK = 64
 # The gradient engine keeps four complex and three real (block x 1024) tiles
 # live.  On the same Xeon, 32-point blocks (2.75 MB of tiles) were the fastest
 # at n = 1 and at n = 2; blocks of 8 to 128 points were at most 9% slower at
@@ -66,16 +74,28 @@ _POINT_BLOCK = 128
 _GRADIENT_BLOCK = 32
 
 
-def _int_power(x: np.ndarray, k: int) -> np.ndarray:
-    """x**k by binary powering (k >= 1); exact and cheap for small k."""
+def _int_power(x: np.ndarray, k: int, out: np.ndarray = None,
+               scratch: np.ndarray = None) -> np.ndarray:
+    """x**k by binary powering (k >= 1); exact and cheap for small k.
+
+    ``out`` and ``scratch`` (given together, shaped like x; x may be ``out``)
+    take the result and the running square instead of new arrays, with the
+    same multiplications.  For k = 1 the result is x itself.
+    """
     result = None
     base = x
     while k:
         if k & 1:
-            result = base if result is None else result * base
+            if result is None:
+                result = base
+                if base is scratch:     # the running square is overwritten below
+                    result = out
+                    np.copyto(out, base)
+            else:
+                result = np.multiply(result, base, out=out)
         k >>= 1
         if k:
-            base = base * base
+            base = np.multiply(base, base, out=scratch)
     return result
 
 
@@ -124,6 +144,8 @@ class HExtension:
         self.rule = rule
         self.guard_radius = float(guard_radius)
         self._psi_nodes = np.asarray(boundary.values(rule.nodes))
+        # (k, N): one contiguous row of node data per output component
+        self._psi_cols = np.ascontiguousarray(self._psi_nodes.reshape(len(rule), -1).T)
         # (2n, N) planes x_1, y_1, x_2, ... of the nodes, contiguous per plane
         self._node_xy = np.ascontiguousarray(rule.nodes, dtype=complex).view(np.float64).T.copy()
         self._value_at_zero = None
@@ -158,16 +180,17 @@ class HExtension:
         chunks in index order; evaluation points are processed in blocks
         purely for cache locality, which does not affect the per-point
         reduction order.  A value therefore does not depend on the batch it
-        arrives in, on duplicate rows or on the block size.  Inside the guard
-        radius the kernel ratio stays in a safe range, so the power is an
-        exact multiply chain rather than the exp/log form of the reference
-        kernel module.
+        arrives in, on duplicate rows or on the block size.  Each tile's
+        kernel values are computed once and read by every output column, so
+        a column has the same bits whatever the number of columns.  Inside
+        the guard radius the kernel ratio stays in a safe range, so the
+        power is an exact multiply chain rather than the exp/log form of the
+        reference kernel module.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
         self._check_guard(pts)
         pts, inverse = np.unique(pts, axis=0, return_inverse=True)
-        psi = self._psi_nodes if self._psi_nodes.ndim > 1 else self._psi_nodes[:, None]
-        k_out = psi.shape[1]
+        k_out = len(self._psi_cols)
         w = self.rule.weights
         nodes = self.rule.nodes
         pts_re, pts_im = pts.real, pts.imag
@@ -177,15 +200,18 @@ class HExtension:
         num_pow = _int_power(num, expo)
         first = np.zeros((len(pts), k_out), dtype=complex)
         second = np.zeros((len(pts), k_out)) if want_errors else None
-        d2_buf = np.empty((min(_POINT_BLOCK, len(pts)), min(CHUNK, len(nodes))))
-        diff_buf = np.empty_like(d2_buf)
+        # every tile temporary lives in one of these buffers, made once per call
+        shape = (min(_POINT_BLOCK, len(pts)), min(CHUNK, len(nodes)))
+        d2_buf, diff_buf = (np.empty(shape) for _ in range(2))
+        sq_buf = np.empty(shape) if want_errors else None
+        terms_buf, prod_buf = (np.empty(shape, dtype=complex) for _ in range(2))
         for pstart in range(0, len(pts), _POINT_BLOCK):
             pstop = min(pstart + _POINT_BLOCK, len(pts))
             psl = slice(pstart, pstop)
             for start in range(0, len(nodes), CHUNK):
                 stop = min(start + CHUNK, len(nodes))
-                d2 = d2_buf[:pstop - pstart, :stop - start]
-                diff = diff_buf[:pstop - pstart, :stop - start]
+                tile = (slice(0, pstop - pstart), slice(0, stop - start))
+                d2, diff, terms, prod = d2_buf[tile], diff_buf[tile], terms_buf[tile], prod_buf[tile]
                 # d2 = dx_1^2 + dy_1^2 + dx_2^2 + ..., accumulated left to right
                 for m in range(2 * self.dim):
                     np.subtract(pts_xy[psl, m, None], self._node_xy[m, None, start:stop],
@@ -195,19 +221,24 @@ class HExtension:
                     else:
                         np.multiply(diff, diff, out=diff)
                         np.add(d2, diff, out=d2)
-                if np.any(d2 < 1e-300):
+                if d2.min() < 1e-300:
                     i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
                     raise NearSingularEvaluation(
                         "evaluation point collides with a quadrature node",
                         point=pts[pstart + i], node=nodes[start + j],
                     )
-                kern = num_pow[psl][:, None] / _int_power(d2, expo)   # (P, C)
+                # kern = num^(2n-1) / d2^(2n-1), in d2's storage with diff as scratch;
+                # every column below reads it, so no column writes to it
+                kern = _int_power(d2, expo, out=d2, scratch=diff)
+                np.divide(num_pow[psl, None], kern, out=kern)
+                weights = w[start:stop]
                 for j in range(k_out):
-                    terms = kern * psi[start:stop, j][None, :]
-                    first[psl, j] += np.add.reduce(terms * w[start:stop][None, :], axis=1)
+                    np.multiply(kern, self._psi_cols[j, start:stop], out=terms)
+                    first[psl, j] += np.add.reduce(np.multiply(terms, weights, out=prod), axis=1)
                     if want_errors:
-                        second[psl, j] += np.add.reduce(
-                            (terms.real ** 2 + terms.imag ** 2) * w[start:stop][None, :], axis=1)
+                        sq = np.square(terms.real, out=diff)
+                        np.add(sq, np.square(terms.imag, out=sq_buf[tile]), out=sq)
+                        second[psl, j] += np.add.reduce(np.multiply(sq, weights, out=sq), axis=1)
         inverse = inverse.reshape(-1)   # flat on every numpy version
         first = first[inverse]
         if want_errors:
@@ -342,7 +373,7 @@ class HExtension:
 def h_extend(boundary: BoundaryFunction, rule: QuadratureRule,
              guard_radius: float = DEFAULT_GUARD_RADIUS) -> HExtension:
     """Build the Poisson-integral extension of ``boundary`` under ``rule``."""
-    boundary.spot_check(rule.nodes[: min(len(rule), 4096)])
+    boundary.spot_check(rule.nodes[:SPOT_CHECK_NODES])
     return HExtension(boundary, rule, guard_radius)
 
 
@@ -364,16 +395,9 @@ def laplace_beltrami_residual(f, z, step: float = None) -> complex:
         step = LB_STEP_FACTOR * (1.0 - norm)
     if norm + 2.0 * step >= 1.0:
         raise StepTooLarge(f"step {step:g} too large at |z| = {norm:.4g}")
-    pts = [zc]
-    for k in range(n):
-        for unit in (1.0, 1j):
-            for s in (step, -step, step / 2.0, -step / 2.0):
-                e = np.zeros(n, dtype=complex)
-                e[k] = unit * s
-                pts.append(zc + e)
-    values = np.asarray(f(np.asarray(pts)), dtype=complex)
-    f0 = values[0]
-    v = values[1:].reshape(n, 2, 4)
+    values = np.asarray(f(_stencils(zc[None, :], np.array([step]))[0]), dtype=complex)
+    f0 = values[-1]
+    v = values[:-1].reshape(n, 2, 4)
     lap_h = (v[:, :, 0] - 2.0 * f0 + v[:, :, 1]) / step ** 2
     lap_h2 = (v[:, :, 2] - 2.0 * f0 + v[:, :, 3]) / (step / 2.0) ** 2
     lap = np.sum((4.0 * lap_h2 - lap_h) / 3.0)

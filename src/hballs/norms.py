@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+BLOCH_STEP_FACTOR = 1e-4    # FD step of the Bloch sup, times (1 - |z|)
 
 
 @dataclass(frozen=True)
@@ -145,12 +146,16 @@ def _points_array(samples) -> np.ndarray:
     return np.atleast_2d(np.asarray([coords_of(p) for p in samples], dtype=complex))
 
 
-def bloch_seminorm(f, samples, step_factor: float = 1e-4) -> SupEstimate:
+def bloch_seminorm(f, samples, step_factor: float = BLOCH_STEP_FACTOR) -> SupEstimate:
     """max over samples of (1-|z|^2) (|grad f| + |grad fbar|), scalar f."""
     samples = _points_array(samples)
     if len(samples) == 0:
         raise EmptySampleSet("sup estimate over an empty sample set")
-    data = wirtinger_fd_many(f, samples, step_factor)
+    return _bloch_from_data(samples, wirtinger_fd_many(f, samples, step_factor), step_factor)
+
+
+def _bloch_from_data(samples: np.ndarray, data, step_factor: float) -> SupEstimate:
+    """The Bloch sup from Wirtinger data already evaluated at the samples."""
     weights = 1.0 - np.linalg.norm(samples, axis=1) ** 2
     values = np.array([w * sum(d.gradient_norms()) for w, d in zip(weights, data)])
     spec = {"kind": "bloch", "samples": len(samples), "step_factor": step_factor}
@@ -189,18 +194,29 @@ def weighted_lipschitz(f, z, w) -> float:
     return wz * ww * val / gap
 
 
-def weighted_lipschitz_sup(f, pairs: np.ndarray) -> SupEstimate:
-    """max of the weighted Lipschitz quotient over sampled pairs."""
+def _pair_endpoints(pairs: np.ndarray) -> np.ndarray:
+    """The (2P, n) endpoints z_1, ..., z_P, w_1, ..., w_P of valid pairs."""
     pairs = np.asarray(pairs, dtype=complex)
     if pairs.size == 0:
         raise EmptySampleSet("sup estimate over an empty sample set")
     z, w = pairs[:, 0, :], pairs[:, 1, :]
-    gaps = np.linalg.norm(z - w, axis=1)
-    if np.any(gaps == 0.0):
+    if np.any(np.linalg.norm(z - w, axis=1) == 0.0):
         raise DegeneratePair("weighted Lipschitz quotient needs z != w")
-    flat = np.concatenate([z, w], axis=0)
-    vals = np.asarray(f(flat))
-    vals = vals.reshape(len(flat), -1)
+    return np.concatenate([z, w], axis=0)
+
+
+def weighted_lipschitz_sup(f, pairs: np.ndarray) -> SupEstimate:
+    """max of the weighted Lipschitz quotient over sampled pairs."""
+    return _lipschitz_from_values(pairs, f(_pair_endpoints(pairs)))
+
+
+def _lipschitz_from_values(pairs: np.ndarray, vals) -> SupEstimate:
+    """The weighted Lipschitz sup from values already evaluated at the
+    ``_pair_endpoints`` of the pairs, shaped (2P,) or (2P, k)."""
+    pairs = np.asarray(pairs, dtype=complex)
+    z, w = pairs[:, 0, :], pairs[:, 1, :]
+    gaps = np.linalg.norm(z - w, axis=1)
+    vals = np.asarray(vals).reshape(2 * len(pairs), -1)
     fz, fw = vals[: len(z)], vals[len(z):]
     diff = np.linalg.norm(fz - fw, axis=1)
     wz = np.sqrt(1.0 - np.linalg.norm(z, axis=1) ** 2)

@@ -36,9 +36,19 @@ from .calculus import (
     wirtinger_fd_many,
     WirtingerData,
 )
-from .extension import HExtension, boundary_registry, h_extend, vector_boundary
+from .extension import (
+    SPOT_CHECK_NODES,
+    HExtension,
+    boundary_registry,
+    h_extend,
+    vector_boundary,
+)
 from .geometry import coords_of
 from .norms import (
+    BLOCH_STEP_FACTOR,
+    _bloch_from_data,
+    _lipschitz_from_values,
+    _pair_endpoints,
     ball_grid,
     bloch_seminorm,
     near_diagonal_pairs,
@@ -269,15 +279,19 @@ def check_thm24_necessity(f, pairs: np.ndarray, grid: np.ndarray, *, n: int,
     (finite pair-sup alongside finite derivative-sup) is recorded in the
     inputs rather than checked quantitatively.
     """
-    pair_est = weighted_lipschitz_sup(f, pairs)
-    bloch_est = bloch_seminorm(f, grid)
+    return _thm24_report(weighted_lipschitz_sup(f, pairs), bloch_seminorm(f, grid),
+                         n, len(pairs), len(grid), label,
+                         check_id or f"thm24[n={n},f={label}]")
+
+
+def _thm24_report(pair_est, bloch_est, n: int, pairs: int, grid: int, label: str,
+                  check_id: str) -> CheckReport:
     lhs = pair_est.value
     rhs = math.pi * math.sqrt(n) * bloch_est.value
-    cid = check_id or f"thm24[n={n},f={label}]"
     return make_report(
-        cid, lhs, rhs, fd_error=_FD_TRUNCATION,
+        check_id, lhs, rhs, fd_error=_FD_TRUNCATION,
         inputs={
-            "f": label, "n": n, "pairs": int(len(pairs)), "grid": int(len(grid)),
+            "f": label, "n": n, "pairs": int(pairs), "grid": int(grid),
             "pair_sup": pair_est.value, "bloch_sup": bloch_est.value,
             "pair_witness": [_cplx(w) for w in pair_est.witness],
             "bloch_witness": _cplx(bloch_est.witness),
@@ -478,6 +492,13 @@ def mapping_registry(n: int) -> list[AffineMapping]:
 # suites
 # ---------------------------------------------------------------------------
 
+def check_rmax(rmax: float) -> float:
+    """The sampling and guard radius, refused outside (0, 1) by name."""
+    if not 0.0 < rmax < 1.0:
+        raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
+    return rmax
+
+
 @dataclass
 class HarnessConfig:
     """Resolved configuration of one verification run."""
@@ -496,8 +517,7 @@ class HarnessConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.rmax < 1.0:
-            raise ValueError(f"rmax must lie in (0, 1), got {self.rmax}")
+        check_rmax(self.rmax)
         for name in ("samples", "trials", "pairs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -569,8 +589,7 @@ def suite_lemma22(cfg: HarnessConfig, samples: int = 100) -> list[CheckReport]:
     """Wirtinger-versus-real gradient inequality over the function registry."""
     reports = []
     zs = _sample_ball(cfg, samples, 0.7)
-    for label, f in _scalar_functions(cfg):
-        data = wirtinger_fd_many(f, zs)   # one batched pass per function
+    for label, (data,) in _registry_results(cfg, lambda f: (wirtinger_fd_many(f, zs),)):
         per_point = [
             _lemma22_report(data[i], zs[i], label, f"lemma22[n={cfg.n},f={label},i={i}]")
             for i in range(len(zs))
@@ -579,16 +598,40 @@ def suite_lemma22(cfg: HarnessConfig, samples: int = 100) -> list[CheckReport]:
     return reports
 
 
-def _scalar_functions(cfg: HarnessConfig):
-    """(label, batch evaluator) pairs: exact extensions when known, else rules."""
+def _registry_results(cfg: HarnessConfig, evaluate) -> list:
+    """(label, evaluate(f)) for every registry entry, in registry order.
+
+    ``evaluate`` returns a tuple of (P, k) arrays and lists of WirtingerData.
+    Closed-form extensions are evaluated one by one.  The rule-based entries
+    are the columns of one stacked extension, evaluated once, and each gets
+    its own column back, with the bits of its own extension.  Each entry is
+    held to its own declared bound, which is stricter than the stacked one.
+    """
     rule = rule_for(cfg)
+    registry = boundary_registry(cfg.n)
+    ruled = [entry for entry in registry if entry.exact_extension is None]
+    for entry in ruled:
+        entry.spot_check(rule.nodes[:SPOT_CHECK_NODES])
+    stacked = h_extend(vector_boundary(ruled), rule, guard_radius=cfg.rmax) if ruled else None
+    shared = None
     out = []
-    for entry in boundary_registry(cfg.n):
+    for entry in registry:
         if entry.exact_extension is not None:
-            out.append((entry.label, entry.exact_extension))
-        else:
-            out.append((entry.label, h_extend(entry, rule, guard_radius=cfg.rmax)))
+            out.append((entry.label, evaluate(entry.exact_extension)))
+            continue
+        if shared is None:
+            shared = evaluate(stacked)
+        j = ruled.index(entry)
+        out.append((entry.label, tuple(_column(part, j) for part in shared)))
     return out
+
+
+def _column(part, j: int):
+    """Component j of a stacked result: the (P, 1) column of a (P, k) array,
+    or row j of each WirtingerData in a list."""
+    if isinstance(part, np.ndarray):
+        return part[:, j:j + 1]
+    return [WirtingerData(data.fz[j], data.fzbar[j]) for data in part]
 
 
 def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
@@ -597,10 +640,17 @@ def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
     seeded = pair_samples(cfg.n, cfg.pairs, cfg.seed, rmax=0.7)
     near = near_diagonal_pairs(grid)
     pairs = np.concatenate([near, seeded], axis=0)
-    reports = []
-    for label, f in _scalar_functions(cfg):
-        reports.append(check_thm24_necessity(f, pairs, grid, n=cfg.n, label=label))
-    return reports
+    endpoints = _pair_endpoints(pairs)
+
+    def evaluate(f):
+        return f(endpoints), wirtinger_fd_many(f, grid, BLOCH_STEP_FACTOR)
+
+    return [
+        _thm24_report(_lipschitz_from_values(pairs, vals),
+                      _bloch_from_data(grid, data, BLOCH_STEP_FACTOR),
+                      cfg.n, len(pairs), len(grid), label, f"thm24[n={cfg.n},f={label}]")
+        for label, (vals, data) in _registry_results(cfg, evaluate)
+    ]
 
 
 def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hballs.calculus import (
     RealJacobian,
@@ -10,6 +11,7 @@ from hballs.calculus import (
     operator_norm,
     real_jacobian_from_wirtinger,
     wirtinger_fd,
+    wirtinger_fd_many,
     wirtinger_from_jacobian,
     wirtinger_from_real,
 )
@@ -167,3 +169,71 @@ class TestValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             WirtingerData(np.array([[np.nan]]), np.array([[0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# batched finite differences
+# ---------------------------------------------------------------------------
+
+def reference_wirtinger_fd(f, z, step):
+    """The per-point stencil and Jacobian assembly the batched path replaced."""
+    n = z.size
+    offsets = []
+    for k in range(n):
+        for unit in (1.0, 1j):
+            for s in (step, -step, step / 2.0, -step / 2.0):
+                e = np.zeros(n, dtype=complex)
+                e[k] = unit * s
+                offsets.append(e)
+    offsets.append(np.zeros(n, dtype=complex))
+    values = np.asarray(f(z[None, :] + np.asarray(offsets)), dtype=complex)[:-1]
+    v = values.reshape(n, 2, 4, *values.shape[1:])
+    d_h = (v[:, :, 0] - v[:, :, 1]) / (2.0 * step)
+    d_h2 = (v[:, :, 2] - v[:, :, 3]) / step
+    partials = np.atleast_2d(((4.0 * d_h2 - d_h) / 3.0).reshape(2 * n, *values.shape[1:]).T)
+    J = np.empty((2 * partials.shape[0], 2 * n))
+    J[0::2, :] = partials.real
+    J[1::2, :] = partials.imag
+    return wirtinger_from_jacobian(RealJacobian(J))
+
+
+def scalar_map(pts):
+    """A non-holomorphic scalar map: z_1^2 conj(z_n) + 3 z_n + exp(|z|^2)."""
+    pts = np.asarray(pts)
+    return (pts[:, 0] ** 2 * np.conj(pts[:, -1]) + 3.0 * pts[:, -1]
+            + np.exp(np.sum(np.abs(pts) ** 2, axis=1)))
+
+
+def vector_map(pts):
+    """Three components, one of them the scalar map."""
+    pts = np.asarray(pts)
+    return np.stack([scalar_map(pts), np.conj(pts[:, 0]) * pts[:, -1], np.sin(pts[:, 0])], axis=1)
+
+
+def fd_bits(data):
+    return np.concatenate([np.ascontiguousarray(data.fz).view(np.uint8).ravel(),
+                           np.ascontiguousarray(data.fzbar).view(np.uint8).ravel()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-4, 1e-3]), st.sampled_from([scalar_map, vector_map]))
+def test_fd_many_rows_equal_per_point_fd_bit_for_bit(n, count, seed, factor, f):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, (count, 2 * n))
+    pts = raw[:, :n] + 1j * raw[:, n:]
+    pts *= (0.9 * rng.random(count) / np.linalg.norm(pts, axis=1))[:, None]
+    pts[0] = 0.0                          # the origin, where offsets meet signed zeros
+    if count > 1:
+        pts[1, 0] = complex(-0.0, pts[1, 0].imag)
+    steps = factor * (1.0 - np.linalg.norm(pts, axis=1))
+    rows = wirtinger_fd_many(f, pts, factor)
+    assert len(rows) == count
+    for z, step, row in zip(pts, steps, rows):
+        assert np.array_equal(fd_bits(row), fd_bits(wirtinger_fd(f, z, step)))
+        assert np.array_equal(fd_bits(row), fd_bits(reference_wirtinger_fd(f, z, step)))
+
+
+def test_fd_many_refuses_a_stencil_leaving_the_ball():
+    with pytest.raises(StepTooLarge):
+        wirtinger_fd_many(scalar_map, np.array([[0.2 + 0j], [0.999999 + 0j]]), 2.0)

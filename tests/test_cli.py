@@ -97,6 +97,24 @@ class TestExtendCommand:
         assert "not finite" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("rmax, point", [
+        ("1.5", "1.2+0i"), ("1", "0.5+0i"), ("0", "0+0i"), ("-0.5", "0.3+0i"), ("nan", "0+0i")])
+    def test_rmax_outside_unit_interval_exit_2(self, rmax, point):
+        # the guard radius must keep evaluation inside the open ball
+        proc = run_cli("extend", "--n", "1", "--boundary", "re", "--nodes", "256",
+                       "--rmax", rmax, "--points", point)
+        assert proc.returncode == 2
+        assert f"config error: rmax must lie in (0, 1), got {float(rmax)}" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_rmax_from_config_file_is_checked(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rmax=1.5\n")
+        proc = run_cli("extend", "--config", str(cfg), "--n", "1", "--boundary", "re",
+                       "--points", "0.5+0i")
+        assert proc.returncode == 2
+        assert "rmax must lie in (0, 1), got 1.5" in proc.stderr
+
     def test_numerical_failure_exit_3(self):
         # a point beyond the guard radius aborts with the offending input
         proc = run_cli("extend", "--n", "1", "--boundary", "re",

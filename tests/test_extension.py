@@ -4,6 +4,7 @@ import pytest
 from hballs.errors import NearSingularEvaluation, StepTooLarge
 from hballs.extension import (
     BoundaryFunction,
+    _int_power,
     boundary_registry,
     h_extend,
     h_extend_gradient,
@@ -203,3 +204,16 @@ class TestRegistry:
         vec = vector_boundary([reg[1], reg[2]])
         assert vec.out_dim == 2
         assert vec.sup_bound == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_int_power_into_buffers_keeps_the_bits(k):
+    x = np.random.default_rng(k).uniform(0.1, 4.0, (5, 7))
+    expected = _int_power(x, k)
+    out, scratch = np.empty_like(x), np.empty_like(x)
+    result = _int_power(x.copy(), k, out=out, scratch=scratch)
+    assert np.array_equal(result.view(np.uint8), expected.view(np.uint8))
+    # the input may double as the output buffer
+    y = x.copy()
+    result = _int_power(y, k, out=y, scratch=scratch)
+    assert np.array_equal(result.view(np.uint8), expected.view(np.uint8))

@@ -1,0 +1,136 @@
+"""The registry's rule-based functions share one kernel pass per batch.
+
+thm24 and lemma22 evaluate every rule-based registry entry as a column of
+one stacked extension.  That may not change a single bit: a column must
+equal the entry's own extension, and each suite must equal its checks run
+one function at a time.  Each entry is still held to its own declared bound.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hballs import theorems
+from hballs.calculus import wirtinger_fd_many
+from hballs.errors import NearSingularEvaluation
+from hballs.extension import boundary_registry, h_extend, vector_boundary
+from hballs.quadrature import circle_rule, sphere_rule_mc
+from hballs.theorems import (
+    HarnessConfig,
+    check_lemma22,
+    check_thm24_necessity,
+    rule_for,
+    suite_lemma22,
+    suite_thm24,
+)
+
+# sizes off a multiple of the 1024-node chunk, so the last chunk is partial
+RULES = {1: circle_rule(1500), 2: sphere_rule_mc(2, 2500, 11)}
+SCALARS = {n: [h_extend(entry, rule) for entry in boundary_registry(n)]
+           for n, rule in RULES.items()}
+STACKED = {n: h_extend(vector_boundary(boundary_registry(n)), rule)
+           for n, rule in RULES.items()}
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint8)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(bits(actual), bits(expected))
+
+
+@st.composite
+def batches(draw, max_size):
+    """(n, points): up to ``max_size`` points inside the guard radius, with
+    repeats, so that large batches span several point blocks."""
+    n = draw(st.sampled_from(sorted(RULES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = rng.uniform(-1.0, 1.0, (draw(st.integers(1, max_size)), 2 * n))
+    pts = raw[:, :n] + 1j * raw[:, n:]
+    pts *= (0.75 * rng.random(len(pts)) / np.linalg.norm(pts, axis=1))[:, None]
+    picks = rng.integers(0, len(pts), draw(st.integers(1, max_size)))
+    return n, pts[picks]
+
+
+@settings(max_examples=25, deadline=None)
+@given(batches(300))
+def test_stacked_columns_equal_scalar_values_and_second_moments(case):
+    n, batch = case
+    values, second = STACKED[n]._moments(batch, want_errors=True)
+    assert_same_bits(STACKED[n](batch), values)
+    for j, ext in enumerate(SCALARS[n]):
+        one_values, one_second = ext._moments(batch, want_errors=True)
+        assert_same_bits(values[:, j], one_values)
+        assert_same_bits(second[:, j], one_second[:, 0])
+        assert_same_bits(ext(batch), one_values)
+
+
+@settings(max_examples=15, deadline=None)
+@given(batches(30))
+def test_stacked_columns_equal_scalar_fd_derivatives(case):
+    n, batch = case
+    stacked = wirtinger_fd_many(STACKED[n], batch)
+    for j, ext in enumerate(SCALARS[n]):
+        for row, one in zip(stacked, wirtinger_fd_many(ext, batch)):
+            assert_same_bits(row.fz[j:j + 1], one.fz)
+            assert_same_bits(row.fzbar[j:j + 1], one.fzbar)
+
+
+def one_at_a_time(cfg):
+    """(label, evaluator) per registry entry, each with its own extension."""
+    rule = rule_for(cfg)
+    return [(entry.label, entry.exact_extension
+             or h_extend(entry, rule, guard_radius=cfg.rmax))
+            for entry in boundary_registry(cfg.n)]
+
+
+SMALL = {1: dict(n=1, nodes=1500, pairs=60, seed=3),
+         2: dict(n=2, mc_nodes=1300, pairs=60, seed=3)}
+
+
+@pytest.mark.parametrize("n", sorted(SMALL))
+def test_thm24_suite_equals_per_function_checks(n):
+    cfg = HarnessConfig(**SMALL[n])
+    grid = theorems.ball_grid(n)
+    pairs = np.concatenate([theorems.near_diagonal_pairs(grid),
+                            theorems.pair_samples(n, cfg.pairs, cfg.seed, rmax=0.7)])
+    expected = [check_thm24_necessity(f, pairs, grid, n=n, label=label).to_dict()
+                for label, f in one_at_a_time(cfg)]
+    assert [rep.to_dict() for rep in suite_thm24(cfg)] == expected
+
+
+@pytest.mark.parametrize("n", sorted(SMALL))
+def test_lemma22_suite_equals_per_function_checks(n):
+    cfg = HarnessConfig(**SMALL[n])
+    zs = theorems._sample_ball(cfg, 100, 0.7)
+    expected = []
+    for label, f in one_at_a_time(cfg):
+        per_point = [check_lemma22(f, z, label=label, check_id=f"lemma22[n={n},f={label},i={i}]")
+                     for i, z in enumerate(zs)]
+        expected.append(theorems._aggregate(per_point, f"lemma22[n={n},f={label}]").to_dict())
+    assert [rep.to_dict() for rep in suite_lemma22(cfg)] == expected
+
+
+@pytest.mark.parametrize("suite", [suite_thm24, suite_lemma22])
+def test_entry_over_its_own_bound_is_refused_when_stacked(suite, monkeypatch):
+    cfg = HarnessConfig(**SMALL[2])
+    # |coord1| reaches about 1 on the sphere; declare 0.9 instead
+    registry = [dataclasses.replace(entry, sup_bound=0.9) if entry.label == "coord1" else entry
+                for entry in boundary_registry(2)]
+    ruled = [entry for entry in registry if entry.exact_extension is None]
+    # the stacked bound alone (root sum of squares) would let it through
+    vector_boundary(ruled).spot_check(rule_for(cfg).nodes)
+    monkeypatch.setattr(theorems, "boundary_registry", lambda n: registry)
+    with pytest.raises(ValueError, match="'coord1' exceeds its declared bound"):
+        suite(cfg)
+
+
+@pytest.mark.parametrize("suite", [suite_thm24, suite_lemma22])
+def test_points_beyond_the_guard_radius_are_refused(suite):
+    # both suites sample out to |z| = 0.7
+    with pytest.raises(NearSingularEvaluation, match="exceeds the guard radius 0.5"):
+        suite(HarnessConfig(**SMALL[2], rmax=0.5))

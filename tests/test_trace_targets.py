@@ -1,0 +1,56 @@
+"""The benchmark's tracer still finds every name it patches.
+
+``bench/tracing.py`` wraps package functions by the names their callers look
+them up by.  A refactor that drops or renames one of them breaks traced
+benchmark runs, so this test installs the tracer from its file, unchanged,
+and runs one small thm24 and one small lemma22 suite under it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import hballs.errors
+import hballs.extension
+import hballs.norms
+import hballs.theorems
+from hballs.theorems import HarnessConfig
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+MODULES = {"theorems": hballs.theorems, "norms": hballs.norms,
+           "extension": hballs.extension, "errors": hballs.errors}
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("hballs_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("suite", ["thm24", "lemma22"])
+def test_tracer_installs_and_records_the_sweep_layers(suite):
+    tracing = load_tracing()
+    originals = {name: getattr(hballs.theorems, name)
+                 for name in ("h_extend", "wirtinger_fd_many", "weighted_lipschitz_sup",
+                              "bloch_seminorm")}
+    call = hballs.extension.HExtension.__call__
+    tracer = tracing.install(MODULES)
+    try:
+        reports = hballs.theorems.SUITES[suite](
+            HarnessConfig(n=2, mc_nodes=1100, pairs=40, seed=5))
+    finally:
+        tracer.unpatch()
+    assert all(rep.passed for rep in reports)
+    metrics = tracing.layer_metrics(tracer.spans, pass_s=1.0, errors=tracer.errors)
+    assert metrics[f"theorems.{suite}.s"] > 0.0
+    assert metrics["extension.build.calls"] == 1          # one stacked extension
+    assert metrics["extension.values.calls"] >= 1
+    assert metrics["extension.values.kevals"] > 0
+    assert metrics["calculus.fd.calls"] >= 1
+    assert metrics["extension.errors"] == 0
+    # unpatch restores the program as shipped
+    assert hballs.extension.HExtension.__call__ is call
+    for name, original in originals.items():
+        assert getattr(hballs.theorems, name) is original
