@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepTooLarge
+from .errors import NonFiniteResult, StepTooLarge
 from .geometry import coords_of
 
 __all__ = [
@@ -66,7 +66,7 @@ class WirtingerData:
         if fz.shape != fzbar.shape:
             raise ValueError("fz and fzbar shapes differ")
         if not (np.all(np.isfinite(fz.view(float))) and np.all(np.isfinite(fzbar.view(float)))):
-            raise ValueError("Wirtinger data must be finite")
+            raise NonFiniteResult("Wirtinger data must be finite")
         object.__setattr__(self, "fz", fz)
         object.__setattr__(self, "fzbar", fzbar)
 
@@ -96,7 +96,7 @@ class RealJacobian:
         if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
             raise ValueError("real Jacobian must have even-by-even shape")
         if not np.all(np.isfinite(m)):
-            raise ValueError("real Jacobian must be finite")
+            raise NonFiniteResult("real Jacobian must be finite")
         object.__setattr__(self, "matrix", m)
 
     def det(self) -> float:
@@ -139,14 +139,14 @@ _STENCIL_MOVES = np.array([1.0, -1.0, 0.5, -0.5])   # h, -h, h/2, -h/2
 
 
 def _stencils(points: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Central-difference stencils of a (P, n) batch, (P, 8n + 1, n).
+    """Central-difference stencils of a (P, n) batch, (P, 8n, n).
 
     Row p holds points[p] moved by h, -h, h/2, -h/2 (h = steps[p]) along
-    x_1, then y_1, ..., x_n, y_n, and finally points[p] itself.
+    x_1, then y_1, ..., x_n, y_n.
     """
     count, n = points.shape
     moves = steps[:, None] * _STENCIL_MOVES                 # (P, 4)
-    offsets = np.zeros((count, 8 * n + 1, n), dtype=complex)
+    offsets = np.zeros((count, 8 * n, n), dtype=complex)
     for k in range(n):
         offsets[:, 8 * k:8 * k + 4, k] = moves
         offsets[:, 8 * k + 4:8 * k + 8, k] = 1j * moves
@@ -161,7 +161,7 @@ def _fd_jacobians(f, points: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """
     count, n = points.shape
     values = np.asarray(f(_stencils(points, steps).reshape(-1, n)), dtype=complex)
-    v = values.reshape(count, 8 * n + 1, -1)[:, :-1].reshape(count, n, 2, 4, -1)
+    v = values.reshape(count, n, 2, 4, -1)
     h = steps[:, None, None, None]
     d_h = (v[:, :, :, 0] - v[:, :, :, 1]) / (2.0 * h)
     d_h2 = (v[:, :, :, 2] - v[:, :, :, 3]) / h
@@ -206,7 +206,7 @@ def wirtinger_fd_many(f, points: np.ndarray, step_factor: float = JACOBIAN_STEP_
         raise StepTooLarge("stencil leaves the ball for at least one sample")
     J = _fd_jacobians(f, points, steps)
     if not np.all(np.isfinite(J)):
-        raise ValueError("real Jacobian must be finite")
+        raise NonFiniteResult("real Jacobian must be finite")
     return [WirtingerData(fz, fzbar) for fz, fzbar in zip(*_wirtinger_from_matrices(J))]
 
 

@@ -35,3 +35,7 @@ class StepTooLarge(HballsError):
 
 class EmptySampleSet(HballsError):
     """A sup-estimate was requested over zero samples."""
+
+
+class NonFiniteResult(HballsError):
+    """A computed derivative or Jacobian is NaN or infinite."""

@@ -22,7 +22,9 @@ temporary of a tile lives in a buffer made once per call.  The columns of
 C^k-valued data share each tile's kernel values, and a column's arithmetic
 does not depend on k, so stacking scalar data into one vector extension
 gives every component the bits of its own extension at about the cost of
-one kernel pass.
+one kernel pass.  Standard errors are kept per column as well: the error
+of any set of columns sums their variances in column order, so it has the
+bits of the error of an extension holding only those columns.
 
 Gradients come from differentiation under the integral using the kernel's
 closed-form Wirtinger derivatives.  They are batched the same way: one call
@@ -143,9 +145,11 @@ class HExtension:
         self.boundary = boundary
         self.rule = rule
         self.guard_radius = float(guard_radius)
-        self._psi_nodes = np.asarray(boundary.values(rule.nodes))
+        psi = np.asarray(boundary.values(rule.nodes))
         # (k, N): one contiguous row of node data per output component
-        self._psi_cols = np.ascontiguousarray(self._psi_nodes.reshape(len(rule), -1).T)
+        self._psi_cols = np.ascontiguousarray(psi.reshape(len(rule), -1).T)
+        # the (N,) or (N, k) node data, as a view of those rows
+        self._psi_nodes = self._psi_cols[0] if psi.ndim == 1 else self._psi_cols.T
         # (2n, N) planes x_1, y_1, x_2, ... of the nodes, contiguous per plane
         self._node_xy = np.ascontiguousarray(rule.nodes, dtype=complex).view(np.float64).T.copy()
         self._value_at_zero = None
@@ -252,18 +256,41 @@ class HExtension:
             self._value_at_zero = self(np.zeros(self.dim, dtype=complex))[0]
         return self._value_at_zero
 
-    def values_with_errors(self, points):
+    @property
+    def _monte_carlo(self) -> bool:
+        return self.rule.meta.get("kind", "").endswith("mc")
+
+    def _standard_errors(self, variances: np.ndarray, columns):
+        """Per-point standard errors from per-column variances (P, k).
+
+        A set of columns gets the root of its variances summed in column
+        order over the node count: the root-sum-square of its componentwise
+        Monte Carlo standard errors.  ``columns`` is a list of column slices
+        and gives one (P,) array per slice; None gives one for all columns.
+        """
+        errors = []
+        for cols in [slice(None)] if columns is None else columns:
+            total = np.zeros(len(variances))
+            for j in range(variances.shape[1])[cols]:
+                total += variances[:, j]
+            errors.append(np.sqrt(total / len(self.rule)))
+        return errors[0] if columns is None else errors
+
+    def values_with_errors(self, points, columns=None):
         """Batched values plus per-point integrand standard errors.
 
-        One pass over the rule; the error is the root-sum-square of the
-        componentwise Monte Carlo standard errors (0.0 for spectral rules).
+        One pass over the rule.  The error of a set of output columns is the
+        root-sum-square of their componentwise Monte Carlo standard errors
+        (0.0 for spectral rules, which skip the second moments); see
+        ``_standard_errors`` for ``columns``.
         """
-        values, second = self._moments(points, want_errors=True)
+        values, second = self._moments(points, want_errors=self._monte_carlo)
         stacked = values if values.ndim > 1 else values[:, None]
-        if not self.rule.meta.get("kind", "").endswith("mc"):
-            return values, np.zeros(len(stacked))
-        variances = np.maximum(second - np.abs(stacked) ** 2, 0.0)
-        return values, np.sqrt(np.sum(variances, axis=1) / len(self.rule))
+        if second is None:
+            variances = np.zeros(stacked.shape)
+        else:
+            variances = np.maximum(second - np.abs(stacked) ** 2, 0.0)
+        return values, self._standard_errors(variances, columns)
 
     def wirtinger(self, z) -> WirtingerData:
         """Wirtinger derivatives by differentiation under the integral."""
@@ -274,12 +301,13 @@ class HExtension:
         data, errors = self.wirtinger_many(coords_of(z)[None, :])
         return data[0], float(errors[0])
 
-    def wirtinger_many(self, points):
+    def wirtinger_many(self, points, columns=None):
         """Wirtinger derivatives and their standard errors for a (P, n) batch.
 
         Returns a list of P ``WirtingerData`` and a (P,) array holding, per
         row, the root-sum-square of the componentwise Monte Carlo standard
-        errors of the derivative integrands (0.0 for spectral rules).  Each
+        errors of the derivative integrands (0.0 for spectral rules), or one
+        such array per slice in ``columns`` (see ``_standard_errors``).  Each
         point-by-node tile evaluates ``kernel.poisson_h_wirtinger_values``
         element for element, one (block, chunk) plane at a time, and nodes
         reduce in the value engine's order: pairwise within each 1024-node
@@ -289,11 +317,11 @@ class HExtension:
         pts = np.atleast_2d(np.asarray(points, dtype=complex))
         self._check_guard(pts)
         n = self.dim
-        psi = self._psi_nodes if self._psi_nodes.ndim > 1 else self._psi_nodes[:, None]
-        k_out = psi.shape[1]
+        psi = self._psi_cols
+        k_out = len(psi)
         w = self.rule.weights
         nodes = self.rule.nodes
-        monte_carlo = self.rule.meta.get("kind", "").endswith("mc")
+        monte_carlo = self._monte_carlo
         num = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
         # The kernel takes the point factor's logarithm with math.log.  A point
         # on the sphere (guard radius >= 1) gets NaN: a node collision is then
@@ -308,6 +336,7 @@ class HExtension:
         diff_buf, bracket_buf, conj_buf, prod_buf = (
             np.empty(shape, dtype=complex) for _ in range(4))
         d2_buf, pref_buf, sq_buf = (np.empty(shape) for _ in range(3))
+        psi_w_buf = np.empty((k_out, shape[1]), dtype=np.result_type(psi, w))
         for pstart in range(0, len(pts), _GRADIENT_BLOCK):
             pstop = min(pstart + _GRADIENT_BLOCK, len(pts))
             psl = slice(pstart, pstop)
@@ -339,6 +368,7 @@ class HExtension:
                 np.exp(pref, out=pref)
                 np.multiply(-(2 * n - 1), pref, out=pref)
                 weights = w[csl][None, :]
+                psi_w = np.multiply(psi[:, csl], w[csl], out=psi_w_buf[:, :stop - start])
                 for k in range(n):
                     # bracket = conj(z_k) |zeta-z|^2 + (1-|z|^2)(conj(z_k) - conj(zeta_k))
                     np.multiply(zconj[psl, k, None], d2, out=bracket)
@@ -348,7 +378,7 @@ class HExtension:
                     dk = np.multiply(pref, bracket, out=bracket)
                     np.conj(dk, out=dk_conj)
                     for j in range(k_out):
-                        terms = np.multiply(dk, psi[csl, j][None, :], out=diff)
+                        terms = np.multiply(dk, psi[j, None, csl], out=diff)
                         fz[psl, j, k] += np.add.reduce(
                             np.multiply(terms, weights, out=prod), axis=1)
                         if monte_carlo:
@@ -356,14 +386,13 @@ class HExtension:
                             mean_sq[psl, j, k] += np.add.reduce(
                                 np.multiply(sq, weights, out=sq), axis=1)
                         fzbar[psl, j, k] += np.add.reduce(np.multiply(
-                            dk_conj, (psi[csl, j] * w[csl])[None, :], out=prod), axis=1)
-        errors = np.zeros(len(pts))
+                            dk_conj, psi_w[j, None], out=prod), axis=1)
         if monte_carlo:
-            per_out = np.sum(np.maximum(mean_sq - np.abs(fz) ** 2, 0.0), axis=2)
-            for j in range(k_out):
-                errors += per_out[:, j]
-            errors = np.sqrt(errors / len(self.rule))
-        return [WirtingerData(fz[p], fzbar[p]) for p in range(len(pts))], errors
+            variances = np.sum(np.maximum(mean_sq - np.abs(fz) ** 2, 0.0), axis=2)
+        else:
+            variances = np.zeros((len(pts), k_out))
+        data = [WirtingerData(fz[p], fzbar[p]) for p in range(len(pts))]
+        return data, self._standard_errors(variances, columns)
 
     def value_error(self, z) -> float:
         """Empirical standard error of the value integrand (MC rules)."""
@@ -395,7 +424,8 @@ def laplace_beltrami_residual(f, z, step: float = None) -> complex:
         step = LB_STEP_FACTOR * (1.0 - norm)
     if norm + 2.0 * step >= 1.0:
         raise StepTooLarge(f"step {step:g} too large at |z| = {norm:.4g}")
-    values = np.asarray(f(_stencils(zc[None, :], np.array([step]))[0]), dtype=complex)
+    stencil = np.concatenate([_stencils(zc[None, :], np.array([step]))[0], zc[None, :]])
+    values = np.asarray(f(stencil), dtype=complex)
     f0 = values[-1]
     v = values[:-1].reshape(n, 2, 4)
     lap_h = (v[:, :, 0] - 2.0 * f0 + v[:, :, 1]) / step ** 2

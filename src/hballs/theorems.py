@@ -304,10 +304,9 @@ def _kernel_ratio(norm_z: float, n: int) -> float:
     return ((1.0 - norm_z) / (1.0 + norm_z)) ** (2 * n - 1)
 
 
-def _schwarz_value_report(ext: HExtension, zc: np.ndarray, fz, f0, quad_se: float,
-                          check_id: str) -> CheckReport:
-    n = ext.dim
-    bound = ext.boundary.sup_bound
+def _schwarz_value_report(label: str, bound: float, rule_meta: dict, zc: np.ndarray,
+                          fz, f0, quad_se: float, check_id: str) -> CheckReport:
+    n = zc.size
     kappa = _kernel_ratio(float(np.linalg.norm(zc)), n)
     lhs = float(np.linalg.norm(np.atleast_1d(fz - kappa * f0)))
     rhs = bound * (1.0 - kappa)
@@ -315,9 +314,8 @@ def _schwarz_value_report(ext: HExtension, zc: np.ndarray, fz, f0, quad_se: floa
     quad_err = (1.0 + bound) * quad_se
     return make_report(
         check_id, lhs, rhs, analytic=1e-12, quad_error=quad_err,
-        inputs={"f": ext.boundary.label, "n": n, "M": bound, "z": _cplx(zc),
-                "kappa": kappa},
-        rule=dict(ext.rule.meta),
+        inputs={"f": label, "n": n, "M": bound, "z": _cplx(zc), "kappa": kappa},
+        rule=dict(rule_meta),
     )
 
 
@@ -328,21 +326,20 @@ def check_schwarz_pick_value(ext: HExtension, z, *, check_id: str = None) -> Che
     zc = coords_of(z)
     values, errors = ext.values_with_errors(zc[None, :])
     cid = check_id or f"schwarzpick.value[n={ext.dim},f={ext.boundary.label}]"
-    return _schwarz_value_report(ext, zc, values[0], ext.value_at_zero(),
-                                 float(errors[0]), cid)
+    return _schwarz_value_report(ext.boundary.label, ext.boundary.sup_bound, ext.rule.meta,
+                                 zc, values[0], ext.value_at_zero(), float(errors[0]), cid)
 
 
-def _schwarz_gradient_report(ext: HExtension, zc: np.ndarray, data: WirtingerData,
-                             grad_se: float, check_id: str) -> CheckReport:
-    n = ext.dim
-    bound = ext.boundary.sup_bound
+def _schwarz_gradient_report(label: str, bound: float, rule_meta: dict, zc: np.ndarray,
+                             data: WirtingerData, grad_se: float, check_id: str) -> CheckReport:
+    n = zc.size
     norm_z = float(np.linalg.norm(zc))
     big_lambda, _ = lambda_bounds_wirtinger(data)
     rhs = 2.0 * (2 * n - 1) * bound / (1.0 - norm_z) ** 2
     return make_report(
         check_id, big_lambda, rhs, analytic=1e-12, quad_error=grad_se,
-        inputs={"f": ext.boundary.label, "n": n, "M": bound, "z": _cplx(zc)},
-        rule=dict(ext.rule.meta),
+        inputs={"f": label, "n": n, "M": bound, "z": _cplx(zc)},
+        rule=dict(rule_meta),
     )
 
 
@@ -353,7 +350,8 @@ def check_schwarz_pick_gradient(ext: HExtension, z, *, check_id: str = None) -> 
     zc = coords_of(z)
     data, grad_se = ext.wirtinger_with_error(zc)
     cid = check_id or f"schwarzpick.gradient[n={ext.dim},f={ext.boundary.label}]"
-    return _schwarz_gradient_report(ext, zc, data, grad_se, cid)
+    return _schwarz_gradient_report(ext.boundary.label, ext.boundary.sup_bound, ext.rule.meta,
+                                    zc, data, grad_se, cid)
 
 
 def check_lemma33(matrix_map, r: float, bound: float, z, *, n: int,
@@ -598,40 +596,46 @@ def suite_lemma22(cfg: HarnessConfig, samples: int = 100) -> list[CheckReport]:
     return reports
 
 
+def _stacked_extension(cfg: HarnessConfig, rule: QuadratureRule, entries) -> HExtension:
+    """One extension whose columns are the scalar ``entries``, in order.
+
+    A column has the bits of the entry's own extension, at about the cost
+    of one kernel pass for all of them.  Each entry is first held to its own
+    declared bound, which is stricter than the stacked one (the root sum of
+    squares of the bounds).
+    """
+    for entry in entries:
+        entry.spot_check(rule.nodes[:SPOT_CHECK_NODES])
+    return h_extend(vector_boundary(entries), rule, guard_radius=cfg.rmax)
+
+
 def _registry_results(cfg: HarnessConfig, evaluate) -> list:
     """(label, evaluate(f)) for every registry entry, in registry order.
 
     ``evaluate`` returns a tuple of (P, k) arrays and lists of WirtingerData.
     Closed-form extensions are evaluated one by one.  The rule-based entries
     are the columns of one stacked extension, evaluated once, and each gets
-    its own column back, with the bits of its own extension.  Each entry is
-    held to its own declared bound, which is stricter than the stacked one.
+    its own column back.
     """
-    rule = rule_for(cfg)
     registry = boundary_registry(cfg.n)
     ruled = [entry for entry in registry if entry.exact_extension is None]
-    for entry in ruled:
-        entry.spot_check(rule.nodes[:SPOT_CHECK_NODES])
-    stacked = h_extend(vector_boundary(ruled), rule, guard_radius=cfg.rmax) if ruled else None
-    shared = None
+    shared = evaluate(_stacked_extension(cfg, rule_for(cfg), ruled)) if ruled else None
     out = []
     for entry in registry:
         if entry.exact_extension is not None:
             out.append((entry.label, evaluate(entry.exact_extension)))
             continue
-        if shared is None:
-            shared = evaluate(stacked)
         j = ruled.index(entry)
-        out.append((entry.label, tuple(_column(part, j) for part in shared)))
+        out.append((entry.label, tuple(_columns(part, slice(j, j + 1)) for part in shared)))
     return out
 
 
-def _column(part, j: int):
-    """Component j of a stacked result: the (P, 1) column of a (P, k) array,
-    or row j of each WirtingerData in a list."""
+def _columns(part, cols: slice):
+    """Columns ``cols`` of a stacked result: the (P, c) columns of a (P, k)
+    array, or those rows of each WirtingerData in a list."""
     if isinstance(part, np.ndarray):
-        return part[:, j:j + 1]
-    return [WirtingerData(data.fz[j], data.fzbar[j]) for data in part]
+        return part[:, cols]
+    return [WirtingerData(data.fz[cols], data.fzbar[cols]) for data in part]
 
 
 def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
@@ -654,43 +658,52 @@ def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
 
 
 def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:
-    """Value and gradient bounds for bounded extensions, plus equality case."""
+    """Value and gradient bounds for bounded extensions, plus equality case.
+
+    Every registry entry with a declared bound is a column of one stacked
+    extension; at n >= 2 the vector entry reads the columns of its scalar
+    components.  Closed forms are not used, so every check runs under the rule.
+    """
     rule = rule_for(cfg)
-    reports = []
     zs = _sample_ball(cfg, cfg.samples, cfg.rmax)
     boundaries = [b for b in boundary_registry(cfg.n) if b.sup_bound]
+    # (label, declared bound, columns of the stacked extension) per checked entry
+    entries = [(b.label, b.sup_bound, slice(j, j + 1)) for j, b in enumerate(boundaries)]
+    ext = _stacked_extension(cfg, rule, boundaries)
     if cfg.n >= 2:
-        scalars = boundary_registry(cfg.n)
-        boundaries.append(vector_boundary(scalars[1:1 + cfg.n]))
+        vec = vector_boundary(boundaries[1:1 + cfg.n])
+        vec.spot_check(rule.nodes[:SPOT_CHECK_NODES])
+        entries.append((vec.label, vec.sup_bound, slice(1, 1 + cfg.n)))
+    columns = [cols for _, _, cols in entries]
+    values, value_errors = ext.values_with_errors(zs, columns)
+    data, grad_errors = ext.wirtinger_many(zs, columns)
+    f0 = ext.value_at_zero()
+    reports = []
     value_reports = []
-    for entry in boundaries:
-        ext = h_extend(entry, rule, guard_radius=cfg.rmax)
-        batch, errors = ext.values_with_errors(zs)
-        f0 = ext.value_at_zero()
-        values = [
-            _schwarz_value_report(ext, zs[i], batch[i], f0, float(errors[i]),
-                                  f"schwarzpick.value[i={i}]")
+    for (label, bound, cols), v_errors, g_errors in zip(entries, value_errors, grad_errors):
+        grads = _columns(data, cols)
+        checks = [
+            _schwarz_value_report(label, bound, rule.meta, zs[i], values[i, cols], f0[cols],
+                                  float(v_errors[i]), f"schwarzpick.value[i={i}]")
             for i in range(len(zs))
         ]
-        data, grad_errors = ext.wirtinger_many(zs)
-        grads = [
-            _schwarz_gradient_report(ext, zs[i], data[i], float(grad_errors[i]),
-                                     f"schwarzpick.gradient[i={i}]")
+        gradient_checks = [
+            _schwarz_gradient_report(label, bound, rule.meta, zs[i], grads[i],
+                                     float(g_errors[i]), f"schwarzpick.gradient[i={i}]")
             for i in range(len(zs))
         ]
-        value_reports.append(values)
-        reports.append(_aggregate(values, f"schwarzpick.value[n={cfg.n},f={entry.label}]"))
-        reports.append(_aggregate(grads, f"schwarzpick.gradient[n={cfg.n},f={entry.label}]"))
+        value_reports.append(checks)
+        reports.append(_aggregate(checks, f"schwarzpick.value[n={cfg.n},f={label}]"))
+        reports.append(_aggregate(gradient_checks, f"schwarzpick.gradient[n={cfg.n},f={label}]"))
     # equality case: constant boundary data M makes the value bound tight.  The
     # registry lists the constant first, and a value does not depend on its batch.
-    const = boundaries[0]
     eq_reports = value_reports[0][: min(20, len(zs))]
     worst_gap = max(abs(rep.margin) for rep in eq_reports)
     gap_tol = max(rep.tolerance for rep in eq_reports)
     reports.append(make_report(
         f"schwarzpick.equality[n={cfg.n}]", worst_gap, gap_tol,
         analytic=1e-12,
-        inputs={"f": const.label, "points": len(eq_reports),
+        inputs={"f": entries[0][0], "points": len(eq_reports),
                 "note": "constant data attains the value bound"},
         rule=dict(rule.meta),
     ))

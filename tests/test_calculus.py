@@ -15,7 +15,7 @@ from hballs.calculus import (
     wirtinger_from_jacobian,
     wirtinger_from_real,
 )
-from hballs.errors import StepTooLarge
+from hballs.errors import HballsError, NonFiniteResult, StepTooLarge
 
 
 def square_plus_conj(pts):
@@ -167,8 +167,22 @@ class TestValidation:
             RealJacobian(np.ones((3, 4)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteResult):
             WirtingerData(np.array([[np.nan]]), np.array([[0.0]]))
+
+    def test_non_finite_results_are_numerical_failures(self):
+        # not a ValueError, which the command line reports as a config error
+        assert issubclass(NonFiniteResult, HballsError)
+        assert not issubclass(NonFiniteResult, ValueError)
+        with pytest.raises(NonFiniteResult, match="real Jacobian must be finite"):
+            RealJacobian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_batched_fd_refuses_non_finite_values(self):
+        def blows_up(pts):
+            return np.where(np.abs(np.asarray(pts)[:, 0]) > 0.3, np.nan, 1.0) + 0j
+
+        with pytest.raises(NonFiniteResult, match="real Jacobian must be finite"):
+            wirtinger_fd_many(blows_up, np.array([[0.1 + 0j], [0.5 + 0j]]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -124,6 +125,22 @@ class TestExtendCommand:
 
 
 class TestVerifyCommand:
+    def test_non_finite_derivatives_exit_3(self, monkeypatch, capsys):
+        # a closed form that is NaN inside the ball is a numerical failure, not a
+        # configuration error
+        from hballs import cli, theorems
+
+        def nan(pts):
+            return np.full(len(pts), np.nan)
+
+        registry = [dataclasses.replace(entry, exact_extension=nan)
+                    if entry.label == "fourier" else entry
+                    for entry in theorems.boundary_registry(1)]
+        monkeypatch.setattr(theorems, "boundary_registry", lambda n: registry)
+        code = cli.main(["verify", "--suite", "lemma22", "--n", "1", "--nodes", "256"])
+        assert code == 3
+        assert "numerical failure: real Jacobian must be finite" in capsys.readouterr().err
+
     def test_lemmab_exit_zero(self):
         proc = run_cli("verify", "--suite", "lemmaB", "--trials", "2000", "--seed", "7")
         assert proc.returncode == 0

@@ -1,9 +1,10 @@
 """The registry's rule-based functions share one kernel pass per batch.
 
 thm24 and lemma22 evaluate every rule-based registry entry as a column of
-one stacked extension.  That may not change a single bit: a column must
-equal the entry's own extension, and each suite must equal its checks run
-one function at a time.  Each entry is still held to its own declared bound.
+one stacked extension, and schwarzpick every entry with a declared bound.
+That may not change a single bit: a column must equal the entry's own
+extension, and each suite must equal its checks run one function at a time.
+Each entry is still held to its own declared bound.
 """
 
 import dataclasses
@@ -20,9 +21,12 @@ from hballs.quadrature import circle_rule, sphere_rule_mc
 from hballs.theorems import (
     HarnessConfig,
     check_lemma22,
+    check_schwarz_pick_gradient,
+    check_schwarz_pick_value,
     check_thm24_necessity,
     rule_for,
     suite_lemma22,
+    suite_schwarzpick,
     suite_thm24,
 )
 
@@ -31,6 +35,9 @@ RULES = {1: circle_rule(1500), 2: sphere_rule_mc(2, 2500, 11)}
 SCALARS = {n: [h_extend(entry, rule) for entry in boundary_registry(n)]
            for n, rule in RULES.items()}
 STACKED = {n: h_extend(vector_boundary(boundary_registry(n)), rule)
+           for n, rule in RULES.items()}
+# coord1, re1 and bump: stacked columns 1 to 3
+TRIPLES = {n: h_extend(vector_boundary(boundary_registry(n)[1:4]), rule)
            for n, rule in RULES.items()}
 
 
@@ -67,6 +74,24 @@ def test_stacked_columns_equal_scalar_values_and_second_moments(case):
         assert_same_bits(values[:, j], one_values)
         assert_same_bits(second[:, j], one_second[:, 0])
         assert_same_bits(ext(batch), one_values)
+
+
+@settings(max_examples=15, deadline=None)
+@given(batches(40))
+def test_column_set_errors_equal_their_own_extensions(case):
+    n, batch = case
+    sets = [slice(j, j + 1) for j in range(len(SCALARS[n]))] + [slice(1, 4)]
+    _, value_errors = STACKED[n].values_with_errors(batch, sets)
+    _, grad_errors = STACKED[n].wirtinger_many(batch, sets)
+    for ext, v_errors, g_errors in zip(SCALARS[n] + [TRIPLES[n]], value_errors, grad_errors):
+        assert_same_bits(v_errors, ext.values_with_errors(batch)[1])
+        assert_same_bits(g_errors, ext.wirtinger_many(batch)[1])
+    if n >= 2:
+        # Monte Carlo: the variances of the set summed in column order, over N
+        values, second = TRIPLES[n]._moments(batch, want_errors=True)
+        variances = np.maximum(second - np.abs(values) ** 2, 0.0)
+        total = (variances[:, 0] + variances[:, 1]) + variances[:, 2]
+        assert_same_bits(value_errors[-1], np.sqrt(total / len(RULES[n])))
 
 
 @settings(max_examples=15, deadline=None)
@@ -115,15 +140,53 @@ def test_lemma22_suite_equals_per_function_checks(n):
     assert [rep.to_dict() for rep in suite_lemma22(cfg)] == expected
 
 
-@pytest.mark.parametrize("suite", [suite_thm24, suite_lemma22])
+POINTWISE = {1: dict(n=1, nodes=1500, samples=15, seed=3),
+             2: dict(n=2, mc_nodes=2500, samples=12, seed=3),
+             3: dict(n=3, mc_nodes=1500, samples=10, seed=3)}
+
+
+@pytest.mark.parametrize("n", sorted(POINTWISE))
+def test_schwarzpick_suite_equals_per_entry_checks(n):
+    cfg = HarnessConfig(**POINTWISE[n])
+    rule = rule_for(cfg)
+    zs = theorems._sample_ball(cfg, cfg.samples, cfg.rmax)
+    entries = [entry for entry in boundary_registry(n) if entry.sup_bound]
+    if n >= 2:
+        entries.append(vector_boundary(entries[1:1 + n]))
+    expected, const_values = [], None
+    for entry in entries:
+        # the rule-based extension even where a closed form exists
+        ext = h_extend(entry, rule, guard_radius=cfg.rmax)
+        values = [check_schwarz_pick_value(ext, z, check_id=f"schwarzpick.value[i={i}]")
+                  for i, z in enumerate(zs)]
+        grads = [check_schwarz_pick_gradient(ext, z, check_id=f"schwarzpick.gradient[i={i}]")
+                 for i, z in enumerate(zs)]
+        const_values = const_values or values
+        expected.append(theorems._aggregate(values, f"schwarzpick.value[n={n},f={entry.label}]"))
+        expected.append(theorems._aggregate(grads, f"schwarzpick.gradient[n={n},f={entry.label}]"))
+    # the vector entry carries the root-sum-square SE of its components
+    if n >= 2:
+        assert expected[-2].tol_breakdown["quadrature"] > 0.0
+    expected.append(theorems.make_report(
+        f"schwarzpick.equality[n={n}]", max(abs(rep.margin) for rep in const_values),
+        max(rep.tolerance for rep in const_values), analytic=1e-12,
+        inputs={"f": entries[0].label, "points": len(zs),
+                "note": "constant data attains the value bound"},
+        rule=dict(rule.meta)))
+    assert [rep.to_dict() for rep in suite_schwarzpick(cfg)] == [rep.to_dict() for rep in expected]
+
+
+@pytest.mark.parametrize("suite", [suite_thm24, suite_lemma22, suite_schwarzpick])
 def test_entry_over_its_own_bound_is_refused_when_stacked(suite, monkeypatch):
     cfg = HarnessConfig(**SMALL[2])
     # |coord1| reaches about 1 on the sphere; declare 0.9 instead
     registry = [dataclasses.replace(entry, sup_bound=0.9) if entry.label == "coord1" else entry
                 for entry in boundary_registry(2)]
     ruled = [entry for entry in registry if entry.exact_extension is None]
-    # the stacked bound alone (root sum of squares) would let it through
-    vector_boundary(ruled).spot_check(rule_for(cfg).nodes)
+    # the stacked bound alone (root sum of squares) would let it through, both for
+    # the rule-based entries (thm24, lemma22) and for all of them (schwarzpick)
+    for stacked in (ruled, registry):
+        vector_boundary(stacked).spot_check(rule_for(cfg).nodes)
     monkeypatch.setattr(theorems, "boundary_registry", lambda n: registry)
     with pytest.raises(ValueError, match="'coord1' exceeds its declared bound"):
         suite(cfg)

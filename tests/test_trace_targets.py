@@ -3,7 +3,7 @@
 ``bench/tracing.py`` wraps package functions by the names their callers look
 them up by.  A refactor that drops or renames one of them breaks traced
 benchmark runs, so this test installs the tracer from its file, unchanged,
-and runs one small thm24 and one small lemma22 suite under it.
+and runs small thm24, lemma22, schwarzpick and lemma33 suites under it.
 """
 
 import importlib.util
@@ -54,3 +54,22 @@ def test_tracer_installs_and_records_the_sweep_layers(suite):
     assert hballs.extension.HExtension.__call__ is call
     for name, original in originals.items():
         assert getattr(hballs.theorems, name) is original
+
+
+@pytest.mark.parametrize("suite, values_se", [("schwarzpick", 1), ("lemma33", 2)])
+def test_tracer_records_the_pointwise_layers(suite, values_se):
+    tracing = load_tracing()
+    tracer = tracing.install(MODULES)
+    try:
+        reports = hballs.theorems.SUITES[suite](
+            HarnessConfig(n=2, mc_nodes=1100, samples=8, seed=5))
+    finally:
+        tracer.unpatch()
+    assert all(rep.passed for rep in reports)
+    metrics = tracing.layer_metrics(tracer.spans, pass_s=1.0, errors=tracer.errors)
+    assert metrics[f"theorems.{suite}.s"] > 0.0
+    assert metrics["extension.build.calls"] == 1          # one stacked extension
+    assert metrics["extension.values_se.calls"] == values_se
+    assert metrics["extension.values_se.kevals"] > 0
+    assert metrics["extension.values.calls"] == 1         # f(0)
+    assert metrics["extension.errors"] == 0
