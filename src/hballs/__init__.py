@@ -10,21 +10,12 @@ __version__ = "0.1.0"
 
 from .geometry import (
     BallPoint,
-    SpherePoint,
-    RealBallPoint,
-    hermitian_inner,
-    projection_onto,
     mobius,
     mobius_identity_residual,
-    hyperbolic_distance,
-    in_pseudo_ball,
 )
 from .kernel import (
     poisson_h,
     poisson_h_wirtinger,
-    real_kernel_K,
-    real_kernel_K_grad,
-    unit_ball_volume,
 )
 from .quadrature import (
     QuadratureRule,
@@ -37,7 +28,6 @@ from .extension import (
     BoundaryFunction,
     HExtension,
     h_extend,
-    h_extend_gradient,
     laplace_beltrami_residual,
     boundary_registry,
 )
@@ -54,9 +44,7 @@ from .norms import (
     SupEstimate,
     bloch_seminorm,
     alpha_bloch_seminorm,
-    weighted_lipschitz,
     weighted_lipschitz_sup,
-    lipschitz_number,
 )
 from .theorems import (
     CheckReport,

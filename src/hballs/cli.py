@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import HballsError, NearSingularEvaluation
+from .errors import HballsError
 from .extension import boundary_registry, h_extend
 from .quadrature import STREAM_SAMPLES, circle_rule, rng_stream, sphere_rule_mc
 from .theorems import HarnessConfig, check_rmax, landau_constants, run_suite
@@ -171,12 +171,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     boundary = pick_boundary(args.boundary, n)
     rule = circle_rule(nodes) if n == 1 else sphere_rule_mc(n, mc_nodes, seed)
     points = parse_point_list(args.points, n, seed)
-    ext = h_extend(boundary, rule, guard_radius=rmax)
-    try:
-        values = ext(points)
-    except NearSingularEvaluation as exc:
-        print(f"numerical failure: {exc} (point {exc.point})", file=sys.stderr)
-        return 3
+    values = h_extend(boundary, rule, guard_radius=rmax)(points)
     header = []
     for k in range(n):
         header += [f"re(z_{k + 1})", f"im(z_{k + 1})"]
@@ -212,10 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         bound=resolve(args, file_values, "m", float),
     )
     started = time.monotonic()
-    try:
-        reports = run_suite(args.suite, cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    reports = run_suite(args.suite, cfg)
     wall_ms = int(1000 * (time.monotonic() - started))
     passed = sum(1 for rep in reports if rep.passed)
     payload = {
@@ -331,17 +323,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NearSingularEvaluation as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except HballsError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        point = getattr(exc, "point", None)
+        where = "" if point is None else f" (point {point})"
+        print(f"numerical failure: {exc}{where}", file=sys.stderr)
         return 3
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "BoundaryFunction",
     "HExtension",
     "h_extend",
-    "h_extend_gradient",
     "laplace_beltrami_residual",
     "boundary_registry",
     "vector_boundary",
@@ -135,7 +134,8 @@ class HExtension:
 
     Callable on a single point or an (P, n) batch; evaluation is refused
     beyond the guard radius, where the kernel mass concentrates and the
-    rule's error is no longer meaningful.
+    rule's error is no longer meaningful.  Boundary data that is NaN or
+    infinite on any rule node is refused at construction.
     """
 
     def __init__(self, boundary: BoundaryFunction, rule: QuadratureRule,
@@ -146,6 +146,8 @@ class HExtension:
         self.rule = rule
         self.guard_radius = float(guard_radius)
         psi = np.asarray(boundary.values(rule.nodes))
+        if not np.isfinite(psi).all():
+            raise ValueError(f"boundary data {boundary.label!r} is not finite on the rule's nodes")
         # (k, N): one contiguous row of node data per output component
         self._psi_cols = np.ascontiguousarray(psi.reshape(len(rule), -1).T)
         # the (N,) or (N, k) node data, as a view of those rows
@@ -404,11 +406,6 @@ def h_extend(boundary: BoundaryFunction, rule: QuadratureRule,
     """Build the Poisson-integral extension of ``boundary`` under ``rule``."""
     boundary.spot_check(rule.nodes[:SPOT_CHECK_NODES])
     return HExtension(boundary, rule, guard_radius)
-
-
-def h_extend_gradient(ext: HExtension, z) -> WirtingerData:
-    """Wirtinger derivatives of an extension at z (see HExtension.wirtinger)."""
-    return ext.wirtinger(z)
 
 
 def laplace_beltrami_residual(f, z, step: float = None) -> complex:

@@ -20,26 +20,18 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, UndefinedProjection
+from .errors import DimensionMismatch
 
 __all__ = [
     "BallPoint",
-    "SpherePoint",
-    "RealBallPoint",
-    "hermitian_inner",
-    "projection_onto",
     "mobius",
     "mobius_identity_residual",
-    "hyperbolic_distance",
-    "in_pseudo_ball",
 ]
-
-_SPHERE_TOL = 1e-12
 
 
 def coords_of(p) -> np.ndarray:
     """Coordinate array of a point wrapper or any complex sequence."""
-    if isinstance(p, (BallPoint, SpherePoint)):
+    if isinstance(p, BallPoint):
         return p.coords
     return np.atleast_1d(np.asarray(p, dtype=complex))
 
@@ -71,76 +63,6 @@ class BallPoint:
         return f"BallPoint({list(self.coords)})"
 
 
-class SpherePoint:
-    """A point on the unit sphere of C^n, normalized on construction."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        c = np.array(coords, dtype=complex).reshape(-1)
-        if c.size < 1:
-            raise ValueError("a sphere point needs at least one coordinate")
-        norm = np.linalg.norm(c)
-        if not np.isfinite(norm) or norm == 0.0:
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        c = c / norm
-        if abs(np.linalg.norm(c) - 1.0) > _SPHERE_TOL:
-            raise ValueError("normalization failed to land on the sphere")
-        c.flags.writeable = False
-        self.coords = c
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    def __repr__(self):
-        return f"SpherePoint({list(self.coords)})"
-
-
-class RealBallPoint:
-    """A point x of a real ball B(a, r) in R^m, with its (a, r) context."""
-
-    __slots__ = ("coords", "center", "radius")
-
-    def __init__(self, coords, center=None, radius: float = 1.0):
-        x = np.array(coords, dtype=float).reshape(-1)
-        a = np.zeros_like(x) if center is None else np.array(center, dtype=float).reshape(-1)
-        if x.shape != a.shape:
-            raise DimensionMismatch("point and center dimensions differ")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        if np.linalg.norm(x - a) >= radius:
-            raise ValueError("point lies outside the open ball B(a, r)")
-        x.flags.writeable = False
-        a.flags.writeable = False
-        self.coords = x
-        self.center = a
-        self.radius = float(radius)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-
-def hermitian_inner(z, w) -> complex:
-    """Hermitian product <z, w> = sum_k z_k conj(w_k)."""
-    zc, wc = coords_of(z), coords_of(w)
-    if zc.shape != wc.shape:
-        raise DimensionMismatch(f"dimensions {zc.size} and {wc.size} differ")
-    return complex(np.sum(zc * np.conj(wc)))
-
-
-def projection_onto(a, z) -> np.ndarray:
-    """Orthogonal projection of z onto the complex line through a != 0."""
-    ac, zc = coords_of(a), coords_of(z)
-    if ac.shape != zc.shape:
-        raise DimensionMismatch(f"dimensions {ac.size} and {zc.size} differ")
-    na2 = np.sum(np.abs(ac) ** 2)
-    if na2 == 0.0:
-        raise UndefinedProjection("projection onto the line through 0 is undefined")
-    return ac * (np.sum(zc * np.conj(ac)) / na2)
-
-
 def mobius(a, z) -> BallPoint:
     """Mobius automorphism phi_a(z); phi_a(a) = 0 and phi_a(0) = a.
 
@@ -167,24 +89,3 @@ def mobius_identity_residual(a, z) -> float:
     nz2 = float(np.sum(np.abs(zc) ** 2))
     rhs = (1.0 - nz2) * (1.0 - na2) / abs(1.0 - np.sum(zc * np.conj(ac))) ** 2
     return abs(lhs - rhs)
-
-
-def hyperbolic_distance(z, w) -> float:
-    """Hyperbolic distance arctanh |(z-w)/(1-conj(z)w)| in the unit disk.
-
-    Defined for the one-dimensional ball only.
-    """
-    zc, wc = coords_of(z), coords_of(w)
-    if zc.size != 1 or wc.size != 1:
-        raise DimensionMismatch("hyperbolic distance is the n = 1 notion")
-    zs, ws = complex(zc[0]), complex(wc[0])
-    if abs(zs) >= 1.0 or abs(ws) >= 1.0:
-        raise ValueError("points must lie in the open unit disk")
-    return math.atanh(abs((zs - ws) / (1.0 - zs.conjugate() * ws)))
-
-
-def in_pseudo_ball(a, r: float, z) -> bool:
-    """Membership of z in the pseudo-hyperbolic ball E(a, r) = {|phi_a(z)| < r}."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("pseudo-hyperbolic radius must lie in (0, 1)")
-    return mobius(a, z).norm() < r

@@ -1,4 +1,4 @@
-"""Closed-form kernels: the hyperbolic Poisson kernel and the real-ball kernel.
+"""The hyperbolic Poisson kernel of the unit ball of C^n in closed form.
 
 On the unit ball of C^n the hyperbolic Poisson kernel is
 
@@ -14,17 +14,10 @@ Wirtinger derivatives have the closed form
 
 with dP_h/dzbar_k its complex conjugate (P_h is real-valued).
 
-On a real ball B(a, r) of R^m the analogous reproducing kernel is
-
-    K(x, t) = (1 / (m r^(m-1) V(m))) ((r^2 - |x|^2) / |x - t|^2)^(m-1),
-
-with V(m) the unit-ball volume of R^m, and gradient
-
-    dK/dx_i = -2(m-1)(r^2-|x|^2)^(m-2) / (m r^(m-1) V(m))
-              [ |x-t|^2 x_i + (r^2-|x|^2)(x_i - t_i) ] / |x-t|^(2m).
-
 Powers are evaluated through exp((2n-1) * log(...)) so that large
-exponents stay stable as |z| approaches 1.
+exponents stay stable as |z| approaches 1.  These per-point forms are the
+reference: the batched engines of ``extension`` evaluate the same formulas
+in tiles, and the tests compare them against these functions.
 """
 
 from __future__ import annotations
@@ -34,32 +27,16 @@ import math
 import numpy as np
 
 from .errors import NearSingularEvaluation
-from .geometry import RealBallPoint, coords_of
+from .geometry import coords_of
 
 __all__ = [
     "poisson_h",
     "poisson_h_values",
     "poisson_h_wirtinger",
     "poisson_h_wirtinger_values",
-    "unit_ball_volume",
-    "real_kernel_K",
-    "real_kernel_K_values",
-    "real_kernel_K_grad",
 ]
 
 _SINGULAR_FLOOR = 1e-300
-
-# V(m) = pi^(m/2) / Gamma(m/2 + 1), precomputed for small m
-_BALL_VOLUMES = {m: math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0) for m in range(1, 21)}
-
-
-def unit_ball_volume(m: int) -> float:
-    """Volume of the unit ball of R^m."""
-    if m < 1:
-        raise ValueError("dimension must be >= 1")
-    if m in _BALL_VOLUMES:
-        return _BALL_VOLUMES[m]
-    return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
 
 
 def _check_distances(d2: np.ndarray, z, nodes):
@@ -110,52 +87,3 @@ def poisson_h_wirtinger(z, zeta, k: int):
     row = poisson_h_wirtinger_values(zc, coords_of(zeta).reshape(1, -1))[0]
     dz = complex(row[k - 1])
     return dz, dz.conjugate()
-
-
-def _real_context(x):
-    if isinstance(x, RealBallPoint):
-        return x.coords, x.center, x.radius
-    return np.asarray(x, dtype=float).reshape(-1), None, 1.0
-
-
-def real_kernel_K_values(x, tnodes: np.ndarray, radius: float = None) -> np.ndarray:
-    """K(x, .) over boundary nodes t of the real ball; see module docstring."""
-    xc, center, r = _real_context(x)
-    if radius is not None:
-        r = radius
-    if center is not None and np.any(center != 0.0):
-        xc = xc - center  # kernel formulas are stated for the centered ball
-        tnodes = np.atleast_2d(tnodes) - center
-    m = xc.size
-    if m < 2:
-        raise ValueError("real-ball kernel needs dimension m >= 2")
-    num = r * r - float(np.sum(xc ** 2))
-    d2 = np.sum((np.atleast_2d(tnodes) - xc) ** 2, axis=1)
-    _check_distances(d2, xc, tnodes)
-    pref = 1.0 / (m * r ** (m - 1) * unit_ball_volume(m))
-    return pref * np.exp((m - 1) * (np.log(num) - np.log(d2)))
-
-
-def real_kernel_K(x, t, radius: float = None) -> float:
-    """Real-ball kernel K(x, t) for a boundary point t."""
-    return float(real_kernel_K_values(x, np.asarray(t, dtype=float).reshape(1, -1), radius)[0])
-
-
-def real_kernel_K_grad(x, t, radius: float = None) -> np.ndarray:
-    """Closed-form gradient (dK/dx_1, ..., dK/dx_m) at x."""
-    xc, center, r = _real_context(x)
-    if radius is not None:
-        r = radius
-    tc = np.asarray(t, dtype=float).reshape(-1)
-    if center is not None and np.any(center != 0.0):
-        xc = xc - center
-        tc = tc - center
-    m = xc.size
-    if m < 2:
-        raise ValueError("real-ball kernel needs dimension m >= 2")
-    num = r * r - float(np.sum(xc ** 2))
-    diff = xc - tc
-    d2 = float(np.sum(diff ** 2))
-    _check_distances(np.array([d2]), xc, tc.reshape(1, -1))
-    pref = -2.0 * (m - 1) * num ** (m - 2) / (m * r ** (m - 1) * unit_ball_volume(m))
-    return pref * (d2 * xc + num * diff) / d2 ** m

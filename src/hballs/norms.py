@@ -1,4 +1,4 @@
-"""Bloch, weighted-Lipschitz and Lipschitz-number functionals.
+"""Bloch, alpha-Bloch and weighted-Lipschitz functionals.
 
 All sup-type functionals are reported as SupEstimate values: the maximum
 of the functional over an explicit sample set, together with the witness
@@ -9,6 +9,14 @@ Sample sets combine a radial grid (the Bloch weight peaks at the origin)
 with directions from a deterministic low-discrepancy sphere sequence,
 plus seeded uniform pairs.  Ties in the maximum break toward the lowest
 sample index.
+
+The weighted Lipschitz quotient
+
+    (1-|z|^2)^(1/2) (1-|w|^2)^(1/2) |f(z) - f(w)| / |z - w|
+
+is always taken over an array of pairs; one pair is a one-pair array.  In
+the disk the Lipschitz number sup |f(z) - f(w)| / arctanh|phi_z(w)| equals
+the Bloch seminorm, so it is taken in that derivative form.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from typing import Any
 import numpy as np
 
 from .calculus import wirtinger_fd_many, operator_norm
-from .errors import DegeneratePair, DimensionMismatch, EmptySampleSet
-from .geometry import coords_of, hyperbolic_distance
+from .errors import DegeneratePair, EmptySampleSet
+from .geometry import coords_of
 from .quadrature import STREAM_PAIRS, rng_stream
 
 __all__ = [
@@ -30,9 +38,7 @@ __all__ = [
     "near_diagonal_pairs",
     "bloch_seminorm",
     "alpha_bloch_seminorm",
-    "weighted_lipschitz",
     "weighted_lipschitz_sup",
-    "lipschitz_number",
 ]
 
 DEFAULT_RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
@@ -181,19 +187,6 @@ def alpha_bloch_seminorm(f, alpha: float, samples,
     return _argmax_estimate(values, samples, spec)
 
 
-def weighted_lipschitz(f, z, w) -> float:
-    """(1-|z|^2)^(1/2) (1-|w|^2)^(1/2) |f(z)-f(w)| / |z-w|."""
-    zc, wc = coords_of(z), coords_of(w)
-    gap = float(np.linalg.norm(zc - wc))
-    if gap == 0.0:
-        raise DegeneratePair("weighted Lipschitz quotient needs z != w")
-    fz, fw = (np.asarray(f(np.stack([zc, wc]))).reshape(2, -1))
-    val = float(np.linalg.norm(fz - fw))
-    wz = np.sqrt(1.0 - float(np.linalg.norm(zc)) ** 2)
-    ww = np.sqrt(1.0 - float(np.linalg.norm(wc)) ** 2)
-    return wz * ww * val / gap
-
-
 def _pair_endpoints(pairs: np.ndarray) -> np.ndarray:
     """The (2P, n) endpoints z_1, ..., z_P, w_1, ..., w_P of valid pairs."""
     pairs = np.asarray(pairs, dtype=complex)
@@ -223,27 +216,4 @@ def _lipschitz_from_values(pairs: np.ndarray, vals) -> SupEstimate:
     ww = np.sqrt(1.0 - np.linalg.norm(w, axis=1) ** 2)
     values = wz * ww * diff / gaps
     spec = {"kind": "weighted-lipschitz", "pairs": len(pairs)}
-    return _argmax_estimate(values, [(pairs[i, 0], pairs[i, 1]) for i in range(len(pairs))], spec)
-
-
-def lipschitz_number(f, pairs: np.ndarray) -> SupEstimate:
-    """max over pairs of |f(z)-f(w)| / rho(z, w) in the unit disk.
-
-    The derivative form sup (1-|z|^2)(|f_z|+|f_zbar|) of the same number
-    is bloch_seminorm; the two agree in the disk and tests cross-check them.
-    """
-    pairs = np.asarray(pairs, dtype=complex)
-    if pairs.size == 0:
-        raise EmptySampleSet("sup estimate over an empty sample set")
-    if pairs.shape[2] != 1:
-        raise DimensionMismatch("the Lipschitz number is the n = 1 notion")
-    z, w = pairs[:, 0, 0], pairs[:, 1, 0]
-    rho = np.array([hyperbolic_distance(a, b) for a, b in zip(z, w)])
-    if np.any(rho == 0.0):
-        raise DegeneratePair("Lipschitz quotient needs z != w")
-    flat = np.concatenate([z, w]).reshape(-1, 1)
-    vals = np.asarray(f(flat)).reshape(-1)
-    diff = np.abs(vals[: len(z)] - vals[len(z):])
-    values = diff / rho
-    spec = {"kind": "lipschitz-number", "pairs": len(pairs)}
     return _argmax_estimate(values, [(pairs[i, 0], pairs[i, 1]) for i in range(len(pairs))], spec)

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hballs.errors import NearSingularEvaluation, NonFiniteResult
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -92,6 +94,13 @@ class TestExtendCommand:
                        "--points", "0.5+0i,0.5+0i").returncode == 2
         assert run_cli("extend", "--n", "1", "--points", "0+0i").returncode == 2
 
+    def test_non_finite_boundary_exit_2(self):
+        proc = run_cli("extend", "--n", "1", "--boundary", "const:nan", "--nodes", "256",
+                       "--points", "0.5+0i")
+        assert proc.returncode == 2
+        assert "config error: boundary data 'const:nan' is not finite" in proc.stderr
+        assert proc.stdout == ""
+
     def test_non_finite_point_exit_2(self):
         proc = run_cli("extend", "--n", "1", "--boundary", "re", "--points", "nan+0i")
         assert proc.returncode == 2
@@ -140,6 +149,19 @@ class TestVerifyCommand:
         code = cli.main(["verify", "--suite", "lemma22", "--n", "1", "--nodes", "256"])
         assert code == 3
         assert "numerical failure: real Jacobian must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, echo", [
+        (NearSingularEvaluation("too close", point=np.array([0.9 + 0j])), " (point [0.9+0.j])"),
+        (NonFiniteResult("not finite"), "")])
+    def test_numerical_failure_echoes_its_point(self, monkeypatch, capsys, exc, echo):
+        from hballs import cli
+
+        def fail(name, cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_suite", fail)
+        assert cli.main(["verify", "--suite", "lemmaB"]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {exc}{echo}\n"
 
     def test_lemmab_exit_zero(self):
         proc = run_cli("verify", "--suite", "lemmaB", "--trials", "2000", "--seed", "7")

@@ -4,10 +4,10 @@ import pytest
 from hballs.errors import NearSingularEvaluation, StepTooLarge
 from hballs.extension import (
     BoundaryFunction,
+    _constant,
     _int_power,
     boundary_registry,
     h_extend,
-    h_extend_gradient,
     laplace_beltrami_residual,
     vector_boundary,
 )
@@ -83,6 +83,17 @@ class TestExtensionValues:
         with pytest.raises(ValueError):
             h_extend(bad, circle_rule(256))
 
+    def test_non_finite_data_refused(self):
+        # NaN only where Re zeta > 0.9: the bound's spot check cannot see it
+        def values(nodes):
+            return np.where(nodes[:, 0].real > 0.9, np.nan, 0.5).astype(complex)
+
+        data = BoundaryFunction("cap-nan", 1, values, sup_bound=1.0)
+        with pytest.raises(ValueError, match="'cap-nan' is not finite"):
+            h_extend(data, circle_rule(256))
+        with pytest.raises(ValueError, match="'const:nan' is not finite"):
+            h_extend(_constant(np.nan, 2), sphere_rule_mc(2, 500, 1))
+
     def test_values_with_errors_spectral_rule(self):
         ext = h_extend(registry_map(1)["fourier"], circle_rule(512))
         values, errors = ext.values_with_errors(np.array([[0.2 + 0.1j]]))
@@ -100,7 +111,7 @@ class TestExtensionGradient:
     def test_disk_re_gradient_is_half_half(self):
         # Re z has Wirtinger derivatives (1/2, 1/2)
         ext = h_extend(registry_map(1)["re1"], circle_rule(4096))
-        data = h_extend_gradient(ext, np.array([0.3 - 0.25j]))
+        data = ext.wirtinger(np.array([0.3 - 0.25j]))
         assert data.fz[0, 0] == pytest.approx(0.5, abs=1e-6)
         assert data.fzbar[0, 0] == pytest.approx(0.5, abs=1e-6)
 
@@ -113,7 +124,7 @@ class TestExtensionGradient:
             for label in ("fourier",) if n == 1 else ("crossprod", "bump"):
                 ext = h_extend(registry_map(n)[label], rule)
                 z = interior_points(rng, n, 1, 0.6)[0]
-                exact = h_extend_gradient(ext, z)
+                exact = ext.wirtinger(z)
                 fd = wirtinger_fd(ext, z)
                 np.testing.assert_allclose(fd.fz, exact.fz, atol=1e-6)
                 np.testing.assert_allclose(fd.fzbar, exact.fzbar, atol=1e-6)
@@ -122,7 +133,7 @@ class TestExtensionGradient:
         reg = boundary_registry(2)
         vec = vector_boundary([reg[1], reg[2]])
         ext = h_extend(vec, sphere_rule_mc(2, 2000, 5))
-        data = h_extend_gradient(ext, np.array([0.1 + 0.0j, 0.2 - 0.1j]))
+        data = ext.wirtinger(np.array([0.1 + 0.0j, 0.2 - 0.1j]))
         assert data.fz.shape == (2, 2)
         assert data.fzbar.shape == (2, 2)
 

@@ -1,19 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from hballs.errors import NearSingularEvaluation
-from hballs.geometry import SpherePoint
+from hballs.geometry import BallPoint
 from hballs.kernel import (
     poisson_h,
     poisson_h_values,
     poisson_h_wirtinger,
     poisson_h_wirtinger_values,
-    real_kernel_K,
-    real_kernel_K_grad,
-    real_kernel_K_values,
-    unit_ball_volume,
 )
 from hballs.quadrature import circle_rule, integrate, integrate_with_error, sphere_rule_mc
 
@@ -78,8 +72,9 @@ class TestPoissonKernel:
             poisson_h_values(zeta - 1e-200, zeta.reshape(1, 1))
 
     def test_accepts_wrapped_points(self):
-        zeta = SpherePoint([3.0, 4.0])
-        assert poisson_h(np.zeros(2), zeta) == pytest.approx(1.0, abs=1e-14)
+        z = BallPoint([0.3, 0.4j])
+        zeta = np.array([0.6, 0.8j])
+        assert poisson_h(z, zeta) == poisson_h(z.coords, zeta)
 
 
 class TestPoissonWirtinger:
@@ -138,99 +133,3 @@ class TestPoissonWirtinger:
             total, err = integrate_with_error(
                 rule2, lambda nodes, k=k: poisson_h_wirtinger_values(z2, nodes)[:, k])
             assert abs(total) <= 5.0 * max(err, 1e-12)
-
-
-class TestUnitBallVolume:
-    def test_known_values(self):
-        assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-15)
-        assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-15)
-        assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
-        assert unit_ball_volume(25) == pytest.approx(
-            math.pi ** 12.5 / math.gamma(13.5), rel=1e-14)
-
-
-class TestRealKernel:
-    def test_center_value_is_reciprocal_surface_area(self):
-        for m, r in ((2, 1.0), (3, 0.5), (4, 2.0)):
-            t = np.zeros(m)
-            t[0] = r
-            expected = 1.0 / (m * r ** (m - 1) * unit_ball_volume(m))
-            assert real_kernel_K(np.zeros(m), t, radius=r) == pytest.approx(expected, rel=1e-13)
-
-    def test_disk_value(self):
-        # m=2, r=1, x=(0.5,0), t=(1,0): (0.75/0.25) / (2 pi) = 3 / (2 pi)
-        value = real_kernel_K(np.array([0.5, 0.0]), np.array([1.0, 0.0]), radius=1.0)
-        assert value == pytest.approx(3.0 / (2.0 * math.pi), rel=1e-14)
-
-    def test_gradient_at_center(self):
-        # dK/dx_i at 0 equals 2(m-1) t_i / (m V(m) r^(m+1))
-        rng = np.random.default_rng(5)
-        for m in (2, 3, 4):
-            r = 0.5 + rng.random()
-            t = rng.standard_normal(m)
-            t *= r / np.linalg.norm(t)
-            grad = real_kernel_K_grad(np.zeros(m), t, radius=r)
-            expected = 2.0 * (m - 1) * t / (m * unit_ball_volume(m) * r ** (m + 1))
-            np.testing.assert_allclose(grad, expected, rtol=1e-12)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(6)
-        h = 1e-6
-        for m in (2, 3):
-            r = 1.0
-            x = rng.standard_normal(m)
-            x *= 0.6 * rng.random() / np.linalg.norm(x)
-            t = rng.standard_normal(m)
-            t *= r / np.linalg.norm(t)
-            grad = real_kernel_K_grad(x, t, radius=r)
-            for i in range(m):
-                e = np.zeros(m)
-                e[i] = h
-                oracle = (real_kernel_K(x + e, t, radius=r)
-                          - real_kernel_K(x - e, t, radius=r)) / (2 * h)
-                assert abs(grad[i] - oracle) <= 1e-7 * max(abs(oracle), 1.0)
-
-    def test_disk_gradient_hand_formula(self):
-        # m=2: K = (r^2-|x|^2)/(2 pi r |x-t|^2); differentiate by hand
-        r = 1.0
-        x = np.array([0.3, -0.2])
-        t = np.array([0.6, 0.8])
-        num = r * r - x @ x
-        d2 = (x - t) @ (x - t)
-        hand = (-2.0 * x * d2 - num * 2.0 * (x - t)) / (2.0 * math.pi * r * d2 ** 2)
-        np.testing.assert_allclose(real_kernel_K_grad(x, t, radius=r), hand, rtol=1e-12)
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            real_kernel_K(np.array([0.1]), np.array([1.0]), radius=1.0)
-
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_kernel_sections_solve_the_real_hyperbolic_equation(self, m):
-        # (1-|x|^2)^2 Lap + 2(m-2)(1-|x|^2) sum x_i d_i annihilates K(., t);
-        # for m > 2 this distinguishes K from the Euclidean Poisson kernel
-        rng = np.random.default_rng(m)
-        t = rng.standard_normal(m)
-        t /= np.linalg.norm(t)
-        x = rng.standard_normal(m)
-        x *= 0.5 * rng.random() / np.linalg.norm(x)
-
-        def section(p):
-            return float(real_kernel_K_values(p, t.reshape(1, -1), radius=1.0)[0])
-
-        h = 1e-3 * (1.0 - np.linalg.norm(x))
-        lap = lap2 = drift = drift2 = 0.0
-        f0 = section(x)
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = h
-            fp, fm = section(x + e), section(x - e)
-            fp2, fm2 = section(x + e / 2), section(x - e / 2)
-            lap += (fp - 2 * f0 + fm) / h ** 2
-            lap2 += (fp2 - 2 * f0 + fm2) / (h / 2) ** 2
-            drift += x[i] * (fp - fm) / (2 * h)
-            drift2 += x[i] * (fp2 - fm2) / h
-        lap = (4 * lap2 - lap) / 3
-        drift = (4 * drift2 - drift) / 3
-        r2 = float(x @ x)
-        residual = (1 - r2) ** 2 * lap + 2 * (m - 2) * (1 - r2) * drift
-        assert abs(residual) <= 1e-7

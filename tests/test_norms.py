@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from hballs.errors import DegeneratePair, DimensionMismatch, EmptySampleSet
+from hballs.errors import DegeneratePair, EmptySampleSet
 from hballs.norms import (
     alpha_bloch_seminorm,
     ball_grid,
     bloch_seminorm,
-    lipschitz_number,
     near_diagonal_pairs,
     pair_samples,
     sphere_directions,
-    weighted_lipschitz,
     weighted_lipschitz_sup,
 )
 
@@ -60,6 +58,10 @@ class TestBlochSeminorm:
         est = bloch_seminorm(identity_scalar, ball_grid(1))
         assert est.value == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.norm(est.witness) <= 1e-14
+
+    def test_shear_is_three_halves(self):
+        # |f_z| + |f_zbar| = 3/2 everywhere, and the weight is 1 at the origin
+        assert bloch_seminorm(shear_scalar, ball_grid(1)).value == pytest.approx(1.5, abs=1e-9)
 
     def test_monotone_in_the_sample_set(self):
         small = ball_grid(1, radii=(0.0, 0.2), n_dirs=8)
@@ -115,14 +117,18 @@ class TestAlphaBloch:
             alpha_bloch_seminorm(identity_map, -1.0, ball_grid(1))
 
 
+def one_pair(z, w):
+    return np.array([[z, w]], dtype=complex)
+
+
 class TestWeightedLipschitz:
     def test_constant_is_zero(self):
-        value = weighted_lipschitz(lambda pts: np.ones(len(pts)), [0.3], [0.1])
-        assert value == 0.0
+        est = weighted_lipschitz_sup(lambda pts: np.ones(len(pts)), one_pair([0.3], [0.1]))
+        assert est.value == 0.0
 
     def test_identity_half_point(self):
         # sqrt(1 - 0.25) * sqrt(1) * 0.5 / 0.5 = sqrt(0.75)
-        value = weighted_lipschitz(identity_scalar, [0.5], [0.0])
+        value = weighted_lipschitz_sup(identity_scalar, one_pair([0.5], [0.0])).value
         assert value == pytest.approx(np.sqrt(0.75), rel=1e-14)
         assert value == pytest.approx(0.8660254037844386, rel=1e-12)
 
@@ -133,13 +139,13 @@ class TestWeightedLipschitz:
             w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             z *= 0.9 * rng.random() / np.linalg.norm(z)
             w *= 0.9 * rng.random() / np.linalg.norm(w)
-            a = weighted_lipschitz(identity_map, z, w)
-            b = weighted_lipschitz(identity_map, w, z)
+            a = weighted_lipschitz_sup(identity_map, one_pair(z, w)).value
+            b = weighted_lipschitz_sup(identity_map, one_pair(w, z)).value
             assert a == pytest.approx(b, abs=1e-15)
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(DegeneratePair):
-            weighted_lipschitz(identity_scalar, [0.2], [0.2])
+            weighted_lipschitz_sup(identity_scalar, one_pair([0.2], [0.2]))
 
     def test_sup_for_identity_approaches_one(self):
         grid = ball_grid(1)
@@ -157,34 +163,3 @@ class TestWeightedLipschitz:
             pair_est = weighted_lipschitz_sup(f, pairs)
             bloch_est = bloch_seminorm(f, grid)
             assert pair_est.value <= np.pi * bloch_est.value + 1e-8
-
-
-class TestLipschitzNumber:
-    def test_identity_is_one(self):
-        grid = ball_grid(1)
-        pairs = np.concatenate(
-            [near_diagonal_pairs(grid), pair_samples(1, 2000, seed=12)], axis=0)
-        est = lipschitz_number(identity_scalar, pairs)
-        assert est.value == pytest.approx(1.0, abs=1e-6)
-
-    def test_constant_is_zero(self):
-        pairs = pair_samples(1, 200, seed=13)
-        est = lipschitz_number(lambda pts: np.zeros(len(pts)), pairs)
-        assert est.value == 0.0
-
-    def test_shear_two_formulas_agree(self):
-        # |f_z| + |f_zbar| = 3/2 everywhere, so the quotient sup is 3/2;
-        # discrete estimates agree within 2 percent
-        grid = ball_grid(1, radii=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7), n_dirs=16)
-        pairs = np.concatenate(
-            [near_diagonal_pairs(grid), pair_samples(1, 10000, seed=14)], axis=0)
-        assert len(pairs) >= 10000
-        quotient = lipschitz_number(shear_scalar, pairs)
-        derivative = bloch_seminorm(shear_scalar, grid)
-        assert derivative.value == pytest.approx(1.5, abs=1e-9)
-        assert abs(quotient.value - derivative.value) <= 0.02 * derivative.value
-
-    def test_dimension_guard(self):
-        pairs = pair_samples(2, 10, seed=15)
-        with pytest.raises(DimensionMismatch):
-            lipschitz_number(identity_map, pairs)
