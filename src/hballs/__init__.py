@@ -10,8 +10,11 @@ __version__ = "0.1.0"
 
 from .geometry import (
     BallPoint,
+    hermitian_inner,
+    projection_onto,
     mobius,
     mobius_identity_residual,
+    in_pseudo_ball,
 )
 from .kernel import (
     poisson_h,

@@ -9,6 +9,10 @@ class DimensionMismatch(HballsError):
     """Operands live in different dimensions."""
 
 
+class UndefinedProjection(HballsError):
+    """Projection onto the complex line through a = 0 is undefined."""
+
+
 class NearSingularEvaluation(HballsError):
     """Kernel evaluation too close to its boundary singularity.
 

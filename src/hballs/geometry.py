@@ -20,12 +20,15 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, UndefinedProjection
 
 __all__ = [
     "BallPoint",
+    "hermitian_inner",
+    "projection_onto",
     "mobius",
     "mobius_identity_residual",
+    "in_pseudo_ball",
 ]
 
 
@@ -63,6 +66,25 @@ class BallPoint:
         return f"BallPoint({list(self.coords)})"
 
 
+def hermitian_inner(z, w) -> complex:
+    """Hermitian product <z, w> = sum_k z_k conj(w_k)."""
+    zc, wc = coords_of(z), coords_of(w)
+    if zc.shape != wc.shape:
+        raise DimensionMismatch(f"dimensions {zc.size} and {wc.size} differ")
+    return complex(np.sum(zc * np.conj(wc)))
+
+
+def projection_onto(a, z) -> np.ndarray:
+    """Orthogonal projection P_a z of z onto the complex line through a != 0."""
+    ac, zc = coords_of(a), coords_of(z)
+    if ac.shape != zc.shape:
+        raise DimensionMismatch(f"dimensions {ac.size} and {zc.size} differ")
+    na2 = np.sum(np.abs(ac) ** 2)
+    if na2 == 0.0:
+        raise UndefinedProjection("projection onto the line through 0 is undefined")
+    return ac * (np.sum(zc * np.conj(ac)) / na2)
+
+
 def mobius(a, z) -> BallPoint:
     """Mobius automorphism phi_a(z); phi_a(a) = 0 and phi_a(0) = a.
 
@@ -74,8 +96,8 @@ def mobius(a, z) -> BallPoint:
     na2 = float(np.sum(np.abs(ac) ** 2))
     if na2 == 0.0:
         return BallPoint(-zc)
-    ip = np.sum(zc * np.conj(ac))
-    pa = ac * (ip / na2)
+    ip = hermitian_inner(zc, ac)
+    pa = projection_onto(ac, zc)
     num = ac - pa - math.sqrt(1.0 - na2) * (zc - pa)
     return BallPoint(num / (1.0 - ip))
 
@@ -87,5 +109,12 @@ def mobius_identity_residual(a, z) -> float:
     lhs = 1.0 - float(np.sum(np.abs(phi) ** 2))
     na2 = float(np.sum(np.abs(ac) ** 2))
     nz2 = float(np.sum(np.abs(zc) ** 2))
-    rhs = (1.0 - nz2) * (1.0 - na2) / abs(1.0 - np.sum(zc * np.conj(ac))) ** 2
+    rhs = (1.0 - nz2) * (1.0 - na2) / abs(1.0 - hermitian_inner(zc, ac)) ** 2
     return abs(lhs - rhs)
+
+
+def in_pseudo_ball(a, r: float, z) -> bool:
+    """Membership of z in the pseudo-hyperbolic ball E(a, r) = {|phi_a(z)| < r}."""
+    if not 0.0 < r < 1.0:
+        raise ValueError("pseudo-hyperbolic radius must lie in (0, 1)")
+    return mobius(a, z).norm() < r
