@@ -8,12 +8,13 @@ Usage:
     hballs landau --n 1..4 --alpha 1 --m 1 --out landau.csv
 
 Configuration precedence is command-line flags, then a --config file of
-key=value lines, then built-in defaults (n=1, nodes=4096, mc_nodes=200000,
-seed=0, rmax=0.8).  The environment variable HBALLS_SEED replaces only the
-built-in default seed.  Reports embed the resolved configuration, the seed
-and the rule metadata, so any run can be replayed bit-identically; the
-wall-clock field stays null unless --timings is passed, keeping default
-reports byte-stable across runs.
+key=value lines, then the defaults of HarnessConfig: n=1, nodes=4096,
+mc_nodes=200000, seed=0, rmax=0.8, samples=200, trials=10000, pairs=2000,
+alpha=1, m=1 (the field bound).  HBALLS_SEED replaces only the default
+seed.  extend and verify resolve and check the same configuration.
+Reports embed it, the seed and the rule metadata, so any run can be
+replayed bit-identically; the wall-clock field stays null unless --timings
+is passed, keeping default reports byte-stable across runs.
 
 Exit codes: 0 success / all checks passed, 1 at least one check failed,
 2 configuration error, 3 numerical failure.
@@ -22,6 +23,7 @@ Exit codes: 0 success / all checks passed, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,40 +34,30 @@ import numpy as np
 from . import __version__
 from .errors import HballsError
 from .extension import boundary_registry, h_extend
-from .quadrature import STREAM_SAMPLES, circle_rule, rng_stream, sphere_rule_mc
-from .theorems import HarnessConfig, check_rmax, landau_constants, run_suite
+from .quadrature import STREAM_SAMPLES, rng_stream
+from .theorems import SUITES, HarnessConfig, landau_constants, rule_for, run_suite
 
 REPORT_SCHEMA = "hballs.verify-report/1"
 EXTEND_CSV_SCHEMA = "hballs.extend-csv/1"   # columns re(z_k), im(z_k), ..., re(f), im(f)
 LANDAU_CSV_SCHEMA = "hballs.landau-csv/1"   # columns n, alpha, M, rho, half_rho, r_lower
-
-DEFAULTS = {
-    "n": 1,
-    "nodes": 4096,
-    "mc_nodes": 200000,
-    "rmax": 0.8,
-    "samples": 200,
-    "trials": 10000,
-    "pairs": 2000,
-    "alpha": 1.0,
-    "m": 1.0,
-}
 
 
 class ConfigError(Exception):
     pass
 
 
-def default_seed() -> int:
+def env_seed() -> int:
     try:
-        return int(os.environ.get("HBALLS_SEED", "0"))
+        return int(os.environ["HBALLS_SEED"])
     except ValueError:
         raise ConfigError("HBALLS_SEED must be an integer")
 
 
-def read_config_file(path: str) -> dict:
-    """key=value lines; blank lines and #-comments ignored."""
+def read_config_file(path) -> dict:
+    """key=value lines; blank lines and #-comments ignored.  No path, no values."""
     values = {}
+    if not path:
+        return values
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, 1):
@@ -81,19 +73,30 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def resolve(args: argparse.Namespace, file_values: dict, key: str, cast):
-    """flag > config file > environment (seed only) > default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        try:
-            return cast(file_values[key])
-        except ValueError:
-            raise ConfigError(f"config key {key}={file_values[key]!r} is not a {cast.__name__}")
-    if key == "seed":
-        return default_seed()
-    return DEFAULTS[key]
+def resolve_config(args: argparse.Namespace, file_values: dict) -> HarnessConfig:
+    """Each HarnessConfig field from its flag, else the config file, else
+    HBALLS_SEED (seed only), else the field default.  File values are cast
+    to the type of the default."""
+    values = {}
+    for field in dataclasses.fields(HarnessConfig):
+        key = HarnessConfig.KEYS.get(field.name, field.name)
+        if getattr(args, key, None) is not None:
+            values[field.name] = getattr(args, key)
+        elif key in file_values:
+            cast = type(field.default)
+            try:
+                values[field.name] = cast(file_values[key])
+            except ValueError:
+                raise ConfigError(f"config key {key}={file_values[key]!r} is not a {cast.__name__}")
+        elif key == "seed" and "HBALLS_SEED" in os.environ:
+            values[field.name] = env_seed()
+    return HarnessConfig(**values)
+
+
+def parse_complex(text: str) -> complex:
+    """A number such as 0.5-2i, inf or nan+1i; only a trailing i is the unit."""
+    text = text.strip()
+    return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 def parse_point_list(text: str, n: int, seed: int) -> np.ndarray:
@@ -120,7 +123,7 @@ def parse_point_list(text: str, n: int, seed: int) -> np.ndarray:
         if len(coords) != n:
             raise ConfigError(f"point {chunk!r} has {len(coords)} coordinates, expected {n}")
         try:
-            points.append([complex(c.strip().replace("i", "j")) for c in coords])
+            points.append([parse_complex(c) for c in coords])
         except ValueError:
             raise ConfigError(f"cannot parse point {chunk!r}")
     return np.asarray(points, dtype=complex)
@@ -134,7 +137,7 @@ def pick_boundary(label: str, n: int):
     if label.startswith("const:"):
         from .extension import _constant
         try:
-            value = complex(label.split(":", 1)[1].replace("i", "j"))
+            value = parse_complex(label.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad constant boundary {label!r}")
         return _constant(value, n)
@@ -144,11 +147,18 @@ def pick_boundary(label: str, n: int):
     return registry[label]
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+def emit(path, text: str) -> None:
+    """Write ``text`` to the file ``path`` (LF line endings), or to stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+    emit(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -156,56 +166,26 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
-    n = resolve(args, file_values, "n", int)
-    nodes = resolve(args, file_values, "nodes", int)
-    mc_nodes = resolve(args, file_values, "mc_nodes", int)
+    file_values = read_config_file(args.config)
+    cfg = resolve_config(args, file_values)
     # --nodes names the size of whichever rule the dimension selects
-    if n >= 2 and args.mc_nodes is None and "mc_nodes" not in file_values \
+    if cfg.n >= 2 and args.mc_nodes is None and "mc_nodes" not in file_values \
             and args.nodes is not None:
-        mc_nodes = args.nodes
-    seed = resolve(args, file_values, "seed", int)
-    rmax = check_rmax(resolve(args, file_values, "rmax", float))
+        cfg = dataclasses.replace(cfg, mc_nodes=args.nodes)
     if args.boundary is None or args.points is None:
         raise ConfigError("extend needs --boundary and --points")
-    boundary = pick_boundary(args.boundary, n)
-    rule = circle_rule(nodes) if n == 1 else sphere_rule_mc(n, mc_nodes, seed)
-    points = parse_point_list(args.points, n, seed)
-    values = h_extend(boundary, rule, guard_radius=rmax)(points)
-    header = []
-    for k in range(n):
-        header += [f"re(z_{k + 1})", f"im(z_{k + 1})"]
-    header += ["re(f)", "im(f)"]
-    rows = []
-    for z, value in zip(points, np.atleast_1d(values)):
-        row = []
-        for c in z:
-            row += [c.real, c.imag]
-        row += [complex(value).real, complex(value).imag]
-        rows.append(row)
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(repr(float(v)) for v in row))
+    boundary = pick_boundary(args.boundary, cfg.n)
+    points = parse_point_list(args.points, cfg.n, cfg.seed)
+    values = h_extend(boundary, rule_for(cfg), guard_radius=cfg.rmax)(points)
+    header = [f"{part}(z_{k + 1})" for k in range(cfg.n) for part in ("re", "im")]
+    rows = [[x for c in (*z, complex(value)) for x in (c.real, c.imag)]
+            for z, value in zip(points, np.atleast_1d(values))]
+    write_csv(args.out, header + ["re(f)", "im(f)"], rows)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    file_values = read_config_file(args.config) if args.config else {}
-    cfg = HarnessConfig(
-        n=resolve(args, file_values, "n", int),
-        nodes=resolve(args, file_values, "nodes", int),
-        mc_nodes=resolve(args, file_values, "mc_nodes", int),
-        seed=resolve(args, file_values, "seed", int),
-        rmax=resolve(args, file_values, "rmax", float),
-        samples=resolve(args, file_values, "samples", int),
-        trials=resolve(args, file_values, "trials", int),
-        pairs=resolve(args, file_values, "pairs", int),
-        alpha=resolve(args, file_values, "alpha", float),
-        bound=resolve(args, file_values, "m", float),
-    )
+    cfg = resolve_config(args, read_config_file(args.config))
     started = time.monotonic()
     reports = run_suite(args.suite, cfg)
     wall_ms = int(1000 * (time.monotonic() - started))
@@ -222,12 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "wall_ms": wall_ms if args.timings else None,
         },
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    emit(args.out, json.dumps(payload, indent=2) + "\n")
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(f"[{status}] {rep.check_id}: lhs={rep.lhs:.10g} rhs={rep.rhs:.10g} "
@@ -249,9 +224,10 @@ def parse_float_list(text: str) -> list[float]:
 
 
 def cmd_landau(args: argparse.Namespace) -> int:
-    ns = parse_int_range(args.n) if args.n is not None else [DEFAULTS["n"]]
-    alphas = parse_float_list(args.alpha) if args.alpha is not None else [DEFAULTS["alpha"]]
-    bounds = parse_float_list(args.m) if args.m is not None else [DEFAULTS["m"]]
+    default = HarnessConfig()
+    ns = parse_int_range(args.n) if args.n is not None else [default.n]
+    alphas = parse_float_list(args.alpha) if args.alpha is not None else [default.alpha]
+    bounds = parse_float_list(args.m) if args.m is not None else [default.bound]
     rows = []
     for n in ns:
         for alpha in alphas:
@@ -294,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", parents=[common],
                          help="run a check suite and emit a JSON report")
     ver.add_argument("--suite", type=str, required=True,
-                     choices=["lemma21", "lemma22", "thm24", "schwarzpick",
-                              "lemma33", "lemmaB", "landau", "all"])
+                     choices=[*SUITES, "all"])
     ver.add_argument("--n", type=int, default=None)
     ver.add_argument("--nodes", type=int, default=None)
     ver.add_argument("--mc-nodes", dest="mc_nodes", type=int, default=None)

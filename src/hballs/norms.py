@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .calculus import wirtinger_fd_many, operator_norm
+from .calculus import JACOBIAN_STEP_FACTOR, operator_norm, wirtinger_fd_many
 from .errors import DegeneratePair, EmptySampleSet
 from .geometry import coords_of
 from .quadrature import STREAM_PAIRS, rng_stream
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
-BLOCH_STEP_FACTOR = 1e-4    # FD step of the Bloch sup, times (1 - |z|)
 
 
 @dataclass(frozen=True)
@@ -152,38 +151,37 @@ def _points_array(samples) -> np.ndarray:
     return np.atleast_2d(np.asarray([coords_of(p) for p in samples], dtype=complex))
 
 
-def bloch_seminorm(f, samples, step_factor: float = BLOCH_STEP_FACTOR) -> SupEstimate:
+def bloch_seminorm(f, samples) -> SupEstimate:
     """max over samples of (1-|z|^2) (|grad f| + |grad fbar|), scalar f."""
     samples = _points_array(samples)
     if len(samples) == 0:
         raise EmptySampleSet("sup estimate over an empty sample set")
-    return _bloch_from_data(samples, wirtinger_fd_many(f, samples, step_factor), step_factor)
+    return _bloch_from_data(samples, wirtinger_fd_many(f, samples))
 
 
-def _bloch_from_data(samples: np.ndarray, data, step_factor: float) -> SupEstimate:
+def _bloch_from_data(samples: np.ndarray, data) -> SupEstimate:
     """The Bloch sup from Wirtinger data already evaluated at the samples."""
     weights = 1.0 - np.linalg.norm(samples, axis=1) ** 2
     values = np.array([w * sum(d.gradient_norms()) for w, d in zip(weights, data)])
-    spec = {"kind": "bloch", "samples": len(samples), "step_factor": step_factor}
+    spec = {"kind": "bloch", "samples": len(samples), "step_factor": JACOBIAN_STEP_FACTOR}
     return _argmax_estimate(values, samples, spec)
 
 
-def alpha_bloch_seminorm(f, alpha: float, samples,
-                         step_factor: float = 1e-4) -> SupEstimate:
+def alpha_bloch_seminorm(f, alpha: float, samples) -> SupEstimate:
     """max over samples of (1-|z|^2)^alpha (|f_z| + |f_zbar|), operator norms."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     samples = _points_array(samples)
     if len(samples) == 0:
         raise EmptySampleSet("sup estimate over an empty sample set")
-    data = wirtinger_fd_many(f, samples, step_factor)
+    data = wirtinger_fd_many(f, samples)
     weights = (1.0 - np.linalg.norm(samples, axis=1) ** 2) ** alpha
     values = np.array([
         w * (operator_norm(d.fz) + operator_norm(d.fzbar))
         for w, d in zip(weights, data)
     ])
     spec = {"kind": "alpha-bloch", "alpha": alpha, "samples": len(samples),
-            "step_factor": step_factor}
+            "step_factor": JACOBIAN_STEP_FACTOR}
     return _argmax_estimate(values, samples, spec)
 
 

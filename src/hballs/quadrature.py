@@ -152,10 +152,7 @@ def integrate(rule: QuadratureRule, evaluator) -> complex:
     The reduction order is independent of any parallel evaluation, so a
     given rule and evaluator always produce bit-identical results.
     """
-    total = 0.0 + 0.0j
-    for w, values in _chunked_terms(rule, evaluator):
-        total += complex(np.add.reduce(w * values))
-    return total
+    return integrate_with_error(rule, evaluator)[0]
 
 
 def integrate_with_error(rule: QuadratureRule, evaluator):

@@ -25,7 +25,8 @@ probes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .extension import (
 )
 from .geometry import coords_of
 from .norms import (
-    BLOCH_STEP_FACTOR,
     _bloch_from_data,
     _lipschitz_from_values,
     _pair_endpoints,
@@ -490,22 +490,18 @@ def mapping_registry(n: int) -> list[AffineMapping]:
 # suites
 # ---------------------------------------------------------------------------
 
-def check_rmax(rmax: float) -> float:
-    """The sampling and guard radius, refused outside (0, 1) by name."""
-    if not 0.0 < rmax < 1.0:
-        raise ValueError(f"rmax must lie in (0, 1), got {rmax}")
-    return rmax
-
-
 @dataclass
 class HarnessConfig:
-    """Resolved configuration of one verification run."""
+    """Resolved configuration of one run: every default and check.  Flags,
+    config files and reports name each field as itself, or as ``KEYS``."""
+
+    KEYS: ClassVar[dict] = {"bound": "m"}
 
     n: int = 1
     nodes: int = 4096          # circle-rule nodes (n = 1)
     mc_nodes: int = 200000     # Monte Carlo nodes (n >= 2)
     seed: int = 0
-    rmax: float = 0.8
+    rmax: float = 0.8          # sampling and guard radius
     samples: int = 200         # sampled z per pointwise sweep
     trials: int = 10000        # random matrices per dimension
     pairs: int = 2000          # sampled pairs per pair sweep
@@ -515,18 +511,14 @@ class HarnessConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        check_rmax(self.rmax)
+        if not 0.0 < self.rmax < 1.0:
+            raise ValueError(f"rmax must lie in (0, 1), got {self.rmax}")
         for name in ("samples", "trials", "pairs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "nodes": self.nodes, "mc_nodes": self.mc_nodes,
-            "seed": self.seed, "rmax": self.rmax, "samples": self.samples,
-            "trials": self.trials, "pairs": self.pairs, "alpha": self.alpha,
-            "m": self.bound,
-        }
+        return {self.KEYS.get(name, name): value for name, value in asdict(self).items()}
 
 
 def rule_for(cfg: HarnessConfig) -> QuadratureRule:
@@ -647,11 +639,11 @@ def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
     endpoints = _pair_endpoints(pairs)
 
     def evaluate(f):
-        return f(endpoints), wirtinger_fd_many(f, grid, BLOCH_STEP_FACTOR)
+        return f(endpoints), wirtinger_fd_many(f, grid)
 
     return [
         _thm24_report(_lipschitz_from_values(pairs, vals),
-                      _bloch_from_data(grid, data, BLOCH_STEP_FACTOR),
+                      _bloch_from_data(grid, data),
                       cfg.n, len(pairs), len(grid), label, f"thm24[n={cfg.n},f={label}]")
         for label, (vals, data) in _registry_results(cfg, evaluate)
     ]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hballs.errors import NearSingularEvaluation, NonFiniteResult
+from hballs.theorems import HarnessConfig
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -106,6 +107,44 @@ class TestExtendCommand:
         assert proc.returncode == 2
         assert "not finite" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("args, message", [
+        (("--boundary", "const:inf", "--points", "0.5+0i"),
+         "config error: boundary data 'const:inf' is not finite"),
+        (("--boundary", "re", "--points", "inf+0i"),
+         "config error: evaluation point 0 is not finite")])
+    def test_infinite_input_is_refused_as_not_finite(self, args, message):
+        # only a trailing i is the imaginary unit, so inf and nan parse as numbers
+        proc = run_cli("extend", "--n", "1", "--nodes", "256", *args)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("args, config, message", [
+        (("--n", "0"), "", "config error: n must be >= 1, got 0"),
+        ((), "samples=0\n", "config error: samples must be >= 1, got 0"),
+        ((), "pairs=many\n", "config error: config key pairs='many' is not a int")])
+    def test_bad_field_is_refused_by_name(self, tmp_path, args, config, message):
+        # extend validates the whole resolved configuration, as verify does
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        proc = run_cli("extend", "--config", str(cfg), *args, "--boundary", "re",
+                       "--points", "0.5+0i")
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("args", [
+        ("--n", "1", "--boundary", "re", "--nodes", "4096", "--points", "0.5+0i"),
+        ("--n", "2", "--boundary", "crossprod", "--mc-nodes", "2000",
+         "--points", "grid:0.1:0.7:3")])
+    def test_stdout_equals_out_file(self, tmp_path, args):
+        out = tmp_path / "f.csv"
+        to_file = run_cli("extend", *args, "--out", str(out))
+        to_stdout = run_cli("extend", *args)
+        assert to_file.returncode == 0 and to_stdout.returncode == 0
+        assert to_file.stdout == ""
+        assert to_stdout.stdout.encode() == out.read_bytes()
 
     @pytest.mark.parametrize("rmax, point", [
         ("1.5", "1.2+0i"), ("1", "0.5+0i"), ("0", "0+0i"), ("-0.5", "0.3+0i"), ("nan", "0+0i")])
@@ -255,3 +294,31 @@ class TestConfigHandling:
         cfg.write_text("this is not key value\n")
         assert run_cli("verify", "--suite", "landau",
                        "--config", str(cfg)).returncode == 2
+
+
+def _changed(value):
+    """A valid value of the default's type that differs from it."""
+    return value + 1 if isinstance(value, int) else value / 2
+
+
+@pytest.mark.parametrize("source", ["flag", "file", "default"])
+@pytest.mark.parametrize("field", dataclasses.fields(HarnessConfig), ids=lambda f: f.name)
+def test_every_field_reaches_the_report(monkeypatch, tmp_path, field, source):
+    from hballs import cli
+
+    monkeypatch.setattr(cli, "run_suite", lambda name, cfg: [])
+    monkeypatch.delenv("HBALLS_SEED", raising=False)
+    key = HarnessConfig.KEYS.get(field.name, field.name)
+    value = field.default if source == "default" else _changed(field.default)
+    args = ["verify", "--suite", "landau", "--out", str(tmp_path / "report.json")]
+    if source == "flag":
+        args += ["--" + key.replace("_", "-"), str(value)]
+    elif source == "file":
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert cli.main(args) == 0
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    keys = [HarnessConfig.KEYS.get(f.name, f.name) for f in dataclasses.fields(HarnessConfig)]
+    assert list(config) == ["suite", *keys]
+    assert config[key] == value
+    assert type(config[key]) is type(field.default)
