@@ -17,10 +17,14 @@ numbers are the extreme singular values of that matrix:
 the two maxima ranging over the same set because a complex unit vector and
 its real coordinates have equal length.
 
-Numerical derivatives are second-order central differences with one
-Richardson extrapolation level (steps h and h/2); evaluators receive a
-(P, n) batch of complex points and return (P,) or (P, k) values, so a whole
-stencil costs one evaluator call.
+Numerical derivatives come from one finite-difference engine: central
+differences at steps h and h/2 along each real coordinate (x_1, y_1, ...,
+x_n, y_n for a complex batch), one Richardson level (4 D(h/2) - D(h)) / 3,
+one guard refusing a stencil that reaches the unit sphere, and one
+evaluator call per batch.  Its step policies sit side by side below:
+Jacobians and Wirtinger data (Bloch functionals, thm24, lemma22), the
+Delta_h residual of ``extension`` (guarded at its reach 2h) and the
+lemma21 gradient on a ball of radius r in R^m, any m >= 2.
 """
 
 from __future__ import annotations
@@ -41,12 +45,15 @@ __all__ = [
     "jacobian_real",
     "wirtinger_fd",
     "wirtinger_fd_many",
+    "fd_partials",
     "operator_norm",
     "lambda_bounds",
     "lambda_bounds_wirtinger",
 ]
 
-JACOBIAN_STEP_FACTOR = 1e-4  # default step is this times (1 - |z|)
+JACOBIAN_STEP_FACTOR = 1e-4  # Jacobians and Wirtinger data: h = factor * (1 - |z|)
+LB_STEP_FACTOR = 1e-3        # Delta_h residual: h = factor * (1 - |z|)
+GRADIENT_STEP_FACTOR = 1e-5  # lemma21 gradient on a ball of radius r: h = factor * r
 
 
 @dataclass(frozen=True)
@@ -139,41 +146,54 @@ _STENCIL_MOVES = np.array([1.0, -1.0, 0.5, -0.5])   # h, -h, h/2, -h/2
 
 
 def _stencils(points: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Central-difference stencils of a (P, n) batch, (P, 8n, n).
-
-    Row p holds points[p] moved by h, -h, h/2, -h/2 (h = steps[p]) along
-    x_1, then y_1, ..., x_n, y_n.
-    """
-    count, n = points.shape
+    """Central-difference stencils (P, 4m, d) of a (P, d) batch: row p moved
+    by h, -h, h/2, -h/2 (h = steps[p]) along each of its m real coordinates,
+    the float view x_1, y_1, ..., x_n, y_n of a complex batch."""
+    xy = np.ascontiguousarray(points).view(np.float64)
+    count, m = xy.shape
     moves = steps[:, None] * _STENCIL_MOVES                 # (P, 4)
-    offsets = np.zeros((count, 8 * n, n), dtype=complex)
-    for k in range(n):
-        offsets[:, 8 * k:8 * k + 4, k] = moves
-        offsets[:, 8 * k + 4:8 * k + 8, k] = 1j * moves
-    return points[:, None, :] + offsets
+    offsets = np.zeros((count, 4 * m, m))
+    for i in range(m):
+        offsets[:, 4 * i:4 * i + 4, i] = moves
+    return (xy[:, None, :] + offsets).view(points.dtype)
+
+
+def _richardson(v: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Partials (4 D(h/2) - D(h)) / 3, (P, m, k), from ``_stencils`` values (P, m, 4, k)."""
+    h = steps[:, None, None]
+    d_h = (v[:, :, 0] - v[:, :, 1]) / (2.0 * h)
+    d_h2 = (v[:, :, 2] - v[:, :, 3]) / h
+    return (4.0 * d_h2 - d_h) / 3.0
+
+
+def fd_partials(f, points: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """First partials (P, m, k) of f along the m real coordinates of a
+    (P, d) batch, one evaluator call; values are cast to the batch's dtype,
+    so a real function on R^m takes a real batch."""
+    stencil = _stencils(points, steps)
+    values = np.asarray(f(stencil.reshape(-1, points.shape[1])), dtype=points.dtype)
+    return _richardson(values.reshape(len(points), stencil.shape[1] // 4, 4, -1), steps)
+
+
+def _check_stencil_reach(points: np.ndarray, reach: np.ndarray) -> None:
+    """Refuse a stencil that reaches the sphere: |z| + reach >= 1 at a row."""
+    norms = np.linalg.norm(points, axis=1)
+    outside = norms + reach >= 1.0
+    if np.any(outside):
+        i = int(np.argmax(outside))
+        raise StepTooLarge(f"stencil reach {reach[i]:g} leaves the ball at |z| = {norms[i]:.4g}")
 
 
 def _fd_jacobians(f, points: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Real Jacobians (P, 2k, 2n) of f at a (P, n) batch, one evaluator call.
-
-    Central first differences with one Richardson level (steps h and h/2)
-    along x_1, y_1, ..., x_n, y_n; rows u_1, v_1, ..., u_k, v_k.
-    """
-    count, n = points.shape
-    values = np.asarray(f(_stencils(points, steps).reshape(-1, n)), dtype=complex)
-    v = values.reshape(count, n, 2, 4, -1)
-    h = steps[:, None, None, None]
-    d_h = (v[:, :, :, 0] - v[:, :, :, 1]) / (2.0 * h)
-    d_h2 = (v[:, :, :, 2] - v[:, :, :, 3]) / h
-    partials = ((4.0 * d_h2 - d_h) / 3.0).reshape(count, 2 * n, -1)   # (P, 2n, k)
-    J = np.empty((count, 2 * partials.shape[2], 2 * n))
+    """Real Jacobians (P, 2k, 2n) of f at a (P, n) batch, one evaluator call."""
+    _check_stencil_reach(points, steps)
+    partials = fd_partials(f, points, steps)                # (P, 2n, k)
+    J = np.empty((len(points), 2 * partials.shape[2], partials.shape[1]))
     J[:, 0::2, :] = partials.real.transpose(0, 2, 1)
     J[:, 1::2, :] = partials.imag.transpose(0, 2, 1)
+    if not np.all(np.isfinite(J)):
+        raise NonFiniteResult("real Jacobian must be finite")
     return J
-
-
-def default_step(z: np.ndarray, factor: float = JACOBIAN_STEP_FACTOR) -> float:
-    return factor * (1.0 - float(np.linalg.norm(z)))
 
 
 def jacobian_real(f, z, step: float = None) -> RealJacobian:
@@ -183,10 +203,8 @@ def jacobian_real(f, z, step: float = None) -> RealJacobian:
     """
     zc = coords_of(z)
     if step is None:
-        step = default_step(zc)
-    if float(np.linalg.norm(zc)) + step >= 1.0:
-        raise StepTooLarge(f"step {step:g} leaves the ball at |z| = {np.linalg.norm(zc):.4g}")
-    return RealJacobian(_fd_jacobians(f, zc[None, :], np.array([step]))[0])
+        step = JACOBIAN_STEP_FACTOR * (1.0 - float(np.linalg.norm(zc)))
+    return RealJacobian(_fd_jacobians(f, zc[None, :], np.array([step], dtype=float))[0])
 
 
 def wirtinger_fd(f, z, step: float = None) -> WirtingerData:
@@ -202,11 +220,7 @@ def wirtinger_fd_many(f, points: np.ndarray, step_factor: float = JACOBIAN_STEP_
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
     steps = step_factor * (1.0 - np.linalg.norm(points, axis=1))
-    if np.any(np.linalg.norm(points, axis=1) + steps >= 1.0):
-        raise StepTooLarge("stencil leaves the ball for at least one sample")
     J = _fd_jacobians(f, points, steps)
-    if not np.all(np.isfinite(J)):
-        raise NonFiniteResult("real Jacobian must be finite")
     return [WirtingerData(fz, fzbar) for fz, fzbar in zip(*_wirtinger_from_matrices(J))]
 
 

@@ -11,7 +11,8 @@ Configuration precedence is command-line flags, then a --config file of
 key=value lines, then the defaults of HarnessConfig: n=1, nodes=4096,
 mc_nodes=200000, seed=0, rmax=0.8, samples=200, trials=10000, pairs=2000,
 alpha=1, m=1 (the field bound).  HBALLS_SEED replaces only the default
-seed.  extend and verify resolve and check the same configuration.
+seed.  extend and verify resolve and check the same configuration and take
+--seed; landau takes n, alpha and m from --config unless its flags list them.
 Reports embed it, the seed and the rule metadata, so any run can be
 replayed bit-identically; the wall-clock field stays null unless --timings
 is passed, keeping default reports byte-stable across runs.
@@ -224,7 +225,7 @@ def parse_float_list(text: str) -> list[float]:
 
 
 def cmd_landau(args: argparse.Namespace) -> int:
-    default = HarnessConfig()
+    default = resolve_config(argparse.Namespace(), read_config_file(args.config))
     ns = parse_int_range(args.n) if args.n is not None else [default.n]
     alphas = parse_float_list(args.alpha) if args.alpha is not None else [default.alpha]
     bounds = parse_float_list(args.m) if args.m is not None else [default.bound]
@@ -252,11 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="key=value config file")
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", type=str, default=None)
 
     ext = sub.add_parser("extend", parents=[common],
                          help="evaluate the Dirichlet extension at points (CSV)")
+    ext.add_argument("--seed", type=int, default=None)
     ext.add_argument("--n", type=int, default=None)
     ext.add_argument("--boundary", type=str, default=None,
                      help="const:VALUE | coord | re | fourier | crossprod | bump")
@@ -271,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run a check suite and emit a JSON report")
     ver.add_argument("--suite", type=str, required=True,
                      choices=[*SUITES, "all"])
+    ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--n", type=int, default=None)
     ver.add_argument("--nodes", type=int, default=None)
     ver.add_argument("--mc-nodes", dest="mc_nodes", type=int, default=None)

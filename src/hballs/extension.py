@@ -15,22 +15,20 @@ of kernel sections P_h(., zeta_i), each annihilated by Delta_h, so the
 discretized extension is itself exactly hyperbolic-harmonic on the open
 ball; only its boundary values and sup bound carry quadrature error.
 Evaluation is batched: one call against the rule covers a whole stencil or
-pair sweep, and each distinct point of a batch is evaluated once, which
-replaces any per-point cache of repeated Poisson integrals.  Points go
-through the sum in blocks of 64 against 1024-node chunks, and every
+pair sweep.  Both engines, values and gradients, evaluate each distinct
+point of a batch once, which replaces any per-point cache of repeated
+Poisson integrals, and walk the same tiles: point blocks against the
+rule's node chunks, each point reducing over the chunks in index order,
+so a result does not depend on its batch or on the block size.  Every
 temporary of a tile lives in a buffer made once per call.  The columns of
 C^k-valued data share each tile's kernel values, and a column's arithmetic
 does not depend on k, so stacking scalar data into one vector extension
 gives every component the bits of its own extension at about the cost of
 one kernel pass.  Standard errors are kept per column as well: the error
 of any set of columns sums their variances in column order, so it has the
-bits of the error of an extension holding only those columns.
-
-Gradients come from differentiation under the integral using the kernel's
-closed-form Wirtinger derivatives.  They are batched the same way: one call
-covers every point of a sweep, points go through the sum in blocks of 32
-against the same 1024-node chunks, and the nodes reduce in the value
-engine's order, so a gradient does not depend on the batch it arrives in.
+bits of the error of an extension holding only those columns.  Gradients
+come from differentiation under the integral using the kernel's
+closed-form Wirtinger derivatives.
 """
 
 from __future__ import annotations
@@ -41,8 +39,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import WirtingerData, _stencils
-from .errors import NearSingularEvaluation, StepTooLarge
+from .calculus import (
+    LB_STEP_FACTOR,
+    WirtingerData,
+    _check_stencil_reach,
+    _richardson,
+    _stencils,
+)
+from .errors import NearSingularEvaluation
 from .geometry import coords_of
 # not called here: bench/tracing.py patches this module-level name
 from .kernel import poisson_h_wirtinger_values  # noqa: F401
@@ -59,7 +63,6 @@ __all__ = [
 
 DEFAULT_GUARD_RADIUS = 0.8
 SPOT_CHECK_NODES = 4096     # rule nodes a declared sup bound is checked on
-LB_STEP_FACTOR = 1e-3
 # A 64-point block makes 512 KB real and 1 MB complex tiles; the value
 # engine keeps two real and two complex ones (three real with second
 # moments), reused for every tile.  On a 2-vCPU Xeon with a 2 MB L2 per
@@ -160,7 +163,11 @@ class HExtension:
     def dim(self) -> int:
         return self.boundary.dim
 
-    def _check_guard(self, pts: np.ndarray) -> None:
+    def _distinct_rows(self, points):
+        """The distinct rows of a guarded batch and, per original row, its
+        index among them: repeated points (shared stencil centres, pair
+        endpoints) are evaluated once and scattered back."""
+        pts = np.atleast_2d(np.asarray(points, dtype=complex))
         finite = np.isfinite(pts).all(axis=1)
         if not finite.all():
             idx = int(np.argmin(finite))
@@ -172,80 +179,74 @@ class HExtension:
                 f"|z| = {norms[idx]:.4g} exceeds the guard radius {self.guard_radius}",
                 point=pts[idx],
             )
+        pts, inverse = np.unique(pts, axis=0, return_inverse=True)
+        return pts, inverse.reshape(-1)   # flat on every numpy version
+
+    def _tiles(self, pts: np.ndarray, block: int):
+        """(point rows, node chunk, part of a (block, CHUNK) buffer) of each
+        tile; blocks serve only cache locality."""
+        for pstart in range(0, len(pts), block):
+            rows = slice(pstart, min(pstart + block, len(pts)))
+            for chunk in self.rule.chunks():
+                yield rows, chunk, (slice(rows.stop - pstart), slice(chunk.stop - chunk.start))
+
+    def _refuse_collision(self, d2: np.ndarray, points: np.ndarray, chunk: slice) -> None:
+        """Refuse a tile where a point of ``points`` meets a node of ``chunk``."""
+        if d2.min() < 1e-300:
+            i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
+            raise NearSingularEvaluation(
+                "evaluation point collides with a quadrature node",
+                point=points[i], node=self.rule.nodes[chunk][j],
+            )
 
     def __call__(self, points) -> np.ndarray:
-        values, _ = self._moments(points, want_errors=False)
-        return values
+        return self._moments(points, want_errors=False)[0]
 
     def _moments(self, points, want_errors: bool):
         """First (and optionally second) moments of the kernel-weighted data.
 
-        Each distinct row of the batch is evaluated once and the results are
-        scattered back, so repeated points (shared stencil centres, pair
-        endpoints) cost nothing extra.  Nodes reduce in fixed 1024-node
-        chunks in index order; evaluation points are processed in blocks
-        purely for cache locality, which does not affect the per-point
-        reduction order.  A value therefore does not depend on the batch it
-        arrives in, on duplicate rows or on the block size.  Each tile's
-        kernel values are computed once and read by every output column, so
-        a column has the same bits whatever the number of columns.  Inside
-        the guard radius the kernel ratio stays in a safe range, so the
-        power is an exact multiply chain rather than the exp/log form of the
-        reference kernel module.
+        Each tile's kernel values are computed once and read by every output
+        column.  Inside the guard radius the kernel ratio stays in a safe
+        range, so the power is an exact multiply chain rather than the
+        exp/log form of the reference kernel module.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        self._check_guard(pts)
-        pts, inverse = np.unique(pts, axis=0, return_inverse=True)
+        pts, inverse = self._distinct_rows(points)
         k_out = len(self._psi_cols)
         w = self.rule.weights
-        nodes = self.rule.nodes
-        pts_re, pts_im = pts.real, pts.imag
         pts_xy = pts.view(np.float64)                          # (P, 2n): x_1, y_1, ...
-        num = 1.0 - np.sum(pts_re ** 2 + pts_im ** 2, axis=1)
+        num = 1.0 - np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)
         expo = 2 * self.dim - 1
         num_pow = _int_power(num, expo)
         first = np.zeros((len(pts), k_out), dtype=complex)
         second = np.zeros((len(pts), k_out)) if want_errors else None
         # every tile temporary lives in one of these buffers, made once per call
-        shape = (min(_POINT_BLOCK, len(pts)), min(CHUNK, len(nodes)))
+        shape = (min(_POINT_BLOCK, len(pts)), min(CHUNK, len(w)))
         d2_buf, diff_buf = (np.empty(shape) for _ in range(2))
         sq_buf = np.empty(shape) if want_errors else None
         terms_buf, prod_buf = (np.empty(shape, dtype=complex) for _ in range(2))
-        for pstart in range(0, len(pts), _POINT_BLOCK):
-            pstop = min(pstart + _POINT_BLOCK, len(pts))
-            psl = slice(pstart, pstop)
-            for start in range(0, len(nodes), CHUNK):
-                stop = min(start + CHUNK, len(nodes))
-                tile = (slice(0, pstop - pstart), slice(0, stop - start))
-                d2, diff, terms, prod = d2_buf[tile], diff_buf[tile], terms_buf[tile], prod_buf[tile]
-                # d2 = dx_1^2 + dy_1^2 + dx_2^2 + ..., accumulated left to right
-                for m in range(2 * self.dim):
-                    np.subtract(pts_xy[psl, m, None], self._node_xy[m, None, start:stop],
-                                out=diff)
-                    if m == 0:
-                        np.multiply(diff, diff, out=d2)
-                    else:
-                        np.multiply(diff, diff, out=diff)
-                        np.add(d2, diff, out=d2)
-                if d2.min() < 1e-300:
-                    i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
-                    raise NearSingularEvaluation(
-                        "evaluation point collides with a quadrature node",
-                        point=pts[pstart + i], node=nodes[start + j],
-                    )
-                # kern = num^(2n-1) / d2^(2n-1), in d2's storage with diff as scratch;
-                # every column below reads it, so no column writes to it
-                kern = _int_power(d2, expo, out=d2, scratch=diff)
-                np.divide(num_pow[psl, None], kern, out=kern)
-                weights = w[start:stop]
-                for j in range(k_out):
-                    np.multiply(kern, self._psi_cols[j, start:stop], out=terms)
-                    first[psl, j] += np.add.reduce(np.multiply(terms, weights, out=prod), axis=1)
-                    if want_errors:
-                        sq = np.square(terms.real, out=diff)
-                        np.add(sq, np.square(terms.imag, out=sq_buf[tile]), out=sq)
-                        second[psl, j] += np.add.reduce(np.multiply(sq, weights, out=sq), axis=1)
-        inverse = inverse.reshape(-1)   # flat on every numpy version
+        for psl, csl, tile in self._tiles(pts, _POINT_BLOCK):
+            d2, diff, terms, prod = d2_buf[tile], diff_buf[tile], terms_buf[tile], prod_buf[tile]
+            # d2 = dx_1^2 + dy_1^2 + dx_2^2 + ..., accumulated left to right
+            for m in range(2 * self.dim):
+                np.subtract(pts_xy[psl, m, None], self._node_xy[m, None, csl], out=diff)
+                if m == 0:
+                    np.multiply(diff, diff, out=d2)
+                else:
+                    np.multiply(diff, diff, out=diff)
+                    np.add(d2, diff, out=d2)
+            self._refuse_collision(d2, pts[psl], csl)
+            # kern = num^(2n-1) / d2^(2n-1), in d2's storage with diff as scratch;
+            # every column below reads it, so no column writes to it
+            kern = _int_power(d2, expo, out=d2, scratch=diff)
+            np.divide(num_pow[psl, None], kern, out=kern)
+            weights = w[csl]
+            for j in range(k_out):
+                np.multiply(kern, self._psi_cols[j, csl], out=terms)
+                first[psl, j] += np.add.reduce(np.multiply(terms, weights, out=prod), axis=1)
+                if want_errors:
+                    sq = np.square(terms.real, out=diff)
+                    np.add(sq, np.square(terms.imag, out=sq_buf[tile]), out=sq)
+                    second[psl, j] += np.add.reduce(np.multiply(sq, weights, out=sq), axis=1)
         first = first[inverse]
         if want_errors:
             second = second[inverse]
@@ -257,10 +258,6 @@ class HExtension:
         if self._value_at_zero is None:
             self._value_at_zero = self(np.zeros(self.dim, dtype=complex))[0]
         return self._value_at_zero
-
-    @property
-    def _monte_carlo(self) -> bool:
-        return self.rule.meta.get("kind", "").endswith("mc")
 
     def _standard_errors(self, variances: np.ndarray, columns):
         """Per-point standard errors from per-column variances (P, k).
@@ -286,7 +283,7 @@ class HExtension:
         (0.0 for spectral rules, which skip the second moments); see
         ``_standard_errors`` for ``columns``.
         """
-        values, second = self._moments(points, want_errors=self._monte_carlo)
+        values, second = self._moments(points, want_errors=self.rule.monte_carlo)
         stacked = values if values.ndim > 1 else values[:, None]
         if second is None:
             variances = np.zeros(stacked.shape)
@@ -310,20 +307,18 @@ class HExtension:
         row, the root-sum-square of the componentwise Monte Carlo standard
         errors of the derivative integrands (0.0 for spectral rules), or one
         such array per slice in ``columns`` (see ``_standard_errors``).  Each
-        point-by-node tile evaluates ``kernel.poisson_h_wirtinger_values``
-        element for element, one (block, chunk) plane at a time, and nodes
-        reduce in the value engine's order: pairwise within each 1024-node
-        chunk, chunks in index order.  A gradient therefore does not depend
-        on the batch it arrives in or on the block size.
+        tile of the walk (see ``_tiles``) evaluates
+        ``kernel.poisson_h_wirtinger_values`` element for element on the
+        distinct rows, and nodes reduce in the value engine's order:
+        pairwise within each 1024-node chunk, chunks in index order.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        self._check_guard(pts)
+        pts, inverse = self._distinct_rows(points)
         n = self.dim
         psi = self._psi_cols
         k_out = len(psi)
         w = self.rule.weights
         nodes = self.rule.nodes
-        monte_carlo = self._monte_carlo
+        monte_carlo = self.rule.monte_carlo
         num = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
         # The kernel takes the point factor's logarithm with math.log.  A point
         # on the sphere (guard radius >= 1) gets NaN: a node collision is then
@@ -339,62 +334,51 @@ class HExtension:
             np.empty(shape, dtype=complex) for _ in range(4))
         d2_buf, pref_buf, sq_buf = (np.empty(shape) for _ in range(3))
         psi_w_buf = np.empty((k_out, shape[1]), dtype=np.result_type(psi, w))
-        for pstart in range(0, len(pts), _GRADIENT_BLOCK):
-            pstop = min(pstart + _GRADIENT_BLOCK, len(pts))
-            psl = slice(pstart, pstop)
-            for start in range(0, len(nodes), CHUNK):
-                stop = min(start + CHUNK, len(nodes))
-                csl = slice(start, stop)
-                tile = (slice(0, pstop - pstart), slice(0, stop - start))
-                diff, bracket, dk_conj, prod = (
-                    diff_buf[tile], bracket_buf[tile], conj_buf[tile], prod_buf[tile])
-                d2, pref, sq = d2_buf[tile], pref_buf[tile], sq_buf[tile]
-                # kernel.poisson_h_wirtinger_values on the tile, keeping its operand
-                # order and dtypes so that every element has the kernel's bits
-                for k in range(n):
-                    np.subtract(nodes[csl, k][None, :], pts[psl, k, None], out=diff)
-                    if k == 0:
-                        np.square(np.abs(diff, out=d2), out=d2)
-                    else:
-                        np.square(np.abs(diff, out=sq), out=sq)
-                        np.add(d2, sq, out=d2)
-                if np.any(d2 < 1e-300):
-                    i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
-                    raise NearSingularEvaluation(
-                        "evaluation point collides with a quadrature node",
-                        point=pts[pstart + i], node=nodes[start + j],
-                    )
-                np.log(d2, out=pref)
-                np.multiply(2 * n, pref, out=pref)
-                np.subtract(log_num[psl, None], pref, out=pref)
-                np.exp(pref, out=pref)
-                np.multiply(-(2 * n - 1), pref, out=pref)
-                weights = w[csl][None, :]
-                psi_w = np.multiply(psi[:, csl], w[csl], out=psi_w_buf[:, :stop - start])
-                for k in range(n):
-                    # bracket = conj(z_k) |zeta-z|^2 + (1-|z|^2)(conj(z_k) - conj(zeta_k))
-                    np.multiply(zconj[psl, k, None], d2, out=bracket)
-                    np.subtract(zconj[psl, k, None], np.conj(nodes[csl, k])[None, :], out=diff)
-                    np.multiply(num[psl, None], diff, out=diff)
-                    np.add(bracket, diff, out=bracket)
-                    dk = np.multiply(pref, bracket, out=bracket)
-                    np.conj(dk, out=dk_conj)
-                    for j in range(k_out):
-                        terms = np.multiply(dk, psi[j, None, csl], out=diff)
-                        fz[psl, j, k] += np.add.reduce(
-                            np.multiply(terms, weights, out=prod), axis=1)
-                        if monte_carlo:
-                            np.square(np.abs(terms, out=sq), out=sq)
-                            mean_sq[psl, j, k] += np.add.reduce(
-                                np.multiply(sq, weights, out=sq), axis=1)
-                        fzbar[psl, j, k] += np.add.reduce(np.multiply(
-                            dk_conj, psi_w[j, None], out=prod), axis=1)
+        for psl, csl, tile in self._tiles(pts, _GRADIENT_BLOCK):
+            diff, bracket, dk_conj, prod = (
+                diff_buf[tile], bracket_buf[tile], conj_buf[tile], prod_buf[tile])
+            d2, pref, sq = d2_buf[tile], pref_buf[tile], sq_buf[tile]
+            # kernel.poisson_h_wirtinger_values on the tile, keeping its operand
+            # order and dtypes so that every element has the kernel's bits
+            for k in range(n):
+                np.subtract(nodes[csl, k][None, :], pts[psl, k, None], out=diff)
+                if k == 0:
+                    np.square(np.abs(diff, out=d2), out=d2)
+                else:
+                    np.square(np.abs(diff, out=sq), out=sq)
+                    np.add(d2, sq, out=d2)
+            self._refuse_collision(d2, pts[psl], csl)
+            np.log(d2, out=pref)
+            np.multiply(2 * n, pref, out=pref)
+            np.subtract(log_num[psl, None], pref, out=pref)
+            np.exp(pref, out=pref)
+            np.multiply(-(2 * n - 1), pref, out=pref)
+            weights = w[csl][None, :]
+            psi_w = np.multiply(psi[:, csl], w[csl], out=psi_w_buf[:, :tile[1].stop])
+            for k in range(n):
+                # bracket = conj(z_k) |zeta-z|^2 + (1-|z|^2)(conj(z_k) - conj(zeta_k))
+                np.multiply(zconj[psl, k, None], d2, out=bracket)
+                np.subtract(zconj[psl, k, None], np.conj(nodes[csl, k])[None, :], out=diff)
+                np.multiply(num[psl, None], diff, out=diff)
+                np.add(bracket, diff, out=bracket)
+                dk = np.multiply(pref, bracket, out=bracket)
+                np.conj(dk, out=dk_conj)
+                for j in range(k_out):
+                    terms = np.multiply(dk, psi[j, None, csl], out=diff)
+                    fz[psl, j, k] += np.add.reduce(
+                        np.multiply(terms, weights, out=prod), axis=1)
+                    if monte_carlo:
+                        np.square(np.abs(terms, out=sq), out=sq)
+                        mean_sq[psl, j, k] += np.add.reduce(
+                            np.multiply(sq, weights, out=sq), axis=1)
+                    fzbar[psl, j, k] += np.add.reduce(np.multiply(
+                        dk_conj, psi_w[j, None], out=prod), axis=1)
         if monte_carlo:
             variances = np.sum(np.maximum(mean_sq - np.abs(fz) ** 2, 0.0), axis=2)
         else:
             variances = np.zeros((len(pts), k_out))
-        data = [WirtingerData(fz[p], fzbar[p]) for p in range(len(pts))]
-        return data, self._standard_errors(variances, columns)
+        data = [WirtingerData(fz[p], fzbar[p]) for p in inverse]
+        return data, self._standard_errors(variances[inverse], columns)
 
     def value_error(self, z) -> float:
         """Empirical standard error of the value integrand (MC rules)."""
@@ -413,25 +397,23 @@ def laplace_beltrami_residual(f, z, step: float = None) -> complex:
 
     Zero (up to truncation) exactly when f is hyperbolic-harmonic near z.
     ``f`` maps a (P, n) batch of complex points to (P,) complex values.
+    Stencil, drift partials and guard come from the ``calculus`` engine;
+    the guard is given the reach 2h of the second differences.
     """
-    zc = coords_of(z)
-    n = zc.size
+    zc = np.ascontiguousarray(coords_of(z))[None, :]
+    n = zc.shape[1]
     norm = float(np.linalg.norm(zc))
     if step is None:
         step = LB_STEP_FACTOR * (1.0 - norm)
-    if norm + 2.0 * step >= 1.0:
-        raise StepTooLarge(f"step {step:g} too large at |z| = {norm:.4g}")
-    stencil = np.concatenate([_stencils(zc[None, :], np.array([step]))[0], zc[None, :]])
-    values = np.asarray(f(stencil), dtype=complex)
+    steps = np.array([step], dtype=float)
+    _check_stencil_reach(zc, 2.0 * steps)
+    values = np.asarray(f(np.concatenate([_stencils(zc, steps)[0], zc])), dtype=complex)
     f0 = values[-1]
-    v = values[:-1].reshape(n, 2, 4)
-    lap_h = (v[:, :, 0] - 2.0 * f0 + v[:, :, 1]) / step ** 2
-    lap_h2 = (v[:, :, 2] - 2.0 * f0 + v[:, :, 3]) / (step / 2.0) ** 2
+    v = values[:-1].reshape(1, 2 * n, 4, 1)
+    lap_h = (v[0, :, 0] - 2.0 * f0 + v[0, :, 1]) / step ** 2
+    lap_h2 = (v[0, :, 2] - 2.0 * f0 + v[0, :, 3]) / (step / 2.0) ** 2
     lap = np.sum((4.0 * lap_h2 - lap_h) / 3.0)
-    coord = np.stack([zc.real, zc.imag], axis=1)           # (n, 2): x_k, y_k
-    dr_h = (v[:, :, 0] - v[:, :, 1]) / (2.0 * step)
-    dr_h2 = (v[:, :, 2] - v[:, :, 3]) / step
-    drift = np.sum(coord * (4.0 * dr_h2 - dr_h) / 3.0)
+    drift = np.sum(zc.view(np.float64)[0] * _richardson(v, steps)[0, :, 0])
     r2 = norm * norm
     return complex((1.0 - r2) ** 2 * lap + 4.0 * (n - 1) * (1.0 - r2) * drift)
 

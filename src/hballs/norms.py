@@ -143,19 +143,18 @@ def _argmax_estimate(values: np.ndarray, witnesses, spec: dict) -> SupEstimate:
 
 
 def _points_array(samples) -> np.ndarray:
-    """Coerce an (S, n) array or a sequence of points/BallPoints."""
-    if isinstance(samples, np.ndarray):
-        return np.atleast_2d(np.asarray(samples, dtype=complex))
-    if len(samples) == 0:
+    """Coerce an (S, n) array or a sequence of points/BallPoints, refusing an empty one."""
+    if not isinstance(samples, np.ndarray):
+        samples = [coords_of(p) for p in samples]
+    points = np.atleast_2d(np.asarray(samples, dtype=complex))
+    if points.size == 0:
         raise EmptySampleSet("sup estimate over an empty sample set")
-    return np.atleast_2d(np.asarray([coords_of(p) for p in samples], dtype=complex))
+    return points
 
 
 def bloch_seminorm(f, samples) -> SupEstimate:
     """max over samples of (1-|z|^2) (|grad f| + |grad fbar|), scalar f."""
     samples = _points_array(samples)
-    if len(samples) == 0:
-        raise EmptySampleSet("sup estimate over an empty sample set")
     return _bloch_from_data(samples, wirtinger_fd_many(f, samples))
 
 
@@ -172,8 +171,6 @@ def alpha_bloch_seminorm(f, alpha: float, samples) -> SupEstimate:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     samples = _points_array(samples)
-    if len(samples) == 0:
-        raise EmptySampleSet("sup estimate over an empty sample set")
     data = wirtinger_fd_many(f, samples)
     weights = (1.0 - np.linalg.norm(samples, axis=1) ** 2) ** alpha
     values = np.array([

@@ -81,6 +81,17 @@ class QuadratureRule:
     def dim(self) -> int:
         return self.nodes.shape[1]
 
+    @property
+    def monte_carlo(self) -> bool:
+        """Monte Carlo rules carry a sample standard error; spectral rules do not."""
+        return self.meta.get("kind", "").endswith("mc")
+
+    def chunks(self):
+        """Slices of the fixed 1024-node chunks in index order; every node
+        sum of the package reduces chunk by chunk in this order."""
+        for start in range(0, len(self), CHUNK):
+            yield slice(start, min(start + CHUNK, len(self)))
+
 
 def circle_rule(m: int) -> QuadratureRule:
     """Equally spaced nodes exp(2*pi*i*j/m) with weights 1/m.
@@ -138,13 +149,6 @@ def real_sphere_rule_mc(real_dim: int, count: int, seed: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, meta)
 
 
-def _chunked_terms(rule: QuadratureRule, evaluator):
-    for start in range(0, len(rule), CHUNK):
-        stop = min(start + CHUNK, len(rule))
-        values = np.asarray(evaluator(rule.nodes[start:stop]))
-        yield rule.weights[start:stop], values
-
-
 def integrate(rule: QuadratureRule, evaluator) -> complex:
     """Sum of w_i * g(node_i) in fixed chunk order.
 
@@ -164,10 +168,12 @@ def integrate_with_error(rule: QuadratureRule, evaluator):
     """
     total = 0.0 + 0.0j
     total_sq = 0.0
-    for w, values in _chunked_terms(rule, evaluator):
+    for chunk in rule.chunks():
+        w = rule.weights[chunk]
+        values = np.asarray(evaluator(rule.nodes[chunk]))
         total += complex(np.add.reduce(w * values))
         total_sq += float(np.add.reduce(w * np.abs(values) ** 2))
-    if rule.meta.get("kind", "").endswith("mc"):
+    if rule.monte_carlo:
         n = len(rule)
         variance = max(total_sq - abs(total) ** 2, 0.0)
         return total, float(np.sqrt(variance / n))

@@ -31,6 +31,8 @@ from typing import ClassVar
 import numpy as np
 
 from .calculus import (
+    GRADIENT_STEP_FACTOR,
+    fd_partials,
     lambda_bounds_wirtinger,
     operator_norm,
     real_jacobian_from_wirtinger,
@@ -197,21 +199,6 @@ def landau_constants(n: int, alpha: float, bound: float) -> LandauConstants:
 # individual checks
 # ---------------------------------------------------------------------------
 
-def _real_gradient_fd(f, a: np.ndarray, step: float) -> np.ndarray:
-    """Richardson central-difference gradient of a real function on R^m."""
-    m = a.size
-    pts = []
-    for i in range(m):
-        for s in (step, -step, step / 2.0, -step / 2.0):
-            e = np.zeros(m)
-            e[i] = s
-            pts.append(a + e)
-    vals = np.asarray(f(np.asarray(pts)), dtype=float).reshape(m, 4)
-    d_h = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
-    d_h2 = (vals[:, 2] - vals[:, 3]) / step
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
 def check_lemma21(f, a, r: float, rule: QuadratureRule, *, fd_step: float = None,
                   check_id: str = "lemma21") -> CheckReport:
     """Gradient bound |grad f(a)| <= (2(m-1) sqrt(m) / (m V(m) r^m)) * I.
@@ -228,8 +215,8 @@ def check_lemma21(f, a, r: float, rule: QuadratureRule, *, fd_step: float = None
     if m < 2:
         raise ValueError("the bound is degenerate below real dimension 2")
     if fd_step is None:
-        fd_step = 1e-5 * r
-    lhs = float(np.linalg.norm(_real_gradient_fd(f, a, fd_step)))
+        fd_step = GRADIENT_STEP_FACTOR * r
+    lhs = float(np.linalg.norm(fd_partials(f, a[None, :], np.array([fd_step], dtype=float))))
 
     fa = float(np.asarray(f(a.reshape(1, -1)))[0])
     gaps = np.abs(np.asarray(f(a + r * rule.nodes), dtype=float) - fa)

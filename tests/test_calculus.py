@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hballs.calculus import (
     RealJacobian,
     WirtingerData,
+    fd_partials,
     jacobian_real,
     lambda_bounds,
     lambda_bounds_wirtinger,
@@ -251,3 +252,36 @@ def test_fd_many_rows_equal_per_point_fd_bit_for_bit(n, count, seed, factor, f):
 def test_fd_many_refuses_a_stencil_leaving_the_ball():
     with pytest.raises(StepTooLarge):
         wirtinger_fd_many(scalar_map, np.array([[0.2 + 0j], [0.999999 + 0j]]), 2.0)
+
+
+def reference_real_gradient_fd(f, a, step):
+    """The per-point real gradient lemma21 used before the shared engine."""
+    m = a.size
+    pts = []
+    for i in range(m):
+        for s in (step, -step, step / 2.0, -step / 2.0):
+            e = np.zeros(m)
+            e[i] = s
+            pts.append(a + e)
+    vals = np.asarray(f(np.asarray(pts)), dtype=float).reshape(m, 4)
+    d_h = (vals[:, 0] - vals[:, 1]) / (2.0 * step)
+    d_h2 = (vals[:, 2] - vals[:, 3]) / step
+    return (4.0 * d_h2 - d_h) / 3.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1), st.floats(1e-7, 1e-2))
+def test_real_gradient_equals_reference_bit_for_bit(m, seed, step):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, m)
+    a[rng.integers(m)] = -0.0             # a signed zero the stencil moves off
+    coef = rng.normal(size=m)
+
+    def f(pts):
+        pts = np.asarray(pts)
+        return np.sin(pts @ coef) + pts[:, 0] ** 3 - np.exp(pts[:, -1])
+
+    grad = fd_partials(f, a[None, :], np.array([step]))[0, :, 0]
+    assert grad.dtype == np.float64
+    expected = reference_real_gradient_fd(f, a, step)
+    assert np.array_equal(grad.view(np.uint8), expected.view(np.uint8))

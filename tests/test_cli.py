@@ -53,6 +53,28 @@ class TestLandauCommand:
         assert lines[0] == "n,alpha,M,rho,half_rho,r_lower"
         assert len(lines) == 3
 
+    def test_missing_config_file_is_config_error(self):
+        proc = run_cli("landau", "--config", "/nonexistent/landau.cfg", "--n", "1")
+        assert proc.returncode == 2
+        assert "cannot read config file" in proc.stderr
+
+    def test_config_file_sets_the_defaults(self, tmp_path):
+        cfg = tmp_path / "landau.cfg"
+        cfg.write_text("alpha=2\n")
+        default = run_cli("landau")
+        from_file = run_cli("landau", "--config", str(cfg))
+        assert default.returncode == 0 and from_file.returncode == 0
+        assert "1, 1, 1, 0.1071428571" in default.stdout
+        assert "1, 2, 1, 0.0900000000" in from_file.stdout
+        # a flag still overrides the file
+        flag = run_cli("landau", "--config", str(cfg), "--alpha", "1")
+        assert flag.stdout == default.stdout
+
+    def test_seed_is_not_a_landau_flag(self):
+        proc = run_cli("landau", "--seed", "3", "--n", "1")
+        assert proc.returncode == 2
+        assert "--seed" in proc.stderr
+
 
 class TestExtendCommand:
     def test_constant_boundary(self, tmp_path):

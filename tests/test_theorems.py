@@ -5,7 +5,7 @@ import pytest
 
 from hballs.extension import boundary_registry, h_extend
 from hballs.norms import ball_grid, near_diagonal_pairs, pair_samples
-from hballs.quadrature import circle_rule, real_circle_rule, sphere_rule_mc
+from hballs.quadrature import circle_rule, real_circle_rule, real_sphere_rule_mc, sphere_rule_mc
 from hballs.theorems import (
     AffineMapping,
     CheckReport,
@@ -70,6 +70,15 @@ class TestLemma21:
         rep = check_lemma21(lambda pts: np.atleast_2d(pts)[:, 0], np.zeros(2), 0.5, rule)
         assert rep.lhs == pytest.approx(1.0, abs=1e-8)
         assert rep.rhs == pytest.approx(4.0 * math.sqrt(2.0) / math.pi, rel=1e-6)
+        assert rep.passed
+
+    def test_odd_real_dimension(self):
+        # m = 3 is no C^n; f = x_1 + 2 x_3 has |grad f| = sqrt(5)
+        rule = real_sphere_rule_mc(3, 4000, 2)
+        rep = check_lemma21(lambda pts: pts[:, 0] + 2.0 * pts[:, 2],
+                            np.array([0.1, -0.2, 0.3]), 0.4, rule)
+        assert rep.inputs["m"] == 3
+        assert rep.lhs == pytest.approx(math.sqrt(5.0), abs=1e-8)
         assert rep.passed
 
     def test_degenerate_dimension_rejected(self):
