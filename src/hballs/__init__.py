@@ -14,7 +14,6 @@ from .geometry import (
     projection_onto,
     mobius,
     mobius_identity_residual,
-    in_pseudo_ball,
 )
 from .kernel import (
     poisson_h,

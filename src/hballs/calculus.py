@@ -175,6 +175,11 @@ def fd_partials(f, points: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return _richardson(values.reshape(len(points), stencil.shape[1] // 4, 4, -1), steps)
 
 
+def _steps(points: np.ndarray, factor: float) -> np.ndarray:
+    """The step policy h = factor * (1 - |z|) of each row of a (P, n) batch."""
+    return factor * (1.0 - np.linalg.norm(points, axis=1))
+
+
 def _check_stencil_reach(points: np.ndarray, reach: np.ndarray) -> None:
     """Refuse a stencil that reaches the sphere: |z| + reach >= 1 at a row."""
     norms = np.linalg.norm(points, axis=1)
@@ -201,10 +206,9 @@ def jacobian_real(f, z, step: float = None) -> RealJacobian:
 
     ``f`` maps a (P, n) batch to (P,) or (P, k) complex values.
     """
-    zc = coords_of(z)
-    if step is None:
-        step = JACOBIAN_STEP_FACTOR * (1.0 - float(np.linalg.norm(zc)))
-    return RealJacobian(_fd_jacobians(f, zc[None, :], np.array([step], dtype=float))[0])
+    zc = coords_of(z)[None, :]
+    steps = _steps(zc, JACOBIAN_STEP_FACTOR) if step is None else np.array([step], dtype=float)
+    return RealJacobian(_fd_jacobians(f, zc, steps)[0])
 
 
 def wirtinger_fd(f, z, step: float = None) -> WirtingerData:
@@ -216,11 +220,11 @@ def wirtinger_fd_many(f, points: np.ndarray, step_factor: float = JACOBIAN_STEP_
     """Wirtinger derivatives at every row of ``points``, one evaluator call.
 
     Returns a list of WirtingerData.  Steps follow the per-point policy
-    step = step_factor * (1 - |z|); row i equals ``wirtinger_fd(f, z_i, step_i)``.
+    step = step_factor * (1 - |z|); row i equals ``wirtinger_fd(f, z_i, step_i)``,
+    and ``wirtinger_fd(f, z_i)`` at the default factor.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
-    steps = step_factor * (1.0 - np.linalg.norm(points, axis=1))
-    J = _fd_jacobians(f, points, steps)
+    J = _fd_jacobians(f, points, _steps(points, step_factor))
     return [WirtingerData(fz, fzbar) for fz, fzbar in zip(*_wirtinger_from_matrices(J))]
 
 

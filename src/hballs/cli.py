@@ -10,7 +10,7 @@ Usage:
 Configuration precedence is command-line flags, then a --config file of
 key=value lines, then the defaults of HarnessConfig: n=1, nodes=4096,
 mc_nodes=200000, seed=0, rmax=0.8, samples=200, trials=10000, pairs=2000,
-alpha=1, m=1 (the field bound).  HBALLS_SEED replaces only the default
+alpha=1, m=1 (the norm bound M).  HBALLS_SEED replaces only the default
 seed.  extend and verify resolve and check the same configuration and take
 --seed; landau takes n, alpha and m from --config unless its flags list them.
 Reports embed it, the seed and the rule metadata, so any run can be
@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .errors import HballsError
 from .extension import boundary_registry, h_extend
-from .quadrature import STREAM_SAMPLES, rng_stream
+from .quadrature import STREAM_SAMPLES, rng_stream, sphere_points
 from .theorems import SUITES, HarnessConfig, landau_constants, rule_for, run_suite
 
 REPORT_SCHEMA = "hballs.verify-report/1"
@@ -80,17 +80,17 @@ def resolve_config(args: argparse.Namespace, file_values: dict) -> HarnessConfig
     to the type of the default."""
     values = {}
     for field in dataclasses.fields(HarnessConfig):
-        key = HarnessConfig.KEYS.get(field.name, field.name)
+        key = field.name
         if getattr(args, key, None) is not None:
-            values[field.name] = getattr(args, key)
+            values[key] = getattr(args, key)
         elif key in file_values:
             cast = type(field.default)
             try:
-                values[field.name] = cast(file_values[key])
+                values[key] = cast(file_values[key])
             except ValueError:
                 raise ConfigError(f"config key {key}={file_values[key]!r} is not a {cast.__name__}")
         elif key == "seed" and "HBALLS_SEED" in os.environ:
-            values[field.name] = env_seed()
+            values[key] = env_seed()
     return HarnessConfig(**values)
 
 
@@ -114,9 +114,7 @@ def parse_point_list(text: str, n: int, seed: int) -> np.ndarray:
         if count < 1 or not 0.0 <= rmin <= rmax < 1.0:
             raise ConfigError(f"bad grid range {text!r}")
         radii = np.linspace(rmin, rmax, count)
-        g = rng_stream(seed, STREAM_SAMPLES).standard_normal((8, 2 * n))
-        dirs = g[:, :n] + 1j * g[:, n:]
-        dirs /= np.linalg.norm(g, axis=1)[:, None]
+        dirs = sphere_points(rng_stream(seed, STREAM_SAMPLES), 8, n)
         return np.concatenate([r * dirs for r in radii], axis=0)
     points = []
     for chunk in text.split(";"):
@@ -133,8 +131,8 @@ def parse_point_list(text: str, n: int, seed: int) -> np.ndarray:
 def pick_boundary(label: str, n: int):
     registry = {b.label: b for b in boundary_registry(n)}
     # aliases used on the command line
-    registry.setdefault("coord", registry.get("coord1"))
-    registry.setdefault("re", registry.get("re1"))
+    registry["coord"] = registry["coord1"]
+    registry["re"] = registry["re1"]
     if label.startswith("const:"):
         from .extension import _constant
         try:
@@ -142,9 +140,8 @@ def pick_boundary(label: str, n: int):
         except ValueError:
             raise ConfigError(f"bad constant boundary {label!r}")
         return _constant(value, n)
-    if label not in registry or registry[label] is None:
-        raise ConfigError(f"unknown boundary {label!r}; known: "
-                          + ", ".join(sorted(k for k, v in registry.items() if v)))
+    if label not in registry:
+        raise ConfigError(f"unknown boundary {label!r}; known: " + ", ".join(sorted(registry)))
     return registry[label]
 
 
@@ -194,7 +191,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "schema": REPORT_SCHEMA,
         "version": __version__,
-        "config": {"suite": args.suite, **cfg.to_dict()},
+        "config": {"suite": args.suite, **dataclasses.asdict(cfg)},
         "checks": [rep.to_dict() for rep in reports],
         "summary": {
             "total": len(reports),
@@ -228,7 +225,7 @@ def cmd_landau(args: argparse.Namespace) -> int:
     default = resolve_config(argparse.Namespace(), read_config_file(args.config))
     ns = parse_int_range(args.n) if args.n is not None else [default.n]
     alphas = parse_float_list(args.alpha) if args.alpha is not None else [default.alpha]
-    bounds = parse_float_list(args.m) if args.m is not None else [default.bound]
+    bounds = parse_float_list(args.m) if args.m is not None else [default.m]
     rows = []
     for n in ns:
         for alpha in alphas:

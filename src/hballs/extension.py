@@ -45,6 +45,7 @@ from .calculus import (
     _check_stencil_reach,
     _richardson,
     _stencils,
+    _steps,
 )
 from .errors import NearSingularEvaluation
 from .geometry import coords_of
@@ -63,6 +64,7 @@ __all__ = [
 
 DEFAULT_GUARD_RADIUS = 0.8
 SPOT_CHECK_NODES = 4096     # rule nodes a declared sup bound is checked on
+SPOT_CHECK_SLACK = 1e-9     # how far those nodes may exceed the bound
 # A 64-point block makes 512 KB real and 1 MB complex tiles; the value
 # engine keeps two real and two complex ones (three real with second
 # moments), reused for every tile.  On a 2-vCPU Xeon with a 2 MB L2 per
@@ -120,12 +122,12 @@ class BoundaryFunction:
     out_dim: int = 1
     exact_extension: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def spot_check(self, nodes: np.ndarray, slack: float = 1e-9) -> None:
+    def spot_check(self, nodes: np.ndarray) -> None:
         if self.sup_bound is None:
             return
         mags = np.abs(np.asarray(self.values(nodes)))
         worst = float(mags.max())
-        if worst > self.sup_bound + slack:
+        if worst > self.sup_bound + SPOT_CHECK_SLACK:
             raise ValueError(
                 f"boundary data {self.label!r} exceeds its declared bound: "
                 f"{worst:.6g} > {self.sup_bound:.6g}"
@@ -397,15 +399,13 @@ def laplace_beltrami_residual(f, z, step: float = None) -> complex:
 
     Zero (up to truncation) exactly when f is hyperbolic-harmonic near z.
     ``f`` maps a (P, n) batch of complex points to (P,) complex values.
-    Stencil, drift partials and guard come from the ``calculus`` engine;
+    Step policy, stencil, drift partials and guard come from ``calculus``;
     the guard is given the reach 2h of the second differences.
     """
     zc = np.ascontiguousarray(coords_of(z))[None, :]
     n = zc.shape[1]
-    norm = float(np.linalg.norm(zc))
-    if step is None:
-        step = LB_STEP_FACTOR * (1.0 - norm)
-    steps = np.array([step], dtype=float)
+    steps = _steps(zc, LB_STEP_FACTOR) if step is None else np.array([step], dtype=float)
+    step = float(steps[0])
     _check_stencil_reach(zc, 2.0 * steps)
     values = np.asarray(f(np.concatenate([_stencils(zc, steps)[0], zc])), dtype=complex)
     f0 = values[-1]
@@ -414,7 +414,7 @@ def laplace_beltrami_residual(f, z, step: float = None) -> complex:
     lap_h2 = (v[0, :, 2] - 2.0 * f0 + v[0, :, 3]) / (step / 2.0) ** 2
     lap = np.sum((4.0 * lap_h2 - lap_h) / 3.0)
     drift = np.sum(zc.view(np.float64)[0] * _richardson(v, steps)[0, :, 0])
-    r2 = norm * norm
+    r2 = float(np.linalg.norm(zc)) ** 2
     return complex((1.0 - r2) ** 2 * lap + 4.0 * (n - 1) * (1.0 - r2) * drift)
 
 

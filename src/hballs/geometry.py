@@ -28,7 +28,6 @@ __all__ = [
     "projection_onto",
     "mobius",
     "mobius_identity_residual",
-    "in_pseudo_ball",
 ]
 
 
@@ -111,10 +110,3 @@ def mobius_identity_residual(a, z) -> float:
     nz2 = float(np.sum(np.abs(zc) ** 2))
     rhs = (1.0 - nz2) * (1.0 - na2) / abs(1.0 - hermitian_inner(zc, ac)) ** 2
     return abs(lhs - rhs)
-
-
-def in_pseudo_ball(a, r: float, z) -> bool:
-    """Membership of z in the pseudo-hyperbolic ball E(a, r) = {|phi_a(z)| < r}."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("pseudo-hyperbolic radius must lie in (0, 1)")
-    return mobius(a, z).norm() < r

@@ -1,8 +1,9 @@
 """Bloch, alpha-Bloch and weighted-Lipschitz functionals.
 
 All sup-type functionals are reported as SupEstimate values: the maximum
-of the functional over an explicit sample set, together with the witness
-sample attaining it.  An estimate is a certified lower bound of the true
+of the functional over an explicit sample array, together with the witness
+attaining it, the row of that array (a point, or a (2, n) pair) at the
+maximum.  An estimate is a certified lower bound of the true
 supremum; nothing here claims the supremum itself.
 
 Sample sets combine a radial grid (the Bloch weight peaks at the origin)
@@ -21,15 +22,15 @@ the Bloch seminorm, so it is taken in that derivative form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .calculus import JACOBIAN_STEP_FACTOR, operator_norm, wirtinger_fd_many
+from .calculus import operator_norm, wirtinger_fd_many
 from .errors import DegeneratePair, EmptySampleSet
 from .geometry import coords_of
-from .quadrature import STREAM_PAIRS, rng_stream
+from .quadrature import STREAM_PAIRS, rng_stream, sphere_points
 
 __all__ = [
     "SupEstimate",
@@ -50,8 +51,6 @@ class SupEstimate:
 
     value: float
     witness: Any
-    witness_index: int
-    sample_spec: dict = field(default_factory=dict)
 
 
 def _halton(index: np.ndarray, base: int) -> np.ndarray:
@@ -103,11 +102,8 @@ def ball_grid(n: int, radii=DEFAULT_RADII, n_dirs: int = 16) -> np.ndarray:
 
 
 def uniform_ball(n: int, count: int, rng: np.random.Generator, rmax: float) -> np.ndarray:
-    g = rng.standard_normal((count, 2 * n))
-    z = g[:, :n] + 1j * g[:, n:]
-    z /= np.linalg.norm(g, axis=1)[:, None]
-    radii = rmax * rng.random(count) ** (1.0 / (2 * n))
-    return z * radii[:, None]
+    z = sphere_points(rng, count, n)   # drawn before the radii
+    return z * (rmax * rng.random(count) ** (1.0 / (2 * n)))[:, None]
 
 
 def pair_samples(n: int, count: int, seed: int, rmax: float = 0.7) -> np.ndarray:
@@ -123,23 +119,19 @@ def near_diagonal_pairs(points: np.ndarray, delta: float = 1e-4,
                         n_phases: int = 32) -> np.ndarray:
     """Pairs (z, z + delta * phase * e_1) probing the derivative limit."""
     points = np.atleast_2d(points)
-    n = points.shape[1]
     phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
-    out = []
-    for z in points:
-        for ph in phases:
-            w = z.copy()
-            w[0] += delta * ph
-            if np.linalg.norm(w) < 1.0:
-                out.append((z, w))
-    return np.asarray(out)
+    z = np.repeat(points, n_phases, axis=0)
+    w = z.copy()
+    w[:, 0] += delta * np.tile(phases, len(points))
+    keep = np.linalg.norm(w, axis=1) < 1.0
+    return np.stack([z[keep], w[keep]], axis=1)
 
 
-def _argmax_estimate(values: np.ndarray, witnesses, spec: dict) -> SupEstimate:
+def _argmax_estimate(values: np.ndarray, samples: np.ndarray) -> SupEstimate:
     if len(values) == 0:
         raise EmptySampleSet("sup estimate over an empty sample set")
     idx = int(np.argmax(values))   # lowest index wins ties
-    return SupEstimate(float(values[idx]), witnesses[idx], idx, spec)
+    return SupEstimate(float(values[idx]), samples[idx])
 
 
 def _points_array(samples) -> np.ndarray:
@@ -162,8 +154,7 @@ def _bloch_from_data(samples: np.ndarray, data) -> SupEstimate:
     """The Bloch sup from Wirtinger data already evaluated at the samples."""
     weights = 1.0 - np.linalg.norm(samples, axis=1) ** 2
     values = np.array([w * sum(d.gradient_norms()) for w, d in zip(weights, data)])
-    spec = {"kind": "bloch", "samples": len(samples), "step_factor": JACOBIAN_STEP_FACTOR}
-    return _argmax_estimate(values, samples, spec)
+    return _argmax_estimate(values, samples)
 
 
 def alpha_bloch_seminorm(f, alpha: float, samples) -> SupEstimate:
@@ -177,9 +168,7 @@ def alpha_bloch_seminorm(f, alpha: float, samples) -> SupEstimate:
         w * (operator_norm(d.fz) + operator_norm(d.fzbar))
         for w, d in zip(weights, data)
     ])
-    spec = {"kind": "alpha-bloch", "alpha": alpha, "samples": len(samples),
-            "step_factor": JACOBIAN_STEP_FACTOR}
-    return _argmax_estimate(values, samples, spec)
+    return _argmax_estimate(values, samples)
 
 
 def _pair_endpoints(pairs: np.ndarray) -> np.ndarray:
@@ -209,6 +198,4 @@ def _lipschitz_from_values(pairs: np.ndarray, vals) -> SupEstimate:
     diff = np.linalg.norm(fz - fw, axis=1)
     wz = np.sqrt(1.0 - np.linalg.norm(z, axis=1) ** 2)
     ww = np.sqrt(1.0 - np.linalg.norm(w, axis=1) ** 2)
-    values = wz * ww * diff / gaps
-    spec = {"kind": "weighted-lipschitz", "pairs": len(pairs)}
-    return _argmax_estimate(values, [(pairs[i, 0], pairs[i, 1]) for i in range(len(pairs))], spec)
+    return _argmax_estimate(wz * ww * diff / gaps, pairs)

@@ -26,6 +26,7 @@ __all__ = [
     "QuadratureRule",
     "circle_rule",
     "sphere_rule_mc",
+    "sphere_points",
     "real_circle_rule",
     "real_sphere_rule_mc",
     "integrate",
@@ -109,20 +110,27 @@ def circle_rule(m: int) -> QuadratureRule:
 def sphere_rule_mc(complex_dim: int, count: int, seed: int) -> QuadratureRule:
     """Seeded uniform Monte Carlo nodes on the unit sphere of C^n.
 
-    Draws (count, 2n) standard normals, reads the first n columns as real
-    parts and the last n as imaginary parts, and normalizes each row.
+    The nodes are ``sphere_points`` of the rule's own random stream.
     """
     if complex_dim < 1:
         raise ValueError("complex dimension must be >= 1")
     if count < 100:
         raise ValueError("Monte Carlo rule needs at least 100 nodes")
-    g = rng_stream(seed, STREAM_MC_RULE).standard_normal((count, 2 * complex_dim))
-    nodes = g[:, :complex_dim] + 1j * g[:, complex_dim:]
-    nodes /= np.linalg.norm(g, axis=1)[:, None]
+    nodes = sphere_points(rng_stream(seed, STREAM_MC_RULE), count, complex_dim)
     weights = np.full(count, 1.0 / count)
     meta = {"kind": "sphere-mc", "n": complex_dim, "count": count, "seed": seed,
             "generator": "pcg64"}
     return QuadratureRule(nodes, weights, meta)
+
+
+def sphere_points(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """(count, n) uniform points on the unit sphere of C^n.
+
+    Each row draws 2n standard normals, reads the first n as real parts and
+    the last n as imaginary parts, and divides by the norm of the real row.
+    """
+    g = rng.standard_normal((count, 2 * n))
+    return (g[:, :n] + 1j * g[:, n:]) / np.linalg.norm(g, axis=1)[:, None]
 
 
 def real_circle_rule(m: int) -> QuadratureRule:

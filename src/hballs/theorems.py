@@ -25,8 +25,7 @@ probes).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,6 +90,10 @@ __all__ = [
 ]
 
 _FD_TRUNCATION = 1e-9   # Richardson-extrapolated central differences at our steps
+# fixed sweep sizes (--samples sets none): lemma21 balls, lemma22 points, lemma33 points per radius
+LEMMA21_CASES = 20
+LEMMA22_SAMPLES = 100
+LEMMA33_POINTS = 25
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,7 @@ def landau_constants(n: int, alpha: float, bound: float) -> LandauConstants:
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_lemma21(f, a, r: float, rule: QuadratureRule, *, fd_step: float = None,
+def check_lemma21(f, a, r: float, rule: QuadratureRule, *,
                   check_id: str = "lemma21") -> CheckReport:
     """Gradient bound |grad f(a)| <= (2(m-1) sqrt(m) / (m V(m) r^m)) * I.
 
@@ -214,8 +217,7 @@ def check_lemma21(f, a, r: float, rule: QuadratureRule, *, fd_step: float = None
     m = a.size
     if m < 2:
         raise ValueError("the bound is degenerate below real dimension 2")
-    if fd_step is None:
-        fd_step = GRADIENT_STEP_FACTOR * r
+    fd_step = GRADIENT_STEP_FACTOR * r
     lhs = float(np.linalg.norm(fd_partials(f, a[None, :], np.array([fd_step], dtype=float))))
 
     fa = float(np.asarray(f(a.reshape(1, -1)))[0])
@@ -480,9 +482,7 @@ def mapping_registry(n: int) -> list[AffineMapping]:
 @dataclass
 class HarnessConfig:
     """Resolved configuration of one run: every default and check.  Flags,
-    config files and reports name each field as itself, or as ``KEYS``."""
-
-    KEYS: ClassVar[dict] = {"bound": "m"}
+    config files and reports name each field as itself."""
 
     n: int = 1
     nodes: int = 4096          # circle-rule nodes (n = 1)
@@ -493,7 +493,7 @@ class HarnessConfig:
     trials: int = 10000        # random matrices per dimension
     pairs: int = 2000          # sampled pairs per pair sweep
     alpha: float = 1.0
-    bound: float = 1.0         # the norm bound M
+    m: float = 1.0             # the norm bound M
 
     def __post_init__(self):
         if self.n < 1:
@@ -503,9 +503,6 @@ class HarnessConfig:
         for name in ("samples", "trials", "pairs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        return {self.KEYS.get(name, name): value for name, value in asdict(self).items()}
 
 
 def rule_for(cfg: HarnessConfig) -> QuadratureRule:
@@ -522,20 +519,14 @@ def _sample_ball(cfg: HarnessConfig, count: int, rmax: float) -> np.ndarray:
 def _aggregate(reports: list[CheckReport], check_id: str) -> CheckReport:
     """Collapse per-sample reports into one, keeping the worst-margin sample."""
     worst = min(reports, key=lambda rep: rep.margin + rep.tolerance)
-    inputs = dict(worst.inputs)
-    inputs.update({
-        "samples": len(reports),
-        "failures": sum(0 if rep.passed else 1 for rep in reports),
-        "worst_margin": worst.margin,
-    })
-    return CheckReport(
-        check_id=check_id, lhs=worst.lhs, rhs=worst.rhs, tolerance=worst.tolerance,
-        passed=all(rep.passed for rep in reports), tol_breakdown=dict(worst.tol_breakdown),
-        inputs=inputs, rule=dict(worst.rule), strict=worst.strict,
-    )
+    inputs = {**worst.inputs, "samples": len(reports),
+              "failures": sum(0 if rep.passed else 1 for rep in reports),
+              "worst_margin": worst.margin}
+    return replace(worst, check_id=check_id, inputs=inputs,
+                   passed=all(rep.passed for rep in reports))
 
 
-def suite_lemma21(cfg: HarnessConfig, cases: int = 20) -> list[CheckReport]:
+def suite_lemma21(cfg: HarnessConfig) -> list[CheckReport]:
     """Real-ball gradient bound on restrictions of disk extensions (m = 2)."""
     rule = circle_rule(cfg.nodes)
     boundary_rule = real_circle_rule(1024)
@@ -543,7 +534,7 @@ def suite_lemma21(cfg: HarnessConfig, cases: int = 20) -> list[CheckReport]:
     registry = boundary_registry(1)
     extensions = [h_extend(entry, rule, guard_radius=cfg.rmax) for entry in registry]
     reports = []
-    for case in range(cases):
+    for case in range(LEMMA21_CASES):
         ext = extensions[case % len(extensions)]
         center = uniform_ball(1, 1, rng, 0.4)[0]
         radius = 0.1 + 0.25 * float(rng.random())
@@ -562,10 +553,10 @@ def suite_lemma21(cfg: HarnessConfig, cases: int = 20) -> list[CheckReport]:
     return reports
 
 
-def suite_lemma22(cfg: HarnessConfig, samples: int = 100) -> list[CheckReport]:
+def suite_lemma22(cfg: HarnessConfig) -> list[CheckReport]:
     """Wirtinger-versus-real gradient inequality over the function registry."""
     reports = []
-    zs = _sample_ball(cfg, samples, 0.7)
+    zs = _sample_ball(cfg, LEMMA22_SAMPLES, 0.7)
     for label, (data,) in _registry_results(cfg, lambda f: (wirtinger_fd_many(f, zs),)):
         per_point = [
             _lemma22_report(data[i], zs[i], label, f"lemma22[n={cfg.n},f={label},i={i}]")
@@ -699,7 +690,7 @@ def suite_lemma33(cfg: HarnessConfig) -> list[CheckReport]:
     scale = 1.0 / (2.0 * entry.sup_bound)
     rng = rng_stream(cfg.seed, STREAM_SAMPLES)
     for r in (0.5, 0.9):
-        zs = uniform_ball(cfg.n, 25, rng, 0.95) * (r * cfg.rmax)
+        zs = uniform_ball(cfg.n, LEMMA33_POINTS, rng, 0.95) * (r * cfg.rmax)
         values, errors = ext.values_with_errors(zs / r)   # one pass per radius
         per_point = [
             check_lemma33(lambda _z, v=v: scale * (v - f0) * np.eye(cfg.n, dtype=complex),
@@ -737,20 +728,20 @@ def suite_lemmaB(cfg: HarnessConfig) -> list[CheckReport]:
 def suite_landau(cfg: HarnessConfig) -> list[CheckReport]:
     """Constants, their monotonicity, and the univalence/covered-ball probes."""
     reports = []
-    consts = landau_constants(cfg.n, cfg.alpha, cfg.bound)
+    consts = landau_constants(cfg.n, cfg.alpha, cfg.m)
     # consistency: same constant through an algebraically different route
-    alt_rho = 1.0 / ((2.0 * cfg.bound) ** (2 * cfg.n) * (1.0 + (4.0 / 3.0) ** cfg.alpha))
+    alt_rho = 1.0 / ((2.0 * cfg.m) ** (2 * cfg.n) * (1.0 + (4.0 / 3.0) ** cfg.alpha))
     reports.append(make_report(
-        f"landau.constants[n={cfg.n},alpha={cfg.alpha:g},M={cfg.bound:g}]",
+        f"landau.constants[n={cfg.n},alpha={cfg.alpha:g},M={cfg.m:g}]",
         abs(consts.rho - alt_rho), 1e-15 * consts.rho,
-        inputs={"n": cfg.n, "alpha": cfg.alpha, "M": cfg.bound, "rho": consts.rho,
+        inputs={"n": cfg.n, "alpha": cfg.alpha, "M": cfg.m, "rho": consts.rho,
                 "half_rho": consts.half_rho, "r_lower": consts.r_lower},
     ))
     # strict monotonicity in M, n and alpha
     for name, values in (
         ("M", [landau_constants(cfg.n, cfg.alpha, m).rho for m in (1.0, 1.5, 2.0)]),
-        ("n", [landau_constants(n, cfg.alpha, max(cfg.bound, 1.0)).rho for n in (1, 2, 3, 4)]),
-        ("alpha", [landau_constants(cfg.n, a, cfg.bound).rho for a in (0.5, 1.0, 2.0)]),
+        ("n", [landau_constants(n, cfg.alpha, max(cfg.m, 1.0)).rho for n in (1, 2, 3, 4)]),
+        ("alpha", [landau_constants(cfg.n, a, cfg.m).rho for a in (0.5, 1.0, 2.0)]),
     ):
         gaps = np.diff(values)
         reports.append(make_report(

@@ -247,6 +247,20 @@ def test_fd_many_rows_equal_per_point_fd_bit_for_bit(n, count, seed, factor, f):
     for z, step, row in zip(pts, steps, rows):
         assert np.array_equal(fd_bits(row), fd_bits(wirtinger_fd(f, z, step)))
         assert np.array_equal(fd_bits(row), fd_bits(reference_wirtinger_fd(f, z, step)))
+        # default steps: one point alone and as a one-row batch take one step
+        assert np.array_equal(fd_bits(wirtinger_fd(f, z)), fd_bits(wirtinger_fd_many(f, [z])[0]))
+
+
+# |z| summed as a dot product and row-wise differ in the last bit here
+UNEQUAL_NORM_POINT = np.array([-0.34448560736453776 + 0.2940982074271315j,
+                               0.2232125278517505 + 0.07598053721664844j])
+
+
+@pytest.mark.parametrize("f", [scalar_map, vector_map])
+def test_default_step_fd_equals_one_row_batch_where_norms_differ(f):
+    z = UNEQUAL_NORM_POINT
+    assert float(np.linalg.norm(z)) != np.linalg.norm(z[None, :], axis=1)[0]
+    assert np.array_equal(fd_bits(wirtinger_fd(f, z)), fd_bits(wirtinger_fd_many(f, [z])[0]))
 
 
 def test_fd_many_refuses_a_stencil_leaving_the_ball():

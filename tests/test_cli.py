@@ -330,7 +330,7 @@ def test_every_field_reaches_the_report(monkeypatch, tmp_path, field, source):
 
     monkeypatch.setattr(cli, "run_suite", lambda name, cfg: [])
     monkeypatch.delenv("HBALLS_SEED", raising=False)
-    key = HarnessConfig.KEYS.get(field.name, field.name)
+    key = field.name
     value = field.default if source == "default" else _changed(field.default)
     args = ["verify", "--suite", "landau", "--out", str(tmp_path / "report.json")]
     if source == "flag":
@@ -340,7 +340,7 @@ def test_every_field_reaches_the_report(monkeypatch, tmp_path, field, source):
         args += ["--config", str(tmp_path / "run.cfg")]
     assert cli.main(args) == 0
     config = json.loads((tmp_path / "report.json").read_text())["config"]
-    keys = [HarnessConfig.KEYS.get(f.name, f.name) for f in dataclasses.fields(HarnessConfig)]
+    keys = [f.name for f in dataclasses.fields(HarnessConfig)]
     assert list(config) == ["suite", *keys]
     assert config[key] == value
     assert type(config[key]) is type(field.default)

@@ -5,7 +5,6 @@ from hballs.errors import DimensionMismatch, UndefinedProjection
 from hballs.geometry import (
     BallPoint,
     hermitian_inner,
-    in_pseudo_ball,
     mobius,
     mobius_identity_residual,
     projection_onto,
@@ -135,28 +134,3 @@ class TestMobiusIdentity:
             a = random_ball_point(rng, n)
             z = random_ball_point(rng, n)
             assert mobius_identity_residual(a, z) <= 1e-12
-
-
-class TestPseudoBall:
-    def test_center_is_inside(self):
-        rng = np.random.default_rng(15)
-        for _ in range(20):
-            a = random_ball_point(rng, 2, 0.9)
-            assert in_pseudo_ball(a, 0.05, a)
-
-    def test_euclidean_inclusion(self):
-        # B(a, r (1-|a|^2)/2) sits inside E(a, r)
-        rng = np.random.default_rng(16)
-        for _ in range(40):
-            n = int(rng.integers(1, 3))
-            a = random_ball_point(rng, n, 0.8)
-            r = 0.2 + 0.6 * rng.random()
-            radius = r * (1.0 - np.linalg.norm(a) ** 2) / 2.0
-            for _ in range(10):
-                offset = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                offset *= 0.999 * radius * rng.random() ** (1.0 / (2 * n)) / np.linalg.norm(offset)
-                assert in_pseudo_ball(a, r, a + offset)
-
-    def test_origin_center_reduces_to_modulus(self):
-        assert not in_pseudo_ball([0.0], 0.3, [0.5])
-        assert in_pseudo_ball([0.0], 0.6, [0.5])

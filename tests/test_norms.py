@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hballs.errors import DegeneratePair, EmptySampleSet
 from hballs.norms import (
@@ -47,6 +48,39 @@ class TestSampleSets:
     def test_near_diagonal_pairs_stay_inside(self):
         pairs = near_diagonal_pairs(ball_grid(1), delta=1e-4, n_phases=8)
         assert np.all(np.abs(pairs[:, 1, 0]) < 1.0)
+
+
+def reference_near_diagonal_pairs(points, delta=1e-4, n_phases=32):
+    """The double loop near_diagonal_pairs ran before it was one broadcast."""
+    points = np.atleast_2d(points)
+    phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
+    out = []
+    for z in points:
+        for ph in phases:
+            w = z.copy()
+            w[0] += delta * ph
+            if np.linalg.norm(w) < 1.0:
+                out.append((z, w))
+    return np.asarray(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 30), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-4, 0.04]), st.integers(1, 40))
+def test_near_diagonal_pairs_equal_the_loop_bit_for_bit(n, count, seed, delta, n_phases):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, (count, 2 * n))
+    pts = raw[:, :n] + 1j * raw[:, n:]
+    pts *= (0.95 * rng.random(count) / np.linalg.norm(pts, axis=1))[:, None]
+    # a last row so close to the sphere that part of its partners leave the ball
+    edge = np.zeros((1, n), dtype=complex)
+    edge[0, 0] = 1.0 - delta / 2.0
+    pts = np.concatenate([pts, edge])
+    got = near_diagonal_pairs(pts, delta, n_phases)
+    want = reference_near_diagonal_pairs(pts, delta, n_phases)
+    assert got.shape == want.shape
+    assert len(want) < (count + 1) * n_phases
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestBlochSeminorm:

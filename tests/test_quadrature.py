@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hballs.errors import NearSingularEvaluation
 from hballs.kernel import poisson_h_values
 from hballs.quadrature import (
+    STREAM_MC_RULE,
     QuadratureRule,
     circle_rule,
     integrate,
@@ -11,6 +13,7 @@ from hballs.quadrature import (
     real_circle_rule,
     real_sphere_rule_mc,
     rng_stream,
+    sphere_points,
     sphere_rule_mc,
 )
 
@@ -140,3 +143,29 @@ class TestRealRules:
     def test_real_sphere_norms(self):
         rule = real_sphere_rule_mc(4, 1000, 2)
         np.testing.assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, atol=1e-12)
+
+
+def reference_sphere_draw(rng, count, n):
+    """The draw sphere_rule_mc, uniform_ball and extend's grid each wrote inline."""
+    g = rng.standard_normal((count, 2 * n))
+    z = g[:, :n] + 1j * g[:, n:]
+    z /= np.linalg.norm(g, axis=1)[:, None]
+    return z
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.integers(1, 300), st.integers(1, 4))
+def test_sphere_points_are_the_inline_draw_and_a_function_of_their_inputs(seed, stream, count, n):
+    pts = sphere_points(rng_stream(seed, stream), count, n)
+    assert pts.shape == (count, n)
+    assert np.array_equal(bits(pts), bits(reference_sphere_draw(rng_stream(seed, stream), count, n)))
+    # seed determinism: a fresh generator of the same stream gives the same bits
+    assert np.array_equal(bits(pts), bits(sphere_points(rng_stream(seed, stream), count, n)))
+    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+    nodes = max(count, 100)
+    assert np.array_equal(bits(sphere_rule_mc(n, nodes, seed).nodes),
+                          bits(sphere_points(rng_stream(seed, STREAM_MC_RULE), nodes, n)))
