@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+LIMIT_PHASES = 32   # phases theta of the near-diagonal directions theta e_1
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def pair_samples(n: int, count: int, seed: int, rmax: float = 0.7) -> np.ndarray
 
 
 def near_diagonal_pairs(points: np.ndarray, delta: float = 1e-4,
-                        n_phases: int = 32) -> np.ndarray:
+                        n_phases: int = LIMIT_PHASES) -> np.ndarray:
     """Pairs (z, z + delta * phase * e_1) probing the derivative limit."""
     points = np.atleast_2d(points)
     phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
@@ -180,6 +181,33 @@ def _pair_endpoints(pairs: np.ndarray) -> np.ndarray:
     if np.any(np.linalg.norm(z - w, axis=1) == 0.0):
         raise DegeneratePair("weighted Lipschitz quotient needs z != w")
     return np.concatenate([z, w], axis=0)
+
+
+def _lipschitz_limits_from_data(points: np.ndarray, data) -> SupEstimate:
+    """The weighted Lipschitz quotient's limits along theta e_1, from
+    Wirtinger data already evaluated at the points.
+
+    At (z, z + delta theta e_1) the quotient tends, as delta -> 0, to
+    (1-|z|^2) |f_{z_1} theta + f_{zbar_1} conj(theta)|, each a limit of
+    pair quotients and so a lower bound of their sup.  The theta are the
+    ``LIMIT_PHASES`` phases of ``near_diagonal_pairs``, in its order (point
+    by point, phases within); the witness is the (2, n) row (z, theta e_1).
+    """
+    points = np.atleast_2d(points)
+    if len(data) == 0:
+        raise EmptySampleSet("sup estimate over an empty sample set")
+    phases = np.exp(2j * np.pi * np.arange(LIMIT_PHASES) / LIMIT_PHASES)
+    fz = np.stack([d.fz[:, 0] for d in data])              # (P, k)
+    fzbar = np.stack([d.fzbar[:, 0] for d in data])
+    moved = (fz[:, None, :] * phases[None, :, None]
+             + fzbar[:, None, :] * np.conj(phases)[None, :, None])
+    weights = 1.0 - np.linalg.norm(points, axis=1) ** 2
+    values = (weights[:, None] * np.linalg.norm(moved, axis=2)).reshape(-1)
+    idx = int(np.argmax(values))   # lowest index wins ties
+    witness = np.zeros((2, points.shape[1]), dtype=complex)
+    witness[0] = points[idx // LIMIT_PHASES]
+    witness[1, 0] = phases[idx % LIMIT_PHASES]
+    return SupEstimate(float(values[idx]), witness)
 
 
 def weighted_lipschitz_sup(f, pairs: np.ndarray) -> SupEstimate:

@@ -9,9 +9,13 @@ bit-identically.  Tolerances follow one policy:
               + 10 * (quadrature standard error)
               + 10 * (finite-difference truncation estimate),
 
-with the three parts recorded separately.  An inequality that is strict in
-the mathematics (the separation probe) uses a strict comparison instead of
-a slack.
+with the three parts recorded separately.  The finite-difference term is 0
+wherever derivatives are exact: the Wirtinger data of an HExtension come
+from the closed-form kernel derivatives (``HExtension.wirtinger_many``),
+exact for the discretized extension, and only plain callables (the closed
+forms of the registry) take finite differences.  An inequality that is
+strict in the mathematics (the separation probe) uses a strict comparison
+instead of a slack.
 
 Suites group the checks the way the command line exposes them: lemma21
 (gradient-versus-boundary-mean bound on real balls), lemma22 (Wirtinger
@@ -47,12 +51,14 @@ from .extension import (
 )
 from .geometry import coords_of
 from .norms import (
+    LIMIT_PHASES,
     _bloch_from_data,
     _lipschitz_from_values,
+    _lipschitz_limits_from_data,
     _pair_endpoints,
     ball_grid,
-    bloch_seminorm,
-    near_diagonal_pairs,
+    # not called here: bench/tracing.py patches this module-level name
+    bloch_seminorm,  # noqa: F401
     pair_samples,
     uniform_ball,
     weighted_lipschitz_sup,
@@ -66,6 +72,7 @@ from .quadrature import (
     circle_rule,
     real_circle_rule,
     rng_stream,
+    sphere_points,
     sphere_rule_mc,
 )
 
@@ -241,48 +248,73 @@ def check_lemma21(f, a, r: float, rule: QuadratureRule, *,
     )
 
 
+def _wirtinger_data(f, points: np.ndarray):
+    """Wirtinger data at every row of ``points`` and its finite-difference term.
+
+    An HExtension differentiates its kernel sum in closed form, exactly for
+    the discretized extension, so its term is 0; any other callable takes
+    Richardson finite differences and carries ``_FD_TRUNCATION``.
+    """
+    if isinstance(f, HExtension):
+        return f.wirtinger_many(points)[0], 0.0
+    return wirtinger_fd_many(f, points), _FD_TRUNCATION
+
+
 def _lemma22_report(data: WirtingerData, zc: np.ndarray, label: str,
-                    check_id: str) -> CheckReport:
+                    check_id: str, fd_error: float) -> CheckReport:
     lhs = sum(data.gradient_norms())
     J = real_jacobian_from_wirtinger(data).matrix  # rows (u, v) x cols (x1, y1, ...)
     rhs = float(np.linalg.norm(J[0]) + np.linalg.norm(J[1]))
     return make_report(
-        check_id, lhs, rhs, analytic=1e-12, fd_error=_FD_TRUNCATION,
+        check_id, lhs, rhs, analytic=1e-12, fd_error=fd_error,
         inputs={"f": label, "z": _cplx(zc)},
     )
 
 
 def check_lemma22(f, z, *, label: str = "f", check_id: str = None) -> CheckReport:
-    """|grad f| + |grad fbar| <= |grad u| + |grad v| at z, one FD partial set."""
+    """|grad f| + |grad fbar| <= |grad u| + |grad v| at z, from one set of
+    Wirtinger data (see ``_wirtinger_data``)."""
     zc = coords_of(z)
-    data = wirtinger_fd_many(f, zc[None, :])[0]
-    return _lemma22_report(data, zc, label, check_id or f"lemma22[{label}]")
+    data, fd_error = _wirtinger_data(f, zc[None, :])
+    return _lemma22_report(data[0], zc, label, check_id or f"lemma22[{label}]", fd_error)
 
 
 def check_thm24_necessity(f, pairs: np.ndarray, grid: np.ndarray, *, n: int,
                           label: str = "f", check_id: str = None) -> CheckReport:
-    """Pair-sup of the weighted Lipschitz quotient vs pi sqrt(n) * Bloch sup.
+    """Weighted Lipschitz sup vs pi sqrt(n) * Bloch sup.
 
-    Both sides are sample estimates on matching grids; the derivative side
-    carries the finite-difference tolerance.  The qualitative converse
-    (finite pair-sup alongside finite derivative-sup) is recorded in the
-    inputs rather than checked quantitatively.
+    The lhs is the larger of two lower bounds of the true pair sup: the
+    quotient's max over ``pairs``, and its derivative limits at the grid
+    points, (1-|z|^2) |f_{z_1} theta + f_{zbar_1} conj(theta)|, the limit of
+    the quotient at (z, z + delta theta e_1) as delta -> 0, over the
+    ``LIMIT_PHASES`` phases theta.  Pairs and limits are counted and witnessed separately.  The
+    limits and the Bloch sup share one set of Wirtinger data at the grid
+    points, whose finite-difference term is 0 for an HExtension.  The
+    qualitative converse (finite pair-sup alongside finite derivative-sup)
+    is recorded in the inputs rather than checked quantitatively.
     """
-    return _thm24_report(weighted_lipschitz_sup(f, pairs), bloch_seminorm(f, grid),
-                         n, len(pairs), len(grid), label,
-                         check_id or f"thm24[n={n},f={label}]")
+    data, fd_error = _wirtinger_data(f, grid)
+    return _thm24_report(weighted_lipschitz_sup(f, pairs), grid, data, fd_error,
+                         n, len(pairs), label, check_id or f"thm24[n={n},f={label}]")
 
 
-def _thm24_report(pair_est, bloch_est, n: int, pairs: int, grid: int, label: str,
-                  check_id: str) -> CheckReport:
-    lhs = pair_est.value
+def _thm24_report(pair_est, grid: np.ndarray, data, fd_error: float, n: int, pairs: int,
+                  label: str, check_id: str) -> CheckReport:
+    limit_est = _lipschitz_limits_from_data(grid, data)
+    bloch_est = _bloch_from_data(grid, data)
+    from_limit = limit_est.value > pair_est.value
+    lhs = limit_est.value if from_limit else pair_est.value
     rhs = math.pi * math.sqrt(n) * bloch_est.value
+    point, direction = limit_est.witness
     return make_report(
-        check_id, lhs, rhs, fd_error=_FD_TRUNCATION,
+        check_id, lhs, rhs, fd_error=fd_error,
         inputs={
-            "f": label, "n": n, "pairs": int(pairs), "grid": int(grid),
-            "pair_sup": pair_est.value, "bloch_sup": bloch_est.value,
+            "f": label, "n": n, "pairs": int(pairs), "limits": len(grid) * LIMIT_PHASES,
+            "grid": int(len(grid)), "lhs_from": "limit" if from_limit else "pair",
+            "pair_sup": pair_est.value, "limit_sup": limit_est.value,
+            "bloch_sup": bloch_est.value,
             "pair_witness": [_cplx(w) for w in pair_est.witness],
+            "limit_witness": {"point": _cplx(point), "direction": _cplx(direction)},
             "bloch_witness": _cplx(bloch_est.witness),
             "both_finite": bool(np.isfinite(lhs) and np.isfinite(rhs)),
         },
@@ -408,9 +440,7 @@ def covered_ball_probe(f, constants: LandauConstants, count: int, seed: int, *,
                        label: str = "f", check_id: str = None) -> CheckReport:
     """Sampled |F(zeta)| >= rho / (2 M^(2n-1)) on |zeta| = rho, F = 2 f(./2)."""
     n = constants.n
-    dirs = uniform_ball(n, count, rng_stream(seed, STREAM_PROBE), 1.0)
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    zeta = constants.rho * dirs
+    zeta = constants.rho * sphere_points(rng_stream(seed, STREAM_PROBE), count, n)
     big_f = 2.0 * np.asarray(f(zeta / 2.0)).reshape(len(zeta), -1)
     rhs = float(np.min(np.linalg.norm(big_f, axis=1)))
     lhs = constants.rho / (2.0 * constants.bound ** (2 * n - 1))
@@ -557,9 +587,10 @@ def suite_lemma22(cfg: HarnessConfig) -> list[CheckReport]:
     """Wirtinger-versus-real gradient inequality over the function registry."""
     reports = []
     zs = _sample_ball(cfg, LEMMA22_SAMPLES, 0.7)
-    for label, (data,) in _registry_results(cfg, lambda f: (wirtinger_fd_many(f, zs),)):
+    for label, (data, fd_error) in _registry_results(cfg, lambda f: _wirtinger_data(f, zs)):
         per_point = [
-            _lemma22_report(data[i], zs[i], label, f"lemma22[n={cfg.n},f={label},i={i}]")
+            _lemma22_report(data[i], zs[i], label, f"lemma22[n={cfg.n},f={label},i={i}]",
+                            fd_error)
             for i in range(len(zs))
         ]
         reports.append(_aggregate(per_point, f"lemma22[n={cfg.n},f={label}]"))
@@ -582,7 +613,8 @@ def _stacked_extension(cfg: HarnessConfig, rule: QuadratureRule, entries) -> HEx
 def _registry_results(cfg: HarnessConfig, evaluate) -> list:
     """(label, evaluate(f)) for every registry entry, in registry order.
 
-    ``evaluate`` returns a tuple of (P, k) arrays and lists of WirtingerData.
+    ``evaluate`` returns a tuple of (P, k) arrays, lists of WirtingerData
+    and floats (shared by every column, such as a finite-difference term).
     Closed-form extensions are evaluated one by one.  The rule-based entries
     are the columns of one stacked extension, evaluated once, and each gets
     its own column back.
@@ -602,28 +634,28 @@ def _registry_results(cfg: HarnessConfig, evaluate) -> list:
 
 def _columns(part, cols: slice):
     """Columns ``cols`` of a stacked result: the (P, c) columns of a (P, k)
-    array, or those rows of each WirtingerData in a list."""
+    array, those rows of each WirtingerData in a list, or a float as is."""
     if isinstance(part, np.ndarray):
         return part[:, cols]
-    return [WirtingerData(data.fz[cols], data.fzbar[cols]) for data in part]
+    if isinstance(part, list):
+        return [WirtingerData(data.fz[cols], data.fzbar[cols]) for data in part]
+    return part
 
 
 def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
-    """Weighted-Lipschitz pair sup against pi sqrt(n) times the Bloch sup."""
+    """Weighted-Lipschitz sup (seeded pairs and derivative limits at the
+    grid points) against pi sqrt(n) times the Bloch sup on the grid."""
     grid = ball_grid(cfg.n)
-    seeded = pair_samples(cfg.n, cfg.pairs, cfg.seed, rmax=0.7)
-    near = near_diagonal_pairs(grid)
-    pairs = np.concatenate([near, seeded], axis=0)
+    pairs = pair_samples(cfg.n, cfg.pairs, cfg.seed, rmax=0.7)
     endpoints = _pair_endpoints(pairs)
 
     def evaluate(f):
-        return f(endpoints), wirtinger_fd_many(f, grid)
+        return (f(endpoints), *_wirtinger_data(f, grid))
 
     return [
-        _thm24_report(_lipschitz_from_values(pairs, vals),
-                      _bloch_from_data(grid, data),
-                      cfg.n, len(pairs), len(grid), label, f"thm24[n={cfg.n},f={label}]")
-        for label, (vals, data) in _registry_results(cfg, evaluate)
+        _thm24_report(_lipschitz_from_values(pairs, vals), grid, data, fd_error,
+                      cfg.n, len(pairs), label, f"thm24[n={cfg.n},f={label}]")
+        for label, (vals, data, fd_error) in _registry_results(cfg, evaluate)
     ]
 
 

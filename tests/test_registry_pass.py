@@ -121,11 +121,19 @@ SMALL = {1: dict(n=1, nodes=1500, pairs=60, seed=3),
 def test_thm24_suite_equals_per_function_checks(n):
     cfg = HarnessConfig(**SMALL[n])
     grid = theorems.ball_grid(n)
-    pairs = np.concatenate([theorems.near_diagonal_pairs(grid),
-                            theorems.pair_samples(n, cfg.pairs, cfg.seed, rmax=0.7)])
+    pairs = theorems.pair_samples(n, cfg.pairs, cfg.seed, rmax=0.7)
     expected = [check_thm24_necessity(f, pairs, grid, n=n, label=label).to_dict()
                 for label, f in one_at_a_time(cfg)]
     assert [rep.to_dict() for rep in suite_thm24(cfg)] == expected
+    assert_derivative_path(cfg, expected)
+
+
+def assert_derivative_path(cfg, reports):
+    """Rule-based entries take exact kernel derivatives (no FD term);
+    closed forms keep finite differences."""
+    for entry, rep in zip(boundary_registry(cfg.n), reports):
+        fd = rep["tolerance_breakdown"]["finite_difference"]
+        assert fd == (0.0 if entry.exact_extension is None else 10 * theorems._FD_TRUNCATION)
 
 
 @pytest.mark.parametrize("n", sorted(SMALL))
@@ -138,6 +146,7 @@ def test_lemma22_suite_equals_per_function_checks(n):
                      for i, z in enumerate(zs)]
         expected.append(theorems._aggregate(per_point, f"lemma22[n={n},f={label}]").to_dict())
     assert [rep.to_dict() for rep in suite_lemma22(cfg)] == expected
+    assert_derivative_path(cfg, expected)
 
 
 POINTWISE = {1: dict(n=1, nodes=1500, samples=15, seed=3),
