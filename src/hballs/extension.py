@@ -19,8 +19,25 @@ pair sweep.  Both engines, values and gradients, evaluate each distinct
 point of a batch once, which replaces any per-point cache of repeated
 Poisson integrals, and walk the same tiles: point blocks against the
 rule's node chunks, each point reducing over the chunks in index order,
-so a result does not depend on its batch or on the block size.  Every
-temporary of a tile lives in a buffer made once per call.  The columns of
+so a result does not depend on its batch.  Every temporary of a tile lives
+in a buffer made once per call.
+
+The value engine casts a tile as BLAS products (the GEMM form):
+|z - zeta|^2 = |z|^2 + |zeta|^2 - 2 Re<z, zeta> is one product of the
+points' augmented rows (-2x_1, -2y_1, ..., |z|^2, 1) with the nodes'
+augmented columns (x_1, y_1, ..., 1, |zeta|^2), and each output column adds
+kern @ (psi_j w) over the chunk, with kern^2 @ (|psi_j|^2 w) for the second
+moments.  OpenBLAS (0.3.31, SkylakeX kernels) gives a row of a product
+bits that depend on the product's shape: on its row count M and column
+count N, and, with the node operand stored column-major, on the row's
+place in the block (rows 60-63 of a 64-row block differed at chunk widths
+not a multiple of 8).  So the node columns are stored row-major, and every
+product has the same shape for every point: the distinct rows are padded
+with the origin to whole ``_POINT_BLOCK`` blocks, and each output column
+gets its own (block x chunk) @ (chunk x 2) product rather than one product
+over all columns.  A row's value then depends
+neither on its batch nor on the BLAS thread count (1 and 4 threads are
+tested), though it does depend on the block size.  The columns of
 C^k-valued data share each tile's kernel values, and a column's arithmetic
 does not depend on k, so stacking scalar data into one vector extension
 gives every component the bits of its own extension at about the cost of
@@ -28,7 +45,7 @@ one kernel pass.  Standard errors are kept per column as well: the error
 of any set of columns sums their variances in column order, so it has the
 bits of the error of an extension holding only those columns.  Gradients
 come from differentiation under the integral using the kernel's
-closed-form Wirtinger derivatives.
+closed-form Wirtinger derivatives, element by element.
 """
 
 from __future__ import annotations
@@ -65,14 +82,18 @@ __all__ = [
 DEFAULT_GUARD_RADIUS = 0.8
 SPOT_CHECK_NODES = 4096     # rule nodes a declared sup bound is checked on
 SPOT_CHECK_SLACK = 1e-9     # how far those nodes may exceed the bound
-# A 64-point block makes 512 KB real and 1 MB complex tiles; the value
-# engine keeps two real and two complex ones (three real with second
-# moments), reused for every tile.  On a 2-vCPU Xeon with a 2 MB L2 per
-# core, 5760 n = 2 points against 1500 nodes took 270-370 ms when every
-# tile allocated its temporaries and 170-260 ms with the reused buffers,
-# for blocks of 32 to 128 alike; the thm24 + lemma22 sweep at n = 2 ran
-# 0.65 s in 32- and 64-point blocks and 0.73 s in 128-point blocks.
+# Every product of the value engine has _POINT_BLOCK rows; a 64-point block
+# makes 512 KB (block x 1024) tiles, two of them (three with second moments)
+# reused for every tile.  On a 2-vCPU Xeon with a 2 MB L2 per core and one
+# BLAS thread, the stacked four-column n = 2 extension took 53-62 ms for 5760
+# points against 1500 nodes in blocks of 32, 64 or 128 (500-520 ms in the
+# elementwise form it replaced) and 4.0-5.3 s for 4000 points against 200k
+# nodes (32 s before); a one-point call, padded to a whole block, took 36 ms
+# against 200k nodes (24 ms before).
 _POINT_BLOCK = 64
+# Squared distances below this refuse a value tile.  The product form
+# |z|^2 + |zeta|^2 - 2 Re<z, zeta> rounds a true 0 to about +-1e-16.
+_GEMM_FLOOR = 1e-12
 # The gradient engine keeps four complex and three real (block x 1024) tiles
 # live.  On the same Xeon, 32-point blocks (2.75 MB of tiles) were the fastest
 # at n = 1 and at n = 2; blocks of 8 to 128 points were at most 9% slower at
@@ -157,8 +178,11 @@ class HExtension:
         self._psi_cols = np.ascontiguousarray(psi.reshape(len(rule), -1).T)
         # the (N,) or (N, k) node data, as a view of those rows
         self._psi_nodes = self._psi_cols[0] if psi.ndim == 1 else self._psi_cols.T
-        # (2n, N) planes x_1, y_1, x_2, ... of the nodes, contiguous per plane
-        self._node_xy = np.ascontiguousarray(rule.nodes, dtype=complex).view(np.float64).T.copy()
+        # (2n + 2, N) columns (x_1, y_1, ..., x_n, y_n, 1, |zeta|^2) of the nodes,
+        # stored row-major (see the module docstring); a point row
+        # (-2x_1, -2y_1, ..., -2y_n, |z|^2, 1) times one is |z - zeta|^2
+        xy = np.ascontiguousarray(rule.nodes, dtype=complex).view(np.float64)
+        self._node_aug = np.column_stack([xy, np.ones(len(xy)), np.sum(xy * xy, axis=1)]).T.copy()
         self._value_at_zero = None
 
     @property
@@ -186,15 +210,17 @@ class HExtension:
 
     def _tiles(self, pts: np.ndarray, block: int):
         """(point rows, node chunk, part of a (block, CHUNK) buffer) of each
-        tile; blocks serve only cache locality."""
+        tile; a block's rows stop at the end of ``pts``."""
         for pstart in range(0, len(pts), block):
             rows = slice(pstart, min(pstart + block, len(pts)))
             for chunk in self.rule.chunks():
                 yield rows, chunk, (slice(rows.stop - pstart), slice(chunk.stop - chunk.start))
 
-    def _refuse_collision(self, d2: np.ndarray, points: np.ndarray, chunk: slice) -> None:
-        """Refuse a tile where a point of ``points`` meets a node of ``chunk``."""
-        if d2.min() < 1e-300:
+    def _refuse_collision(self, d2: np.ndarray, points: np.ndarray, chunk: slice,
+                          floor: float) -> None:
+        """Refuse a tile where a point of ``points`` comes within squared
+        distance ``floor`` of a node of ``chunk``."""
+        if d2.min() < floor:
             i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
             raise NearSingularEvaluation(
                 "evaluation point collides with a quadrature node",
@@ -205,50 +231,65 @@ class HExtension:
         return self._moments(points, want_errors=False)[0]
 
     def _moments(self, points, want_errors: bool):
-        """First (and optionally second) moments of the kernel-weighted data.
+        """First (and optionally second) moments of the kernel-weighted data,
+        in the GEMM form of the module docstring.
 
-        Each tile's kernel values are computed once and read by every output
-        column.  Inside the guard radius the kernel ratio stays in a safe
-        range, so the power is an exact multiply chain rather than the
-        exp/log form of the reference kernel module.
+        Padding rows hold finite values (the origin's squared distances, or
+        zeros) and are never read back.  Inside the guard radius the kernel
+        ratio stays in a safe range, so the power is an exact multiply chain
+        rather than the exp/log form of the reference kernel module.
         """
         pts, inverse = self._distinct_rows(points)
-        k_out = len(self._psi_cols)
+        count = len(pts)
+        n = self.dim
+        psi = self._psi_cols
+        k_out = len(psi)
         w = self.rule.weights
-        pts_xy = pts.view(np.float64)                          # (P, 2n): x_1, y_1, ...
-        num = 1.0 - np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)
-        expo = 2 * self.dim - 1
-        num_pow = _int_power(num, expo)
-        first = np.zeros((len(pts), k_out), dtype=complex)
-        second = np.zeros((len(pts), k_out)) if want_errors else None
-        # every tile temporary lives in one of these buffers, made once per call
-        shape = (min(_POINT_BLOCK, len(pts)), min(CHUNK, len(w)))
-        d2_buf, diff_buf = (np.empty(shape) for _ in range(2))
-        sq_buf = np.empty(shape) if want_errors else None
-        terms_buf, prod_buf = (np.empty(shape, dtype=complex) for _ in range(2))
-        for psl, csl, tile in self._tiles(pts, _POINT_BLOCK):
-            d2, diff, terms, prod = d2_buf[tile], diff_buf[tile], terms_buf[tile], prod_buf[tile]
-            # d2 = dx_1^2 + dy_1^2 + dx_2^2 + ..., accumulated left to right
-            for m in range(2 * self.dim):
-                np.subtract(pts_xy[psl, m, None], self._node_xy[m, None, csl], out=diff)
-                if m == 0:
-                    np.multiply(diff, diff, out=d2)
-                else:
-                    np.multiply(diff, diff, out=diff)
-                    np.add(d2, diff, out=d2)
-            self._refuse_collision(d2, pts[psl], csl)
-            # kern = num^(2n-1) / d2^(2n-1), in d2's storage with diff as scratch;
-            # every column below reads it, so no column writes to it
-            kern = _int_power(d2, expo, out=d2, scratch=diff)
-            np.divide(num_pow[psl, None], kern, out=kern)
+        sq_norm = np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)
+        expo = 2 * n - 1
+        num_pow = _int_power(1.0 - sq_norm, expo)
+        # rows (-2x_1, -2y_1, ..., -2y_n, |z|^2, 1); padding rows are the origin
+        aug = np.zeros((-(-count // _POINT_BLOCK) * _POINT_BLOCK, 2 * n + 2))
+        np.multiply(-2.0, pts.view(np.float64), out=aug[:count, :2 * n])
+        aug[:count, 2 * n] = sq_norm
+        aug[:, 2 * n + 1] = 1.0
+        first = np.zeros((count, k_out), dtype=complex)
+        second = np.zeros((count, k_out)) if want_errors else None
+        # every tile temporary lives in one of these buffers, made once per call;
+        # a tile takes a contiguous (block, chunk) view of the flat ones
+        width_max = min(CHUNK, len(w))
+        kern_flat, scratch_flat = (np.empty(_POINT_BLOCK * width_max) for _ in range(2))
+        kern_sq_flat = np.zeros(_POINT_BLOCK * width_max) if want_errors else None
+        psi_w_buf = np.empty((k_out, width_max), dtype=complex)
+        abs2_w_buf, imag2_buf = np.empty(width_max), np.empty(width_max)
+        sums, sums_sq = np.empty((_POINT_BLOCK, 2)), np.empty(_POINT_BLOCK)
+        for psl, csl, _ in self._tiles(aug, _POINT_BLOCK):
+            width = csl.stop - csl.start
+            live = min(psl.stop, count) - psl.start
+            rows = slice(psl.start, psl.start + live)
+            kern = kern_flat[:_POINT_BLOCK * width].reshape(_POINT_BLOCK, width)
+            np.matmul(aug[psl], self._node_aug[:, csl], out=kern)
+            self._refuse_collision(kern[:live], pts[rows], csl, _GEMM_FLOOR)
+            # num^(2n-1) / d2^(2n-1) on the live rows, in place
+            live_kern = kern[:live]
+            scratch = scratch_flat[:live * width].reshape(live, width)
+            np.divide(num_pow[rows, None],
+                      _int_power(live_kern, expo, out=live_kern, scratch=scratch), out=live_kern)
+            if want_errors:
+                kern_sq = kern_sq_flat[:_POINT_BLOCK * width].reshape(_POINT_BLOCK, width)
+                np.multiply(live_kern, live_kern, out=kern_sq[:live])
             weights = w[csl]
+            psi_w = np.multiply(psi[:, csl], weights, out=psi_w_buf[:, :width])
+            abs2_w, imag2 = abs2_w_buf[:width], imag2_buf[:width]
             for j in range(k_out):
-                np.multiply(kern, self._psi_cols[j, csl], out=terms)
-                first[psl, j] += np.add.reduce(np.multiply(terms, weights, out=prod), axis=1)
+                np.matmul(kern, psi_w[j].view(np.float64).reshape(width, 2), out=sums)
+                first[rows, j] += sums[:live].view(complex)[:, 0]
                 if want_errors:
-                    sq = np.square(terms.real, out=diff)
-                    np.add(sq, np.square(terms.imag, out=sq_buf[tile]), out=sq)
-                    second[psl, j] += np.add.reduce(np.multiply(sq, weights, out=sq), axis=1)
+                    part = psi[j, csl]
+                    np.square(part.real, out=abs2_w)
+                    np.add(abs2_w, np.square(part.imag, out=imag2), out=abs2_w)
+                    np.matmul(kern_sq, np.multiply(abs2_w, weights, out=abs2_w), out=sums_sq)
+                    second[rows, j] += sums_sq[:live]
         first = first[inverse]
         if want_errors:
             second = second[inverse]
@@ -349,7 +390,7 @@ class HExtension:
                 else:
                     np.square(np.abs(diff, out=sq), out=sq)
                     np.add(d2, sq, out=d2)
-            self._refuse_collision(d2, pts[psl], csl)
+            self._refuse_collision(d2, pts[psl], csl, 1e-300)
             np.log(d2, out=pref)
             np.multiply(2 * n, pref, out=pref)
             np.subtract(log_num[psl, None], pref, out=pref)

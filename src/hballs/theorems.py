@@ -97,6 +97,7 @@ __all__ = [
 ]
 
 _FD_TRUNCATION = 1e-9   # Richardson-extrapolated central differences at our steps
+_WITNESS_TIE = 1e-12    # margins this close count as one worst margin
 # fixed sweep sizes (--samples sets none): lemma21 balls, lemma22 points, lemma33 points per radius
 LEMMA21_CASES = 20
 LEMMA22_SAMPLES = 100
@@ -547,8 +548,15 @@ def _sample_ball(cfg: HarnessConfig, count: int, rmax: float) -> np.ndarray:
 
 
 def _aggregate(reports: list[CheckReport], check_id: str) -> CheckReport:
-    """Collapse per-sample reports into one, keeping the worst-margin sample."""
-    worst = min(reports, key=lambda rep: rep.margin + rep.tolerance)
+    """Collapse per-sample reports into one, keeping the worst-margin sample.
+
+    That is the first sample, by index, whose margin + tolerance is within
+    _WITNESS_TIE of the smallest, so rounding-level ties (two sides equal in
+    exact arithmetic) do not pick the witness.
+    """
+    slack = [rep.margin + rep.tolerance for rep in reports]
+    least = min(slack)
+    worst = reports[next(i for i, s in enumerate(slack) if s <= least + _WITNESS_TIE)]
     inputs = {**worst.inputs, "samples": len(reports),
               "failures": sum(0 if rep.passed else 1 for rep in reports),
               "worst_margin": worst.margin}

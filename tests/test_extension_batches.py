@@ -1,23 +1,40 @@
 """A value or gradient of the extension does not depend on its batch.
 
 The value-sum engine evaluates each distinct row once and works through the
-points in cache-sized blocks.  Neither step may change a single bit: every
-row must equal its own one-point evaluation and the original 512-point-block
-loop, kept below as the reference.  The gradient engine evaluates the
-kernel's closed-form Wirtinger derivatives on point-by-node tiles; every row
-must equal its one-point call, and the original per-point loop over
+points in 64-row blocks, padding the last block with the origin, so that
+every BLAS product it makes has the same shape.  Neither step may change a
+single bit: every row must equal its own one-point evaluation and the
+engine's arithmetic spelled out one point at a time (``gemm_moments``
+below), and the result may not depend on the BLAS thread count.  The
+original elementwise loop, kept below as ``reference_moments``, is the
+accuracy reference.  The gradient engine evaluates the kernel's closed-form
+Wirtinger derivatives on point-by-node tiles; every row must equal its
+one-point call, and the original per-point loop over
 ``kernel.poisson_h_wirtinger_values``, kept below as the reference, once the
 node sum runs in the same order.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hballs.errors import NearSingularEvaluation
-from hballs.extension import _int_power, boundary_registry, h_extend, vector_boundary
+from hballs.extension import (
+    _POINT_BLOCK,
+    _int_power,
+    boundary_registry,
+    h_extend,
+    vector_boundary,
+)
 from hballs.kernel import poisson_h_wirtinger_values
 from hballs.quadrature import CHUNK, circle_rule, sphere_rule_mc
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # sizes off a multiple of the chunk, so the last node chunk is a partial one
 RULES = {1: circle_rule(1500), 2: sphere_rule_mc(2, 2500, 11)}
@@ -28,8 +45,16 @@ EXTENSIONS = {
 }
 
 
+# Measured against ``reference_moments`` over 2000 points per dimension with
+# |z| <= 0.79 (a quarter of them at 0.79): first moments within 1.0e-14 of
+# the data's sup norm, second moments within 3.3e-14 relative.
+VALUE_TOLERANCE = 1e-13
+SECOND_MOMENT_TOLERANCE = 1e-13
+
+
 def reference_moments(ext, points, want_errors):
-    """The 512-point-block loop the engine replaced, one pass per batch."""
+    """The elementwise 512-point-block loop that the GEMM form replaced:
+    the accuracy reference, one pass per batch."""
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     psi = ext._psi_nodes if ext._psi_nodes.ndim > 1 else ext._psi_nodes[:, None]
     k_out = psi.shape[1]
@@ -62,6 +87,49 @@ def reference_moments(ext, points, want_errors):
                         (terms.real ** 2 + terms.imag ** 2) * w[start:stop][None, :], axis=1)
     values = first[:, 0] if ext._psi_nodes.ndim == 1 else first
     return values, second
+
+
+def gemm_moments(ext, points):
+    """The engine's arithmetic one point at a time: the point as row 0 of a
+    block whose other rows are the origin, |z - zeta|^2 as one product with
+    the nodes' row-major augmented columns, then one product per output
+    column and moment."""
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    n = ext.dim
+    expo = 2 * n - 1
+    psi = ext._psi_nodes if ext._psi_nodes.ndim > 1 else ext._psi_nodes[:, None]
+    w = ext.rule.weights
+    xy = ext.rule.nodes.view(np.float64)
+    cols = np.column_stack([xy, np.ones(len(xy)), np.sum(xy * xy, axis=1)]).T.copy()
+    first = np.zeros((len(pts), psi.shape[1]), dtype=complex)
+    second = np.zeros((len(pts), psi.shape[1]))
+    for p, z in enumerate(pts):
+        sq_norm = np.sum(z.real ** 2 + z.imag ** 2)
+        block = np.zeros((_POINT_BLOCK, 2 * n + 2))
+        block[:, -1] = 1.0
+        block[0, :2 * n] = -2.0 * z.view(np.float64)
+        block[0, 2 * n] = sq_norm
+        for start in range(0, len(w), CHUNK):
+            chunk = slice(start, min(start + CHUNK, len(w)))
+            kern = block @ cols[:, chunk]
+            kern[0] = _int_power(1.0 - sq_norm, expo) / _int_power(kern[0], expo)
+            for j in range(psi.shape[1]):
+                psi_w = psi[chunk, j] * w[chunk]
+                first[p, j] += (kern @ psi_w.view(np.float64).reshape(-1, 2))[0].view(complex)[0]
+                abs2_w = (np.square(psi[chunk, j].real) + np.square(psi[chunk, j].imag)) * w[chunk]
+                second[p, j] += ((kern * kern) @ abs2_w)[0]
+    values = first[:, 0] if ext._psi_nodes.ndim == 1 else first
+    return values, second
+
+
+def assert_close_to_reference(ext, batch, values, second=None):
+    """Values within VALUE_TOLERANCE of the data's sup norm of the elementwise
+    loop, second moments within SECOND_MOMENT_TOLERANCE relative."""
+    ref_values, ref_second = reference_moments(ext, batch, want_errors=second is not None)
+    scale = np.abs(ext._psi_nodes).max()
+    assert np.abs(values - ref_values).max() <= VALUE_TOLERANCE * scale
+    if second is not None:
+        assert np.all(np.abs(second - ref_second) <= SECOND_MOMENT_TOLERANCE * ref_second)
 
 
 def sequential_chunk_sum(terms):
@@ -137,7 +205,7 @@ def test_batch_values_equal_row_by_row_and_reference(case, data):
     values = ext(batch)
     rows = np.stack([ext(row[None, :])[0] for row in batch])
     assert_same_bits(values, rows)
-    assert_same_bits(values, reference_moments(ext, batch, want_errors=False)[0])
+    assert_close_to_reference(ext, batch, values)
 
 
 @settings(max_examples=30, deadline=None)
@@ -149,9 +217,7 @@ def test_batch_errors_equal_row_by_row_and_reference(case, data):
     row_pairs = [ext.values_with_errors(row[None, :]) for row in batch]
     assert_same_bits(values, np.stack([v[0] for v, _ in row_pairs]))
     assert_same_bits(errors, np.array([e[0] for _, e in row_pairs]))
-    ref_values, ref_second = reference_moments(ext, batch, want_errors=True)
-    assert_same_bits(values, ref_values)
-    assert_same_bits(ext._moments(batch, want_errors=True)[1], ref_second)
+    assert_close_to_reference(ext, batch, values, ext._moments(batch, want_errors=True)[1])
 
 
 @settings(max_examples=20, deadline=None)
@@ -196,3 +262,92 @@ def test_gradient_collision_with_a_node_is_refused(n):
     with pytest.raises(NearSingularEvaluation) as info:
         ext.wirtinger_many(batch)
     assert_same_bits(info.value.point, node)
+
+
+@pytest.mark.parametrize("n", sorted(RULES))
+def test_values_pin_the_gemm_arithmetic(n):
+    rng = np.random.default_rng(7 + n)
+    raw = rng.normal(size=(70, 2 * n))
+    batch = raw[:, :n] + 1j * raw[:, n:]
+    batch *= (0.79 * rng.random(len(batch)) / np.linalg.norm(batch, axis=1))[:, None]
+    for ext in EXTENSIONS[n]:
+        values, second = ext._moments(batch, want_errors=True)
+        ref_values, ref_second = gemm_moments(ext, batch)
+        assert_same_bits(values, ref_values)
+        assert_same_bits(second, ref_second)
+
+
+@pytest.mark.parametrize("n", sorted(RULES))
+def test_product_rows_do_not_depend_on_their_place_in_a_block(n):
+    """The premise of the GEMM form, on the engine's operands: a row of each
+    of its products has the same bits at every place in a full block.  The
+    rules' last chunks (476 and 452 nodes) are not multiples of 8, where
+    distance products with column-major node columns gave rows 60-63 other
+    bits."""
+    ext = EXTENSIONS[n][0]
+    rng = np.random.default_rng(n)
+    raw = rng.normal(size=(_POINT_BLOCK, 2 * n))
+    pts = raw[:, :n] + 1j * raw[:, n:]
+    pts *= (0.79 * rng.random(len(pts)) / np.linalg.norm(pts, axis=1))[:, None]
+    block = np.zeros((_POINT_BLOCK, 2 * n + 2))
+    block[:, :2 * n] = -2.0 * pts.view(np.float64)
+    block[:, 2 * n] = np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)
+    block[:, -1] = 1.0
+    origin = np.zeros_like(block)
+    origin[:, -1] = 1.0
+    for chunk in ext.rule.chunks():
+        cols = ext._node_aug[:, chunk]
+        kern = 1.0 / (block @ cols) ** (2 * n - 1)
+        psi_w = rng.normal(size=(cols.shape[1], 2))
+        for operands, full in (((block, cols), block @ cols), ((kern, psi_w), kern @ psi_w),
+                               ((kern, psi_w[:, 0]), kern @ psi_w[:, 0])):
+            left, right = operands
+            for r in range(_POINT_BLOCK):
+                alone = (origin if left is block else np.ones_like(left)).copy()
+                alone[0] = left[r]
+                assert_same_bits((alone @ right)[0], full[r])
+
+
+BLAS_THREADS_SCRIPT = """
+import hashlib, numpy as np
+from hballs.extension import boundary_registry, h_extend, vector_boundary
+from hballs.quadrature import circle_rule, sphere_rule_mc
+rng = np.random.default_rng(3)
+digest = hashlib.sha256()
+for n, rule in ((1, circle_rule(1500)), (2, sphere_rule_mc(2, 5000, 11)), (3, sphere_rule_mc(3, 3000, 2))):
+    raw = rng.normal(size=(200, 2 * n))
+    pts = raw[:, :n] + 1j * raw[:, n:]
+    pts *= (0.79 * rng.random(len(pts)) / np.linalg.norm(pts, axis=1))[:, None]
+    ext = h_extend(vector_boundary(boundary_registry(n)), rule)
+    for part in ext._moments(pts, want_errors=True):
+        digest.update(np.ascontiguousarray(part).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_values_do_not_depend_on_the_blas_thread_count():
+    digests = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=SRC)
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("n", sorted(RULES))
+@pytest.mark.parametrize("offset", [0.0, 1e-9])
+def test_value_collision_with_a_node_is_refused(n, offset):
+    rule = RULES[n]
+    ext = h_extend(boundary_registry(n)[1], rule, guard_radius=1.0)
+    inside = np.flatnonzero(np.linalg.norm(rule.nodes, axis=1) <= 1.0)
+    node = rule.nodes[inside[len(inside) // 2]]
+    point = node * (1.0 - offset)
+    batch = np.concatenate([0.5 * rule.nodes[:40], point[None, :], 0.5 * rule.nodes[40:45]])
+    for call in (ext, ext.values_with_errors):
+        with pytest.raises(NearSingularEvaluation) as info:
+            call(batch)
+        assert_same_bits(info.value.point, point)
+        assert_same_bits(info.value.node, node)
