@@ -17,25 +17,28 @@ ball; only its boundary values and sup bound carry quadrature error.
 Evaluation is batched: one call against the rule covers a whole stencil or
 pair sweep.  Both engines, values and gradients, evaluate each distinct
 point of a batch once, which replaces any per-point cache of repeated
-Poisson integrals, and walk the same tiles: point blocks against the
-rule's node chunks, each point reducing over the chunks in index order,
-so a result does not depend on its batch.  Every temporary of a tile lives
-in a buffer made once per call.
+Poisson integrals, and share one tile walk and kernel setup: point blocks
+against the rule's node chunks, each point reducing over the chunks in
+index order, so a result does not depend on its batch.  Every temporary of
+a tile lives in a buffer made once per call.
 
-The value engine casts a tile as BLAS products (the GEMM form):
+Both engines cast a tile as BLAS products (the GEMM form):
 |z - zeta|^2 = |z|^2 + |zeta|^2 - 2 Re<z, zeta> is one product of the
 points' augmented rows (-2x_1, -2y_1, ..., |z|^2, 1) with the nodes'
-augmented columns (x_1, y_1, ..., 1, |zeta|^2), and each output column adds
-kern @ (psi_j w) over the chunk, with kern^2 @ (|psi_j|^2 w) for the second
-moments.  OpenBLAS (0.3.31, SkylakeX kernels) gives a row of a product
-bits that depend on the product's shape: on its row count M and column
-count N, and, with the node operand stored column-major, on the row's
-place in the block (rows 60-63 of a 64-row block differed at chunk widths
-not a multiple of 8).  So the node columns are stored row-major, and every
-product has the same shape for every point: the distinct rows are padded
-with the origin to whole ``_POINT_BLOCK`` blocks, and each output column
-gets its own (block x chunk) @ (chunk x 2) product rather than one product
-over all columns.  A row's value then depends
+augmented columns (x_1, y_1, ..., 1, |zeta|^2), and each output column's
+node sums are products of kernel tiles with node operands: kern @ (psi_j w)
+for values, with kern^2 @ (|psi_j|^2 w) for their second moments, and for
+gradients the kernel's closed-form Wirtinger derivatives split into two
+tiles R and Q, so that the column adds R @ (psi_j w) and
+Q @ (psi_j w conj(zeta), psi_j w zeta) (see ``HExtension.wirtinger_many``).
+OpenBLAS (0.3.31, SkylakeX kernels) gives a row of a product bits that
+depend on the product's shape: on its row count M and column count N, and,
+with the node operand stored column-major, on the row's place in the block
+(rows 60-63 of a 64-row block differed at chunk widths not a multiple of 8).
+So the node operands are stored row-major, and every product has the same
+shape for every point: the distinct rows are padded with the origin to
+whole ``_POINT_BLOCK`` blocks, and each output column gets its own products
+rather than one product over all columns.  A row's value then depends
 neither on its batch nor on the BLAS thread count (1 and 4 threads are
 tested), though it does depend on the block size.  The columns of
 C^k-valued data share each tile's kernel values, and a column's arithmetic
@@ -43,14 +46,11 @@ does not depend on k, so stacking scalar data into one vector extension
 gives every component the bits of its own extension at about the cost of
 one kernel pass.  Standard errors are kept per column as well: the error
 of any set of columns sums their variances in column order, so it has the
-bits of the error of an extension holding only those columns.  Gradients
-come from differentiation under the integral using the kernel's
-closed-form Wirtinger derivatives, element by element.
+bits of the error of an extension holding only those columns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -82,23 +82,18 @@ __all__ = [
 DEFAULT_GUARD_RADIUS = 0.8
 SPOT_CHECK_NODES = 4096     # rule nodes a declared sup bound is checked on
 SPOT_CHECK_SLACK = 1e-9     # how far those nodes may exceed the bound
-# Every product of the value engine has _POINT_BLOCK rows; a 64-point block
-# makes 512 KB (block x 1024) tiles, two of them (three with second moments)
-# reused for every tile.  On a 2-vCPU Xeon with a 2 MB L2 per core and one
-# BLAS thread, the stacked four-column n = 2 extension took 53-62 ms for 5760
+# Every product of both engines has _POINT_BLOCK rows; a 64-point block
+# makes 512 KB (block x 1024) tiles, two of them (three for gradients) reused
+# for every tile.  On a 2-vCPU Xeon with a 2 MB L2 per core and one BLAS
+# thread, the stacked four-column n = 2 extension took 53-62 ms for 5760
 # points against 1500 nodes in blocks of 32, 64 or 128 (500-520 ms in the
 # elementwise form it replaced) and 4.0-5.3 s for 4000 points against 200k
 # nodes (32 s before); a one-point call, padded to a whole block, took 36 ms
 # against 200k nodes (24 ms before).
 _POINT_BLOCK = 64
-# Squared distances below this refuse a value tile.  The product form
+# Squared distances below this refuse a tile.  The product form
 # |z|^2 + |zeta|^2 - 2 Re<z, zeta> rounds a true 0 to about +-1e-16.
 _GEMM_FLOOR = 1e-12
-# The gradient engine keeps four complex and three real (block x 1024) tiles
-# live.  On the same Xeon, 32-point blocks (2.75 MB of tiles) were the fastest
-# at n = 1 and at n = 2; blocks of 8 to 128 points were at most 9% slower at
-# n = 2 and 21% slower at n = 1.
-_GRADIENT_BLOCK = 32
 
 
 def _int_power(x: np.ndarray, k: int, out: np.ndarray = None,
@@ -208,87 +203,84 @@ class HExtension:
         pts, inverse = np.unique(pts, axis=0, return_inverse=True)
         return pts, inverse.reshape(-1)   # flat on every numpy version
 
-    def _tiles(self, pts: np.ndarray, block: int):
-        """(point rows, node chunk, part of a (block, CHUNK) buffer) of each
-        tile; a block's rows stop at the end of ``pts``."""
-        for pstart in range(0, len(pts), block):
-            rows = slice(pstart, min(pstart + block, len(pts)))
-            for chunk in self.rule.chunks():
-                yield rows, chunk, (slice(rows.stop - pstart), slice(chunk.stop - chunk.start))
+    def _kernel_tiles(self, pts: np.ndarray, keep_distances: bool):
+        """The tile walk and kernel setup both engines share, on distinct rows.
 
-    def _refuse_collision(self, d2: np.ndarray, points: np.ndarray, chunk: slice,
-                          floor: float) -> None:
-        """Refuse a tile where a point of ``points`` comes within squared
-        distance ``floor`` of a node of ``chunk``."""
-        if d2.min() < floor:
-            i, j = np.unravel_index(int(np.argmin(d2)), d2.shape)
-            raise NearSingularEvaluation(
-                "evaluation point collides with a quadrature node",
-                point=points[i], node=self.rule.nodes[chunk][j],
-            )
-
-    def __call__(self, points) -> np.ndarray:
-        return self._moments(points, want_errors=False)[0]
-
-    def _moments(self, points, want_errors: bool):
-        """First (and optionally second) moments of the kernel-weighted data,
-        in the GEMM form of the module docstring.
-
-        Padding rows hold finite values (the origin's squared distances, or
-        zeros) and are never read back.  Inside the guard radius the kernel
-        ratio stays in a safe range, so the power is an exact multiply chain
-        rather than the exp/log form of the reference kernel module.
+        Per ``_POINT_BLOCK``-row block of ``pts`` (the last padded with the
+        origin) and per node chunk in index order, yields (rows, chunk, kern,
+        d2, spare): the block's live rows of ``pts`` and three contiguous
+        (block, chunk) views of buffers made once per call.  ``kern`` holds
+        P_h on the live rows (finite values, never read back, on the others),
+        ``d2`` the squared distances if ``keep_distances`` (else it is
+        ``kern``), and ``spare`` nothing the caller needs.  A point within
+        squared distance ``_GEMM_FLOOR`` of a node is refused.  Inside the
+        guard radius the kernel ratio stays in a safe range, so the power is an
+        exact multiply chain, not the exp/log form of the kernel module.
         """
-        pts, inverse = self._distinct_rows(points)
-        count = len(pts)
-        n = self.dim
-        psi = self._psi_cols
-        k_out = len(psi)
-        w = self.rule.weights
-        sq_norm = np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)
+        count, n = len(pts), self.dim
         expo = 2 * n - 1
+        sq_norm = np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)
         num_pow = _int_power(1.0 - sq_norm, expo)
         # rows (-2x_1, -2y_1, ..., -2y_n, |z|^2, 1); padding rows are the origin
         aug = np.zeros((-(-count // _POINT_BLOCK) * _POINT_BLOCK, 2 * n + 2))
         np.multiply(-2.0, pts.view(np.float64), out=aug[:count, :2 * n])
         aug[:count, 2 * n] = sq_norm
         aug[:, 2 * n + 1] = 1.0
+        size = _POINT_BLOCK * min(CHUNK, len(self.rule))
+        d2_flat, spare_flat = np.zeros(size), np.zeros(size)
+        kern_flat = np.zeros(size) if keep_distances else d2_flat
+        for start in range(0, len(aug), _POINT_BLOCK):
+            rows = slice(start, min(start + _POINT_BLOCK, count))
+            live = rows.stop - start
+            for chunk in self.rule.chunks():
+                d2, kern, spare = (flat[:_POINT_BLOCK * (chunk.stop - chunk.start)].reshape(
+                    _POINT_BLOCK, -1) for flat in (d2_flat, kern_flat, spare_flat))
+                np.matmul(aug[start:start + _POINT_BLOCK], self._node_aug[:, chunk], out=d2)
+                if d2[:live].min() < _GEMM_FLOOR:
+                    i, j = np.unravel_index(int(np.argmin(d2[:live])), (live, d2.shape[1]))
+                    raise NearSingularEvaluation(
+                        "evaluation point collides with a quadrature node",
+                        point=pts[rows][i], node=self.rule.nodes[chunk][j])
+                # num^(2n-1) / d2^(2n-1) on the live rows
+                power = _int_power(d2[:live], expo, out=kern[:live], scratch=spare[:live])
+                np.divide(num_pow[rows, None], power, out=kern[:live])
+                yield rows, chunk, kern, d2, spare
+
+    def _abs2_weights(self, chunk: slice, out: np.ndarray) -> np.ndarray:
+        """|psi_j|^2 w over a node chunk, one row per output column, in ``out``."""
+        psi = self._psi_cols[:, chunk]
+        np.add(np.square(psi.real, out=out), np.square(psi.imag), out=out)
+        return np.multiply(out, self.rule.weights[chunk], out=out)
+
+    def __call__(self, points) -> np.ndarray:
+        return self._moments(points, want_errors=False)[0]
+
+    def _moments(self, points, want_errors: bool):
+        """First (and optionally second) moments of the kernel-weighted data,
+        in the GEMM form of the module docstring: per tile and output column,
+        kern @ (psi_j w), and kern^2 @ (|psi_j|^2 w) for the second moments."""
+        pts, inverse = self._distinct_rows(points)
+        count = len(pts)
+        psi = self._psi_cols
+        k_out = len(psi)
+        w = self.rule.weights
         first = np.zeros((count, k_out), dtype=complex)
         second = np.zeros((count, k_out)) if want_errors else None
-        # every tile temporary lives in one of these buffers, made once per call;
-        # a tile takes a contiguous (block, chunk) view of the flat ones
         width_max = min(CHUNK, len(w))
-        kern_flat, scratch_flat = (np.empty(_POINT_BLOCK * width_max) for _ in range(2))
-        kern_sq_flat = np.zeros(_POINT_BLOCK * width_max) if want_errors else None
-        psi_w_buf = np.empty((k_out, width_max), dtype=complex)
-        abs2_w_buf, imag2_buf = np.empty(width_max), np.empty(width_max)
+        psi_w_buf, abs2_w_buf = np.empty((k_out, width_max), dtype=complex), np.empty((k_out, width_max))
         sums, sums_sq = np.empty((_POINT_BLOCK, 2)), np.empty(_POINT_BLOCK)
-        for psl, csl, _ in self._tiles(aug, _POINT_BLOCK):
+        for rows, csl, kern, _, kern_sq in self._kernel_tiles(pts, keep_distances=False):
             width = csl.stop - csl.start
-            live = min(psl.stop, count) - psl.start
-            rows = slice(psl.start, psl.start + live)
-            kern = kern_flat[:_POINT_BLOCK * width].reshape(_POINT_BLOCK, width)
-            np.matmul(aug[psl], self._node_aug[:, csl], out=kern)
-            self._refuse_collision(kern[:live], pts[rows], csl, _GEMM_FLOOR)
-            # num^(2n-1) / d2^(2n-1) on the live rows, in place
-            live_kern = kern[:live]
-            scratch = scratch_flat[:live * width].reshape(live, width)
-            np.divide(num_pow[rows, None],
-                      _int_power(live_kern, expo, out=live_kern, scratch=scratch), out=live_kern)
+            live = rows.stop - rows.start
             if want_errors:
-                kern_sq = kern_sq_flat[:_POINT_BLOCK * width].reshape(_POINT_BLOCK, width)
-                np.multiply(live_kern, live_kern, out=kern_sq[:live])
-            weights = w[csl]
-            psi_w = np.multiply(psi[:, csl], weights, out=psi_w_buf[:, :width])
-            abs2_w, imag2 = abs2_w_buf[:width], imag2_buf[:width]
+                np.multiply(kern[:live], kern[:live], out=kern_sq[:live])
+                abs2_w = self._abs2_weights(csl, abs2_w_buf[:, :width])
+            psi_w = np.multiply(psi[:, csl], w[csl], out=psi_w_buf[:, :width])
             for j in range(k_out):
                 np.matmul(kern, psi_w[j].view(np.float64).reshape(width, 2), out=sums)
                 first[rows, j] += sums[:live].view(complex)[:, 0]
                 if want_errors:
-                    part = psi[j, csl]
-                    np.square(part.real, out=abs2_w)
-                    np.add(abs2_w, np.square(part.imag, out=imag2), out=abs2_w)
-                    np.matmul(kern_sq, np.multiply(abs2_w, weights, out=abs2_w), out=sums_sq)
+                    np.matmul(kern_sq, abs2_w[j], out=sums_sq)
                     second[rows, j] += sums_sq[:live]
         first = first[inverse]
         if want_errors:
@@ -349,77 +341,85 @@ class HExtension:
         Returns a list of P ``WirtingerData`` and a (P,) array holding, per
         row, the root-sum-square of the componentwise Monte Carlo standard
         errors of the derivative integrands (0.0 for spectral rules), or one
-        such array per slice in ``columns`` (see ``_standard_errors``).  Each
-        tile of the walk (see ``_tiles``) evaluates
-        ``kernel.poisson_h_wirtinger_values`` element for element on the
-        distinct rows, and nodes reduce in the value engine's order:
-        pairwise within each 1024-node chunk, chunks in index order.
+        such array per slice in ``columns`` (see ``_standard_errors``).
+
+        The GEMM form on the value engine's tiles: with K = P_h,
+        d2 = |z - zeta|^2, Q = K / d2 and R = K / (1 - |z|^2) + Q, the closed
+        form of ``kernel`` reads dP_h/dz_k = -(2n-1) [conj(z_k) R -
+        Q conj(zeta_k)] and dP_h/dzbar_k = -(2n-1) [z_k R - Q zeta_k], so each
+        output column j adds R @ (psi_j w) and Q @ (psi_j w conj(zeta),
+        psi_j w zeta) per tile.  On Monte Carlo rules, with m_j = |psi_j|^2 w,
+        sum w |psi_j dP_h/dz_k|^2 = (2n-1)^2 [|z_k|^2 (R^2 @ m_j)
+        - 2 Re(conj(z_k) (RQ @ m_j zeta_k)) + Q^2 @ (m_j |zeta_k|^2)], the
+        R^2, RQ and Q^2 tiles made one at a time.
         """
         pts, inverse = self._distinct_rows(points)
-        n = self.dim
+        count, n = len(pts), self.dim
         psi = self._psi_cols
         k_out = len(psi)
         w = self.rule.weights
         nodes = self.rule.nodes
         monte_carlo = self.rule.monte_carlo
-        num = 1.0 - np.sum(np.abs(pts) ** 2, axis=1)
-        # The kernel takes the point factor's logarithm with math.log.  A point
-        # on the sphere (guard radius >= 1) gets NaN: a node collision is then
-        # refused by the tile check, and any other such point yields
-        # non-finite data that WirtingerData refuses.
-        log_num = np.array([(2 * n - 2) * math.log(x) if x > 0.0 else math.nan for x in num])
-        zconj = np.conj(pts)
-        fz = np.zeros((len(pts), k_out, n), dtype=complex)
-        fzbar = np.zeros_like(fz)
-        mean_sq = np.zeros((len(pts), k_out, n))
-        shape = (min(_GRADIENT_BLOCK, len(pts)), min(CHUNK, len(nodes)))
-        diff_buf, bracket_buf, conj_buf, prod_buf = (
-            np.empty(shape, dtype=complex) for _ in range(4))
-        d2_buf, pref_buf, sq_buf = (np.empty(shape) for _ in range(3))
-        psi_w_buf = np.empty((k_out, shape[1]), dtype=np.result_type(psi, w))
-        for psl, csl, tile in self._tiles(pts, _GRADIENT_BLOCK):
-            diff, bracket, dk_conj, prod = (
-                diff_buf[tile], bracket_buf[tile], conj_buf[tile], prod_buf[tile])
-            d2, pref, sq = d2_buf[tile], pref_buf[tile], sq_buf[tile]
-            # kernel.poisson_h_wirtinger_values on the tile, keeping its operand
-            # order and dtypes so that every element has the kernel's bits
-            for k in range(n):
-                np.subtract(nodes[csl, k][None, :], pts[psl, k, None], out=diff)
-                if k == 0:
-                    np.square(np.abs(diff, out=d2), out=d2)
-                else:
-                    np.square(np.abs(diff, out=sq), out=sq)
-                    np.add(d2, sq, out=d2)
-            self._refuse_collision(d2, pts[psl], csl, 1e-300)
-            np.log(d2, out=pref)
-            np.multiply(2 * n, pref, out=pref)
-            np.subtract(log_num[psl, None], pref, out=pref)
-            np.exp(pref, out=pref)
-            np.multiply(-(2 * n - 1), pref, out=pref)
-            weights = w[csl][None, :]
-            psi_w = np.multiply(psi[:, csl], w[csl], out=psi_w_buf[:, :tile[1].stop])
-            for k in range(n):
-                # bracket = conj(z_k) |zeta-z|^2 + (1-|z|^2)(conj(z_k) - conj(zeta_k))
-                np.multiply(zconj[psl, k, None], d2, out=bracket)
-                np.subtract(zconj[psl, k, None], np.conj(nodes[csl, k])[None, :], out=diff)
-                np.multiply(num[psl, None], diff, out=diff)
-                np.add(bracket, diff, out=bracket)
-                dk = np.multiply(pref, bracket, out=bracket)
-                np.conj(dk, out=dk_conj)
+        # 1 / (1 - |z|^2), NaN on or beyond the sphere (guard radius >= 1): such
+        # a point hits a refused collision or gives data WirtingerData refuses
+        num = 1.0 - np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)
+        inv_num = np.divide(1.0, num, out=np.full(count, np.nan), where=num > 0.0)
+        # node sums per point and column: R psi w; Q psi w conj(zeta) and
+        # Q psi w zeta; R^2 m; RQ m zeta; Q^2 m |zeta|^2
+        r_sum, q_sum, rr_sum, rq_sum, qq_sum = (np.zeros((count, k_out) + shape, dtype) for shape, dtype
+                                                in (((), complex), ((2 * n,), complex), ((), float),
+                                                    ((n,), complex), ((n,), float)))
+        # C-contiguous node operands, built per chunk, and product outputs
+        width_max = min(CHUNK, len(w))
+        psi_w_buf, m_buf = np.empty((k_out, width_max), dtype=complex), np.empty((k_out, width_max))
+        zeta_buf, psi_zeta_buf = (np.empty((width_max, 2 * n), dtype=complex) for _ in range(2))
+        m_zeta_buf, zeta_sq_buf, m_zeta_sq_buf = (np.empty((width_max, n), dtype=dtype)
+                                                  for dtype in (complex, float, float))
+        r_out, q_out = np.empty((_POINT_BLOCK, 2)), np.empty((_POINT_BLOCK, 4 * n))
+        rr_out, rq_out, qq_out = (np.empty((_POINT_BLOCK,) + shape) for shape in ((), (2 * n,), (n,)))
+        for rows, csl, r_tile, d2, q_tile in self._kernel_tiles(pts, keep_distances=True):
+            width = csl.stop - csl.start
+            live = rows.stop - rows.start
+            r_live, q_live = r_tile[:live], q_tile[:live]
+            np.divide(r_live, d2[:live], out=q_live)
+            np.add(np.multiply(r_live, inv_num[rows, None], out=r_live), q_live, out=r_live)
+            zeta = zeta_buf[:width]
+            np.conj(nodes[csl], out=zeta[:, :n])
+            zeta[:, n:] = nodes[csl]
+            psi_w = np.multiply(psi[:, csl], w[csl], out=psi_w_buf[:, :width])
+            psi_zeta = psi_zeta_buf[:width]
+            for j in range(k_out):
+                np.matmul(r_tile, psi_w[j].view(np.float64).reshape(width, 2), out=r_out)
+                r_sum[rows, j] += r_out[:live].view(complex)[:, 0]
+                np.multiply(psi_w[j, :, None], zeta, out=psi_zeta)
+                np.matmul(q_tile, psi_zeta.view(np.float64), out=q_out)
+                q_sum[rows, j] += q_out[:live].view(complex)
+            if not monte_carlo:
+                continue
+            m = self._abs2_weights(csl, m_buf[:, :width])
+            zeta_sq = np.square(np.abs(nodes[csl], out=zeta_sq_buf[:width]), out=zeta_sq_buf[:width])
+            # the distances are spent: d2 takes the R^2, RQ and Q^2 tiles in
+            # turn, against m_j, m_j zeta and m_j |zeta|^2
+            for left, right, factor, operand, out, sums in (
+                    (r_live, r_live, None, None, rr_out, rr_sum),
+                    (r_live, q_live, nodes[csl], m_zeta_buf[:width], rq_out, rq_sum),
+                    (q_live, q_live, zeta_sq, m_zeta_sq_buf[:width], qq_out, qq_sum)):
+                np.multiply(left, right, out=d2[:live])
                 for j in range(k_out):
-                    terms = np.multiply(dk, psi[j, None, csl], out=diff)
-                    fz[psl, j, k] += np.add.reduce(
-                        np.multiply(terms, weights, out=prod), axis=1)
-                    if monte_carlo:
-                        np.square(np.abs(terms, out=sq), out=sq)
-                        mean_sq[psl, j, k] += np.add.reduce(
-                            np.multiply(sq, weights, out=sq), axis=1)
-                    fzbar[psl, j, k] += np.add.reduce(np.multiply(
-                        dk_conj, psi_w[j, None], out=prod), axis=1)
+                    node_op = m[j] if factor is None else np.multiply(
+                        m[j, :, None], factor, out=operand).view(np.float64)
+                    np.matmul(d2, node_op, out=out)
+                    sums[rows, j] += out[:live].view(sums.dtype)
+        expo = 2 * n - 1
+        zc = np.conj(pts)[:, None, :]
+        fz = -expo * (zc * r_sum[:, :, None] - q_sum[:, :, :n])
+        fzbar = -expo * (pts[:, None, :] * r_sum[:, :, None] - q_sum[:, :, n:])
         if monte_carlo:
+            sq_norms = (pts.real ** 2 + pts.imag ** 2)[:, None, :]
+            mean_sq = expo ** 2 * (sq_norms * rr_sum[:, :, None] - 2.0 * (zc * rq_sum).real + qq_sum)
             variances = np.sum(np.maximum(mean_sq - np.abs(fz) ** 2, 0.0), axis=2)
         else:
-            variances = np.zeros((len(pts), k_out))
+            variances = np.zeros((count, k_out))
         data = [WirtingerData(fz[p], fzbar[p]) for p in inverse]
         return data, self._standard_errors(variances[inverse], columns)
 

@@ -7,11 +7,11 @@ single bit: every row must equal its own one-point evaluation and the
 engine's arithmetic spelled out one point at a time (``gemm_moments``
 below), and the result may not depend on the BLAS thread count.  The
 original elementwise loop, kept below as ``reference_moments``, is the
-accuracy reference.  The gradient engine evaluates the kernel's closed-form
-Wirtinger derivatives on point-by-node tiles; every row must equal its
-one-point call, and the original per-point loop over
-``kernel.poisson_h_wirtinger_values``, kept below as the reference, once the
-node sum runs in the same order.
+accuracy reference.  The gradient engine works on the same tiles: every
+gradient row must equal its one-point call and ``gemm_wirtinger`` below,
+must not depend on the BLAS thread count, and stays within a set tolerance
+of the per-point loop over ``kernel.poisson_h_wirtinger_values`` that the
+elementwise engine followed, kept below as ``reference_wirtinger``.
 """
 
 import os
@@ -50,6 +50,12 @@ EXTENSIONS = {
 # the data's sup norm, second moments within 3.3e-14 relative.
 VALUE_TOLERANCE = 1e-13
 SECOND_MOMENT_TOLERANCE = 1e-13
+# Measured against ``reference_wirtinger`` (either node-sum order) over 400
+# points per dimension with |z| <= 0.79 (a quarter at 0.79), stacked
+# extensions at n = 1, 2, 3: derivatives within 2.9e-14 of the node sum of
+# the terms' magnitudes, standard errors within 7.2e-14 relative.
+DERIVATIVE_TOLERANCE = 1e-13
+GRADIENT_ERROR_TOLERANCE = 1e-12
 
 
 def reference_moments(ext, points, want_errors):
@@ -89,6 +95,24 @@ def reference_moments(ext, points, want_errors):
     return values, second
 
 
+def node_columns(ext):
+    """The nodes' augmented columns (x_1, y_1, ..., 1, |zeta|^2), row-major."""
+    xy = ext.rule.nodes.view(np.float64)
+    return np.column_stack([xy, np.ones(len(xy)), np.sum(xy * xy, axis=1)]).T.copy()
+
+
+def point_block(z):
+    """|z|^2 and a block whose row 0 is z's augmented row
+    (-2x_1, -2y_1, ..., |z|^2, 1) and whose other rows are the origin's."""
+    n = len(z)
+    sq_norm = np.sum(z.real ** 2 + z.imag ** 2)
+    block = np.zeros((_POINT_BLOCK, 2 * n + 2))
+    block[:, -1] = 1.0
+    block[0, :2 * n] = -2.0 * z.view(np.float64)
+    block[0, 2 * n] = sq_norm
+    return sq_norm, block
+
+
 def gemm_moments(ext, points):
     """The engine's arithmetic one point at a time: the point as row 0 of a
     block whose other rows are the origin, |z - zeta|^2 as one product with
@@ -99,16 +123,11 @@ def gemm_moments(ext, points):
     expo = 2 * n - 1
     psi = ext._psi_nodes if ext._psi_nodes.ndim > 1 else ext._psi_nodes[:, None]
     w = ext.rule.weights
-    xy = ext.rule.nodes.view(np.float64)
-    cols = np.column_stack([xy, np.ones(len(xy)), np.sum(xy * xy, axis=1)]).T.copy()
+    cols = node_columns(ext)
     first = np.zeros((len(pts), psi.shape[1]), dtype=complex)
     second = np.zeros((len(pts), psi.shape[1]))
     for p, z in enumerate(pts):
-        sq_norm = np.sum(z.real ** 2 + z.imag ** 2)
-        block = np.zeros((_POINT_BLOCK, 2 * n + 2))
-        block[:, -1] = 1.0
-        block[0, :2 * n] = -2.0 * z.view(np.float64)
-        block[0, 2 * n] = sq_norm
+        sq_norm, block = point_block(z)
         for start in range(0, len(w), CHUNK):
             chunk = slice(start, min(start + CHUNK, len(w)))
             kern = block @ cols[:, chunk]
@@ -150,23 +169,79 @@ def pairwise_chunk_sum(terms):
 
 
 def reference_wirtinger(ext, z, chunk_sum):
-    """The per-point gradient loop the engine replaced, with a given node sum."""
+    """The per-point loop of the elementwise gradient engine, with a given
+    node sum: the accuracy reference.  Also returns the largest sum of the
+    terms' magnitudes, sum w |psi_j dP_h/dz_k|, the scale of the rounding
+    error of any node sum of those terms."""
     dk = poisson_h_wirtinger_values(z, ext.rule.nodes)   # (N, n)
     w = ext.rule.weights
     psi = ext._psi_nodes if ext._psi_nodes.ndim > 1 else ext._psi_nodes[:, None]
     fz = np.empty((psi.shape[1], len(z)), dtype=complex)
     fzbar = np.empty_like(fz)
-    var_total = 0.0
+    var_total = scale = 0.0
     monte_carlo = ext.rule.meta["kind"].endswith("mc")
     for j in range(psi.shape[1]):
         terms = dk * psi[:, j][:, None]
+        scale = max(scale, float(chunk_sum(np.abs(terms) * w[:, None]).max()))
         fz[j] = chunk_sum(terms * w[:, None])
         fzbar[j] = chunk_sum(np.conj(dk) * (psi[:, j] * w)[:, None])
         if monte_carlo:
             mean_sq = chunk_sum(np.abs(terms) ** 2 * w[:, None])
             var_total += float(np.sum(np.maximum(mean_sq - np.abs(fz[j]) ** 2, 0.0)))
     error = float(np.sqrt(var_total / len(ext.rule))) if monte_carlo else 0.0
-    return fz, fzbar, error
+    return fz, fzbar, error, scale
+
+
+def gemm_wirtinger(ext, points):
+    """The gradient engine's arithmetic one point at a time: the point as
+    row 0 of a block, K, Q = K / d2 and R = K / (1 - |z|^2) + Q from its
+    distance row, then per output column one product with R and one with Q,
+    and on Monte Carlo rules one with each of R^2, RQ and Q^2, per chunk."""
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    n = ext.dim
+    expo = 2 * n - 1
+    psi = ext._psi_nodes if ext._psi_nodes.ndim > 1 else ext._psi_nodes[:, None]
+    k_out = psi.shape[1]
+    w = ext.rule.weights
+    nodes = ext.rule.nodes
+    cols = node_columns(ext)
+    fz = np.empty((len(pts), k_out, n), dtype=complex)
+    fzbar = np.empty_like(fz)
+    errors = np.zeros(len(pts))
+    for p, z in enumerate(pts):
+        sq_norm, block = point_block(z)
+        num = 1.0 - sq_norm
+        r_sum = np.zeros(k_out, dtype=complex)
+        q_sum = np.zeros((k_out, 2 * n), dtype=complex)
+        rr_sum, rq_sum, qq_sum = np.zeros(k_out), np.zeros((k_out, n), dtype=complex), np.zeros((k_out, n))
+        for start in range(0, len(w), CHUNK):
+            chunk = slice(start, min(start + CHUNK, len(w)))
+            d2 = block @ cols[:, chunk]
+            kern = _int_power(num, expo) / _int_power(d2[0], expo)
+            q_tile, r_tile = np.ones_like(d2), np.ones_like(d2)
+            q_tile[0] = kern / d2[0]
+            r_tile[0] = kern * (1.0 / num) + q_tile[0]
+            zeta = np.concatenate([np.conj(nodes[chunk]), nodes[chunk]], axis=1)
+            zeta_sq = np.abs(nodes[chunk]) ** 2
+            for j in range(k_out):
+                psi_w = psi[chunk, j] * w[chunk]
+                r_sum[j] += (r_tile @ psi_w.view(np.float64).reshape(-1, 2))[0].view(complex)[0]
+                q_sum[j] += (q_tile @ (psi_w[:, None] * zeta).view(np.float64))[0].view(complex)
+                m = (np.square(psi[chunk, j].real) + np.square(psi[chunk, j].imag)) * w[chunk]
+                rr_sum[j] += ((r_tile * r_tile) @ m)[0]
+                rq_sum[j] += ((r_tile * q_tile) @ (m[:, None] * nodes[chunk]).view(np.float64))[0].view(complex)
+                qq_sum[j] += ((q_tile * q_tile) @ (m[:, None] * zeta_sq))[0]
+        zc = np.conj(z)[None, :]
+        fz[p] = -expo * (zc * r_sum[:, None] - q_sum[:, :n])
+        fzbar[p] = -expo * (z[None, :] * r_sum[:, None] - q_sum[:, n:])
+        if ext.rule.monte_carlo:
+            mean_sq = expo ** 2 * ((z.real ** 2 + z.imag ** 2)[None, :] * rr_sum[:, None]
+                                   - 2.0 * (zc * rq_sum).real + qq_sum)
+            total = 0.0
+            for variance in np.sum(np.maximum(mean_sq - np.abs(fz[p]) ** 2, 0.0), axis=1):
+                total += variance
+            errors[p] = np.sqrt(total / len(ext.rule))
+    return fz, fzbar, errors
 
 
 def bits(array):
@@ -233,35 +308,39 @@ def test_batch_gradients_equal_row_by_row_and_reference(case, data):
         assert_same_bits(grad.fz, one.fz)
         assert_same_bits(grad.fzbar, one.fzbar)
         assert_same_bits(error, np.float64(one_error))
-    for row, grad, error in list(zip(batch, grads, errors))[:10]:
-        # the kernel's arithmetic, summed in the value engine's order
-        fz, fzbar, ref_error = reference_wirtinger(ext, row, pairwise_chunk_sum)
-        assert_same_bits(grad.fz, fz)
-        assert_same_bits(grad.fzbar, fzbar)
-        assert_same_bits(error, np.float64(ref_error))
-        # the replaced loop: the same bits at n = 1, where both sums are pairwise
-        fz, fzbar, ref_error = reference_wirtinger(ext, row, sequential_chunk_sum)
-        if n == 1:
-            assert_same_bits(grad.fz, fz)
-            assert_same_bits(grad.fzbar, fzbar)
-            assert_same_bits(error, np.float64(ref_error))
-        else:
-            scale = max(np.abs(fz).max(), np.abs(fzbar).max())
-            assert np.abs(grad.fz - fz).max() <= 1e-13 * scale
-            assert np.abs(grad.fzbar - fzbar).max() <= 1e-13 * scale
-            assert abs(error - ref_error) <= 1e-13 * ref_error
+    fz, fzbar, gemm_errors = gemm_wirtinger(ext, batch[:10])
+    for p, (row, grad, error) in enumerate(list(zip(batch, grads, errors))[:10]):
+        # the engine's arithmetic, one point at a time
+        assert_same_bits(grad.fz, fz[p])
+        assert_same_bits(grad.fzbar, fzbar[p])
+        assert_same_bits(error, np.float64(gemm_errors[p]))
+        # the kernel's closed form summed node by node, in either order
+        for chunk_sum in (pairwise_chunk_sum, sequential_chunk_sum):
+            ref_fz, ref_fzbar, ref_error, scale = reference_wirtinger(ext, row, chunk_sum)
+            assert np.abs(grad.fz - ref_fz).max() <= DERIVATIVE_TOLERANCE * scale
+            assert np.abs(grad.fzbar - ref_fzbar).max() <= DERIVATIVE_TOLERANCE * scale
+            assert abs(error - ref_error) <= GRADIENT_ERROR_TOLERANCE * ref_error
+
+
+# Relative offsets of a point from a node.  The product form rounds the
+# squared distance at 1e-9 to 0, so 1e-7 (about 1e-14, positive) is the case
+# that tells the 1e-12 floor from a floor near 0.
+COLLISION_OFFSETS = [0.0, 1e-9, 1e-7]
 
 
 @pytest.mark.parametrize("n", sorted(RULES))
-def test_gradient_collision_with_a_node_is_refused(n):
+@pytest.mark.parametrize("offset", COLLISION_OFFSETS)
+def test_gradient_collision_with_a_node_is_refused(n, offset):
     rule = RULES[n]
     ext = h_extend(boundary_registry(n)[1], rule, guard_radius=1.0)
     inside = np.flatnonzero(np.linalg.norm(rule.nodes, axis=1) <= 1.0)
     node = rule.nodes[inside[len(inside) // 2]]
-    batch = np.concatenate([0.5 * rule.nodes[:40], node[None, :], 0.5 * rule.nodes[40:45]])
+    point = node * (1.0 - offset)
+    batch = np.concatenate([0.5 * rule.nodes[:40], point[None, :], 0.5 * rule.nodes[40:45]])
     with pytest.raises(NearSingularEvaluation) as info:
         ext.wirtinger_many(batch)
-    assert_same_bits(info.value.point, node)
+    assert_same_bits(info.value.point, point)
+    assert_same_bits(info.value.node, node)
 
 
 @pytest.mark.parametrize("n", sorted(RULES))
@@ -275,6 +354,20 @@ def test_values_pin_the_gemm_arithmetic(n):
         ref_values, ref_second = gemm_moments(ext, batch)
         assert_same_bits(values, ref_values)
         assert_same_bits(second, ref_second)
+
+
+@pytest.mark.parametrize("n", sorted(RULES))
+def test_gradients_pin_the_gemm_arithmetic(n):
+    rng = np.random.default_rng(11 + n)
+    raw = rng.normal(size=(70, 2 * n))
+    batch = raw[:, :n] + 1j * raw[:, n:]
+    batch *= (0.79 * rng.random(len(batch)) / np.linalg.norm(batch, axis=1))[:, None]
+    for ext in EXTENSIONS[n]:
+        grads, errors = ext.wirtinger_many(batch)
+        fz, fzbar, ref_errors = gemm_wirtinger(ext, batch)
+        assert_same_bits(np.stack([g.fz for g in grads]), fz)
+        assert_same_bits(np.stack([g.fzbar for g in grads]), fzbar)
+        assert_same_bits(errors, ref_errors)
 
 
 @pytest.mark.parametrize("n", sorted(RULES))
@@ -298,10 +391,12 @@ def test_product_rows_do_not_depend_on_their_place_in_a_block(n):
     for chunk in ext.rule.chunks():
         cols = ext._node_aug[:, chunk]
         kern = 1.0 / (block @ cols) ** (2 * n - 1)
-        psi_w = rng.normal(size=(cols.shape[1], 2))
-        for operands, full in (((block, cols), block @ cols), ((kern, psi_w), kern @ psi_w),
-                               ((kern, psi_w[:, 0]), kern @ psi_w[:, 0])):
-            left, right = operands
+        width = cols.shape[1]
+        # the node sums' right operands: (width, 2) and (width,) in the value
+        # engine, (width, 4n), (width, 2n) and (width, n) in the gradient engine
+        rights = [rng.normal(size=(width, c)) for c in (2, 4 * n, 2 * n, n)]
+        for left, right in [(block, cols)] + [(kern, r) for r in rights + [rights[0][:, 0].copy()]]:
+            full = left @ right
             for r in range(_POINT_BLOCK):
                 alone = (origin if left is block else np.ones_like(left)).copy()
                 alone[0] = left[r]
@@ -321,11 +416,16 @@ for n, rule in ((1, circle_rule(1500)), (2, sphere_rule_mc(2, 5000, 11)), (3, sp
     ext = h_extend(vector_boundary(boundary_registry(n)), rule)
     for part in ext._moments(pts, want_errors=True):
         digest.update(np.ascontiguousarray(part).tobytes())
+    grads, errors = ext.wirtinger_many(pts)
+    for grad in grads:
+        digest.update(grad.fz.tobytes() + grad.fzbar.tobytes())
+    digest.update(errors.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_values_do_not_depend_on_the_blas_thread_count():
+    """Values, second moments, Wirtinger data and their errors at n = 1, 2, 3."""
     digests = []
     for threads in ("1", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
@@ -338,7 +438,7 @@ def test_values_do_not_depend_on_the_blas_thread_count():
 
 
 @pytest.mark.parametrize("n", sorted(RULES))
-@pytest.mark.parametrize("offset", [0.0, 1e-9])
+@pytest.mark.parametrize("offset", COLLISION_OFFSETS)
 def test_value_collision_with_a_node_is_refused(n, offset):
     rule = RULES[n]
     ext = h_extend(boundary_registry(n)[1], rule, guard_radius=1.0)
