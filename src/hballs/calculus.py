@@ -17,6 +17,10 @@ numbers are the extreme singular values of that matrix:
 the two maxima ranging over the same set because a complex unit vector and
 its real coordinates have equal length.
 
+Derivative data comes in batches, (P, k, n) Wirtinger and (P, 2k, 2n) real
+Jacobian stacks; conversions, norms and singular values take a batch in one
+numpy call, each row with the bits of its point taken alone.
+
 Numerical derivatives come from one finite-difference engine: central
 differences at steps h and h/2 along each real coordinate (x_1, y_1, ...,
 x_n, y_n for a complex batch), one Richardson level (4 D(h/2) - D(h)) / 3,
@@ -59,10 +63,13 @@ GRADIENT_STEP_FACTOR = 1e-5  # lemma21 gradient on a ball of radius r: h = facto
 
 @dataclass(frozen=True)
 class WirtingerData:
-    """Wirtinger derivative matrices at a point.
+    """Wirtinger derivative matrices at one point or at a batch of points.
 
     ``fz`` holds the rows (df_j/dz_1, ..., df_j/dz_n) and ``fzbar`` the rows
-    (df_j/dzbar_1, ...); a scalar function is the k = 1 case.
+    (df_j/dzbar_1, ...), each (k, n) at one point and (P, k, n) for a batch
+    of P; a scalar function is the k = 1 case.  Indexing indexes both arrays:
+    ``data[p]`` is the data at point p, ``data[:, cols]`` the components
+    ``cols`` at every point.  A batch is validated once, as a whole.
     """
 
     fz: np.ndarray
@@ -78,68 +85,70 @@ class WirtingerData:
         object.__setattr__(self, "fz", fz)
         object.__setattr__(self, "fzbar", fzbar)
 
+    def __getitem__(self, index) -> "WirtingerData":
+        return WirtingerData(self.fz[index], self.fzbar[index])
+
     @property
     def out_dim(self) -> int:
-        return self.fz.shape[0]
+        return self.fz.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.fz.shape[1]
+        return self.fz.shape[-1]
 
     def gradient_norms(self):
-        """(|grad f|, |grad fbar|) for the scalar case (k = 1)."""
+        """(|grad f|, |grad fbar|) for the scalar case (k = 1), per point of a batch."""
         if self.out_dim != 1:
             raise ValueError("gradient norms are the scalar-function notion")
-        return float(np.linalg.norm(self.fz[0])), float(np.linalg.norm(self.fzbar[0]))
+        return _row_norms(self.fz[..., 0, :]), _row_norms(self.fzbar[..., 0, :])
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, each summed as ``np.linalg.norm`` sums a lone
+    vector (real dot real + imag dot imag), so a row has the bits of its own norm."""
+    return np.sqrt(sum(p[..., None, :] @ p[..., :, None] for p in (x.real, x.imag))[..., 0, 0])
 
 
 @dataclass(frozen=True)
 class RealJacobian:
-    """Real Jacobian in the order rows (u_1, v_1, ...) x cols (x_1, y_1, ...)."""
+    """Real Jacobian(s) (..., 2k, 2n), rows (u_1, v_1, ...) x cols (x_1, y_1, ...)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
+        if m.ndim < 2 or m.shape[-2] % 2 or m.shape[-1] % 2:
             raise ValueError("real Jacobian must have even-by-even shape")
         if not np.all(np.isfinite(m)):
             raise NonFiniteResult("real Jacobian must be finite")
         object.__setattr__(self, "matrix", m)
 
-    def det(self) -> float:
-        return float(np.linalg.det(self.matrix))
+    def det(self):
+        return np.linalg.det(self.matrix)
 
 
 def wirtinger_from_real(ux, uy, vx, vy):
     """(f_{z_k}, f_{zbar_k}) from the four real partials at one coordinate."""
     fz = 0.5 * (np.asarray(ux) + np.asarray(vy) + 1j * (np.asarray(vx) - np.asarray(uy)))
     fzbar = 0.5 * (np.asarray(ux) - np.asarray(vy) + 1j * (np.asarray(vx) + np.asarray(uy)))
-    if np.ndim(fz) == 0:
-        return complex(fz), complex(fzbar)
     return fz, fzbar
 
 
 def wirtinger_from_jacobian(jac: RealJacobian) -> WirtingerData:
-    """Convert a real Jacobian to the Wirtinger matrices (f_z, f_zbar)."""
-    return WirtingerData(*_wirtinger_from_matrices(jac.matrix))
-
-
-def _wirtinger_from_matrices(J: np.ndarray):
-    """(f_z, f_zbar), each (..., k, n), from real Jacobians (..., 2k, 2n)."""
-    return wirtinger_from_real(J[..., 0::2, 0::2], J[..., 0::2, 1::2],
-                               J[..., 1::2, 0::2], J[..., 1::2, 1::2])
+    """Convert real Jacobians (..., 2k, 2n) to the Wirtinger matrices (f_z, f_zbar)."""
+    J = jac.matrix
+    return WirtingerData(*wirtinger_from_real(J[..., 0::2, 0::2], J[..., 0::2, 1::2],
+                                              J[..., 1::2, 0::2], J[..., 1::2, 1::2]))
 
 
 def real_jacobian_from_wirtinger(data: WirtingerData) -> RealJacobian:
-    """Inverse conversion: real Jacobian from (f_z, f_zbar)."""
+    """Inverse conversion: real Jacobians from (f_z, f_zbar), one or a batch."""
     a, b = data.fz, data.fzbar
-    k, n = a.shape
-    J = np.empty((2 * k, 2 * n))
-    J[0::2, 0::2] = (a + b).real        # du/dx
-    J[0::2, 1::2] = (b - a).imag        # du/dy
-    J[1::2, 0::2] = (a + b).imag        # dv/dx
-    J[1::2, 1::2] = (a - b).real        # dv/dy
+    J = np.empty(a.shape[:-2] + (2 * a.shape[-2], 2 * a.shape[-1]))
+    J[..., 0::2, 0::2] = (a + b).real        # du/dx
+    J[..., 0::2, 1::2] = (b - a).imag        # du/dy
+    J[..., 1::2, 0::2] = (a + b).imag        # dv/dx
+    J[..., 1::2, 1::2] = (a - b).real        # dv/dy
     return RealJacobian(J)
 
 
@@ -197,8 +206,6 @@ def _fd_jacobians(f, points: np.ndarray, steps: np.ndarray) -> np.ndarray:
     J = np.empty((len(points), 2 * partials.shape[2], partials.shape[1]))
     J[:, 0::2, :] = partials.real.transpose(0, 2, 1)
     J[:, 1::2, :] = partials.imag.transpose(0, 2, 1)
-    if not np.all(np.isfinite(J)):
-        raise NonFiniteResult("real Jacobian must be finite")
     return J
 
 
@@ -220,27 +227,27 @@ def wirtinger_fd(f, z, step: float = None) -> WirtingerData:
 def wirtinger_fd_many(f, points: np.ndarray, step_factor: float = JACOBIAN_STEP_FACTOR):
     """Wirtinger derivatives at every row of ``points``, one evaluator call.
 
-    Returns a list of WirtingerData.  Steps follow the per-point policy
-    step = step_factor * (1 - |z|); row i equals ``wirtinger_fd(f, z_i, step_i)``,
-    and ``wirtinger_fd(f, z_i)`` at the default factor.
+    Returns one WirtingerData batch, (P, k, n).  Steps follow the per-point
+    policy step = step_factor * (1 - |z|); row i equals ``wirtinger_fd(f, z_i,
+    step_i)``, and ``wirtinger_fd(f, z_i)`` at the default factor.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
-    J = _fd_jacobians(f, points, _steps(points, step_factor))
-    return [WirtingerData(fz, fzbar) for fz, fzbar in zip(*_wirtinger_from_matrices(J))]
+    jac = RealJacobian(_fd_jacobians(f, points, _steps(points, step_factor)))
+    return wirtinger_from_jacobian(jac)
 
 
-def operator_norm(matrix) -> float:
-    """Largest singular value; equals the max of |A theta| over unit theta."""
+def operator_norm(matrix):
+    """Largest singular value of a matrix, or of each of a stack: max |A theta|, |theta| = 1."""
     m = np.atleast_2d(np.asarray(matrix))
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
 def lambda_bounds(jac: RealJacobian):
-    """(Lambda, lambda): extreme singular values of the real Jacobian."""
+    """(Lambda, lambda): extreme singular values of a real Jacobian, or of each of a stack."""
     s = np.linalg.svd(jac.matrix, compute_uv=False)
-    return float(s[0]), float(s[-1])
+    return s[..., 0], s[..., -1]
 
 
 def lambda_bounds_wirtinger(data: WirtingerData):
-    """(Lambda, lambda) of the real-linear map theta -> f_z theta + f_zbar conj(theta)."""
+    """(Lambda, lambda) of theta -> f_z theta + f_zbar conj(theta), per point of a batch."""
     return lambda_bounds(real_jacobian_from_wirtinger(data))

@@ -210,11 +210,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def parse_int_range(text: str) -> list[int]:
-    """'1' or '1..4' or '1,2,4'."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",")]
+    """'1' or '1..4' or '1,2,4'; an empty range ('4..1') is refused."""
+    lo, dots, hi = text.partition("..")
+    try:
+        values = list(range(int(lo), int(hi) + 1)) if dots else [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad integer range or list {text!r}")
+    if not values:
+        raise ConfigError(f"empty range {text!r}")
+    return values
 
 
 def parse_float_list(text: str) -> list[float]:
@@ -234,8 +238,7 @@ def cmd_landau(args: argparse.Namespace) -> int:
                 rows.append((n, alpha, bound, consts.rho, consts.half_rho, consts.r_lower))
     header = ["n", "alpha", "M", "rho", "half_rho", "r_lower"]
     print(", ".join(header))
-    for row in rows:
-        n, alpha, bound, rho, half, lower = row
+    for n, alpha, bound, rho, half, lower in rows:
         print(f"{n}, {alpha:g}, {bound:g}, {rho:.10f}, {half:.10f}, {lower:.10f}")
     if args.out:
         write_csv(args.out, header, rows)

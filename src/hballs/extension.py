@@ -178,7 +178,6 @@ class HExtension:
         # (-2x_1, -2y_1, ..., -2y_n, |z|^2, 1) times one is |z - zeta|^2
         xy = np.ascontiguousarray(rule.nodes, dtype=complex).view(np.float64)
         self._node_aug = np.column_stack([xy, np.ones(len(xy)), np.sum(xy * xy, axis=1)]).T.copy()
-        self._value_at_zero = None
 
     @property
     def dim(self) -> int:
@@ -288,12 +287,6 @@ class HExtension:
         values = first[:, 0] if self._psi_nodes.ndim == 1 else first
         return values, second
 
-    def value_at_zero(self) -> np.ndarray:
-        """f(0) = plain average of the boundary data (P_h(0, .) = 1)."""
-        if self._value_at_zero is None:
-            self._value_at_zero = self(np.zeros(self.dim, dtype=complex))[0]
-        return self._value_at_zero
-
     def _standard_errors(self, variances: np.ndarray, columns):
         """Per-point standard errors from per-column variances (P, k).
 
@@ -338,7 +331,8 @@ class HExtension:
     def wirtinger_many(self, points, columns=None):
         """Wirtinger derivatives and their standard errors for a (P, n) batch.
 
-        Returns a list of P ``WirtingerData`` and a (P,) array holding, per
+        Returns one ``WirtingerData`` batch, (P, k, n) arrays whose row p has
+        the bits of point p taken alone, and a (P,) array holding, per
         row, the root-sum-square of the componentwise Monte Carlo standard
         errors of the derivative integrands (0.0 for spectral rules), or one
         such array per slice in ``columns`` (see ``_standard_errors``).
@@ -420,7 +414,7 @@ class HExtension:
             variances = np.sum(np.maximum(mean_sq - np.abs(fz) ** 2, 0.0), axis=2)
         else:
             variances = np.zeros((count, k_out))
-        data = [WirtingerData(fz[p], fzbar[p]) for p in inverse]
+        data = WirtingerData(fz[inverse], fzbar[inverse])
         return data, self._standard_errors(variances[inverse], columns)
 
     def value_error(self, z) -> float:

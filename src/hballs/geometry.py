@@ -78,10 +78,11 @@ def projection_onto(a, z) -> np.ndarray:
     ac, zc = coords_of(a), coords_of(z)
     if ac.shape != zc.shape:
         raise DimensionMismatch(f"dimensions {ac.size} and {zc.size} differ")
-    na2 = np.sum(np.abs(ac) ** 2)
-    if na2 == 0.0:
+    norm = np.linalg.norm(ac)
+    if norm == 0.0:
         raise UndefinedProjection("projection onto the line through 0 is undefined")
-    return ac * (np.sum(zc * np.conj(ac)) / na2)
+    unit = ac / norm   # a / |a|^2 overflows once |a|^2 is subnormal
+    return unit * np.sum(zc * np.conj(unit))
 
 
 def mobius(a, z) -> BallPoint:

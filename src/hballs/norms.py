@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .calculus import operator_norm, wirtinger_fd_many
+from .calculus import WirtingerData, operator_norm, wirtinger_fd_many
 from .errors import DegeneratePair, EmptySampleSet
 from .geometry import coords_of
 from .quadrature import STREAM_PAIRS, rng_stream, sphere_points
@@ -95,11 +95,7 @@ def ball_grid(n: int, radii=DEFAULT_RADII, n_dirs: int = 16) -> np.ndarray:
     """Tensor grid radii x directions inside the ball (origin kept once)."""
     dirs = sphere_directions(n, n_dirs)
     pts = [np.zeros((1, n), dtype=complex)] if 0.0 in radii else []
-    for r in radii:
-        if r == 0.0:
-            continue
-        pts.append(r * dirs)
-    return np.concatenate(pts, axis=0)
+    return np.concatenate(pts + [r * dirs for r in radii if r != 0.0], axis=0)
 
 
 def uniform_ball(n: int, count: int, rng: np.random.Generator, rmax: float) -> np.ndarray:
@@ -151,11 +147,11 @@ def bloch_seminorm(f, samples) -> SupEstimate:
     return _bloch_from_data(samples, wirtinger_fd_many(f, samples))
 
 
-def _bloch_from_data(samples: np.ndarray, data) -> SupEstimate:
-    """The Bloch sup from Wirtinger data already evaluated at the samples."""
+def _bloch_from_data(samples: np.ndarray, data: WirtingerData) -> SupEstimate:
+    """The Bloch sup from the Wirtinger data batch evaluated at the samples."""
     weights = 1.0 - np.linalg.norm(samples, axis=1) ** 2
-    values = np.array([w * sum(d.gradient_norms()) for w, d in zip(weights, data)])
-    return _argmax_estimate(values, samples)
+    grad, grad_bar = data.gradient_norms()
+    return _argmax_estimate(weights * (grad + grad_bar), samples)
 
 
 def alpha_bloch_seminorm(f, alpha: float, samples) -> SupEstimate:
@@ -165,11 +161,8 @@ def alpha_bloch_seminorm(f, alpha: float, samples) -> SupEstimate:
     samples = _points_array(samples)
     data = wirtinger_fd_many(f, samples)
     weights = (1.0 - np.linalg.norm(samples, axis=1) ** 2) ** alpha
-    values = np.array([
-        w * (operator_norm(d.fz) + operator_norm(d.fzbar))
-        for w, d in zip(weights, data)
-    ])
-    return _argmax_estimate(values, samples)
+    norm_z, norm_zbar = operator_norm(np.stack([data.fz, data.fzbar]))   # one stacked SVD
+    return _argmax_estimate(weights * (norm_z + norm_zbar), samples)
 
 
 def _pair_endpoints(pairs: np.ndarray) -> np.ndarray:
@@ -183,9 +176,9 @@ def _pair_endpoints(pairs: np.ndarray) -> np.ndarray:
     return np.concatenate([z, w], axis=0)
 
 
-def _lipschitz_limits_from_data(points: np.ndarray, data) -> SupEstimate:
-    """The weighted Lipschitz quotient's limits along theta e_1, from
-    Wirtinger data already evaluated at the points.
+def _lipschitz_limits_from_data(points: np.ndarray, data: WirtingerData) -> SupEstimate:
+    """The weighted Lipschitz quotient's limits along theta e_1, from the
+    Wirtinger data batch evaluated at the points.
 
     At (z, z + delta theta e_1) the quotient tends, as delta -> 0, to
     (1-|z|^2) |f_{z_1} theta + f_{zbar_1} conj(theta)|, each a limit of
@@ -194,11 +187,10 @@ def _lipschitz_limits_from_data(points: np.ndarray, data) -> SupEstimate:
     by point, phases within); the witness is the (2, n) row (z, theta e_1).
     """
     points = np.atleast_2d(points)
-    if len(data) == 0:
+    if points.size == 0:
         raise EmptySampleSet("sup estimate over an empty sample set")
     phases = np.exp(2j * np.pi * np.arange(LIMIT_PHASES) / LIMIT_PHASES)
-    fz = np.stack([d.fz[:, 0] for d in data])              # (P, k)
-    fzbar = np.stack([d.fzbar[:, 0] for d in data])
+    fz, fzbar = data.fz[..., 0], data.fzbar[..., 0]        # (P, k)
     moved = (fz[:, None, :] * phases[None, :, None]
              + fzbar[:, None, :] * np.conj(phases)[None, :, None])
     weights = 1.0 - np.linalg.norm(points, axis=1) ** 2

@@ -17,6 +17,11 @@ forms of the registry) take finite differences.  An inequality that is
 strict in the mathematics (the separation probe) uses a strict comparison
 instead of a slack.
 
+Derivative checks read one WirtingerData batch, (P, k, n) arrays, per
+function and sweep, and take each side for all P points in one call (Lambda
+by one stacked SVD).  f(0) is one more row of a batch the check already
+evaluates, since a row's value does not depend on its batch.
+
 Suites group the checks the way the command line exposes them: lemma21
 (gradient-versus-boundary-mean bound on real balls), lemma22 (Wirtinger
 versus real gradient norms), thm24 (weighted-Lipschitz versus Bloch),
@@ -35,6 +40,7 @@ import numpy as np
 
 from .calculus import (
     GRADIENT_STEP_FACTOR,
+    _row_norms,
     fd_partials,
     lambda_bounds_wirtinger,
     operator_norm,
@@ -249,35 +255,40 @@ def check_lemma21(f, a, r: float, rule: QuadratureRule, *,
     )
 
 
-def _wirtinger_data(f, points: np.ndarray):
-    """Wirtinger data at every row of ``points`` and its finite-difference term.
+def _wirtinger_data(f, points: np.ndarray) -> WirtingerData:
+    """The Wirtinger data batch at the rows of ``points``.
 
     An HExtension differentiates its kernel sum in closed form, exactly for
-    the discretized extension, so its term is 0; any other callable takes
-    Richardson finite differences and carries ``_FD_TRUNCATION``.
+    the discretized extension; any other callable takes Richardson finite
+    differences, whose term ``_fd_error`` gives.
     """
     if isinstance(f, HExtension):
-        return f.wirtinger_many(points)[0], 0.0
-    return wirtinger_fd_many(f, points), _FD_TRUNCATION
+        return f.wirtinger_many(points)[0]
+    return wirtinger_fd_many(f, points)
 
 
-def _lemma22_report(data: WirtingerData, zc: np.ndarray, label: str,
-                    check_id: str, fd_error: float) -> CheckReport:
-    lhs = sum(data.gradient_norms())
+def _fd_error(f) -> float:
+    """The finite-difference term of ``_wirtinger_data(f, ...)``: 0 for an HExtension."""
+    return 0.0 if isinstance(f, HExtension) else _FD_TRUNCATION
+
+
+def _lemma22_reports(data: WirtingerData, zs: np.ndarray, label: str, fd_error: float,
+                     check_ids: list) -> list[CheckReport]:
+    """Lemma 2.2 at every point of a scalar batch, each side taken for the whole batch."""
+    grad, grad_bar = data.gradient_norms()
     J = real_jacobian_from_wirtinger(data).matrix  # rows (u, v) x cols (x1, y1, ...)
-    rhs = float(np.linalg.norm(J[0]) + np.linalg.norm(J[1]))
-    return make_report(
-        check_id, lhs, rhs, analytic=1e-12, fd_error=fd_error,
-        inputs={"f": label, "z": _cplx(zc)},
-    )
+    rhs = _row_norms(J[..., 0, :]) + _row_norms(J[..., 1, :])
+    return [make_report(cid, lhs, r, analytic=1e-12, fd_error=fd_error,
+                        inputs={"f": label, "z": _cplx(z)})
+            for cid, z, lhs, r in zip(check_ids, zs, grad + grad_bar, rhs)]
 
 
 def check_lemma22(f, z, *, label: str = "f", check_id: str = None) -> CheckReport:
     """|grad f| + |grad fbar| <= |grad u| + |grad v| at z, from one set of
     Wirtinger data (see ``_wirtinger_data``)."""
-    zc = coords_of(z)
-    data, fd_error = _wirtinger_data(f, zc[None, :])
-    return _lemma22_report(data[0], zc, label, check_id or f"lemma22[{label}]", fd_error)
+    zs = coords_of(z)[None, :]
+    return _lemma22_reports(_wirtinger_data(f, zs), zs, label, _fd_error(f),
+                            [check_id or f"lemma22[{label}]"])[0]
 
 
 def check_thm24_necessity(f, pairs: np.ndarray, grid: np.ndarray, *, n: int,
@@ -294,13 +305,13 @@ def check_thm24_necessity(f, pairs: np.ndarray, grid: np.ndarray, *, n: int,
     qualitative converse (finite pair-sup alongside finite derivative-sup)
     is recorded in the inputs rather than checked quantitatively.
     """
-    data, fd_error = _wirtinger_data(f, grid)
-    return _thm24_report(weighted_lipschitz_sup(f, pairs), grid, data, fd_error,
-                         n, len(pairs), label, check_id or f"thm24[n={n},f={label}]")
+    return _thm24_report(weighted_lipschitz_sup(f, pairs), grid, _wirtinger_data(f, grid),
+                         _fd_error(f), n, len(pairs), label,
+                         check_id or f"thm24[n={n},f={label}]")
 
 
-def _thm24_report(pair_est, grid: np.ndarray, data, fd_error: float, n: int, pairs: int,
-                  label: str, check_id: str) -> CheckReport:
+def _thm24_report(pair_est, grid: np.ndarray, data: WirtingerData, fd_error: float, n: int,
+                  pairs: int, label: str, check_id: str) -> CheckReport:
     limit_est = _lipschitz_limits_from_data(grid, data)
     bloch_est = _bloch_from_data(grid, data)
     from_limit = limit_est.value > pair_est.value
@@ -346,17 +357,16 @@ def check_schwarz_pick_value(ext: HExtension, z, *, check_id: str = None) -> Che
     if ext.boundary.sup_bound is None:
         raise ValueError("the value bound needs a declared sup bound M")
     zc = coords_of(z)
-    values, errors = ext.values_with_errors(zc[None, :])
+    values, errors = ext.values_with_errors(np.stack([zc, np.zeros_like(zc)]))
     cid = check_id or f"schwarzpick.value[n={ext.dim},f={ext.boundary.label}]"
     return _schwarz_value_report(ext.boundary.label, ext.boundary.sup_bound, ext.rule.meta,
-                                 zc, values[0], ext.value_at_zero(), float(errors[0]), cid)
+                                 zc, values[0], values[1], float(errors[0]), cid)
 
 
 def _schwarz_gradient_report(label: str, bound: float, rule_meta: dict, zc: np.ndarray,
-                             data: WirtingerData, grad_se: float, check_id: str) -> CheckReport:
+                             big_lambda: float, grad_se: float, check_id: str) -> CheckReport:
     n = zc.size
     norm_z = float(np.linalg.norm(zc))
-    big_lambda, _ = lambda_bounds_wirtinger(data)
     rhs = 2.0 * (2 * n - 1) * bound / (1.0 - norm_z) ** 2
     return make_report(
         check_id, big_lambda, rhs, analytic=1e-12, quad_error=grad_se,
@@ -373,7 +383,7 @@ def check_schwarz_pick_gradient(ext: HExtension, z, *, check_id: str = None) -> 
     data, grad_se = ext.wirtinger_with_error(zc)
     cid = check_id or f"schwarzpick.gradient[n={ext.dim},f={ext.boundary.label}]"
     return _schwarz_gradient_report(ext.boundary.label, ext.boundary.sup_bound, ext.rule.meta,
-                                    zc, data, grad_se, cid)
+                                    zc, lambda_bounds_wirtinger(data)[0], grad_se, cid)
 
 
 def check_lemma33(matrix_map, r: float, bound: float, z, *, n: int,
@@ -529,6 +539,8 @@ class HarnessConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.rmax < 1.0:
             raise ValueError(f"rmax must lie in (0, 1), got {self.rmax}")
         for name in ("samples", "trials", "pairs"):
@@ -595,12 +607,9 @@ def suite_lemma22(cfg: HarnessConfig) -> list[CheckReport]:
     """Wirtinger-versus-real gradient inequality over the function registry."""
     reports = []
     zs = _sample_ball(cfg, LEMMA22_SAMPLES, 0.7)
-    for label, (data, fd_error) in _registry_results(cfg, lambda f: _wirtinger_data(f, zs)):
-        per_point = [
-            _lemma22_report(data[i], zs[i], label, f"lemma22[n={cfg.n},f={label},i={i}]",
-                            fd_error)
-            for i in range(len(zs))
-        ]
+    for label, (data,), fd_error in _registry_results(cfg, lambda f: (_wirtinger_data(f, zs),)):
+        ids = [f"lemma22[n={cfg.n},f={label},i={i}]" for i in range(len(zs))]
+        per_point = _lemma22_reports(data, zs, label, fd_error, ids)
         reports.append(_aggregate(per_point, f"lemma22[n={cfg.n},f={label}]"))
     return reports
 
@@ -619,35 +628,27 @@ def _stacked_extension(cfg: HarnessConfig, rule: QuadratureRule, entries) -> HEx
 
 
 def _registry_results(cfg: HarnessConfig, evaluate) -> list:
-    """(label, evaluate(f)) for every registry entry, in registry order.
+    """(label, evaluate(f), finite-difference term of f) for every registry
+    entry, in registry order.
 
-    ``evaluate`` returns a tuple of (P, k) arrays, lists of WirtingerData
-    and floats (shared by every column, such as a finite-difference term).
+    ``evaluate`` returns a tuple of (P, k) arrays and WirtingerData batches.
     Closed-form extensions are evaluated one by one.  The rule-based entries
     are the columns of one stacked extension, evaluated once, and each gets
-    its own column back.
+    its own column back: ``part[:, j:j + 1]`` slices arrays and batches alike.
     """
     registry = boundary_registry(cfg.n)
     ruled = [entry for entry in registry if entry.exact_extension is None]
-    shared = evaluate(_stacked_extension(cfg, rule_for(cfg), ruled)) if ruled else None
+    stacked = _stacked_extension(cfg, rule_for(cfg), ruled) if ruled else None
+    shared = evaluate(stacked) if ruled else None
     out = []
     for entry in registry:
         if entry.exact_extension is not None:
-            out.append((entry.label, evaluate(entry.exact_extension)))
-            continue
-        j = ruled.index(entry)
-        out.append((entry.label, tuple(_columns(part, slice(j, j + 1)) for part in shared)))
+            f, parts = entry.exact_extension, evaluate(entry.exact_extension)
+        else:
+            j = ruled.index(entry)
+            f, parts = stacked, tuple(part[:, j:j + 1] for part in shared)
+        out.append((entry.label, parts, _fd_error(f)))
     return out
-
-
-def _columns(part, cols: slice):
-    """Columns ``cols`` of a stacked result: the (P, c) columns of a (P, k)
-    array, those rows of each WirtingerData in a list, or a float as is."""
-    if isinstance(part, np.ndarray):
-        return part[:, cols]
-    if isinstance(part, list):
-        return [WirtingerData(data.fz[cols], data.fzbar[cols]) for data in part]
-    return part
 
 
 def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
@@ -658,12 +659,12 @@ def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
     endpoints = _pair_endpoints(pairs)
 
     def evaluate(f):
-        return (f(endpoints), *_wirtinger_data(f, grid))
+        return f(endpoints), _wirtinger_data(f, grid)
 
     return [
         _thm24_report(_lipschitz_from_values(pairs, vals), grid, data, fd_error,
                       cfg.n, len(pairs), label, f"thm24[n={cfg.n},f={label}]")
-        for label, (vals, data, fd_error) in _registry_results(cfg, evaluate)
+        for label, (vals, data), fd_error in _registry_results(cfg, evaluate)
     ]
 
 
@@ -685,20 +686,20 @@ def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:
         vec.spot_check(rule.nodes[:SPOT_CHECK_NODES])
         entries.append((vec.label, vec.sup_bound, slice(1, 1 + cfg.n)))
     columns = [cols for _, _, cols in entries]
-    values, value_errors = ext.values_with_errors(zs, columns)
+    values, value_errors = ext.values_with_errors(np.vstack([zs, np.zeros(cfg.n)]), columns)
+    f0 = values[-1]
     data, grad_errors = ext.wirtinger_many(zs, columns)
-    f0 = ext.value_at_zero()
     reports = []
     value_reports = []
     for (label, bound, cols), v_errors, g_errors in zip(entries, value_errors, grad_errors):
-        grads = _columns(data, cols)
+        big_lambda = lambda_bounds_wirtinger(data[:, cols])[0]   # one stacked SVD
         checks = [
             _schwarz_value_report(label, bound, rule.meta, zs[i], values[i, cols], f0[cols],
                                   float(v_errors[i]), f"schwarzpick.value[i={i}]")
             for i in range(len(zs))
         ]
         gradient_checks = [
-            _schwarz_gradient_report(label, bound, rule.meta, zs[i], grads[i],
+            _schwarz_gradient_report(label, bound, rule.meta, zs[i], big_lambda[i],
                                      float(g_errors[i]), f"schwarzpick.gradient[i={i}]")
             for i in range(len(zs))
         ]
@@ -726,17 +727,18 @@ def suite_lemma33(cfg: HarnessConfig) -> list[CheckReport]:
     reports = []
     entry = next(b for b in boundary_registry(cfg.n) if b.label == "re1")
     ext = h_extend(entry, rule, guard_radius=cfg.rmax)
-    f0 = ext.value_at_zero()
     scale = 1.0 / (2.0 * entry.sup_bound)
     rng = rng_stream(cfg.seed, STREAM_SAMPLES)
     for r in (0.5, 0.9):
         zs = uniform_ball(cfg.n, LEMMA33_POINTS, rng, 0.95) * (r * cfg.rmax)
-        values, errors = ext.values_with_errors(zs / r)   # one pass per radius
+        # one pass per radius, f(0) its last row
+        values, errors = ext.values_with_errors(np.vstack([zs / r, np.zeros(cfg.n)]))
+        f0 = values[-1]
         per_point = [
             check_lemma33(lambda _z, v=v: scale * (v - f0) * np.eye(cfg.n, dtype=complex),
                           r, 1.0, z, n=cfg.n, label=f"diag({entry.label})",
                           quad_error=float(err) * scale * 2, check_id=f"lemma33[i]")
-            for z, v, err in zip(zs, values, errors)
+            for z, v, err in zip(zs, values[:-1], errors[:-1])
         ]
         reports.append(_aggregate(per_point, f"lemma33[n={cfg.n},r={r}]"))
     return reports
@@ -759,9 +761,8 @@ def suite_lemmaB(cfg: HarnessConfig) -> list[CheckReport]:
                     "failures": int(np.sum(margins < -1e-12)), "worst_index": worst},
         ))
         # equality needs every middle singular value equal to the largest
-        diag = np.diag([2.0] * (n - 1) + [0.5])
-        rep = check_lemmaB(diag, check_id=f"lemmaB.diagonal[n={n}]")
-        reports.append(rep)
+        reports.append(check_lemmaB(np.diag([2.0] * (n - 1) + [0.5]),
+                                    check_id=f"lemmaB.diagonal[n={n}]"))
     return reports
 
 

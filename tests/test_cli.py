@@ -70,6 +70,17 @@ class TestLandauCommand:
         flag = run_cli("landau", "--config", str(cfg), "--alpha", "1")
         assert flag.stdout == default.stdout
 
+    @pytest.mark.parametrize("spec, message", [
+        ("4..1", "config error: empty range '4..1'"),
+        ("", "config error: bad integer range or list ''"),
+        ("1..x", "config error: bad integer range or list '1..x'")])
+    def test_empty_or_malformed_dimension_range_exit_2(self, spec, message):
+        # a descending range once printed only the CSV header and exited 0
+        proc = run_cli("landau", "--n", spec)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
     def test_seed_is_not_a_landau_flag(self):
         proc = run_cli("landau", "--seed", "3", "--n", "1")
         assert proc.returncode == 2
@@ -295,6 +306,19 @@ class TestConfigHandling:
         proc = run_cli("verify", "--suite", "landau", "--seed", "2",
                        "--out", str(out_flag), env_extra={"HBALLS_SEED": "9"})
         assert json.loads(out_flag.read_text())["config"]["seed"] == 2
+
+    @pytest.mark.parametrize("route", ["flag", "config", "env"])
+    def test_negative_seed_is_refused_by_name(self, tmp_path, route):
+        # numpy's own refusal ("expected non-negative integer") named no field
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n" if route == "config" else "")
+        args = ["--seed", "-1"] if route == "flag" else []
+        env = {"HBALLS_SEED": "-1"} if route == "env" else None
+        proc = run_cli("verify", "--suite", "lemmaB", "--trials", "1", "--config", str(cfg),
+                       *args, env_extra=env)
+        assert proc.returncode == 2
+        assert "config error: seed must be >= 0, got -1" in proc.stderr
+        assert proc.stdout == ""
 
     def test_config_file_between_flags_and_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"

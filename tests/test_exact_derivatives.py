@@ -42,11 +42,11 @@ def test_exact_wirtinger_data_agree_with_finite_differences():
     grid = ball_grid(2)
     exact = STACKED.wirtinger_many(grid)[0]
     fd = wirtinger_fd_many(STACKED, grid)
-    worst = 0.0
-    for e, d in zip(exact, fd):
-        scale = max(np.abs(e.fz).max(), np.abs(e.fzbar).max())
-        gap = max(np.abs(e.fz - d.fz).max(), np.abs(e.fzbar - d.fzbar).max())
-        worst = max(worst, gap / scale)
+    # per point: the largest gap over the largest entry of the exact data
+    scale = np.maximum(np.abs(exact.fz).max(axis=(1, 2)), np.abs(exact.fzbar).max(axis=(1, 2)))
+    gap = np.maximum(np.abs(exact.fz - fd.fz).max(axis=(1, 2)),
+                     np.abs(exact.fzbar - fd.fzbar).max(axis=(1, 2)))
+    worst = float(np.max(gap / scale))
     # measured 2.4e-11 here and 2.1e-11 at 50k nodes: the FD rounding floor
     assert worst <= 1e-10
 

@@ -43,11 +43,12 @@ class TestExtensionValues:
         np.testing.assert_allclose(ext(zs), zs[:, 0].real, atol=1e-8)
 
     def test_value_at_zero_is_boundary_average(self):
+        # P_h(0, .) = 1, so f(0) is the plain average of the boundary data
         for n, rule in ((1, circle_rule(512)), (2, sphere_rule_mc(2, 2000, 2))):
             entry = registry_map(n)["bump"]
             ext = h_extend(entry, rule)
             average = integrate(rule, entry.values)
-            assert ext.value_at_zero() == pytest.approx(average, abs=1e-13)
+            assert ext(np.zeros(n, dtype=complex))[0] == pytest.approx(average, abs=1e-13)
 
     def test_linearity(self):
         rule = circle_rule(1024)

@@ -302,14 +302,17 @@ def test_batch_gradients_equal_row_by_row_and_reference(case, data):
     ext = data.draw(st.sampled_from(EXTENSIONS[n]))
     batch = batch[:80]      # still spans several point blocks
     grads, errors = ext.wirtinger_many(batch)
-    assert len(grads) == len(batch) and errors.shape == (len(batch),)
-    for row, grad, error in zip(batch, grads, errors):
+    assert grads.fz.shape == grads.fzbar.shape == (len(batch), ext.boundary.out_dim, n)
+    assert errors.shape == (len(batch),)
+    for p, (row, error) in enumerate(zip(batch, errors)):
+        grad = grads[p]
         one, one_error = ext.wirtinger_with_error(row)
         assert_same_bits(grad.fz, one.fz)
         assert_same_bits(grad.fzbar, one.fzbar)
         assert_same_bits(error, np.float64(one_error))
     fz, fzbar, gemm_errors = gemm_wirtinger(ext, batch[:10])
-    for p, (row, grad, error) in enumerate(list(zip(batch, grads, errors))[:10]):
+    for p, (row, error) in enumerate(zip(batch[:10], errors)):
+        grad = grads[p]
         # the engine's arithmetic, one point at a time
         assert_same_bits(grad.fz, fz[p])
         assert_same_bits(grad.fzbar, fzbar[p])
@@ -365,8 +368,8 @@ def test_gradients_pin_the_gemm_arithmetic(n):
     for ext in EXTENSIONS[n]:
         grads, errors = ext.wirtinger_many(batch)
         fz, fzbar, ref_errors = gemm_wirtinger(ext, batch)
-        assert_same_bits(np.stack([g.fz for g in grads]), fz)
-        assert_same_bits(np.stack([g.fzbar for g in grads]), fzbar)
+        assert_same_bits(grads.fz, fz)
+        assert_same_bits(grads.fzbar, fzbar)
         assert_same_bits(errors, ref_errors)
 
 
@@ -417,9 +420,7 @@ for n, rule in ((1, circle_rule(1500)), (2, sphere_rule_mc(2, 5000, 11)), (3, sp
     for part in ext._moments(pts, want_errors=True):
         digest.update(np.ascontiguousarray(part).tobytes())
     grads, errors = ext.wirtinger_many(pts)
-    for grad in grads:
-        digest.update(grad.fz.tobytes() + grad.fzbar.tobytes())
-    digest.update(errors.tobytes())
+    digest.update(grads.fz.tobytes() + grads.fzbar.tobytes() + errors.tobytes())
 print(digest.hexdigest())
 """
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hballs.errors import DimensionMismatch, UndefinedProjection
 from hballs.geometry import (
@@ -134,3 +136,37 @@ class TestMobiusIdentity:
             a = random_ball_point(rng, n)
             z = random_ball_point(rng, n)
             assert mobius_identity_residual(a, z) <= 1e-12
+
+
+@st.composite
+def ball_points(draw, n, rmax=0.99):
+    """A point of the closed ball of radius rmax in C^n: any direction, any radius."""
+    coords = draw(arrays(np.float64, 2 * n, elements=st.floats(-1.0, 1.0)))
+    radius = draw(st.floats(0.0, rmax))
+    z = coords[:n] + 1j * coords[n:]
+    norm = np.linalg.norm(z)
+    return z * (radius / norm) if norm > 0.0 else z
+
+
+@st.composite
+def point_pairs(draw):
+    n = draw(st.integers(1, 3))
+    a = draw(ball_points(n))
+    # z independent of a, or on the complex line through a (where 1 - <z, a>
+    # gets smallest), or a itself
+    z = draw(st.one_of(ball_points(n), st.just(a),
+                       st.complex_numbers(max_magnitude=1.0).map(lambda c: c * a)))
+    return a, z
+
+
+# Measured: at most 4.5e-14 (201 ulp of 1) over 1e5 random pairs with |a|,
+# |z| <= 0.99, a fifth of them on one complex line; phi_a(z) is rounded at
+# the scale 1 / |1 - <z, a>|, up to 1 / (1 - 0.99^2), about 50.
+MOBIUS_RESIDUAL_TOLERANCE = 1e-13
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_pairs())
+def test_mobius_identity_holds_to_rounding(pair):
+    a, z = pair
+    assert mobius_identity_residual(a, z) <= MOBIUS_RESIDUAL_TOLERANCE

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hballs.errors import NearSingularEvaluation
+from hballs.extension import _constant, h_extend
 from hballs.geometry import BallPoint
 from hballs.kernel import (
     poisson_h,
@@ -133,3 +135,24 @@ class TestPoissonWirtinger:
             total, err = integrate_with_error(
                 rule2, lambda nodes, k=k: poisson_h_wirtinger_values(z2, nodes)[:, k])
             assert abs(total) <= 5.0 * max(err, 1e-12)
+
+
+# Measured over 3000 points with |z| <= 0.8 per rule size: the kernel module
+# summed to 1 within 4.5 ulp of 1 and the extension engine (a constant
+# boundary) within 10 ulp.  The circle rule's aliasing error, about 2|z|^m,
+# is below 1e-24 at m >= 256.
+NORMALIZATION_TOLERANCE = 32 * np.finfo(float).eps
+NORMALIZATION_RULES = {m: circle_rule(m) for m in (256, 1024, 4096)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(NORMALIZATION_RULES)), st.floats(0.0, 0.8),
+       st.floats(0.0, 2.0 * np.pi))
+def test_circle_rule_sums_the_kernel_to_one(m, radius, angle):
+    rule = NORMALIZATION_RULES[m]
+    z = np.array([radius * np.exp(1j * angle)])
+    total = integrate(rule, lambda nodes: poisson_h_values(z, nodes))
+    assert abs(total - 1.0) <= NORMALIZATION_TOLERANCE
+    # the same sum in the extension engine: a constant's extension is itself
+    ext = h_extend(_constant(1.0, 1), rule, guard_radius=0.9)
+    assert abs(ext(z)[0] - 1.0) <= NORMALIZATION_TOLERANCE

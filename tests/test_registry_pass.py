@@ -100,9 +100,9 @@ def test_stacked_columns_equal_scalar_fd_derivatives(case):
     n, batch = case
     stacked = wirtinger_fd_many(STACKED[n], batch)
     for j, ext in enumerate(SCALARS[n]):
-        for row, one in zip(stacked, wirtinger_fd_many(ext, batch)):
-            assert_same_bits(row.fz[j:j + 1], one.fz)
-            assert_same_bits(row.fzbar[j:j + 1], one.fzbar)
+        one = wirtinger_fd_many(ext, batch)
+        assert_same_bits(stacked.fz[:, j:j + 1], one.fz)
+        assert_same_bits(stacked.fzbar[:, j:j + 1], one.fzbar)
 
 
 def one_at_a_time(cfg):
