@@ -221,15 +221,19 @@ def parse_int_range(text: str) -> list[int]:
     return values
 
 
-def parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",")]
+def parse_float_list(text: str, flag: str) -> list[float]:
+    """'1' or '0.5,1,2'; a token that is not a number is refused by its flag."""
+    try:
+        return [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma list of numbers, got {text!r}")
 
 
 def cmd_landau(args: argparse.Namespace) -> int:
     default = resolve_config(argparse.Namespace(), read_config_file(args.config))
     ns = parse_int_range(args.n) if args.n is not None else [default.n]
-    alphas = parse_float_list(args.alpha) if args.alpha is not None else [default.alpha]
-    bounds = parse_float_list(args.m) if args.m is not None else [default.m]
+    alphas = parse_float_list(args.alpha, "--alpha") if args.alpha is not None else [default.alpha]
+    bounds = parse_float_list(args.m, "--m") if args.m is not None else [default.m]
     rows = []
     for n in ns:
         for alpha in alphas:

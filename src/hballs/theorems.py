@@ -3,7 +3,15 @@
 Each check produces a CheckReport holding both sides of the inequality,
 the tolerance that was granted and where it came from, and enough input
 metadata (function label, points, seed, rule) to replay the check
-bit-identically.  Tolerances follow one policy:
+bit-identically.  The engines evaluate and the checks compare: a pointwise
+inequality (lemma22, the Schwarz-Pick value and gradient bounds, lemma33)
+is one function that takes arrays already evaluated at a (P, n) sample
+batch (a WirtingerData batch, values with f(0) and their standard errors,
+Lambda, or a matrix stack), computes lhs, rhs and tolerance as (P,) arrays
+and returns one report for the batch: the worst sample's, with the sample
+count and the number of failing samples.  thm24 takes the values at its
+pair endpoints and the Wirtinger data at its grid the same way.
+Tolerances follow one policy:
 
     tolerance = analytic slack
               + 10 * (quadrature standard error)
@@ -17,10 +25,10 @@ forms of the registry) take finite differences.  An inequality that is
 strict in the mathematics (the separation probe) uses a strict comparison
 instead of a slack.
 
-Derivative checks read one WirtingerData batch, (P, k, n) arrays, per
-function and sweep, and take each side for all P points in one call (Lambda
-by one stacked SVD).  f(0) is one more row of a batch the check already
-evaluates, since a row's value does not depend on its batch.
+Each suite evaluates one WirtingerData batch, (P, k, n) arrays, per
+function and sweep (Lambda by one stacked SVD), and f(0) as one more row of
+a value batch it already evaluates, since a row's value does not depend on
+its batch.
 
 Suites group the checks the way the command line exposes them: lemma21
 (gradient-versus-boundary-mean bound on real balls), lemma22 (Wirtinger
@@ -55,7 +63,6 @@ from .extension import (
     h_extend,
     vector_boundary,
 )
-from .geometry import coords_of
 from .norms import (
     LIMIT_PHASES,
     _bloch_from_data,
@@ -63,11 +70,11 @@ from .norms import (
     _lipschitz_limits_from_data,
     _pair_endpoints,
     ball_grid,
-    # not called here: bench/tracing.py patches this module-level name
+    # not called here: bench/tracing.py patches these module-level names
     bloch_seminorm,  # noqa: F401
     pair_samples,
     uniform_ball,
-    weighted_lipschitz_sup,
+    weighted_lipschitz_sup,  # noqa: F401
 )
 from .quadrature import (
     STREAM_GEOMETRY,
@@ -150,7 +157,7 @@ class CheckReport:
 def make_report(check_id: str, lhs: float, rhs: float, *, analytic: float = 0.0,
                 quad_error: float = 0.0, fd_error: float = 0.0, inputs: dict = None,
                 rule: dict = None, strict: bool = False) -> CheckReport:
-    tolerance = analytic + 10.0 * quad_error + 10.0 * fd_error
+    tolerance = _tolerance(analytic, quad_error, fd_error)
     lhs, rhs = float(lhs), float(rhs)
     passed = lhs < rhs if strict else lhs <= rhs + tolerance
     return CheckReport(
@@ -160,6 +167,11 @@ def make_report(check_id: str, lhs: float, rhs: float, *, analytic: float = 0.0,
                        "finite_difference": 10.0 * fd_error},
         inputs=inputs or {}, rule=rule or {}, strict=strict,
     )
+
+
+def _tolerance(analytic, quad_error, fd_error):
+    """The tolerance policy, for one sample or elementwise for a batch."""
+    return analytic + 10.0 * quad_error + 10.0 * fd_error
 
 
 def _cplx(vec) -> list:
@@ -201,9 +213,9 @@ def landau_constants(n: int, alpha: float, bound: float) -> LandauConstants:
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    if bound < 1.0:
+    if not bound >= 1.0:
         raise ValueError("the norm bound M must be >= 1")
     rho = 3.0 ** alpha / ((2.0 * bound) ** (2 * n) * (3.0 ** alpha + 4.0 ** alpha))
     return LandauConstants(
@@ -272,46 +284,68 @@ def _fd_error(f) -> float:
     return 0.0 if isinstance(f, HExtension) else _FD_TRUNCATION
 
 
-def _lemma22_reports(data: WirtingerData, zs: np.ndarray, label: str, fd_error: float,
-                     check_ids: list) -> list[CheckReport]:
-    """Lemma 2.2 at every point of a scalar batch, each side taken for the whole batch."""
+def _pow(base: np.ndarray, exponent: int) -> np.ndarray:
+    """base ** exponent by libm's pow, element by element: numpy runs float
+    powers through SIMD code on some CPUs, which rounds differently."""
+    return np.array([b ** exponent for b in base.tolist()])
+
+
+def _batch_report(check_id: str, lhs: np.ndarray, rhs: np.ndarray, inputs, *,
+                  analytic: float = 0.0, quad_error=0.0, fd_error: float = 0.0,
+                  rule: dict = None) -> CheckReport:
+    """One report for lhs <= rhs + tolerance at every sample of a (P,) batch.
+
+    The tolerance is make_report's, taken per sample (``quad_error`` is a
+    scalar or (P,)).  The witness is the first sample, by index, whose
+    margin + tolerance is within _WITNESS_TIE of the least, so rounding-level
+    ties (two sides equal in exact arithmetic) do not pick it.  The report is
+    the witness's, with inputs ``inputs(witness)`` plus the sample count, the
+    number of failing samples and the witness's margin; it passes when no
+    sample fails.
+    """
+    quad = np.broadcast_to(np.asarray(quad_error, dtype=float), lhs.shape)
+    tolerance = _tolerance(analytic, quad, fd_error)
+    slack = (rhs - lhs) + tolerance
+    witness = int(np.argmax(slack <= np.min(slack) + _WITNESS_TIE))
+    failures = int(np.count_nonzero(~(lhs <= rhs + tolerance)))
+    report = make_report(check_id, lhs[witness], rhs[witness], analytic=analytic,
+                         quad_error=float(quad[witness]), fd_error=fd_error,
+                         inputs=inputs(witness), rule=rule)
+    report.inputs.update(samples=len(lhs), failures=failures, worst_margin=report.margin)
+    return replace(report, passed=failures == 0)
+
+
+def check_lemma22(data: WirtingerData, zs: np.ndarray, *, label: str = "f",
+                  fd_error: float = 0.0) -> CheckReport:
+    """|grad f| + |grad fbar| <= |grad u| + |grad v| at the (P, n) points
+    ``zs``, from the scalar Wirtinger data batch at them; ``fd_error`` is the
+    data's finite-difference term (0 for exact derivatives)."""
     grad, grad_bar = data.gradient_norms()
     J = real_jacobian_from_wirtinger(data).matrix  # rows (u, v) x cols (x1, y1, ...)
     rhs = _row_norms(J[..., 0, :]) + _row_norms(J[..., 1, :])
-    return [make_report(cid, lhs, r, analytic=1e-12, fd_error=fd_error,
-                        inputs={"f": label, "z": _cplx(z)})
-            for cid, z, lhs, r in zip(check_ids, zs, grad + grad_bar, rhs)]
+    return _batch_report(f"lemma22[n={zs.shape[1]},f={label}]", grad + grad_bar, rhs,
+                         lambda i: {"f": label, "z": _cplx(zs[i])},
+                         analytic=1e-12, fd_error=fd_error)
 
 
-def check_lemma22(f, z, *, label: str = "f", check_id: str = None) -> CheckReport:
-    """|grad f| + |grad fbar| <= |grad u| + |grad v| at z, from one set of
-    Wirtinger data (see ``_wirtinger_data``)."""
-    zs = coords_of(z)[None, :]
-    return _lemma22_reports(_wirtinger_data(f, zs), zs, label, _fd_error(f),
-                            [check_id or f"lemma22[{label}]"])[0]
-
-
-def check_thm24_necessity(f, pairs: np.ndarray, grid: np.ndarray, *, n: int,
-                          label: str = "f", check_id: str = None) -> CheckReport:
+def check_thm24_necessity(pairs: np.ndarray, values, grid: np.ndarray, data: WirtingerData, *,
+                          label: str = "f", fd_error: float = 0.0) -> CheckReport:
     """Weighted Lipschitz sup vs pi sqrt(n) * Bloch sup.
 
-    The lhs is the larger of two lower bounds of the true pair sup: the
-    quotient's max over ``pairs``, and its derivative limits at the grid
-    points, (1-|z|^2) |f_{z_1} theta + f_{zbar_1} conj(theta)|, the limit of
-    the quotient at (z, z + delta theta e_1) as delta -> 0, over the
-    ``LIMIT_PHASES`` phases theta.  Pairs and limits are counted and witnessed separately.  The
-    limits and the Bloch sup share one set of Wirtinger data at the grid
-    points, whose finite-difference term is 0 for an HExtension.  The
-    qualitative converse (finite pair-sup alongside finite derivative-sup)
-    is recorded in the inputs rather than checked quantitatively.
+    ``values`` holds f at the ``_pair_endpoints`` of ``pairs`` and ``data``
+    its Wirtinger data batch at the grid points; ``fd_error`` is the data's
+    finite-difference term.  The lhs is the larger of two lower bounds of the
+    true pair sup: the quotient's max over ``pairs``, and its derivative
+    limits at the grid points, (1-|z|^2) |f_{z_1} theta + f_{zbar_1}
+    conj(theta)|, the limit of the quotient at (z, z + delta theta e_1) as
+    delta -> 0, over the ``LIMIT_PHASES`` phases theta.  Pairs and limits are
+    counted and witnessed separately; the limits and the Bloch sup share the
+    grid data.  The qualitative converse (finite pair-sup alongside finite
+    derivative-sup) is recorded in the inputs rather than checked
+    quantitatively.
     """
-    return _thm24_report(weighted_lipschitz_sup(f, pairs), grid, _wirtinger_data(f, grid),
-                         _fd_error(f), n, len(pairs), label,
-                         check_id or f"thm24[n={n},f={label}]")
-
-
-def _thm24_report(pair_est, grid: np.ndarray, data: WirtingerData, fd_error: float, n: int,
-                  pairs: int, label: str, check_id: str) -> CheckReport:
+    n = grid.shape[1]
+    pair_est = _lipschitz_from_values(pairs, values)
     limit_est = _lipschitz_limits_from_data(grid, data)
     bloch_est = _bloch_from_data(grid, data)
     from_limit = limit_est.value > pair_est.value
@@ -319,10 +353,10 @@ def _thm24_report(pair_est, grid: np.ndarray, data: WirtingerData, fd_error: flo
     rhs = math.pi * math.sqrt(n) * bloch_est.value
     point, direction = limit_est.witness
     return make_report(
-        check_id, lhs, rhs, fd_error=fd_error,
+        f"thm24[n={n},f={label}]", lhs, rhs, fd_error=fd_error,
         inputs={
-            "f": label, "n": n, "pairs": int(pairs), "limits": len(grid) * LIMIT_PHASES,
-            "grid": int(len(grid)), "lhs_from": "limit" if from_limit else "pair",
+            "f": label, "n": n, "pairs": len(pairs), "limits": len(grid) * LIMIT_PHASES,
+            "grid": len(grid), "lhs_from": "limit" if from_limit else "pair",
             "pair_sup": pair_est.value, "limit_sup": limit_est.value,
             "bloch_sup": bloch_est.value,
             "pair_witness": [_cplx(w) for w in pair_est.witness],
@@ -333,75 +367,55 @@ def _thm24_report(pair_est, grid: np.ndarray, data: WirtingerData, fd_error: flo
     )
 
 
-def _kernel_ratio(norm_z: float, n: int) -> float:
-    return ((1.0 - norm_z) / (1.0 + norm_z)) ** (2 * n - 1)
-
-
-def _schwarz_value_report(label: str, bound: float, rule_meta: dict, zc: np.ndarray,
-                          fz, f0, quad_se: float, check_id: str) -> CheckReport:
-    n = zc.size
-    kappa = _kernel_ratio(float(np.linalg.norm(zc)), n)
-    lhs = float(np.linalg.norm(np.atleast_1d(fz - kappa * f0)))
-    rhs = bound * (1.0 - kappa)
+def _schwarz_value_sides(zs: np.ndarray, values: np.ndarray, f0: np.ndarray, errors,
+                         bound: float):
+    """(lhs, rhs, quadrature error, kappa) of the value bound, each (P,)."""
+    norm_z = _row_norms(zs)
+    kappa = _pow((1.0 - norm_z) / (1.0 + norm_z), 2 * zs.shape[1] - 1)
+    lhs = _row_norms(values.reshape(len(zs), -1) - kappa[:, None] * f0)
     # lhs carries the integrand's error, rhs the bound times the normalization error
-    quad_err = (1.0 + bound) * quad_se
-    return make_report(
-        check_id, lhs, rhs, analytic=1e-12, quad_error=quad_err,
-        inputs={"f": label, "n": n, "M": bound, "z": _cplx(zc), "kappa": kappa},
-        rule=dict(rule_meta),
-    )
+    return lhs, bound * (1.0 - kappa), (1.0 + bound) * errors, kappa
 
 
-def check_schwarz_pick_value(ext: HExtension, z, *, check_id: str = None) -> CheckReport:
-    """|f(z) - kappa f(0)| <= M (1 - kappa), kappa the boundary kernel ratio."""
-    if ext.boundary.sup_bound is None:
-        raise ValueError("the value bound needs a declared sup bound M")
-    zc = coords_of(z)
-    values, errors = ext.values_with_errors(np.stack([zc, np.zeros_like(zc)]))
-    cid = check_id or f"schwarzpick.value[n={ext.dim},f={ext.boundary.label}]"
-    return _schwarz_value_report(ext.boundary.label, ext.boundary.sup_bound, ext.rule.meta,
-                                 zc, values[0], values[1], float(errors[0]), cid)
+def check_schwarz_pick_value(zs: np.ndarray, values: np.ndarray, f0: np.ndarray, errors, *,
+                             bound: float, label: str = "f", rule: dict = None) -> CheckReport:
+    """|f(z) - kappa f(0)| <= M (1 - kappa), kappa the boundary kernel ratio
+    ((1-|z|)/(1+|z|))^(2n-1), at the (P, n) points ``zs``, from the values
+    there ((P,) or (P, k)), f(0) and the values' standard errors."""
+    n = zs.shape[1]
+    lhs, rhs, quad, kappa = _schwarz_value_sides(zs, values, f0, errors, bound)
+    return _batch_report(
+        f"schwarzpick.value[n={n},f={label}]", lhs, rhs,
+        lambda i: {"f": label, "n": n, "M": bound, "z": _cplx(zs[i]), "kappa": float(kappa[i])},
+        analytic=1e-12, quad_error=quad, rule=rule)
 
 
-def _schwarz_gradient_report(label: str, bound: float, rule_meta: dict, zc: np.ndarray,
-                             big_lambda: float, grad_se: float, check_id: str) -> CheckReport:
-    n = zc.size
-    norm_z = float(np.linalg.norm(zc))
-    rhs = 2.0 * (2 * n - 1) * bound / (1.0 - norm_z) ** 2
-    return make_report(
-        check_id, big_lambda, rhs, analytic=1e-12, quad_error=grad_se,
-        inputs={"f": label, "n": n, "M": bound, "z": _cplx(zc)},
-        rule=dict(rule_meta),
-    )
+def check_schwarz_pick_gradient(zs: np.ndarray, big_lambda: np.ndarray, errors, *,
+                                bound: float, label: str = "f",
+                                rule: dict = None) -> CheckReport:
+    """Lambda_f(z) <= 2 (2n-1) M / (1 - |z|)^2 at the (P, n) points ``zs``,
+    from Lambda there and the gradients' standard errors."""
+    n = zs.shape[1]
+    rhs = 2.0 * (2 * n - 1) * bound / _pow(1.0 - _row_norms(zs), 2)
+    return _batch_report(
+        f"schwarzpick.gradient[n={n},f={label}]", big_lambda, rhs,
+        lambda i: {"f": label, "n": n, "M": bound, "z": _cplx(zs[i])},
+        analytic=1e-12, quad_error=errors, rule=rule)
 
 
-def check_schwarz_pick_gradient(ext: HExtension, z, *, check_id: str = None) -> CheckReport:
-    """Lambda_f(z) <= 2 (2n-1) M / (1 - |z|)^2 via the kernel derivatives."""
-    if ext.boundary.sup_bound is None:
-        raise ValueError("the gradient bound needs a declared sup bound M")
-    zc = coords_of(z)
-    data, grad_se = ext.wirtinger_with_error(zc)
-    cid = check_id or f"schwarzpick.gradient[n={ext.dim},f={ext.boundary.label}]"
-    return _schwarz_gradient_report(ext.boundary.label, ext.boundary.sup_bound, ext.rule.meta,
-                                    zc, lambda_bounds_wirtinger(data)[0], grad_se, cid)
-
-
-def check_lemma33(matrix_map, r: float, bound: float, z, *, n: int,
-                  label: str = "A", quad_error: float = 0.0,
-                  check_id: str = None) -> CheckReport:
-    """|A(z)| <= M [1 - ((r-|z|)/(r+|z|))^(2n-1)] for A(0) = 0, |A| <= M on B(r)."""
-    zc = coords_of(z)
-    norm_z = float(np.linalg.norm(zc))
-    if norm_z >= r:
+def check_lemma33(matrices: np.ndarray, zs: np.ndarray, r: float, *, bound: float = 1.0,
+                  label: str = "A", quad_error=0.0) -> CheckReport:
+    """|A(z)| <= M [1 - ((r-|z|)/(r+|z|))^(2n-1)] for A(0) = 0, |A| <= M on
+    B(r), at the (P, n) points ``zs`` from the (P, k, k) stack of A(z)."""
+    n = zs.shape[1]
+    norm_z = _row_norms(zs)
+    if np.any(norm_z >= r):
         raise ValueError("z must lie inside the ball of radius r")
-    lhs = operator_norm(matrix_map(zc))
-    ratio = ((r - norm_z) / (r + norm_z)) ** (2 * n - 1)
-    rhs = bound * (1.0 - ratio)
-    cid = check_id or f"lemma33[n={n},r={r},A={label}]"
-    return make_report(
-        cid, lhs, rhs, analytic=1e-12, quad_error=quad_error,
-        inputs={"A": label, "n": n, "r": float(r), "M": float(bound), "z": _cplx(zc)},
-    )
+    ratio = _pow((r - norm_z) / (r + norm_z), 2 * n - 1)
+    return _batch_report(
+        f"lemma33[n={n},r={r}]", operator_norm(matrices), bound * (1.0 - ratio),
+        lambda i: {"A": label, "n": n, "r": float(r), "M": float(bound), "z": _cplx(zs[i])},
+        analytic=1e-12, quad_error=quad_error)
 
 
 def check_lemmaB(matrix, *, check_id: str = "lemmaB") -> CheckReport:
@@ -546,6 +560,9 @@ class HarnessConfig:
         for name in ("samples", "trials", "pairs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("alpha", "m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def rule_for(cfg: HarnessConfig) -> QuadratureRule:
@@ -557,23 +574,6 @@ def rule_for(cfg: HarnessConfig) -> QuadratureRule:
 
 def _sample_ball(cfg: HarnessConfig, count: int, rmax: float) -> np.ndarray:
     return uniform_ball(cfg.n, count, rng_stream(cfg.seed, STREAM_SAMPLES), rmax)
-
-
-def _aggregate(reports: list[CheckReport], check_id: str) -> CheckReport:
-    """Collapse per-sample reports into one, keeping the worst-margin sample.
-
-    That is the first sample, by index, whose margin + tolerance is within
-    _WITNESS_TIE of the smallest, so rounding-level ties (two sides equal in
-    exact arithmetic) do not pick the witness.
-    """
-    slack = [rep.margin + rep.tolerance for rep in reports]
-    least = min(slack)
-    worst = reports[next(i for i, s in enumerate(slack) if s <= least + _WITNESS_TIE)]
-    inputs = {**worst.inputs, "samples": len(reports),
-              "failures": sum(0 if rep.passed else 1 for rep in reports),
-              "worst_margin": worst.margin}
-    return replace(worst, check_id=check_id, inputs=inputs,
-                   passed=all(rep.passed for rep in reports))
 
 
 def suite_lemma21(cfg: HarnessConfig) -> list[CheckReport]:
@@ -605,13 +605,9 @@ def suite_lemma21(cfg: HarnessConfig) -> list[CheckReport]:
 
 def suite_lemma22(cfg: HarnessConfig) -> list[CheckReport]:
     """Wirtinger-versus-real gradient inequality over the function registry."""
-    reports = []
     zs = _sample_ball(cfg, LEMMA22_SAMPLES, 0.7)
-    for label, (data,), fd_error in _registry_results(cfg, lambda f: (_wirtinger_data(f, zs),)):
-        ids = [f"lemma22[n={cfg.n},f={label},i={i}]" for i in range(len(zs))]
-        per_point = _lemma22_reports(data, zs, label, fd_error, ids)
-        reports.append(_aggregate(per_point, f"lemma22[n={cfg.n},f={label}]"))
-    return reports
+    return [check_lemma22(data, zs, label=label, fd_error=fd_error)
+            for label, (data,), fd_error in _registry_results(cfg, lambda f: (_wirtinger_data(f, zs),))]
 
 
 def _stacked_extension(cfg: HarnessConfig, rule: QuadratureRule, entries) -> HExtension:
@@ -661,11 +657,8 @@ def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
     def evaluate(f):
         return f(endpoints), _wirtinger_data(f, grid)
 
-    return [
-        _thm24_report(_lipschitz_from_values(pairs, vals), grid, data, fd_error,
-                      cfg.n, len(pairs), label, f"thm24[n={cfg.n},f={label}]")
-        for label, (vals, data), fd_error in _registry_results(cfg, evaluate)
-    ]
+    return [check_thm24_necessity(pairs, vals, grid, data, label=label, fd_error=fd_error)
+            for label, (vals, data), fd_error in _registry_results(cfg, evaluate)]
 
 
 def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:
@@ -690,32 +683,22 @@ def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:
     f0 = values[-1]
     data, grad_errors = ext.wirtinger_many(zs, columns)
     reports = []
-    value_reports = []
     for (label, bound, cols), v_errors, g_errors in zip(entries, value_errors, grad_errors):
+        reports.append(check_schwarz_pick_value(zs, values[:-1, cols], f0[cols], v_errors[:-1],
+                                                bound=bound, label=label, rule=rule.meta))
         big_lambda = lambda_bounds_wirtinger(data[:, cols])[0]   # one stacked SVD
-        checks = [
-            _schwarz_value_report(label, bound, rule.meta, zs[i], values[i, cols], f0[cols],
-                                  float(v_errors[i]), f"schwarzpick.value[i={i}]")
-            for i in range(len(zs))
-        ]
-        gradient_checks = [
-            _schwarz_gradient_report(label, bound, rule.meta, zs[i], big_lambda[i],
-                                     float(g_errors[i]), f"schwarzpick.gradient[i={i}]")
-            for i in range(len(zs))
-        ]
-        value_reports.append(checks)
-        reports.append(_aggregate(checks, f"schwarzpick.value[n={cfg.n},f={label}]"))
-        reports.append(_aggregate(gradient_checks, f"schwarzpick.gradient[n={cfg.n},f={label}]"))
+        reports.append(check_schwarz_pick_gradient(zs, big_lambda, g_errors, bound=bound,
+                                                   label=label, rule=rule.meta))
     # equality case: constant boundary data M makes the value bound tight.  The
-    # registry lists the constant first, and a value does not depend on its batch.
-    eq_reports = value_reports[0][: min(20, len(zs))]
-    worst_gap = max(abs(rep.margin) for rep in eq_reports)
-    gap_tol = max(rep.tolerance for rep in eq_reports)
+    # registry lists the constant first.
+    label, bound, cols = entries[0]
+    eq = min(20, len(zs))
+    lhs, rhs, quad, _ = _schwarz_value_sides(zs[:eq], values[:eq, cols], f0[cols],
+                                             value_errors[0][:eq], bound)
     reports.append(make_report(
-        f"schwarzpick.equality[n={cfg.n}]", worst_gap, gap_tol,
-        analytic=1e-12,
-        inputs={"f": entries[0][0], "points": len(eq_reports),
-                "note": "constant data attains the value bound"},
+        f"schwarzpick.equality[n={cfg.n}]", np.max(np.abs(rhs - lhs)),
+        np.max(_tolerance(1e-12, quad, 0.0)), analytic=1e-12,
+        inputs={"f": label, "points": eq, "note": "constant data attains the value bound"},
         rule=dict(rule.meta),
     ))
     return reports
@@ -731,16 +714,12 @@ def suite_lemma33(cfg: HarnessConfig) -> list[CheckReport]:
     rng = rng_stream(cfg.seed, STREAM_SAMPLES)
     for r in (0.5, 0.9):
         zs = uniform_ball(cfg.n, LEMMA33_POINTS, rng, 0.95) * (r * cfg.rmax)
-        # one pass per radius, f(0) its last row
+        # one pass per radius, f(0) its last row; A(z) = scale (f(z/r) - f(0)) I
         values, errors = ext.values_with_errors(np.vstack([zs / r, np.zeros(cfg.n)]))
-        f0 = values[-1]
-        per_point = [
-            check_lemma33(lambda _z, v=v: scale * (v - f0) * np.eye(cfg.n, dtype=complex),
-                          r, 1.0, z, n=cfg.n, label=f"diag({entry.label})",
-                          quad_error=float(err) * scale * 2, check_id=f"lemma33[i]")
-            for z, v, err in zip(zs, values[:-1], errors[:-1])
-        ]
-        reports.append(_aggregate(per_point, f"lemma33[n={cfg.n},r={r}]"))
+        gaps = scale * (values[:-1] - values[-1])
+        reports.append(check_lemma33(gaps[:, None, None] * np.eye(cfg.n, dtype=complex), zs, r,
+                                     label=f"diag({entry.label})",
+                                     quad_error=errors[:-1] * scale * 2))
     return reports
 
 

@@ -81,6 +81,22 @@ class TestLandauCommand:
         assert message in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("flag, spec", [("--alpha", "x"), ("--m", "1,,2")])
+    def test_malformed_number_list_is_refused_by_its_flag(self, flag, spec):
+        # float() once leaked "could not convert string to float"
+        proc = run_cli("landau", flag, spec)
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: {flag} must be a comma list of numbers, got {spec!r}\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--alpha", "alpha must be positive"), ("--m", "the norm bound M must be >= 1")])
+    def test_nan_is_refused_by_its_own_field(self, flag, message):
+        # NaN once passed the field checks and blamed the constants instead
+        proc = run_cli("landau", flag, "nan")
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: {message}\n"
+
     def test_seed_is_not_a_landau_flag(self):
         proc = run_cli("landau", "--seed", "3", "--n", "1")
         assert proc.returncode == 2
@@ -286,6 +302,18 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert f"config error: rmax must lie in (0, 1), got {float(rmax)}" in proc.stderr
 
+    @pytest.mark.parametrize("args, message", [
+        (["--m", "nan", "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["--m", "nan"], "m must be finite, got nan"),
+        (["--alpha=-inf"], "alpha must be finite, got -inf")])
+    def test_non_finite_alpha_or_m_is_refused_by_name(self, tmp_path, args, message):
+        # both once reached the report as the invalid JSON tokens NaN and Infinity
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", "--suite", "lemmaB", "--trials", "10", *args, "--out", str(out))
+        assert proc.returncode == 2
+        assert f"config error: {message}" in proc.stderr
+        assert not out.exists()
+
     def test_reproducible_bytes(self, tmp_path):
         args = ("verify", "--suite", "lemma22", "--seed", "3", "--nodes", "512")
         a = run_cli(*args, "--out", str(tmp_path / "a.json"))
@@ -368,3 +396,22 @@ def test_every_field_reaches_the_report(monkeypatch, tmp_path, field, source):
     assert list(config) == ["suite", *keys]
     assert config[key] == value
     assert type(config[key]) is type(field.default)
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "1", "--nodes", "512"],
+    ["--n", "2", "--mc-nodes", "2000"],
+    ["--n", "3", "--mc-nodes", "2000"]], ids=["n1", "n2", "n3"])
+def test_all_suites_write_strict_json(tmp_path, flags):
+    # NaN and Infinity are Python's JSON extensions; a strict reader refuses them
+    from hballs import cli
+
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--suite", "all", *flags, "--seed", "2", "--samples", "20",
+                     "--trials", "200", "--pairs", "200", "--out", str(out)])
+    doc = json.loads(out.read_text(), parse_constant=refuse_constant)
+    assert code == 0 and doc["summary"]["failed"] == 0

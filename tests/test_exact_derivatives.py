@@ -66,10 +66,17 @@ def test_derivative_limit_is_the_limit_of_pair_quotients():
     assert gaps[1] <= 0.2 * gaps[0] and gaps[2] <= 0.2 * gaps[1]
 
 
+def thm24_of(f, pairs, grid):
+    """check_thm24_necessity on f at the pair endpoints, with FD data on the grid."""
+    endpoints = np.concatenate([pairs[:, 0, :], pairs[:, 1, :]])
+    return check_thm24_necessity(pairs, f(endpoints), grid, wirtinger_fd_many(f, grid),
+                                 fd_error=theorems._FD_TRUNCATION)
+
+
 def test_limits_are_counted_and_witnessed_apart_from_pairs():
     grid = ball_grid(2)
     pairs = pair_samples(2, 20, seed=2)
-    coord1 = check_thm24_necessity(lambda pts: np.asarray(pts)[:, 0], pairs, grid, n=2)
+    coord1 = thm24_of(lambda pts: np.asarray(pts)[:, 0], pairs, grid)
     # the limit at the origin is exactly 1, above any of 20 sampled pairs
     assert coord1.inputs["lhs_from"] == "limit"
     assert coord1.lhs == coord1.inputs["limit_sup"] == pytest.approx(1.0, abs=1e-9)
@@ -77,7 +84,7 @@ def test_limits_are_counted_and_witnessed_apart_from_pairs():
     assert coord1.inputs["pairs"] == len(pairs)
     assert coord1.inputs["limits"] == 32 * len(grid)
     # z_2 does not move along e_1, so every limit is 0 and a pair wins
-    coord2 = check_thm24_necessity(lambda pts: np.asarray(pts)[:, 1], pairs, grid, n=2)
+    coord2 = thm24_of(lambda pts: np.asarray(pts)[:, 1], pairs, grid)
     assert coord2.inputs["lhs_from"] == "pair"
     assert coord2.inputs["limit_sup"] == 0.0
     assert coord2.lhs == coord2.inputs["pair_sup"] > 0.0

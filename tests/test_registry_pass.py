@@ -4,7 +4,9 @@ thm24 and lemma22 evaluate every rule-based registry entry as a column of
 one stacked extension, and schwarzpick every entry with a declared bound.
 That may not change a single bit: a column must equal the entry's own
 extension, and each suite must equal its checks run one function at a time.
-Each entry is still held to its own declared bound.
+Each entry is still held to its own declared bound.  The checks are the
+batch functions the suites call, fed each function's own evaluations; the
+per-sample references they equal are in test_batch_checks.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hballs import theorems
-from hballs.calculus import wirtinger_fd_many
+from hballs.calculus import lambda_bounds_wirtinger, wirtinger_fd_many
 from hballs.errors import NearSingularEvaluation
 from hballs.extension import boundary_registry, h_extend, vector_boundary
 from hballs.quadrature import circle_rule, sphere_rule_mc
@@ -29,6 +31,7 @@ from hballs.theorems import (
     suite_schwarzpick,
     suite_thm24,
 )
+from test_batch_checks import schwarz_value_samples
 
 # sizes off a multiple of the 1024-node chunk, so the last chunk is partial
 RULES = {1: circle_rule(1500), 2: sphere_rule_mc(2, 2500, 11)}
@@ -122,7 +125,9 @@ def test_thm24_suite_equals_per_function_checks(n):
     cfg = HarnessConfig(**SMALL[n])
     grid = theorems.ball_grid(n)
     pairs = theorems.pair_samples(n, cfg.pairs, cfg.seed, rmax=0.7)
-    expected = [check_thm24_necessity(f, pairs, grid, n=n, label=label).to_dict()
+    endpoints = np.concatenate([pairs[:, 0, :], pairs[:, 1, :]])
+    expected = [check_thm24_necessity(pairs, f(endpoints), grid, theorems._wirtinger_data(f, grid),
+                                      label=label, fd_error=theorems._fd_error(f)).to_dict()
                 for label, f in one_at_a_time(cfg)]
     assert [rep.to_dict() for rep in suite_thm24(cfg)] == expected
     assert_derivative_path(cfg, expected)
@@ -140,11 +145,9 @@ def assert_derivative_path(cfg, reports):
 def test_lemma22_suite_equals_per_function_checks(n):
     cfg = HarnessConfig(**SMALL[n])
     zs = theorems._sample_ball(cfg, 100, 0.7)
-    expected = []
-    for label, f in one_at_a_time(cfg):
-        per_point = [check_lemma22(f, z, label=label, check_id=f"lemma22[n={n},f={label},i={i}]")
-                     for i, z in enumerate(zs)]
-        expected.append(theorems._aggregate(per_point, f"lemma22[n={n},f={label}]").to_dict())
+    expected = [check_lemma22(theorems._wirtinger_data(f, zs), zs, label=label,
+                              fd_error=theorems._fd_error(f)).to_dict()
+                for label, f in one_at_a_time(cfg)]
     assert [rep.to_dict() for rep in suite_lemma22(cfg)] == expected
     assert_derivative_path(cfg, expected)
 
@@ -166,20 +169,22 @@ def test_schwarzpick_suite_equals_per_entry_checks(n):
     for entry in entries:
         # the rule-based extension even where a closed form exists
         ext = h_extend(entry, rule, guard_radius=cfg.rmax)
-        values = [check_schwarz_pick_value(ext, z, check_id=f"schwarzpick.value[i={i}]")
-                  for i, z in enumerate(zs)]
-        grads = [check_schwarz_pick_gradient(ext, z, check_id=f"schwarzpick.gradient[i={i}]")
-                 for i, z in enumerate(zs)]
-        const_values = const_values or values
-        expected.append(theorems._aggregate(values, f"schwarzpick.value[n={n},f={entry.label}]"))
-        expected.append(theorems._aggregate(grads, f"schwarzpick.gradient[n={n},f={entry.label}]"))
+        values, v_errors = ext.values_with_errors(np.vstack([zs, np.zeros(n)]))
+        data, g_errors = ext.wirtinger_many(zs)
+        args = dict(bound=entry.sup_bound, label=entry.label, rule=rule.meta)
+        expected.append(check_schwarz_pick_value(zs, values[:-1], values[-1], v_errors[:-1], **args))
+        expected.append(check_schwarz_pick_gradient(zs, lambda_bounds_wirtinger(data)[0], g_errors,
+                                                    **args))
+        const_values = const_values or schwarz_value_samples(
+            zs[:20], values[:20], values[-1], v_errors[:20], entry.sup_bound, entry.label,
+            rule.meta)
     # the vector entry carries the root-sum-square SE of its components
     if n >= 2:
         assert expected[-2].tol_breakdown["quadrature"] > 0.0
     expected.append(theorems.make_report(
         f"schwarzpick.equality[n={n}]", max(abs(rep.margin) for rep in const_values),
         max(rep.tolerance for rep in const_values), analytic=1e-12,
-        inputs={"f": entries[0].label, "points": len(zs),
+        inputs={"f": entries[0].label, "points": len(const_values),
                 "note": "constant data attains the value bound"},
         rule=dict(rule.meta)))
     assert [rep.to_dict() for rep in suite_schwarzpick(cfg)] == [rep.to_dict() for rep in expected]

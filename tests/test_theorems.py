@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from hballs import theorems
+from hballs.calculus import lambda_bounds_wirtinger, wirtinger_fd_many
 from hballs.extension import boundary_registry, h_extend
 from hballs.norms import ball_grid, near_diagonal_pairs, pair_samples
 from hballs.quadrature import circle_rule, real_circle_rule, real_sphere_rule_mc, sphere_rule_mc
@@ -28,6 +30,33 @@ from hballs.theorems import (
 
 def registry_map(n):
     return {entry.label: entry for entry in boundary_registry(n)}
+
+
+def lemma22_at(f, z, label):
+    """check_lemma22 on a one-point batch, by finite differences."""
+    zs = np.atleast_2d(z)
+    return check_lemma22(wirtinger_fd_many(f, zs), zs, label=label,
+                         fd_error=theorems._FD_TRUNCATION)
+
+
+def thm24_of(f, pairs, grid, label):
+    """check_thm24_necessity on f evaluated at the pair endpoints and
+    differentiated by finite differences on the grid."""
+    endpoints = np.concatenate([pairs[:, 0, :], pairs[:, 1, :]])
+    return check_thm24_necessity(pairs, f(endpoints), grid, wirtinger_fd_many(f, grid),
+                                 label=label, fd_error=theorems._FD_TRUNCATION)
+
+
+def schwarz_value_at(ext, zs):
+    values, errors = ext.values_with_errors(np.vstack([zs, np.zeros(zs.shape[1])]))
+    return check_schwarz_pick_value(zs, values[:-1], values[-1], errors[:-1],
+                                    bound=ext.boundary.sup_bound)
+
+
+def schwarz_gradient_at(ext, zs):
+    data, errors = ext.wirtinger_many(zs)
+    return check_schwarz_pick_gradient(zs, lambda_bounds_wirtinger(data)[0], errors,
+                                       bound=ext.boundary.sup_bound)
 
 
 class TestCheckReport:
@@ -113,15 +142,15 @@ class TestLemma22:
             z = np.asarray(pts)[:, 0]
             return z ** 2 + np.conj(z)
 
-        rep = check_lemma22(f, np.zeros(1, dtype=complex), label="square+conj")
+        rep = lemma22_at(f, np.zeros(1, dtype=complex), "square+conj")
         assert rep.lhs == pytest.approx(1.0, abs=1e-9)
         assert rep.rhs == pytest.approx(2.0, abs=1e-9)
         assert rep.passed
 
     def test_coordinate_function_values(self):
         # f = z_1 in C^2: |grad f| = 1, |grad u| = |grad v| = 1
-        rep = check_lemma22(lambda pts: np.asarray(pts)[:, 0],
-                            np.array([0.1 + 0.2j, -0.1 + 0.0j]), label="coord")
+        rep = lemma22_at(lambda pts: np.asarray(pts)[:, 0],
+                         np.array([0.1 + 0.2j, -0.1 + 0.0j]), "coord")
         assert rep.lhs == pytest.approx(1.0, abs=1e-9)
         assert rep.rhs == pytest.approx(2.0, abs=1e-9)
         assert rep.passed
@@ -132,7 +161,7 @@ class TestLemma22:
             z = np.asarray(pts)[:, 0]
             return z + np.conj(z)
 
-        rep = check_lemma22(f, np.array([0.2 - 0.1j]), label="2x")
+        rep = lemma22_at(f, np.array([0.2 - 0.1j]), "2x")
         assert rep.lhs == pytest.approx(2.0, abs=1e-9)
         assert rep.rhs == pytest.approx(2.0, abs=1e-9)
         assert rep.passed
@@ -149,16 +178,14 @@ class TestThm24:
     def test_constant(self):
         pairs = pair_samples(1, 100, seed=1)
         grid = ball_grid(1)
-        rep = check_thm24_necessity(
-            lambda pts: np.zeros(len(pts)), pairs, grid, n=1, label="const")
+        rep = thm24_of(lambda pts: np.zeros(len(pts)), pairs, grid, "const")
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
 
     def test_identity_estimates(self):
         grid = ball_grid(1)
         pairs = np.concatenate(
             [near_diagonal_pairs(grid), pair_samples(1, 2000, seed=2)], axis=0)
-        rep = check_thm24_necessity(
-            lambda pts: np.asarray(pts)[:, 0], pairs, grid, n=1, label="id")
+        rep = thm24_of(lambda pts: np.asarray(pts)[:, 0], pairs, grid, "id")
         assert rep.lhs == pytest.approx(1.0, abs=1e-4)
         assert rep.rhs == pytest.approx(math.pi, abs=1e-6)
         assert rep.passed
@@ -167,32 +194,22 @@ class TestThm24:
 class TestSchwarzPick:
     def test_value_at_origin_is_trivial(self):
         ext = h_extend(registry_map(1)["re1"], circle_rule(512))
-        rep = check_schwarz_pick_value(ext, np.zeros(1, dtype=complex))
+        rep = schwarz_value_at(ext, np.zeros((1, 1), dtype=complex))
         assert rep.lhs <= 1e-12 and rep.rhs == 0.0 and rep.passed
 
     def test_constant_data_attains_equality(self):
         ext = h_extend(registry_map(1)["const:1"], circle_rule(512))
-        rep = check_schwarz_pick_value(ext, np.array([0.6 + 0.1j]))
+        rep = schwarz_value_at(ext, np.array([[0.6 + 0.1j]]))
         assert abs(rep.margin) <= 1e-12
         assert rep.passed
 
     def test_gradient_bound_for_re_at_origin(self):
         # grad bound at 0 with M = 1 is 2(2n-1) = 2; Lambda(Re z) = 1
         ext = h_extend(registry_map(1)["re1"], circle_rule(2048))
-        rep = check_schwarz_pick_gradient(ext, np.zeros(1, dtype=complex))
+        rep = schwarz_gradient_at(ext, np.zeros((1, 1), dtype=complex))
         assert rep.lhs == pytest.approx(1.0, abs=1e-10)
         assert rep.rhs == pytest.approx(2.0, rel=1e-14)
         assert rep.passed
-
-    def test_needs_declared_bound(self):
-        from hballs.extension import BoundaryFunction
-
-        anon = BoundaryFunction("anon", 1, lambda nodes: nodes[:, 0])
-        ext = h_extend(anon, circle_rule(256))
-        with pytest.raises(ValueError):
-            check_schwarz_pick_value(ext, np.array([0.1 + 0j]))
-        with pytest.raises(ValueError):
-            check_schwarz_pick_gradient(ext, np.array([0.1 + 0j]))
 
     def test_suite_passes_for_both_dimensions(self):
         for n, kwargs in ((1, dict(nodes=2048)), (2, dict(mc_nodes=8000))):
@@ -203,9 +220,8 @@ class TestSchwarzPick:
 
 class TestLemma33:
     def test_zero_point_equality(self):
-        rep = check_lemma33(
-            lambda z: np.zeros((2, 2), dtype=complex), 0.5, 1.0,
-            np.zeros(2, dtype=complex), n=2)
+        rep = check_lemma33(np.zeros((1, 2, 2), dtype=complex),
+                            np.zeros((1, 2), dtype=complex), 0.5)
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
 
     def test_suite_construction_passes(self):
@@ -217,8 +233,7 @@ class TestLemma33:
 
     def test_point_outside_ball_rejected(self):
         with pytest.raises(ValueError):
-            check_lemma33(lambda z: np.eye(2, dtype=complex), 0.5, 1.0,
-                          np.array([0.6 + 0j, 0.0 + 0j]), n=2)
+            check_lemma33(np.eye(2, dtype=complex)[None], np.array([[0.6 + 0j, 0.0 + 0j]]), 0.5)
 
 
 class TestLemmaB:
@@ -273,6 +288,12 @@ class TestLandauConstants:
             landau_constants(1, 0.0, 1.0)
         with pytest.raises(ValueError):
             landau_constants(1, 1.0, 0.5)
+
+    def test_nan_is_refused_by_its_own_field(self):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            landau_constants(1, math.nan, 1.0)
+        with pytest.raises(ValueError, match="^the norm bound M must be >= 1$"):
+            landau_constants(1, 1.0, math.nan)
 
 
 class TestUnivalenceProbe:
@@ -330,6 +351,12 @@ class TestSuiteRunner:
         for field in ("samples", "trials", "pairs", "n"):
             with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
                 HarnessConfig(**{field: 0})
+
+    def test_config_refuses_non_finite_alpha_and_m(self):
+        for field in ("alpha", "m"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}"):
+                    HarnessConfig(**{field: value})
 
     def test_config_refuses_rmax_outside_unit_interval(self):
         for rmax in (1.5, 1.0, 0.0, -1.0, float("nan")):
