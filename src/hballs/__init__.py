@@ -53,6 +53,7 @@ from .theorems import (
     LandauConstants,
     HarnessConfig,
     landau_constants,
+    lemma21_rows,
     check_lemma21,
     check_lemma22,
     check_thm24_necessity,

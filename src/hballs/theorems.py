@@ -10,7 +10,8 @@ batch (a WirtingerData batch, values with f(0) and their standard errors,
 Lambda, or a matrix stack), computes lhs, rhs and tolerance as (P,) arrays
 and returns one report for the batch: the worst sample's, with the sample
 count and the number of failing samples.  thm24 takes the values at its
-pair endpoints and the Wirtinger data at its grid the same way.
+pair endpoints and the Wirtinger data at its grid the same way, and lemma21
+the values of one ball's stencil, centre and boundary.
 Tolerances follow one policy:
 
     tolerance = analytic slack
@@ -28,7 +29,8 @@ instead of a slack.
 Each suite evaluates one WirtingerData batch, (P, k, n) arrays, per
 function and sweep (Lambda by one stacked SVD), and f(0) as one more row of
 a value batch it already evaluates, since a row's value does not depend on
-its batch.
+its batch.  lemma21 evaluates each function once per sweep, at the rows of
+all its balls, and takes the registry's closed form where it has one.
 
 Suites group the checks the way the command line exposes them: lemma21
 (gradient-versus-boundary-mean bound on real balls), lemma22 (Wirtinger
@@ -48,8 +50,9 @@ import numpy as np
 
 from .calculus import (
     GRADIENT_STEP_FACTOR,
+    _richardson,
     _row_norms,
-    fd_partials,
+    _stencils,
     lambda_bounds_wirtinger,
     operator_norm,
     real_jacobian_from_wirtinger,
@@ -94,6 +97,7 @@ __all__ = [
     "LandauConstants",
     "HarnessConfig",
     "landau_constants",
+    "lemma21_rows",
     "check_lemma21",
     "check_lemma22",
     "check_thm24_necessity",
@@ -217,6 +221,10 @@ def landau_constants(n: int, alpha: float, bound: float) -> LandauConstants:
         raise ValueError("alpha must be positive")
     if not bound >= 1.0:
         raise ValueError("the norm bound M must be >= 1")
+    if math.isinf(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    if math.isinf(bound):
+        raise ValueError(f"the norm bound M must be finite, got {bound}")
     rho = 3.0 ** alpha / ((2.0 * bound) ** (2 * n) * (3.0 ** alpha + 4.0 ** alpha))
     return LandauConstants(
         n=n, alpha=float(alpha), bound=float(bound),
@@ -228,26 +236,37 @@ def landau_constants(n: int, alpha: float, bound: float) -> LandauConstants:
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_lemma21(f, a, r: float, rule: QuadratureRule, *,
-                  check_id: str = "lemma21") -> CheckReport:
+def lemma21_rows(a, r: float, rule: QuadratureRule) -> np.ndarray:
+    """The points of R^m at which ``check_lemma21`` reads f for the ball
+    B(a, r), stacked: the 4m ``calculus._stencils`` rows at step
+    GRADIENT_STEP_FACTOR * r, the centre a, then the boundary a + r * nodes."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    stencil = _stencils(a[None, :], np.array([GRADIENT_STEP_FACTOR * r], dtype=float))[0]
+    return np.vstack([stencil, a, a + r * rule.nodes])
+
+
+def check_lemma21(stencil_values, fa: float, boundary_values, a, r: float,
+                  rule: QuadratureRule, *, check_id: str = "lemma21") -> CheckReport:
     """Gradient bound |grad f(a)| <= (2(m-1) sqrt(m) / (m V(m) r^m)) * I.
 
     I is the integral of |f(a) - f(t)| over the boundary sphere of B(a, r)
     in the UNNORMALIZED surface measure; with the normalized rule this is
     surface_area * mean, and the bound collapses to
-    (2(m-1) sqrt(m) / r) * mean|f(a) - f(t)|.  ``f`` maps (P, m) real
-    points to real values and must be h-harmonic on the ball; ``rule``
-    lives on the unit sphere of R^m and is mapped to radius r about a.
+    (2(m-1) sqrt(m) / r) * mean|f(a) - f(t)|.  The real values of f, which
+    must be h-harmonic on the ball, come already evaluated at the rows of
+    ``lemma21_rows(a, r, rule)``: the 4m stencil values, f(a) and the values
+    at the boundary, where ``rule`` lives on the unit sphere of R^m.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     m = a.size
     if m < 2:
         raise ValueError("the bound is degenerate below real dimension 2")
     fd_step = GRADIENT_STEP_FACTOR * r
-    lhs = float(np.linalg.norm(fd_partials(f, a[None, :], np.array([fd_step], dtype=float))))
+    stencil = np.asarray(stencil_values, dtype=float).reshape(1, m, 4, 1)
+    lhs = float(np.linalg.norm(_richardson(stencil, np.array([fd_step], dtype=float))))
 
-    fa = float(np.asarray(f(a.reshape(1, -1)))[0])
-    gaps = np.abs(np.asarray(f(a + r * rule.nodes), dtype=float) - fa)
+    fa = float(fa)
+    gaps = np.abs(np.asarray(boundary_values, dtype=float) - fa)
 
     def boundary_mean(stride):
         weights = rule.weights[::stride]
@@ -563,6 +582,10 @@ class HarnessConfig:
         for name in ("alpha", "m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.alpha <= 0.0:
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if self.m < 1.0:
+            raise ValueError(f"m must be >= 1, got {self.m}")
 
 
 def rule_for(cfg: HarnessConfig) -> QuadratureRule:
@@ -577,29 +600,32 @@ def _sample_ball(cfg: HarnessConfig, count: int, rmax: float) -> np.ndarray:
 
 
 def suite_lemma21(cfg: HarnessConfig) -> list[CheckReport]:
-    """Real-ball gradient bound on restrictions of disk extensions (m = 2)."""
+    """Real-ball gradient bound on restrictions of disk functions (m = 2).
+
+    The cases cycle through the n = 1 registry, alternating real and
+    imaginary parts.  Each entry is one function, its closed-form extension
+    where the registry has one and else its extension under the circle rule,
+    evaluated once at the ``lemma21_rows`` of all its cases.
+    """
     rule = circle_rule(cfg.nodes)
     boundary_rule = real_circle_rule(1024)
     rng = rng_stream(cfg.seed, STREAM_GEOMETRY)
     registry = boundary_registry(1)
-    extensions = [h_extend(entry, rule, guard_radius=cfg.rmax) for entry in registry]
-    reports = []
-    for case in range(LEMMA21_CASES):
-        ext = extensions[case % len(extensions)]
+    balls = []
+    for _ in range(LEMMA21_CASES):
         center = uniform_ball(1, 1, rng, 0.4)[0]
-        radius = 0.1 + 0.25 * float(rng.random())
-        take_real = case % 2 == 0
-
-        def f_real(xy, ext=ext, take_real=take_real):
-            pts = (np.asarray(xy)[:, 0] + 1j * np.asarray(xy)[:, 1]).reshape(-1, 1)
-            vals = ext(pts)
-            return vals.real if take_real else vals.imag
-
-        a = np.array([center[0].real, center[0].imag])
-        part = "re" if take_real else "im"
-        reports.append(check_lemma21(
-            f_real, a, radius, boundary_rule,
-            check_id=f"lemma21[m=2,f={ext.boundary.label}.{part},case={case}]"))
+        balls.append((np.array([center[0].real, center[0].imag]), 0.1 + 0.25 * float(rng.random())))
+    reports = [None] * LEMMA21_CASES
+    for k, entry in enumerate(registry):
+        f = entry.exact_extension or h_extend(entry, rule, guard_radius=cfg.rmax)
+        cases = range(k, LEMMA21_CASES, len(registry))
+        xy = np.vstack([lemma21_rows(*balls[case], boundary_rule) for case in cases])
+        values = np.asarray(f((xy[:, 0] + 1j * xy[:, 1]).reshape(-1, 1))).reshape(len(cases), -1)
+        for case, v in zip(cases, values):     # per case: 8 stencil values, f(a), the boundary
+            part, v = ("re", v.real) if case % 2 == 0 else ("im", v.imag)
+            reports[case] = check_lemma21(
+                v[:8], v[8], v[9:], *balls[case], boundary_rule,
+                check_id=f"lemma21[m=2,f={entry.label}.{part},case={case}]")
     return reports
 
 
@@ -712,14 +738,17 @@ def suite_lemma33(cfg: HarnessConfig) -> list[CheckReport]:
     ext = h_extend(entry, rule, guard_radius=cfg.rmax)
     scale = 1.0 / (2.0 * entry.sup_bound)
     rng = rng_stream(cfg.seed, STREAM_SAMPLES)
-    for r in (0.5, 0.9):
-        zs = uniform_ball(cfg.n, LEMMA33_POINTS, rng, 0.95) * (r * cfg.rmax)
-        # one pass per radius, f(0) its last row; A(z) = scale (f(z/r) - f(0)) I
-        values, errors = ext.values_with_errors(np.vstack([zs / r, np.zeros(cfg.n)]))
-        gaps = scale * (values[:-1] - values[-1])
+    radii = (0.5, 0.9)
+    sets = [uniform_ball(cfg.n, LEMMA33_POINTS, rng, 0.95) * (r * cfg.rmax) for r in radii]
+    # one pass for both radii, f(0) its last row; A(z) = scale (f(z/r) - f(0)) I
+    values, errors = ext.values_with_errors(
+        np.vstack([zs / r for zs, r in zip(sets, radii)] + [np.zeros((1, cfg.n))]))
+    for i, (zs, r) in enumerate(zip(sets, radii)):
+        rows = slice(i * LEMMA33_POINTS, (i + 1) * LEMMA33_POINTS)
+        gaps = scale * (values[rows] - values[-1])
         reports.append(check_lemma33(gaps[:, None, None] * np.eye(cfg.n, dtype=complex), zs, r,
                                      label=f"diag({entry.label})",
-                                     quad_error=errors[:-1] * scale * 2))
+                                     quad_error=errors[rows] * scale * 2))
     return reports
 
 
@@ -760,7 +789,7 @@ def suite_landau(cfg: HarnessConfig) -> list[CheckReport]:
     # strict monotonicity in M, n and alpha
     for name, values in (
         ("M", [landau_constants(cfg.n, cfg.alpha, m).rho for m in (1.0, 1.5, 2.0)]),
-        ("n", [landau_constants(n, cfg.alpha, max(cfg.m, 1.0)).rho for n in (1, 2, 3, 4)]),
+        ("n", [landau_constants(n, cfg.alpha, cfg.m).rho for n in (1, 2, 3, 4)]),
         ("alpha", [landau_constants(cfg.n, a, cfg.m).rho for a in (0.5, 1.0, 2.0)]),
     ):
         gaps = np.diff(values)

@@ -97,6 +97,16 @@ class TestLandauCommand:
         assert proc.returncode == 2
         assert proc.stderr == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--alpha", "alpha must be finite, got inf"),
+        ("--m", "the norm bound M must be finite, got inf")])
+    def test_infinity_is_refused_by_its_own_field(self, flag, message):
+        # inf once passed the field checks and blamed the constants instead
+        proc = run_cli("landau", flag, "inf")
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: {message}\n"
+        assert proc.stdout == ""
+
     def test_seed_is_not_a_landau_flag(self):
         proc = run_cli("landau", "--seed", "3", "--n", "1")
         assert proc.returncode == 2
@@ -314,6 +324,18 @@ class TestVerifyCommand:
         assert f"config error: {message}" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite", ["lemmaB", "landau"])
+    @pytest.mark.parametrize("args, message", [
+        (["--alpha", "0", "--m", "0.5"], "alpha must be > 0, got 0.0"),
+        (["--m", "0.5"], "m must be >= 1, got 0.5")])
+    def test_alpha_and_m_ranges_do_not_depend_on_the_suite(self, tmp_path, suite, args, message):
+        # lemmaB once exited 0 and wrote alpha 0 and m 0.5 into its report
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", "--suite", suite, "--trials", "10", *args, "--out", str(out))
+        assert proc.returncode == 2
+        assert f"config error: {message}" in proc.stderr
+        assert not out.exists()
+
     def test_reproducible_bytes(self, tmp_path):
         args = ("verify", "--suite", "lemma22", "--seed", "3", "--nodes", "512")
         a = run_cli(*args, "--out", str(tmp_path / "a.json"))
@@ -371,8 +393,10 @@ class TestConfigHandling:
 
 
 def _changed(value):
-    """A valid value of the default's type that differs from it."""
-    return value + 1 if isinstance(value, int) else value / 2
+    """A valid value of the default's type that differs from it (m >= 1, rmax < 1)."""
+    if isinstance(value, int):
+        return value + 1
+    return value * 2 if value >= 1 else value / 2
 
 
 @pytest.mark.parametrize("source", ["flag", "file", "default"])

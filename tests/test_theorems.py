@@ -1,10 +1,17 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hballs import theorems
-from hballs.calculus import lambda_bounds_wirtinger, wirtinger_fd_many
+from hballs.calculus import (
+    GRADIENT_STEP_FACTOR,
+    fd_partials,
+    lambda_bounds_wirtinger,
+    wirtinger_fd_many,
+)
 from hballs.extension import boundary_registry, h_extend
 from hballs.norms import ball_grid, near_diagonal_pairs, pair_samples
 from hballs.quadrature import circle_rule, real_circle_rule, real_sphere_rule_mc, sphere_rule_mc
@@ -21,6 +28,7 @@ from hballs.theorems import (
     check_thm24_necessity,
     covered_ball_probe,
     landau_constants,
+    lemma21_rows,
     make_report,
     mapping_registry,
     run_suite,
@@ -85,18 +93,52 @@ class TestCheckReport:
         assert doc["margin"] == pytest.approx(0.5)
 
 
+def lemma21_of(f, a, r, rule, **kwargs):
+    """check_lemma21 on f evaluated once at the rows of lemma21_rows(a, r, rule)."""
+    a = np.asarray(a, dtype=float)
+    values = np.asarray(f(lemma21_rows(a, r, rule)), dtype=float)
+    m = a.size
+    return check_lemma21(values[:4 * m], values[4 * m], values[4 * m + 1:], a, r, rule, **kwargs)
+
+
+def lemma21_reference(f, a, r, rule, check_id):
+    """The check as it took a callable: Richardson partials through fd_partials,
+    then f(a), then the boundary, three evaluator calls."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    m = a.size
+    fd_step = GRADIENT_STEP_FACTOR * r
+    lhs = float(np.linalg.norm(fd_partials(f, a[None, :], np.array([fd_step], dtype=float))))
+    fa = float(np.asarray(f(a.reshape(1, -1)))[0])
+    gaps = np.abs(np.asarray(f(a + r * rule.nodes), dtype=float) - fa)
+    means = [float(np.sum(rule.weights[::s] * gaps[::s]) / np.sum(rule.weights[::s]))
+             for s in (1, 2)]
+    prefactor = 2.0 * (m - 1) * math.sqrt(m) / r
+    return make_report(
+        check_id, lhs, prefactor * means[0], quad_error=prefactor * abs(means[0] - means[1]),
+        fd_error=1e-9, inputs={"m": m, "a": list(map(float, a)), "r": float(r), "f(a)": fa,
+                               "fd_step": fd_step},
+        rule=dict(rule.meta))
+
+
+def disk_part(ext, take_real):
+    """A disk function as a real function on R^2, as the lemma21 suite reads it."""
+    def f(xy):
+        vals = ext((xy[:, 0] + 1j * xy[:, 1]).reshape(-1, 1))
+        return vals.real if take_real else vals.imag
+    return f
+
+
 class TestLemma21:
     def test_constant_function(self):
         rule = real_circle_rule(512)
-        rep = check_lemma21(lambda pts: np.zeros(len(np.atleast_2d(pts))),
-                            np.zeros(2), 0.5, rule)
+        rep = lemma21_of(lambda pts: np.zeros(len(np.atleast_2d(pts))), np.zeros(2), 0.5, rule)
         assert rep.passed
         assert rep.lhs <= 1e-8
 
     def test_coordinate_function_worked_example(self):
         # m=2, f = x_1, a=0, r=0.5: lhs = 1, rhs = 4 sqrt(2) / pi
         rule = real_circle_rule(4096)
-        rep = check_lemma21(lambda pts: np.atleast_2d(pts)[:, 0], np.zeros(2), 0.5, rule)
+        rep = lemma21_of(lambda pts: np.atleast_2d(pts)[:, 0], np.zeros(2), 0.5, rule)
         assert rep.lhs == pytest.approx(1.0, abs=1e-8)
         assert rep.rhs == pytest.approx(4.0 * math.sqrt(2.0) / math.pi, rel=1e-6)
         assert rep.passed
@@ -104,29 +146,80 @@ class TestLemma21:
     def test_odd_real_dimension(self):
         # m = 3 is no C^n; f = x_1 + 2 x_3 has |grad f| = sqrt(5)
         rule = real_sphere_rule_mc(3, 4000, 2)
-        rep = check_lemma21(lambda pts: pts[:, 0] + 2.0 * pts[:, 2],
-                            np.array([0.1, -0.2, 0.3]), 0.4, rule)
+        rep = lemma21_of(lambda pts: pts[:, 0] + 2.0 * pts[:, 2],
+                         np.array([0.1, -0.2, 0.3]), 0.4, rule)
         assert rep.inputs["m"] == 3
         assert rep.lhs == pytest.approx(math.sqrt(5.0), abs=1e-8)
         assert rep.passed
 
     def test_degenerate_dimension_rejected(self):
         with pytest.raises(ValueError):
-            check_lemma21(lambda pts: np.zeros(len(pts)), np.zeros(1), 0.5,
-                          real_circle_rule(64))
+            lemma21_of(lambda pts: np.zeros(len(pts)), np.zeros(1), 0.5, real_circle_rule(64))
 
-    def test_boundary_evaluated_once(self):
-        # the half-rule error estimate reuses every second boundary value
-        rule = real_circle_rule(512)
-        seen = []
+    def test_boundary_evaluated_once(self, monkeypatch):
+        # one evaluator call per registry function, at the stencil, centre and
+        # boundary rows of all its cases; only bump is built under the rule
+        calls, builds = {}, []
 
-        def f(pts):
-            pts = np.atleast_2d(pts)
-            seen.append(len(pts))
-            return pts[:, 0] ** 2 - pts[:, 1] ** 2
+        def counted(label, f):
+            def wrapper(pts):
+                calls.setdefault(label, []).append(len(pts))
+                return f(pts)
+            return wrapper
 
-        check_lemma21(f, np.array([0.1, -0.2]), 0.3, rule)
-        assert sorted(seen) == [1, 8, 512]
+        def registry(n):
+            return [replace(entry, exact_extension=counted(entry.label, entry.exact_extension))
+                    if entry.exact_extension else entry for entry in boundary_registry(n)]
+
+        def build(entry, rule, guard_radius):
+            builds.append(entry.label)
+            return counted(entry.label, h_extend(entry, rule, guard_radius=guard_radius))
+
+        monkeypatch.setattr(theorems, "boundary_registry", registry)
+        monkeypatch.setattr(theorems, "h_extend", build)
+        reports = theorems.suite_lemma21(HarnessConfig(n=2, nodes=512, seed=3))
+        assert len(reports) == theorems.LEMMA21_CASES
+        assert builds == ["bump"]
+        rows = 8 + 1 + 1024                     # per case: stencil, centre, boundary
+        assert calls == {label: [4 * rows] for label in ("const:1", "coord1", "re1", "bump", "fourier")}
+
+    def test_rule_based_rows_equal_the_callable_reference_to_the_bit(self):
+        cfg = HarnessConfig(n=1, nodes=1024, seed=3)
+        reports = theorems.suite_lemma21(cfg)
+        bump = next(entry for entry in boundary_registry(1) if entry.label == "bump")
+        ext = h_extend(bump, circle_rule(cfg.nodes), guard_radius=cfg.rmax)
+        checked = 0
+        for case, rep in enumerate(reports):
+            if "f=bump." not in rep.check_id:
+                continue
+            a, r = np.array(rep.inputs["a"]), rep.inputs["r"]
+            ref = lemma21_reference(disk_part(ext, case % 2 == 0), a, r, real_circle_rule(1024),
+                                    rep.check_id)
+            assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
+            checked += 1
+        assert checked == 4
+
+    def test_constant_rows_take_the_closed_form(self):
+        reports = theorems.suite_lemma21(HarnessConfig(n=1, nodes=1024, seed=1))
+        const = [rep for rep in reports if "f=const:1." in rep.check_id]
+        assert len(const) == 4
+        assert all(rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed for rep in const)
+
+    def test_rule_based_constant_passes_through_its_finite_difference_term(self):
+        # case 0 at seed 1 on the rule-based constant extension: rounding in the
+        # kernel sum gives lhs 2.3e-10 against rhs 2.6e-15, inside only 10 * 1e-9
+        reports = theorems.suite_lemma21(HarnessConfig(n=1, seed=1))
+        case0 = reports[0]
+        assert case0.check_id == "lemma21[m=2,f=const:1.re,case=0]"
+        const = boundary_registry(1)[0]
+        ext = h_extend(const, circle_rule(4096), guard_radius=0.8)
+        a, r, rule = np.array(case0.inputs["a"]), case0.inputs["r"], real_circle_rule(1024)
+        rep = lemma21_of(disk_part(ext, True), a, r, rule, check_id="const")
+        ref = lemma21_reference(disk_part(ext, True), a, r, rule, "const")
+        assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
+        assert rep.lhs / rep.rhs > 1e4
+        assert rep.lhs > rep.rhs + rep.tol_breakdown["quadrature"]
+        assert rep.passed and rep.lhs <= rep.rhs + rep.tolerance
 
     def test_harness_sweep_passes(self):
         cfg = HarnessConfig(n=1, nodes=1024, seed=3)
@@ -295,6 +388,13 @@ class TestLandauConstants:
         with pytest.raises(ValueError, match="^the norm bound M must be >= 1$"):
             landau_constants(1, 1.0, math.nan)
 
+    def test_infinity_is_refused_by_its_own_field(self):
+        # alpha = inf gave rho = inf / inf and M = inf gave rho = 0, both blamed on the constants
+        with pytest.raises(ValueError, match="^alpha must be finite, got inf$"):
+            landau_constants(1, math.inf, 1.0)
+        with pytest.raises(ValueError, match="^the norm bound M must be finite, got inf$"):
+            landau_constants(1, 1.0, math.inf)
+
 
 class TestUnivalenceProbe:
     def test_identity_has_unit_ratio(self):
@@ -357,6 +457,16 @@ class TestSuiteRunner:
             for value in (math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}"):
                     HarnessConfig(**{field: value})
+
+    def test_config_refuses_alpha_and_m_outside_their_ranges(self):
+        # every suite, not only landau, sees alpha > 0 and m >= 1
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^alpha must be > 0, got {value}$"):
+                HarnessConfig(alpha=value)
+        for value in (0.5, 0.0, -2.0):
+            with pytest.raises(ValueError, match=f"^m must be >= 1, got {value}$"):
+                HarnessConfig(m=value)
+        assert HarnessConfig(alpha=1e-3, m=1.0).m == 1.0
 
     def test_config_refuses_rmax_outside_unit_interval(self):
         for rmax in (1.5, 1.0, 0.0, -1.0, float("nan")):

@@ -3,7 +3,8 @@
 ``bench/tracing.py`` wraps package functions by the names their callers look
 them up by.  A refactor that drops or renames one of them breaks traced
 benchmark runs, so this test installs the tracer from its file, unchanged,
-and runs small thm24, lemma22, schwarzpick and lemma33 suites under it.
+and runs small lemma21, thm24, lemma22, schwarzpick and lemma33 suites
+under it.
 """
 
 import importlib.util
@@ -59,7 +60,7 @@ def test_tracer_installs_and_records_the_sweep_layers(suite):
         assert getattr(hballs.theorems, name) is original
 
 
-@pytest.mark.parametrize("suite, values_se", [("schwarzpick", 1), ("lemma33", 2)])
+@pytest.mark.parametrize("suite, values_se", [("schwarzpick", 1), ("lemma33", 1)])
 def test_tracer_records_the_pointwise_layers(suite, values_se):
     tracing = load_tracing()
     tracer = tracing.install(MODULES)
@@ -72,7 +73,23 @@ def test_tracer_records_the_pointwise_layers(suite, values_se):
     metrics = tracing.layer_metrics(tracer.spans, pass_s=1.0, errors=tracer.errors)
     assert metrics[f"theorems.{suite}.s"] > 0.0
     assert metrics["extension.build.calls"] == 1          # one stacked extension
-    assert metrics["extension.values_se.calls"] == values_se
+    assert metrics["extension.values_se.calls"] == values_se   # lemma33: both radii in one pass
     assert metrics["extension.values_se.kevals"] > 0
     assert metrics["extension.values.calls"] == 0         # f(0) is a row of the values_se batch
+    assert metrics["extension.errors"] == 0
+
+
+def test_tracer_records_one_build_and_one_value_call_in_lemma21():
+    tracing = load_tracing()
+    tracer = tracing.install(MODULES)
+    try:
+        reports = hballs.theorems.SUITES["lemma21"](HarnessConfig(n=1, nodes=1024, seed=5))
+    finally:
+        tracer.unpatch()
+    assert all(rep.passed for rep in reports)
+    metrics = tracing.layer_metrics(tracer.spans, pass_s=1.0, errors=tracer.errors)
+    assert metrics["theorems.lemma21.s"] > 0.0
+    assert metrics["extension.build.calls"] == 1          # bump; the others are closed forms
+    assert metrics["extension.values.calls"] == 1         # all four bump cases in one call
+    assert metrics["extension.values.points"] == 4 * (8 + 1 + 1024)
     assert metrics["extension.errors"] == 0
