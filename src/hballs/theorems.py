@@ -44,6 +44,7 @@ probes).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -752,14 +753,36 @@ def suite_lemma33(cfg: HarnessConfig) -> list[CheckReport]:
     return reports
 
 
-def suite_lemmaB(cfg: HarnessConfig) -> list[CheckReport]:
-    """Determinant vs smallest singular value over seeded random matrices."""
+def _lemmaB_trials(cfg: HarnessConfig) -> list:
+    """(n, lhs, s) for n = 2, 3, 4 over ``cfg.trials`` seeded complex n x n
+    matrices A: s their singular values, largest first, and lhs
+    |det A| s_max^(1-n).
+
+    Each stack is drawn into one complex array, real parts and then
+    imaginary parts, so it holds the bits of ``x + 1j * y`` for the same two
+    draws without their temporaries, and is freed before the next is drawn.
+    """
     rng = rng_stream(cfg.seed, STREAM_MATRICES)
-    reports = []
+    out = []
     for n in (2, 3, 4):
-        mats = rng.standard_normal((cfg.trials, n, n)) + 1j * rng.standard_normal((cfg.trials, n, n))
+        mats = np.empty((cfg.trials, n, n), dtype=complex)
+        mats.real = rng.standard_normal(mats.shape)
+        mats.imag = rng.standard_normal(mats.shape)
         s = np.linalg.svd(mats, compute_uv=False)
-        lhs = np.abs(np.linalg.det(mats)) * s[:, 0] ** (1 - n)
+        out.append((n, np.abs(np.linalg.det(mats)) * s[:, 0] ** (1 - n), s))
+        del mats
+    return out
+
+
+def suite_lemmaB(cfg: HarnessConfig, trials: list = None) -> list[CheckReport]:
+    """Determinant vs smallest singular value over seeded random matrices.
+
+    ``trials`` is ``_lemmaB_trials(cfg)``, computed here when not given.
+    """
+    if trials is None:
+        trials = _lemmaB_trials(cfg)
+    reports = []
+    for n, lhs, s in trials:
         margins = s[:, -1] - lhs
         worst = int(np.argmin(margins))
         reports.append(make_report(
@@ -840,12 +863,42 @@ SUITES = {
 
 
 def run_suite(name: str, cfg: HarnessConfig) -> list[CheckReport]:
-    """Run one named suite, or all of them in a fixed order."""
+    """Run one named suite, or all of them in the order of ``SUITES``.
+
+    For "all", lemmaB's random matrices (``_lemmaB_trials``) are drawn and
+    decomposed on a second thread while the suites before it run on this
+    one; lemmaB's reports are built here once they are done, so the reports
+    are those of each suite run by itself, bit for bit.  The second thread
+    calls nothing that bench/tracing.py wraps.
+    """
     if name == "all":
-        reports = []
-        for key in SUITES:
-            reports.extend(SUITES[key](cfg))
-        return reports
+        return _run_all(cfg)
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](cfg)
+
+
+def _run_all(cfg: HarnessConfig) -> list[CheckReport]:
+    trials, failure = [], []
+
+    def draw():
+        try:
+            trials.append(_lemmaB_trials(cfg))
+        except BaseException as exc:   # re-raised on the calling thread
+            failure.append(exc)
+
+    helper = threading.Thread(target=draw, name="hballs-lemmaB")
+    helper.start()
+    reports = []
+    try:
+        for key, suite in SUITES.items():
+            if key == "lemmaB":
+                helper.join()
+                if failure:
+                    raise failure[0]
+                reports.extend(suite(cfg, trials[0]))
+            else:
+                reports.extend(suite(cfg))
+    finally:
+        helper.join()
+    return reports

@@ -2,7 +2,11 @@
 leave a stale export behind."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +29,13 @@ def test_exports_resolve(name):
     module = importlib.import_module(f"hballs.{name}")
     missing = [sym for sym in getattr(module, "__all__", ()) if not hasattr(module, sym)]
     assert missing == []
+
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # every fresh interpreter pays for what the package imports (bench setup_s)
+    src = str(Path(hballs.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hballs; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.strip() == "False"

@@ -27,6 +27,7 @@ from hballs.theorems import (
     check_schwarz_pick_value,
     check_thm24_necessity,
     rule_for,
+    suite_lemma21,
     suite_lemma22,
     suite_schwarzpick,
     suite_thm24,
@@ -206,8 +207,10 @@ def test_entry_over_its_own_bound_is_refused_when_stacked(suite, monkeypatch):
         suite(cfg)
 
 
-@pytest.mark.parametrize("suite", [suite_thm24, suite_lemma22])
+@pytest.mark.parametrize("suite", [suite_thm24, suite_lemma22, suite_lemma21])
 def test_points_beyond_the_guard_radius_are_refused(suite):
-    # both suites sample out to |z| = 0.7
-    with pytest.raises(NearSingularEvaluation, match="exceeds the guard radius 0.5"):
-        suite(HarnessConfig(**SMALL[2], rmax=0.5))
+    # thm24 and lemma22 sample out to |z| = 0.7 at every n; lemma21's rows reach
+    # 0.75 in the disk whatever n is, and its bump extension takes the guard radius
+    for n in sorted(SMALL):
+        with pytest.raises(NearSingularEvaluation, match="exceeds the guard radius 0.5"):
+            suite(HarnessConfig(**SMALL[n], rmax=0.5))

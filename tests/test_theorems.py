@@ -1,20 +1,29 @@
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hballs import theorems
+from hballs import cli, theorems
 from hballs.calculus import (
     GRADIENT_STEP_FACTOR,
     fd_partials,
     lambda_bounds_wirtinger,
     wirtinger_fd_many,
 )
+from hballs.errors import NonFiniteResult
 from hballs.extension import boundary_registry, h_extend
 from hballs.norms import ball_grid, near_diagonal_pairs, pair_samples
-from hballs.quadrature import circle_rule, real_circle_rule, real_sphere_rule_mc, sphere_rule_mc
+from hballs.quadrature import (
+    STREAM_MATRICES,
+    circle_rule,
+    real_circle_rule,
+    real_sphere_rule_mc,
+    rng_stream,
+    sphere_rule_mc,
+)
 from hballs.theorems import (
     AffineMapping,
     CheckReport,
@@ -357,6 +366,20 @@ class TestLemmaB:
         assert all(rep.inputs.get("failures", 0) == 0
                    for rep in reports if "trials" in rep.inputs)
 
+    def test_trials_equal_the_summed_draws_to_the_bit(self):
+        # the stacks are drawn in place; the reference sums two separate draws
+        cfg = HarnessConfig(trials=300, seed=11)
+        rng = rng_stream(cfg.seed, STREAM_MATRICES)
+        trials = theorems._lemmaB_trials(cfg)
+        assert [n for n, _, _ in trials] == [2, 3, 4]
+        for n, lhs, s in trials:
+            mats = (rng.standard_normal((cfg.trials, n, n))
+                    + 1j * rng.standard_normal((cfg.trials, n, n)))
+            ref_s = np.linalg.svd(mats, compute_uv=False)
+            ref_lhs = np.abs(np.linalg.det(mats)) * ref_s[:, 0] ** (1 - n)
+            assert s.tobytes() == ref_s.tobytes()
+            assert lhs.tobytes() == ref_lhs.tobytes()
+
 
 class TestLandauConstants:
     def test_reference_values(self):
@@ -474,8 +497,36 @@ class TestSuiteRunner:
                 HarnessConfig(rmax=rmax)
 
     def test_all_concatenates(self):
-        cfg = HarnessConfig(n=1, nodes=512, seed=2, samples=20, trials=200, pairs=200)
-        reports = run_suite("all", cfg)
-        assert len(reports) > 30
-        assert all(isinstance(rep, CheckReport) for rep in reports)
-        assert all(rep.passed for rep in reports)
+        # lemmaB's matrices come from a second thread in "all", and not alone
+        for cfg in (HarnessConfig(n=1, nodes=512, seed=2, samples=20, trials=200, pairs=200),
+                    HarnessConfig(n=2, mc_nodes=1100, seed=2, samples=8, trials=200, pairs=40)):
+            reports = run_suite("all", cfg)
+            assert len(reports) > 30
+            assert all(isinstance(rep, CheckReport) for rep in reports)
+            assert all(rep.passed for rep in reports)
+            alone = [rep for name in theorems.SUITES for rep in run_suite(name, cfg)]
+            assert [rep.to_dict() for rep in reports] == [rep.to_dict() for rep in alone]
+
+    def test_all_raises_the_failure_of_lemmaB_trials(self, monkeypatch, capsys):
+        def fail(cfg):
+            raise NonFiniteResult("singular values must be finite")
+
+        monkeypatch.setattr(theorems, "_lemmaB_trials", fail)
+        cfg = HarnessConfig(n=1, nodes=256, samples=5, trials=10, pairs=20)
+        with pytest.raises(NonFiniteResult, match="^singular values must be finite$"):
+            run_suite("all", cfg)
+        code = cli.main(["verify", "--suite", "all", "--nodes", "256", "--samples", "5",
+                         "--trials", "10", "--pairs", "20"])
+        assert code == 3
+        assert capsys.readouterr().err == "numerical failure: singular values must be finite\n"
+
+    def test_all_joins_the_helper_when_a_suite_raises(self, monkeypatch):
+        def fail(cfg):
+            raise ValueError("lemma21 failed")
+
+        monkeypatch.setitem(theorems.SUITES, "lemma21", fail)
+        threads = threading.active_count()
+        # the default trials keep the helper busy well after lemma21 raises
+        with pytest.raises(ValueError, match="^lemma21 failed$"):
+            run_suite("all", HarnessConfig(n=1))
+        assert threading.active_count() == threads

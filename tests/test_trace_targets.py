@@ -4,10 +4,12 @@
 them up by.  A refactor that drops or renames one of them breaks traced
 benchmark runs, so this test installs the tracer from its file, unchanged,
 and runs small lemma21, thm24, lemma22, schwarzpick and lemma33 suites
-under it.
+under it.  Its spans assume one thread, so a small ``run_suite("all")``
+also runs under it: lemmaB's second thread must call no traced name.
 """
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import pytest
@@ -92,4 +94,35 @@ def test_tracer_records_one_build_and_one_value_call_in_lemma21():
     assert metrics["extension.build.calls"] == 1          # bump; the others are closed forms
     assert metrics["extension.values.calls"] == 1         # all four bump cases in one call
     assert metrics["extension.values.points"] == 4 * (8 + 1 + 1024)
+    assert metrics["extension.errors"] == 0
+
+
+class ThreadRecordingSpans(list):
+    """The tracer's span list, noting the thread that opens each span."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = set()
+
+    def append(self, record):
+        self.threads.add(threading.get_ident())
+        super().append(record)
+
+
+def test_all_suites_keep_every_traced_call_on_the_calling_thread():
+    tracing = load_tracing()
+    tracer = tracing.install(MODULES)
+    tracer.spans = ThreadRecordingSpans()
+    try:
+        reports = hballs.theorems.run_suite(
+            "all", HarnessConfig(n=1, nodes=512, seed=5, samples=10, trials=200, pairs=40))
+    finally:
+        tracer.unpatch()
+    assert all(rep.passed for rep in reports)
+    assert tracer.spans.threads == {threading.get_ident()}
+    # a span opened off this thread would take a parent from its stack
+    assert all(own >= 0.0 for own in tracing.self_times(tracer.spans))
+    top = [name for name, _, _, parent, _ in tracer.spans if parent < 0]
+    assert top == [f"theorems.{suite}" for suite in hballs.theorems.SUITES]
+    metrics = tracing.layer_metrics(tracer.spans, pass_s=1.0, errors=tracer.errors)
     assert metrics["extension.errors"] == 0
