@@ -15,12 +15,10 @@ of kernel sections P_h(., zeta_i), each annihilated by Delta_h, so the
 discretized extension is itself exactly hyperbolic-harmonic on the open
 ball; only its boundary values and sup bound carry quadrature error.
 Evaluation is batched: one call against the rule covers a whole stencil or
-pair sweep.  Both engines, values and gradients, evaluate each distinct
-point of a batch once, which replaces any per-point cache of repeated
-Poisson integrals, and share one tile walk and kernel setup: point blocks
-against the rule's node chunks, each point reducing over the chunks in
-index order, so a result does not depend on its batch.  Every temporary of
-a tile lives in a buffer made once per call.
+pair sweep.  Both engines, values and gradients, share one tile walk and
+kernel setup: point blocks against the rule's node chunks, each point
+reducing over the chunks in index order, so a result does not depend on its
+batch.  Every temporary of a tile lives in a buffer made once per call.
 
 Both engines cast a tile as BLAS products (the GEMM form):
 |z - zeta|^2 = |z|^2 + |zeta|^2 - 2 Re<z, zeta> is one product of the
@@ -36,8 +34,8 @@ depend on the product's shape: on its row count M and column count N, and,
 with the node operand stored column-major, on the row's place in the block
 (rows 60-63 of a 64-row block differed at chunk widths not a multiple of 8).
 So the node operands are stored row-major, and every product has the same
-shape for every point: the distinct rows are padded with the origin to
-whole ``_POINT_BLOCK`` blocks, and each output column gets its own products
+shape for every point: the batch is padded with the origin to whole
+``_POINT_BLOCK`` blocks, and each output column gets its own products
 rather than one product over all columns.  A row's value then depends
 neither on its batch nor on the BLAS thread count (1 and 4 threads are
 tested), though it does depend on the block size.  The columns of
@@ -183,11 +181,10 @@ class HExtension:
     def dim(self) -> int:
         return self.boundary.dim
 
-    def _distinct_rows(self, points):
-        """The distinct rows of a guarded batch and, per original row, its
-        index among them: repeated points (shared stencil centres, pair
-        endpoints) are evaluated once and scattered back."""
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    def _guarded_rows(self, points) -> np.ndarray:
+        """The batch as contiguous (P, n) rows, each finite and within the
+        guard radius."""
+        pts = np.atleast_2d(np.ascontiguousarray(points, dtype=complex))
         finite = np.isfinite(pts).all(axis=1)
         if not finite.all():
             idx = int(np.argmin(finite))
@@ -199,11 +196,10 @@ class HExtension:
                 f"|z| = {norms[idx]:.4g} exceeds the guard radius {self.guard_radius}",
                 point=pts[idx],
             )
-        pts, inverse = np.unique(pts, axis=0, return_inverse=True)
-        return pts, inverse.reshape(-1)   # flat on every numpy version
+        return pts
 
     def _kernel_tiles(self, pts: np.ndarray, keep_distances: bool):
-        """The tile walk and kernel setup both engines share, on distinct rows.
+        """The tile walk and kernel setup both engines share.
 
         Per ``_POINT_BLOCK``-row block of ``pts`` (the last padded with the
         origin) and per node chunk in index order, yields (rows, chunk, kern,
@@ -258,7 +254,7 @@ class HExtension:
         """First (and optionally second) moments of the kernel-weighted data,
         in the GEMM form of the module docstring: per tile and output column,
         kern @ (psi_j w), and kern^2 @ (|psi_j|^2 w) for the second moments."""
-        pts, inverse = self._distinct_rows(points)
+        pts = self._guarded_rows(points)
         count = len(pts)
         psi = self._psi_cols
         k_out = len(psi)
@@ -281,9 +277,6 @@ class HExtension:
                 if want_errors:
                     np.matmul(kern_sq, abs2_w[j], out=sums_sq)
                     second[rows, j] += sums_sq[:live]
-        first = first[inverse]
-        if want_errors:
-            second = second[inverse]
         values = first[:, 0] if self._psi_nodes.ndim == 1 else first
         return values, second
 
@@ -347,7 +340,7 @@ class HExtension:
         - 2 Re(conj(z_k) (RQ @ m_j zeta_k)) + Q^2 @ (m_j |zeta_k|^2)], the
         R^2, RQ and Q^2 tiles made one at a time.
         """
-        pts, inverse = self._distinct_rows(points)
+        pts = self._guarded_rows(points)
         count, n = len(pts), self.dim
         psi = self._psi_cols
         k_out = len(psi)
@@ -414,8 +407,7 @@ class HExtension:
             variances = np.sum(np.maximum(mean_sq - np.abs(fz) ** 2, 0.0), axis=2)
         else:
             variances = np.zeros((count, k_out))
-        data = WirtingerData(fz[inverse], fzbar[inverse])
-        return data, self._standard_errors(variances[inverse], columns)
+        return WirtingerData(fz, fzbar), self._standard_errors(variances, columns)
 
     def value_error(self, z) -> float:
         """Empirical standard error of the value integrand (MC rules)."""

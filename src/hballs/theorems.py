@@ -9,9 +9,10 @@ is one function that takes arrays already evaluated at a (P, n) sample
 batch (a WirtingerData batch, values with f(0) and their standard errors,
 Lambda, or a matrix stack), computes lhs, rhs and tolerance as (P,) arrays
 and returns one report for the batch: the worst sample's, with the sample
-count and the number of failing samples.  thm24 takes the values at its
-pair endpoints and the Wirtinger data at its grid the same way, and lemma21
-the values of one ball's stencil, centre and boundary.
+count and the number of failing samples.  lemmaB does the same for a
+stack of matrices.  thm24 takes the values at its pair endpoints and the
+Wirtinger data at its grid the same way, and lemma21 the values of one
+ball's stencil, centre and boundary.
 Tolerances follow one policy:
 
     tolerance = analytic slack
@@ -61,6 +62,7 @@ from .calculus import (
     WirtingerData,
 )
 from .extension import (
+    DEFAULT_GUARD_RADIUS,
     SPOT_CHECK_NODES,
     HExtension,
     boundary_registry,
@@ -438,20 +440,24 @@ def check_lemma33(matrices: np.ndarray, zs: np.ndarray, r: float, *, bound: floa
         analytic=1e-12, quad_error=quad_error)
 
 
-def check_lemmaB(matrix, *, check_id: str = "lemmaB") -> CheckReport:
-    """|det A| |A|^(1-n) <= smallest singular value of A.
+def check_lemmaB(matrices, *, check_id: str = "lemmaB") -> CheckReport:
+    """|det A| |A|^(1-n) <= smallest singular value of A, for one n x n
+    matrix or each of a (T, n, n) stack.
 
     Stated over all unit directions theta as |A theta| >= |det A| |A|^(1-n);
-    the minimum of |A theta| is the smallest singular value, so a single
-    SVD settles the whole family.
+    the minimum of |A theta| is the smallest singular value, so one SVD
+    settles the whole family.  The witness's index in the stack and its
+    extreme singular values are in the inputs.
     """
-    A = np.atleast_2d(np.asarray(matrix))
-    n = A.shape[0]
+    A = np.reshape(matrices, (-1,) + np.shape(matrices)[-2:])
+    n = A.shape[-1]
     s = np.linalg.svd(A, compute_uv=False)
-    lhs = abs(np.linalg.det(A)) * float(s[0]) ** (1 - n)
-    rhs = float(s[-1])
-    return make_report(check_id, lhs, rhs, analytic=1e-12,
-                       inputs={"n": n, "sigma_max": float(s[0]), "sigma_min": rhs})
+    lhs = np.abs(np.linalg.det(A)) * s[:, 0] ** (1 - n)
+    return _batch_report(
+        check_id, lhs, s[:, -1],
+        lambda i: {"n": n, "worst_index": i, "sigma_max": float(s[i, 0]),
+                   "sigma_min": float(s[i, -1])},
+        analytic=1e-12)
 
 
 def univalence_probe(f, radius: float, pairs: np.ndarray, separation_floor: float,
@@ -563,7 +569,7 @@ class HarnessConfig:
     nodes: int = 4096          # circle-rule nodes (n = 1)
     mc_nodes: int = 200000     # Monte Carlo nodes (n >= 2)
     seed: int = 0
-    rmax: float = 0.8          # sampling and guard radius
+    rmax: float = 0.8          # schwarzpick and lemma33 sampling and guard radius
     samples: int = 200         # sampled z per pointwise sweep
     trials: int = 10000        # random matrices per dimension
     pairs: int = 2000          # sampled pairs per pair sweep
@@ -618,7 +624,7 @@ def suite_lemma21(cfg: HarnessConfig) -> list[CheckReport]:
         balls.append((np.array([center[0].real, center[0].imag]), 0.1 + 0.25 * float(rng.random())))
     reports = [None] * LEMMA21_CASES
     for k, entry in enumerate(registry):
-        f = entry.exact_extension or h_extend(entry, rule, guard_radius=cfg.rmax)
+        f = entry.exact_extension or h_extend(entry, rule, guard_radius=DEFAULT_GUARD_RADIUS)
         cases = range(k, LEMMA21_CASES, len(registry))
         xy = np.vstack([lemma21_rows(*balls[case], boundary_rule) for case in cases])
         values = np.asarray(f((xy[:, 0] + 1j * xy[:, 1]).reshape(-1, 1))).reshape(len(cases), -1)
@@ -637,7 +643,8 @@ def suite_lemma22(cfg: HarnessConfig) -> list[CheckReport]:
             for label, (data,), fd_error in _registry_results(cfg, lambda f: (_wirtinger_data(f, zs),))]
 
 
-def _stacked_extension(cfg: HarnessConfig, rule: QuadratureRule, entries) -> HExtension:
+def _stacked_extension(rule: QuadratureRule, entries,
+                       guard_radius: float = DEFAULT_GUARD_RADIUS) -> HExtension:
     """One extension whose columns are the scalar ``entries``, in order.
 
     A column has the bits of the entry's own extension, at about the cost
@@ -647,7 +654,7 @@ def _stacked_extension(cfg: HarnessConfig, rule: QuadratureRule, entries) -> HEx
     """
     for entry in entries:
         entry.spot_check(rule.nodes[:SPOT_CHECK_NODES])
-    return h_extend(vector_boundary(entries), rule, guard_radius=cfg.rmax)
+    return h_extend(vector_boundary(entries), rule, guard_radius=guard_radius)
 
 
 def _registry_results(cfg: HarnessConfig, evaluate) -> list:
@@ -661,7 +668,7 @@ def _registry_results(cfg: HarnessConfig, evaluate) -> list:
     """
     registry = boundary_registry(cfg.n)
     ruled = [entry for entry in registry if entry.exact_extension is None]
-    stacked = _stacked_extension(cfg, rule_for(cfg), ruled) if ruled else None
+    stacked = _stacked_extension(rule_for(cfg), ruled) if ruled else None
     shared = evaluate(stacked) if ruled else None
     out = []
     for entry in registry:
@@ -700,7 +707,7 @@ def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:
     boundaries = [b for b in boundary_registry(cfg.n) if b.sup_bound]
     # (label, declared bound, columns of the stacked extension) per checked entry
     entries = [(b.label, b.sup_bound, slice(j, j + 1)) for j, b in enumerate(boundaries)]
-    ext = _stacked_extension(cfg, rule, boundaries)
+    ext = _stacked_extension(rule, boundaries, cfg.rmax)
     if cfg.n >= 2:
         vec = vector_boundary(boundaries[1:1 + cfg.n])
         vec.spot_check(rule.nodes[:SPOT_CHECK_NODES])
@@ -753,48 +760,36 @@ def suite_lemma33(cfg: HarnessConfig) -> list[CheckReport]:
     return reports
 
 
-def _lemmaB_trials(cfg: HarnessConfig) -> list:
-    """(n, lhs, s) for n = 2, 3, 4 over ``cfg.trials`` seeded complex n x n
-    matrices A: s their singular values, largest first, and lhs
-    |det A| s_max^(1-n).
+def _lemmaB_reports(cfg: HarnessConfig) -> list[CheckReport]:
+    """lemmaB's reports: for n = 2, 3, 4, ``check_lemmaB`` over a stack of
+    ``cfg.trials`` seeded complex n x n matrices, then its equality case.
 
     Each stack is drawn into one complex array, real parts and then
     imaginary parts, so it holds the bits of ``x + 1j * y`` for the same two
     draws without their temporaries, and is freed before the next is drawn.
     """
     rng = rng_stream(cfg.seed, STREAM_MATRICES)
-    out = []
+    reports = []
     for n in (2, 3, 4):
         mats = np.empty((cfg.trials, n, n), dtype=complex)
         mats.real = rng.standard_normal(mats.shape)
         mats.imag = rng.standard_normal(mats.shape)
-        s = np.linalg.svd(mats, compute_uv=False)
-        out.append((n, np.abs(np.linalg.det(mats)) * s[:, 0] ** (1 - n), s))
+        report = check_lemmaB(mats, check_id=f"lemmaB[n={n},trials={cfg.trials}]")
         del mats
-    return out
-
-
-def suite_lemmaB(cfg: HarnessConfig, trials: list = None) -> list[CheckReport]:
-    """Determinant vs smallest singular value over seeded random matrices.
-
-    ``trials`` is ``_lemmaB_trials(cfg)``, computed here when not given.
-    """
-    if trials is None:
-        trials = _lemmaB_trials(cfg)
-    reports = []
-    for n, lhs, s in trials:
-        margins = s[:, -1] - lhs
-        worst = int(np.argmin(margins))
-        reports.append(make_report(
-            f"lemmaB[n={n},trials={cfg.trials}]",
-            float(lhs[worst]), float(s[worst, -1]), analytic=1e-12,
-            inputs={"n": n, "trials": cfg.trials, "seed": cfg.seed,
-                    "failures": int(np.sum(margins < -1e-12)), "worst_index": worst},
-        ))
+        report.inputs.update(trials=cfg.trials, seed=cfg.seed)
+        reports.append(report)
         # equality needs every middle singular value equal to the largest
         reports.append(check_lemmaB(np.diag([2.0] * (n - 1) + [0.5]),
                                     check_id=f"lemmaB.diagonal[n={n}]"))
     return reports
+
+
+def suite_lemmaB(cfg: HarnessConfig, reports: list = None) -> list[CheckReport]:
+    """Determinant vs smallest singular value over seeded random matrices.
+
+    ``reports`` are ``_lemmaB_reports(cfg)``, built here when not given.
+    """
+    return _lemmaB_reports(cfg) if reports is None else reports
 
 
 def suite_landau(cfg: HarnessConfig) -> list[CheckReport]:
@@ -865,11 +860,10 @@ SUITES = {
 def run_suite(name: str, cfg: HarnessConfig) -> list[CheckReport]:
     """Run one named suite, or all of them in the order of ``SUITES``.
 
-    For "all", lemmaB's random matrices (``_lemmaB_trials``) are drawn and
-    decomposed on a second thread while the suites before it run on this
-    one; lemmaB's reports are built here once they are done, so the reports
-    are those of each suite run by itself, bit for bit.  The second thread
-    calls nothing that bench/tracing.py wraps.
+    For "all", lemmaB's reports (``_lemmaB_reports``) are built on a second
+    thread while the suites before it run on this one, and handed to its
+    suite here, so the reports are those of each suite run by itself, bit
+    for bit.  The second thread calls nothing that bench/tracing.py wraps.
     """
     if name == "all":
         return _run_all(cfg)
@@ -879,15 +873,15 @@ def run_suite(name: str, cfg: HarnessConfig) -> list[CheckReport]:
 
 
 def _run_all(cfg: HarnessConfig) -> list[CheckReport]:
-    trials, failure = [], []
+    built, failure = [], []
 
-    def draw():
+    def build():
         try:
-            trials.append(_lemmaB_trials(cfg))
+            built.append(_lemmaB_reports(cfg))
         except BaseException as exc:   # re-raised on the calling thread
             failure.append(exc)
 
-    helper = threading.Thread(target=draw, name="hballs-lemmaB")
+    helper = threading.Thread(target=build, name="hballs-lemmaB")
     helper.start()
     reports = []
     try:
@@ -896,7 +890,7 @@ def _run_all(cfg: HarnessConfig) -> list[CheckReport]:
                 helper.join()
                 if failure:
                     raise failure[0]
-                reports.extend(suite(cfg, trials[0]))
+                reports.extend(suite(cfg, built[0]))
             else:
                 reports.extend(suite(cfg))
     finally:

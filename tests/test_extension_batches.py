@@ -1,9 +1,9 @@
 """A value or gradient of the extension does not depend on its batch.
 
-The value-sum engine evaluates each distinct row once and works through the
-points in 64-row blocks, padding the last block with the origin, so that
-every BLAS product it makes has the same shape.  Neither step may change a
-single bit: every row must equal its own one-point evaluation and the
+The value-sum engine works through the points in 64-row blocks, padding
+the last block with the origin, so that every BLAS product it makes has the
+same shape.  That may not change a single bit: every row, repeated or not,
+must equal its own one-point evaluation and the
 engine's arithmetic spelled out one point at a time (``gemm_moments``
 below), and the result may not depend on the BLAS thread count.  The
 original elementwise loop, kept below as ``reference_moments``, is the

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from hballs import theorems
 from hballs.calculus import lambda_bounds_wirtinger, wirtinger_fd_many
-from hballs.errors import NearSingularEvaluation
 from hballs.extension import boundary_registry, h_extend, vector_boundary
 from hballs.quadrature import circle_rule, sphere_rule_mc
 from hballs.theorems import (
@@ -208,9 +207,11 @@ def test_entry_over_its_own_bound_is_refused_when_stacked(suite, monkeypatch):
 
 
 @pytest.mark.parametrize("suite", [suite_thm24, suite_lemma22, suite_lemma21])
-def test_points_beyond_the_guard_radius_are_refused(suite):
-    # thm24 and lemma22 sample out to |z| = 0.7 at every n; lemma21's rows reach
-    # 0.75 in the disk whatever n is, and its bump extension takes the guard radius
+def test_fixed_radius_suites_do_not_read_rmax(suite):
+    # thm24 and lemma22 sample out to |z| = 0.7 and lemma21's rows reach 0.75,
+    # whatever --rmax says; their extensions take the default guard radius
     for n in sorted(SMALL):
-        with pytest.raises(NearSingularEvaluation, match="exceeds the guard radius 0.5"):
-            suite(HarnessConfig(**SMALL[n], rmax=0.5))
+        reports = suite(HarnessConfig(**SMALL[n], rmax=0.5))
+        assert all(rep.passed for rep in reports)
+        assert ([rep.to_dict() for rep in reports]
+                == [rep.to_dict() for rep in suite(HarnessConfig(**SMALL[n]))])

@@ -349,7 +349,10 @@ class TestLemmaB:
         rep = check_lemmaB(np.diag([2.0, 0.5]))
         assert rep.lhs == pytest.approx(0.5, rel=1e-14)
         assert rep.rhs == pytest.approx(0.5, rel=1e-14)
-        assert abs(rep.margin) <= 1e-12
+        assert rep.margin == 0.0          # README's diagonal equality case
+        # one matrix is a stack of one
+        assert rep.inputs == {"n": 2, "worst_index": 0, "sigma_max": 2.0, "sigma_min": 0.5,
+                              "samples": 1, "failures": 0, "worst_margin": 0.0}
 
     def test_random_matrices_all_pass(self):
         rng = np.random.default_rng(44)
@@ -365,20 +368,44 @@ class TestLemmaB:
         assert all(rep.passed for rep in reports)
         assert all(rep.inputs.get("failures", 0) == 0
                    for rep in reports if "trials" in rep.inputs)
+        # each dimension's whole stack is checked
+        assert [rep.inputs["samples"] for rep in reports] == [1000, 1] * 3
 
-    def test_trials_equal_the_summed_draws_to_the_bit(self):
+    def test_stack_reports_its_witness(self):
+        rng = np.random.default_rng(5)
+        mats = rng.standard_normal((400, 3, 3)) + 1j * rng.standard_normal((400, 3, 3))
+        rep = check_lemmaB(mats)
+        assert rep.passed
+        assert rep.inputs["samples"] == 400 and rep.inputs["failures"] == 0
+        witness = mats[rep.inputs["worst_index"]]
+        s = np.linalg.svd(witness, compute_uv=False)
+        assert rep.inputs["sigma_max"] == pytest.approx(s[0], rel=1e-14)
+        assert rep.inputs["sigma_min"] == rep.rhs == pytest.approx(s[-1], rel=1e-14)
+        # no matrix of the stack has a smaller margin, by more than a tie
+        assert min(check_lemmaB(A).margin for A in mats) >= rep.margin - 1e-12
+
+    def test_trials_equal_the_summed_draws_to_the_bit(self, monkeypatch):
         # the stacks are drawn in place; the reference sums two separate draws
         cfg = HarnessConfig(trials=300, seed=11)
         rng = rng_stream(cfg.seed, STREAM_MATRICES)
-        trials = theorems._lemmaB_trials(cfg)
-        assert [n for n, _, _ in trials] == [2, 3, 4]
-        for n, lhs, s in trials:
+        stacks = []
+
+        def recording(matrices, **kwargs):
+            if np.ndim(matrices) == 3:
+                stacks.append(np.array(matrices))
+            return check_lemmaB(matrices, **kwargs)
+
+        monkeypatch.setattr(theorems, "check_lemmaB", recording)
+        reports = theorems._lemmaB_reports(cfg)
+        assert [stack.shape for stack in stacks] == [(cfg.trials, n, n) for n in (2, 3, 4)]
+        for stack, rep in zip(stacks, reports[::2]):
+            n = stack.shape[1]
             mats = (rng.standard_normal((cfg.trials, n, n))
                     + 1j * rng.standard_normal((cfg.trials, n, n)))
-            ref_s = np.linalg.svd(mats, compute_uv=False)
-            ref_lhs = np.abs(np.linalg.det(mats)) * ref_s[:, 0] ** (1 - n)
-            assert s.tobytes() == ref_s.tobytes()
-            assert lhs.tobytes() == ref_lhs.tobytes()
+            assert stack.tobytes() == mats.tobytes()
+            expected = check_lemmaB(mats, check_id=rep.check_id)
+            expected.inputs.update(trials=cfg.trials, seed=cfg.seed)
+            assert rep.to_dict() == expected.to_dict()
 
 
 class TestLandauConstants:
@@ -511,7 +538,7 @@ class TestSuiteRunner:
         def fail(cfg):
             raise NonFiniteResult("singular values must be finite")
 
-        monkeypatch.setattr(theorems, "_lemmaB_trials", fail)
+        monkeypatch.setattr(theorems, "_lemmaB_reports", fail)
         cfg = HarnessConfig(n=1, nodes=256, samples=5, trials=10, pairs=20)
         with pytest.raises(NonFiniteResult, match="^singular values must be finite$"):
             run_suite("all", cfg)
