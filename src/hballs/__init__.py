@@ -8,13 +8,7 @@ inequalities those objects satisfy.
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    BallPoint,
-    hermitian_inner,
-    projection_onto,
-    mobius,
-    mobius_identity_residual,
-)
+from .geometry import real_mobius
 from .kernel import (
     poisson_h,
     poisson_h_wirtinger,
@@ -37,7 +31,6 @@ from .calculus import (
     WirtingerData,
     RealJacobian,
     wirtinger_from_real,
-    jacobian_real,
     lambda_bounds,
     lambda_bounds_wirtinger,
     operator_norm,

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteResult, StepTooLarge
-from .geometry import coords_of
 
 __all__ = [
     "WirtingerData",
@@ -47,8 +46,6 @@ __all__ = [
     "wirtinger_from_real",
     "wirtinger_from_jacobian",
     "real_jacobian_from_wirtinger",
-    "jacobian_real",
-    "wirtinger_fd",
     "wirtinger_fd_many",
     "fd_partials",
     "operator_norm",
@@ -209,27 +206,13 @@ def _fd_jacobians(f, points: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return J
 
 
-def jacobian_real(f, z, step: float = None) -> RealJacobian:
-    """Central-difference real Jacobian of f at z (with Richardson step pair).
-
-    ``f`` maps a (P, n) batch to (P,) or (P, k) complex values.
-    """
-    zc = coords_of(z)[None, :]
-    steps = _steps(zc, JACOBIAN_STEP_FACTOR) if step is None else np.array([step], dtype=float)
-    return RealJacobian(_fd_jacobians(f, zc, steps)[0])
-
-
-def wirtinger_fd(f, z, step: float = None) -> WirtingerData:
-    """Finite-difference Wirtinger derivatives of f at z."""
-    return wirtinger_from_jacobian(jacobian_real(f, z, step))
-
-
 def wirtinger_fd_many(f, points: np.ndarray, step_factor: float = JACOBIAN_STEP_FACTOR):
     """Wirtinger derivatives at every row of ``points``, one evaluator call.
 
-    Returns one WirtingerData batch, (P, k, n).  Steps follow the per-point
-    policy step = step_factor * (1 - |z|); row i equals ``wirtinger_fd(f, z_i,
-    step_i)``, and ``wirtinger_fd(f, z_i)`` at the default factor.
+    ``f`` maps a (P, n) batch to (P,) or (P, k) complex values.  Returns one
+    WirtingerData batch, (P, k, n); ``real_jacobian_from_wirtinger`` gives the
+    real Jacobians.  Steps follow the per-point policy step = step_factor *
+    (1 - |z|), so row i has the bits of the one-row call at z_i.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
     jac = RealJacobian(_fd_jacobians(f, points, _steps(points, step_factor)))

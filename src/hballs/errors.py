@@ -5,14 +5,6 @@ class HballsError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionMismatch(HballsError):
-    """Operands live in different dimensions."""
-
-
-class UndefinedProjection(HballsError):
-    """Projection onto the complex line through a = 0 is undefined."""
-
-
 class NearSingularEvaluation(HballsError):
     """Kernel evaluation too close to its boundary singularity.
 

@@ -1,113 +1,53 @@
-"""Points of the unit ball of C^n and its Mobius geometry.
+"""Points of the unit ball of C^n and the Mobius maps of its kernel.
 
-The unit ball B^n = {z in C^n : |z| < 1} carries the automorphisms
+The hyperbolic Laplacian Delta_h of this package is the Laplace-Beltrami
+operator of the real hyperbolic ball B^{2n}: C^n is read as R^{2n} through
+the float view x_1, y_1, ..., x_n, y_n.  Its isometries, which carry
+hyperbolic-harmonic functions to hyperbolic-harmonic functions, are the
+real Mobius maps (Ahlfors, Mobius Transformations in Several Dimensions,
+1981)
 
-    phi_a(z) = (a - P_a z - sqrt(1 - |a|^2) (z - P_a z)) / (1 - <z, a>),
+    T_a(x) = ((1 - |a|^2)(x - a) - |x - a|^2 a) / (1 - 2 x.a + |x|^2 |a|^2),
 
-where P_a z = a <z, a> / <a, a> is the projection of z onto the complex
-line through a, and <., .> is the Hermitian inner product.  phi_a swaps
-a and 0 and satisfies the identity
+with T_a(a) = 0, T_a(0) = -a, (-T_a) an involution, and
 
-    1 - |phi_a(z)|^2 = (1 - |z|^2)(1 - |a|^2) / |1 - <z, a>|^2.
+    1 - |T_a(x)|^2 = (1 - |a|^2)(1 - |x|^2) / (1 - 2 x.a + |x|^2 |a|^2).
 
-P_a is undefined at a = 0; we take the convention phi_0(z) = -z, the
-limit consistent with phi_a(0) = a and the identity above.
+Rudin's complex automorphisms phi_a of the ball of C^n serve M-harmonic
+(Bergman) theory instead: at n >= 2 they do not preserve the kernel of
+Delta_h, so the package does not use them.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DimensionMismatch, UndefinedProjection
-
-__all__ = [
-    "BallPoint",
-    "hermitian_inner",
-    "projection_onto",
-    "mobius",
-    "mobius_identity_residual",
-]
+__all__ = ["real_mobius"]
 
 
 def coords_of(p) -> np.ndarray:
-    """Coordinate array of a point wrapper or any complex sequence."""
-    if isinstance(p, BallPoint):
-        return p.coords
+    """Coordinate array of a point given as any complex sequence."""
     return np.atleast_1d(np.asarray(p, dtype=complex))
 
 
-class BallPoint:
-    """A point z in the open unit ball of C^n, immutable after construction."""
+def real_mobius(a, points) -> np.ndarray:
+    """T_a at every row of a (P, n) complex batch, on its float view.
 
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        c = np.array(coords, dtype=complex).reshape(-1)
-        if c.size < 1:
-            raise ValueError("a ball point needs at least one coordinate")
-        if not np.all(np.isfinite(c.view(float))):
-            raise ValueError("ball point coordinates must be finite")
-        if np.linalg.norm(c) >= 1.0:
-            raise ValueError(f"|z| = {np.linalg.norm(c):.6g} is not < 1")
-        c.flags.writeable = False
-        self.coords = c
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    def __repr__(self):
-        return f"BallPoint({list(self.coords)})"
-
-
-def hermitian_inner(z, w) -> complex:
-    """Hermitian product <z, w> = sum_k z_k conj(w_k)."""
-    zc, wc = coords_of(z), coords_of(w)
-    if zc.shape != wc.shape:
-        raise DimensionMismatch(f"dimensions {zc.size} and {wc.size} differ")
-    return complex(np.sum(zc * np.conj(wc)))
-
-
-def projection_onto(a, z) -> np.ndarray:
-    """Orthogonal projection P_a z of z onto the complex line through a != 0."""
-    ac, zc = coords_of(a), coords_of(z)
-    if ac.shape != zc.shape:
-        raise DimensionMismatch(f"dimensions {ac.size} and {zc.size} differ")
-    norm = np.linalg.norm(ac)
-    if norm == 0.0:
-        raise UndefinedProjection("projection onto the line through 0 is undefined")
-    unit = ac / norm   # a / |a|^2 overflows once |a|^2 is subnormal
-    return unit * np.sum(zc * np.conj(unit))
-
-
-def mobius(a, z) -> BallPoint:
-    """Mobius automorphism phi_a(z); phi_a(a) = 0 and phi_a(0) = a.
-
-    phi_0(z) = -z by convention (see module docstring).
+    ``a`` must be a finite point of the open unit ball of C^n.  The
+    denominator is taken as |x - a|^2 + (1 - |x|^2)(1 - |a|^2), a sum of
+    non-negative terms for x in the ball.  A row has the bits of its
+    one-row call.
     """
-    ac, zc = coords_of(a), coords_of(z)
-    if ac.shape != zc.shape:
-        raise DimensionMismatch(f"dimensions {ac.size} and {zc.size} differ")
-    na2 = float(np.sum(np.abs(ac) ** 2))
-    if na2 == 0.0:
-        return BallPoint(-zc)
-    ip = hermitian_inner(zc, ac)
-    pa = projection_onto(ac, zc)
-    num = ac - pa - math.sqrt(1.0 - na2) * (zc - pa)
-    return BallPoint(num / (1.0 - ip))
-
-
-def mobius_identity_residual(a, z) -> float:
-    """| (1 - |phi_a(z)|^2) - (1-|z|^2)(1-|a|^2)/|1-<z,a>|^2 |, a self-test."""
-    ac, zc = coords_of(a), coords_of(z)
-    phi = mobius(ac, zc).coords
-    lhs = 1.0 - float(np.sum(np.abs(phi) ** 2))
-    na2 = float(np.sum(np.abs(ac) ** 2))
-    nz2 = float(np.sum(np.abs(zc) ** 2))
-    rhs = (1.0 - nz2) * (1.0 - na2) / abs(1.0 - hermitian_inner(zc, ac)) ** 2
-    return abs(lhs - rhs)
+    a = np.ascontiguousarray(coords_of(a))
+    points = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=complex)))
+    av = a.view(np.float64)
+    a2 = np.sum(av * av)
+    if not (np.all(np.isfinite(av)) and a2 < 1.0):
+        raise ValueError(f"a must be a finite point of the open unit ball, got {a}")
+    if points.shape[1] != a.size:
+        raise ValueError(f"a has dimension {a.size} and the points {points.shape[1]}")
+    x = points.view(np.float64)
+    d = x - av
+    d2 = np.sum(d * d, axis=1)[:, None]
+    den = d2 + (1.0 - np.sum(x * x, axis=1)[:, None]) * (1.0 - a2)
+    return (((1.0 - a2) * d - d2 * av) / den).view(complex)

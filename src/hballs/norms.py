@@ -66,20 +66,29 @@ def _halton(index: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def sphere_directions(n: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy directions on the unit sphere of C^n.
 
-    n = 1 uses equally spaced angles; higher dimensions map Halton points
-    through Box-Muller to Gaussians and normalize.
+    n = 1 uses equally spaced angles; higher dimensions map Halton points,
+    one prime base per real dimension, through Box-Muller to Gaussians and
+    normalize.
     """
     if n == 1:
         return np.exp(2j * np.pi * np.arange(count) / count).reshape(-1, 1)
     dims = 2 * n
     idx = np.arange(1, count + 1)
-    u = np.stack([_halton(idx, _PRIMES[d % len(_PRIMES)]) for d in range(dims)], axis=1)
+    u = np.stack([_halton(idx, base) for base in _primes(dims)], axis=1)
     u = np.clip(u, 1e-12, 1 - 1e-12)
     # Box-Muller on consecutive column pairs
     g = np.empty_like(u)
@@ -132,7 +141,7 @@ def _argmax_estimate(values: np.ndarray, samples: np.ndarray) -> SupEstimate:
 
 
 def _points_array(samples) -> np.ndarray:
-    """Coerce an (S, n) array or a sequence of points/BallPoints, refusing an empty one."""
+    """Coerce an (S, n) array or a sequence of points, refusing an empty one."""
     if not isinstance(samples, np.ndarray):
         samples = [coords_of(p) for p in samples]
     points = np.atleast_2d(np.asarray(samples, dtype=complex))

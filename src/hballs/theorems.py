@@ -583,9 +583,10 @@ class HarnessConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.rmax < 1.0:
             raise ValueError(f"rmax must lie in (0, 1), got {self.rmax}")
-        for name in ("samples", "trials", "pairs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("nodes", 4), ("mc_nodes", 100), ("samples", 1), ("trials", 1),
+                            ("pairs", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("alpha", "m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hballs.calculus import jacobian_real, wirtinger_from_jacobian
+from hballs.calculus import real_jacobian_from_wirtinger, wirtinger_fd_many
 from hballs.extension import boundary_registry, h_extend, laplace_beltrami_residual
-from hballs.geometry import mobius_identity_residual
+from hballs.geometry import real_mobius
 from hballs.kernel import poisson_h_values
 from hballs.norms import ball_grid, near_diagonal_pairs, pair_samples
 from hballs.quadrature import circle_rule, integrate, integrate_with_error, sphere_rule_mc
@@ -110,6 +110,14 @@ def test_criterion_3_h_harmonicity():
     )
 
 
+def mobius_identity_residual(a, x):
+    """|(1 - |T_a x|^2) - (1-|a|^2)(1-|x|^2) / (1 - 2 x.a + |x|^2 |a|^2)|."""
+    av, xv = a.view(np.float64), x.view(np.float64)
+    t = real_mobius(a, x[None, :]).view(np.float64)[0]
+    rhs = (1.0 - av @ av) * (1.0 - xv @ xv) / (1.0 - 2.0 * (xv @ av) + (xv @ xv) * (av @ av))
+    return abs(1.0 - t @ t - rhs)
+
+
 def test_criterion_4_mobius_identity():
     started = time.monotonic()
     rng = np.random.default_rng(204)
@@ -121,7 +129,7 @@ def test_criterion_4_mobius_identity():
             worst = max(worst, mobius_identity_residual(a, z))
     elapsed = time.monotonic() - started
     report(
-        "criterion 4 (Mobius identity)",
+        "criterion 4 (real Mobius identity)",
         worst <= 1e-12 and elapsed < 1.0,
         f"worst residual {worst:.2e} over 3000 pairs, n in {{1,2,3}}; {elapsed:.2f}s",
     )
@@ -132,8 +140,8 @@ def test_criterion_5_wirtinger_example():
         z = np.asarray(pts)[:, 0]
         return z ** 2 + np.conj(z)
 
-    jac = jacobian_real(f, np.zeros(1, dtype=complex))
-    data = wirtinger_from_jacobian(jac)
+    data = wirtinger_fd_many(f, np.zeros((1, 1), dtype=complex))[0]
+    jac = real_jacobian_from_wirtinger(data)
     lhs = abs(data.fz[0, 0]) + abs(data.fzbar[0, 0])
     J = jac.matrix
     rhs = float(np.linalg.norm(J[0]) + np.linalg.norm(J[1]))

@@ -4,15 +4,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hballs.calculus import (
+    JACOBIAN_STEP_FACTOR,
     RealJacobian,
     WirtingerData,
     fd_partials,
-    jacobian_real,
     lambda_bounds,
     lambda_bounds_wirtinger,
     operator_norm,
     real_jacobian_from_wirtinger,
-    wirtinger_fd,
     wirtinger_fd_many,
     wirtinger_from_jacobian,
     wirtinger_from_real,
@@ -50,25 +49,34 @@ class TestWirtingerFromReal:
         np.testing.assert_allclose(back.fzbar, data.fzbar, atol=1e-15)
 
 
+def fd_jacobian(f, z):
+    """The real Jacobian of f at one point from the finite-difference engine."""
+    return real_jacobian_from_wirtinger(wirtinger_fd_many(f, [z])[0])
+
+
 class TestJacobianReal:
     def test_identity_map(self):
-        jac = jacobian_real(lambda pts: pts, np.zeros(2, dtype=complex))
+        jac = fd_jacobian(lambda pts: pts, np.zeros(2, dtype=complex))
         np.testing.assert_allclose(jac.matrix, np.eye(4), atol=1e-10)
 
     def test_example_jacobian_and_det(self):
-        jac = jacobian_real(square_plus_conj, np.zeros(1, dtype=complex))
+        jac = fd_jacobian(square_plus_conj, np.zeros(1, dtype=complex))
         np.testing.assert_allclose(jac.matrix, [[1.0, 0.0], [0.0, -1.0]], atol=1e-10)
         assert jac.det() == pytest.approx(-1.0, rel=1e-9)
 
     def test_two_path_consistency(self):
-        # real Jacobian -> Wirtinger equals direct Wirtinger differences
+        # Wirtinger data and real Jacobian against the hand derivatives of
+        # z^2 + conj(z): f_z = 2z, f_zbar = 1; u_x = 2x + 1, u_y = -2y,
+        # v_x = 2y, v_y = 2x - 1
         rng = np.random.default_rng(22)
         for _ in range(10):
             z = 0.3 * (rng.standard_normal(1) + 1j * rng.standard_normal(1))
-            via_jac = wirtinger_from_jacobian(jacobian_real(square_plus_conj, z))
-            direct = wirtinger_fd(square_plus_conj, z)
-            np.testing.assert_allclose(via_jac.fz, direct.fz, atol=1e-9)
-            np.testing.assert_allclose(via_jac.fzbar, direct.fzbar, atol=1e-9)
+            data = wirtinger_fd_many(square_plus_conj, [z])[0]
+            np.testing.assert_allclose(data.fz, [[2.0 * z[0]]], atol=1e-9)
+            np.testing.assert_allclose(data.fzbar, [[1.0]], atol=1e-9)
+            x, y = z[0].real, z[0].imag
+            np.testing.assert_allclose(fd_jacobian(square_plus_conj, z).matrix,
+                                       [[2 * x + 1, -2 * y], [2 * y, 2 * x - 1]], atol=1e-9)
 
     def test_det_invariant_under_round_trip(self):
         rng = np.random.default_rng(23)
@@ -78,13 +86,13 @@ class TestJacobianReal:
             w = np.asarray(pts)
             return np.stack([w[:, 0] ** 2 + np.conj(w[:, 1]), w[:, 1] + 0.3 * w[:, 0]], axis=1)
 
-        jac = jacobian_real(f, z)
+        jac = fd_jacobian(f, z)
         round_trip = real_jacobian_from_wirtinger(wirtinger_from_jacobian(jac))
         assert round_trip.det() == pytest.approx(jac.det(), rel=1e-9)
 
     def test_step_guard(self):
         with pytest.raises(StepTooLarge):
-            jacobian_real(lambda pts: pts, np.array([0.999999 + 0j]), step=1e-3)
+            wirtinger_fd_many(lambda pts: pts, np.array([[0.999999 + 0j]]), step_factor=1.0)
 
 
 class TestOperatorNorm:
@@ -247,10 +255,8 @@ def test_fd_many_rows_equal_per_point_fd_bit_for_bit(n, count, seed, factor, f):
     assert rows.fz.shape == rows.fzbar.shape == (count, 1 if f is scalar_map else 3, n)
     for p, (z, step) in enumerate(zip(pts, steps)):
         row = rows[p]
-        assert np.array_equal(fd_bits(row), fd_bits(wirtinger_fd(f, z, step)))
+        assert np.array_equal(fd_bits(row), fd_bits(wirtinger_fd_many(f, [z], factor)[0]))
         assert np.array_equal(fd_bits(row), fd_bits(reference_wirtinger_fd(f, z, step)))
-        # default steps: one point alone and as a one-row batch take one step
-        assert np.array_equal(fd_bits(wirtinger_fd(f, z)), fd_bits(wirtinger_fd_many(f, [z])[0]))
 
 
 # |z| summed as a dot product and row-wise differ in the last bit here
@@ -260,9 +266,14 @@ UNEQUAL_NORM_POINT = np.array([-0.34448560736453776 + 0.2940982074271315j,
 
 @pytest.mark.parametrize("f", [scalar_map, vector_map])
 def test_default_step_fd_equals_one_row_batch_where_norms_differ(f):
+    # the step is taken from the row-wise |z|, alone and in a batch
     z = UNEQUAL_NORM_POINT
     assert float(np.linalg.norm(z)) != np.linalg.norm(z[None, :], axis=1)[0]
-    assert np.array_equal(fd_bits(wirtinger_fd(f, z)), fd_bits(wirtinger_fd_many(f, [z])[0]))
+    batch = np.stack([0.5 * z, z, -z])
+    step = JACOBIAN_STEP_FACTOR * (1.0 - np.linalg.norm(z[None, :], axis=1)[0])
+    one_row = fd_bits(wirtinger_fd_many(f, [z])[0])
+    assert np.array_equal(one_row, fd_bits(wirtinger_fd_many(f, batch)[1]))
+    assert np.array_equal(one_row, fd_bits(reference_wirtinger_fd(f, z, step)))
 
 
 def test_fd_many_refuses_a_stencil_leaving_the_ball():

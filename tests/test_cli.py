@@ -193,6 +193,17 @@ class TestExtendCommand:
         assert message in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("args, message", [
+        (("--n", "1", "--nodes", "3"), "nodes must be >= 4, got 3"),
+        # at n >= 2 --nodes sizes the Monte Carlo rule
+        (("--n", "2", "--nodes", "50"), "mc_nodes must be >= 100, got 50"),
+        (("--n", "1", "--mc-nodes", "50"), "mc_nodes must be >= 100, got 50")])
+    def test_rule_size_is_refused_by_name(self, args, message):
+        proc = run_cli("extend", *args, "--boundary", "re", "--points", "0.5+0i")
+        assert proc.returncode == 2
+        assert f"config error: {message}" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("args", [
         ("--n", "1", "--boundary", "re", "--nodes", "4096", "--points", "0.5+0i"),
         ("--n", "2", "--boundary", "crossprod", "--mc-nodes", "2000",
@@ -305,6 +316,19 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--suite", suite, flag, "0")
         assert proc.returncode == 2
         assert f"config error: {flag[2:]} must be >= 1, got 0" in proc.stderr
+
+    @pytest.mark.parametrize("suite", ["lemmaB", "lemma21", "schwarzpick"])
+    @pytest.mark.parametrize("args, message", [
+        (["--nodes", "2"], "nodes must be >= 4, got 2"),
+        (["--mc-nodes", "5"], "mc_nodes must be >= 100, got 5")])
+    def test_rule_sizes_do_not_depend_on_the_suite(self, tmp_path, suite, args, message):
+        # lemmaB once exited 0 with both values in its report, and lemma21
+        # refused nodes 2 without naming the field
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", "--suite", suite, "--trials", "10", *args, "--out", str(out))
+        assert proc.returncode == 2
+        assert f"config error: {message}" in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("rmax, suite", [("1.5", "schwarzpick"), ("-1", "lemma33")])
     def test_rmax_outside_unit_interval_exit_2(self, rmax, suite):

@@ -118,7 +118,7 @@ class TestExtensionGradient:
 
     def test_matches_finite_differences(self):
         # differentiation under the integral vs central differences
-        from hballs.calculus import wirtinger_fd
+        from hballs.calculus import wirtinger_fd_many
 
         rng = np.random.default_rng(34)
         for n, rule in ((1, circle_rule(1024)), (2, sphere_rule_mc(2, 4000, 4))):
@@ -126,7 +126,7 @@ class TestExtensionGradient:
                 ext = h_extend(registry_map(n)[label], rule)
                 z = interior_points(rng, n, 1, 0.6)[0]
                 exact = ext.wirtinger(z)
-                fd = wirtinger_fd(ext, z)
+                fd = wirtinger_fd_many(ext, [z])[0]
                 np.testing.assert_allclose(fd.fz, exact.fz, atol=1e-6)
                 np.testing.assert_allclose(fd.fzbar, exact.fzbar, atol=1e-6)
 

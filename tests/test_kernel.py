@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from hballs.errors import NearSingularEvaluation
 from hballs.extension import _constant, h_extend
-from hballs.geometry import BallPoint
 from hballs.kernel import (
     poisson_h,
     poisson_h_values,
@@ -74,9 +73,10 @@ class TestPoissonKernel:
             poisson_h_values(zeta - 1e-200, zeta.reshape(1, 1))
 
     def test_accepts_wrapped_points(self):
-        z = BallPoint([0.3, 0.4j])
+        # a point given as a plain sequence, not an array
+        z = (0.3, 0.4j)
         zeta = np.array([0.6, 0.8j])
-        assert poisson_h(z, zeta) == poisson_h(z.coords, zeta)
+        assert poisson_h(z, zeta) == poisson_h(np.array(z), zeta)
 
 
 class TestPoissonWirtinger:

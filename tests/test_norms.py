@@ -33,6 +33,20 @@ class TestSampleSets:
             dirs = sphere_directions(n, 64)
             np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
 
+    def test_halton_bases_are_the_first_primes(self):
+        # one base per real dimension; the first eight are the bases the
+        # directions at n <= 4 have always used
+        from hballs.norms import _primes
+
+        assert _primes(8) == [2, 3, 5, 7, 11, 13, 17, 19]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_ball_grid_directions_span_every_real_dimension(self, n):
+        # with eight bases cycled, real dimensions d and d + 8 repeated and
+        # the 16 directions had real rank 8 at n = 5 and 6
+        dirs = sphere_directions(n, 16)
+        assert np.linalg.matrix_rank(dirs.view(np.float64)) == 2 * n
+
     def test_ball_grid_keeps_origin_once(self):
         grid = ball_grid(2, radii=(0.0, 0.3, 0.6), n_dirs=8)
         zero_rows = np.sum(np.all(grid == 0.0, axis=1))
@@ -110,16 +124,15 @@ class TestBlochSeminorm:
             bloch_seminorm(identity_scalar, [])
 
     def test_accepts_ball_points(self):
-        from hballs.geometry import BallPoint
-
-        est = bloch_seminorm(identity_scalar, [BallPoint([0.0]), BallPoint([0.5])])
+        # a sequence of points, each a coordinate sequence or a scalar at n = 1
+        est = bloch_seminorm(identity_scalar, [[0.0], 0.5])
         assert est.value == pytest.approx(1.0, abs=1e-9)
 
     def test_witness_value_recomputable(self):
-        from hballs.calculus import wirtinger_fd
+        from hballs.calculus import wirtinger_fd_many
 
         est = bloch_seminorm(shear_scalar, ball_grid(1))
-        data = wirtinger_fd(shear_scalar, est.witness)
+        data = wirtinger_fd_many(shear_scalar, [est.witness])[0]
         weight = 1.0 - float(np.linalg.norm(est.witness)) ** 2
         recomputed = weight * sum(data.gradient_norms())
         assert recomputed == pytest.approx(est.value, abs=1e-12)

@@ -502,6 +502,12 @@ class TestSuiteRunner:
             with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
                 HarnessConfig(**{field: 0})
 
+    def test_config_refuses_rules_too_small_for_their_constructors(self):
+        for field, least in (("nodes", 4), ("mc_nodes", 100)):
+            HarnessConfig(**{field: least})
+            with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {least - 1}$"):
+                HarnessConfig(**{field: least - 1})
+
     def test_config_refuses_non_finite_alpha_and_m(self):
         for field in ("alpha", "m"):
             for value in (math.inf, -math.inf, math.nan):
