@@ -80,7 +80,11 @@ def read_config_file(path) -> dict:
 def resolve_config(args: argparse.Namespace, file_values: dict) -> HarnessConfig:
     """Each HarnessConfig field from its flag, else the config file, else
     HBALLS_SEED (seed only), else the field default.  File values are cast
-    to the type of the default."""
+    to the type of the default; a file key that names no field is refused."""
+    known = [field.name for field in dataclasses.fields(HarnessConfig)]
+    for key in file_values:
+        if key not in known:
+            raise ConfigError(f"unknown config key {key!r}; known keys: {', '.join(known)}")
     values = {}
     for field in dataclasses.fields(HarnessConfig):
         key = field.name

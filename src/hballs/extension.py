@@ -157,6 +157,8 @@ class HExtension:
     infinite on any rule node is refused at construction.
     """
 
+    fd_error = 0.0   # wirtinger_many's finite-difference term: kernel derivatives are exact
+
     def __init__(self, boundary: BoundaryFunction, rule: QuadratureRule,
                  guard_radius: float = DEFAULT_GUARD_RADIUS):
         if rule.dim != boundary.dim:

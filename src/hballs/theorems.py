@@ -19,13 +19,14 @@ Tolerances follow one policy:
               + 10 * (quadrature standard error)
               + 10 * (finite-difference truncation estimate),
 
-with the three parts recorded separately.  The finite-difference term is 0
-wherever derivatives are exact: the Wirtinger data of an HExtension come
-from the closed-form kernel derivatives (``HExtension.wirtinger_many``),
-exact for the discretized extension, and only plain callables (the closed
-forms of the registry) take finite differences.  An inequality that is
-strict in the mathematics (the separation probe) uses a strict comparison
-instead of a slack.
+with the three parts recorded separately.  Every evaluator answers the same
+calls: ``f(points)``, and ``f.wirtinger_many(points)`` with its per-row
+quadrature error and ``f.fd_error``, its finite-difference term: 0 for an
+HExtension, whose kernel derivatives are exact, and 1e-9 for a registry
+closed form (``_ClosedForm``), which has no quadrature error.  thm24 and
+lemma22 read only ``fd_error``, the discretized extension being exactly
+h-harmonic; schwarzpick and lemma33 only the quadrature error.  A strict
+inequality (the separation probe) uses a strict comparison, not a slack.
 
 Each suite evaluates one WirtingerData batch, (P, k, n) arrays, per
 function and sweep (Lambda by one stacked SVD), and f(0) as one more row of
@@ -228,11 +229,22 @@ def landau_constants(n: int, alpha: float, bound: float) -> LandauConstants:
         raise ValueError(f"alpha must be finite, got {alpha}")
     if math.isinf(bound):
         raise ValueError(f"the norm bound M must be finite, got {bound}")
-    rho = 3.0 ** alpha / ((2.0 * bound) ** (2 * n) * (3.0 ** alpha + 4.0 ** alpha))
-    return LandauConstants(
-        n=n, alpha=float(alpha), bound=float(bound),
-        rho=rho, half_rho=rho / 2.0, r_lower=rho / (4.0 * bound ** (2 * n - 1)),
-    )
+    try:
+        rho = 3.0 ** alpha / ((2.0 * bound) ** (2 * n) * (3.0 ** alpha + 4.0 ** alpha))
+        return LandauConstants(
+            n=n, alpha=float(alpha), bound=float(bound),
+            rho=rho, half_rho=rho / 2.0, r_lower=rho / (4.0 * bound ** (2 * n - 1)),
+        )
+    except (OverflowError, ValueError):   # a power overflows, or rho or r_lower underflows
+        raise ValueError(f"Landau constants at n={n}, alpha={alpha:g}, M={bound:g} "
+                         "do not fit in double precision") from None
+
+
+def _landau_sweeps(n: int, alpha: float, bound: float):
+    """The landau suite's monotonicity sweeps: (varying input, [(n, alpha, M), ...])."""
+    return (("M", [(n, alpha, m) for m in (1.0, 1.5, 2.0)]),
+            ("n", [(k, alpha, bound) for k in (1, 2, 3, 4)]),
+            ("alpha", [(n, a, bound) for a in (0.5, 1.0, 2.0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +299,6 @@ def check_lemma21(stencil_values, fa: float, boundary_values, a, r: float,
                 "fd_step": fd_step},
         rule=dict(rule.meta),
     )
-
-
-def _wirtinger_data(f, points: np.ndarray) -> WirtingerData:
-    """The Wirtinger data batch at the rows of ``points``.
-
-    An HExtension differentiates its kernel sum in closed form, exactly for
-    the discretized extension; any other callable takes Richardson finite
-    differences, whose term ``_fd_error`` gives.
-    """
-    if isinstance(f, HExtension):
-        return f.wirtinger_many(points)[0]
-    return wirtinger_fd_many(f, points)
-
-
-def _fd_error(f) -> float:
-    """The finite-difference term of ``_wirtinger_data(f, ...)``: 0 for an HExtension."""
-    return 0.0 if isinstance(f, HExtension) else _FD_TRUNCATION
 
 
 def _pow(base: np.ndarray, exponent: int) -> np.ndarray:
@@ -594,6 +589,16 @@ class HarnessConfig:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if self.m < 1.0:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        # every constant the landau suite takes; its probes' bounds (at most 2) are
+        # covered by the M sweep, since rho and r_lower decrease in M
+        try:
+            landau_constants(self.n, self.alpha, self.m)
+            for _, inputs in _landau_sweeps(self.n, self.alpha, self.m):
+                for args in inputs:
+                    landau_constants(*args)
+        except ValueError as exc:
+            raise ValueError(f"n={self.n}, alpha={self.alpha:g} and m={self.m:g} are beyond "
+                             f"the landau suite's range: {exc}") from None
 
 
 def rule_for(cfg: HarnessConfig) -> QuadratureRule:
@@ -641,7 +646,7 @@ def suite_lemma22(cfg: HarnessConfig) -> list[CheckReport]:
     """Wirtinger-versus-real gradient inequality over the function registry."""
     zs = _sample_ball(cfg, LEMMA22_SAMPLES, 0.7)
     return [check_lemma22(data, zs, label=label, fd_error=fd_error)
-            for label, (data,), fd_error in _registry_results(cfg, lambda f: (_wirtinger_data(f, zs),))]
+            for label, (data,), fd_error in _registry_results(cfg, lambda f: (f.wirtinger_many(zs)[0],))]
 
 
 def _stacked_extension(rule: QuadratureRule, entries,
@@ -658,14 +663,30 @@ def _stacked_extension(rule: QuadratureRule, entries,
     return h_extend(vector_boundary(entries), rule, guard_radius=guard_radius)
 
 
+class _ClosedForm:
+    """A registry closed form with ``HExtension``'s calls: its values, and
+    Richardson finite differences of them by this module's
+    ``wirtinger_fd_many``, looked up per call, with no quadrature error."""
+
+    fd_error = _FD_TRUNCATION
+
+    def __init__(self, f):
+        self._f = f
+
+    def __call__(self, points):
+        return self._f(points)
+
+    def wirtinger_many(self, points):
+        return wirtinger_fd_many(self._f, points), np.zeros(len(points))
+
+
 def _registry_results(cfg: HarnessConfig, evaluate) -> list:
-    """(label, evaluate(f), finite-difference term of f) for every registry
-    entry, in registry order.
+    """(label, evaluate(f), f.fd_error) per registry entry, in registry order.
 
     ``evaluate`` returns a tuple of (P, k) arrays and WirtingerData batches.
-    Closed-form extensions are evaluated one by one.  The rule-based entries
-    are the columns of one stacked extension, evaluated once, and each gets
-    its own column back: ``part[:, j:j + 1]`` slices arrays and batches alike.
+    Closed forms are evaluated one by one.  The rule-based entries are the
+    columns of one stacked extension, evaluated once, and each gets its own
+    column back: ``part[:, j:j + 1]`` slices arrays and batches alike.
     """
     registry = boundary_registry(cfg.n)
     ruled = [entry for entry in registry if entry.exact_extension is None]
@@ -674,11 +695,12 @@ def _registry_results(cfg: HarnessConfig, evaluate) -> list:
     out = []
     for entry in registry:
         if entry.exact_extension is not None:
-            f, parts = entry.exact_extension, evaluate(entry.exact_extension)
+            f = _ClosedForm(entry.exact_extension)
+            parts = evaluate(f)
         else:
             j = ruled.index(entry)
             f, parts = stacked, tuple(part[:, j:j + 1] for part in shared)
-        out.append((entry.label, parts, _fd_error(f)))
+        out.append((entry.label, parts, f.fd_error))
     return out
 
 
@@ -688,12 +710,9 @@ def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
     grid = ball_grid(cfg.n)
     pairs = pair_samples(cfg.n, cfg.pairs, cfg.seed, rmax=0.7)
     endpoints = _pair_endpoints(pairs)
-
-    def evaluate(f):
-        return f(endpoints), _wirtinger_data(f, grid)
-
     return [check_thm24_necessity(pairs, vals, grid, data, label=label, fd_error=fd_error)
-            for label, (vals, data), fd_error in _registry_results(cfg, evaluate)]
+            for label, (vals, data), fd_error in _registry_results(
+                cfg, lambda f: (f(endpoints), f.wirtinger_many(grid)[0]))]
 
 
 def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:
@@ -806,11 +825,8 @@ def suite_landau(cfg: HarnessConfig) -> list[CheckReport]:
                 "half_rho": consts.half_rho, "r_lower": consts.r_lower},
     ))
     # strict monotonicity in M, n and alpha
-    for name, values in (
-        ("M", [landau_constants(cfg.n, cfg.alpha, m).rho for m in (1.0, 1.5, 2.0)]),
-        ("n", [landau_constants(n, cfg.alpha, cfg.m).rho for n in (1, 2, 3, 4)]),
-        ("alpha", [landau_constants(cfg.n, a, cfg.m).rho for a in (0.5, 1.0, 2.0)]),
-    ):
+    for name, inputs in _landau_sweeps(cfg.n, cfg.alpha, cfg.m):
+        values = [landau_constants(*args).rho for args in inputs]
         gaps = np.diff(values)
         reports.append(make_report(
             f"landau.monotone[{name}]", float(np.max(gaps)), 0.0, strict=True,

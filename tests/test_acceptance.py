@@ -252,8 +252,8 @@ def test_criterion_11_univalence_probes():
     )
 
 
-def test_criterion_12_reproducibility(tmp_path):
-    started = time.monotonic()
+def reports_under_blas_threads(tmp_path, *flags):
+    """``verify --suite all --seed 1`` report bytes with 1 and with 4 BLAS threads."""
     outputs = []
     for run, threads in ((0, "1"), (1, "4")):
         out = tmp_path / f"report{run}.json"
@@ -262,10 +262,16 @@ def test_criterion_12_reproducibility(tmp_path):
         env.pop("HBALLS_SEED", None)
         proc = subprocess.run(
             [sys.executable, "-m", "hballs", "verify", "--suite", "all",
-             "--seed", "1", "--out", str(out)],
+             "--seed", "1", *flags, "--out", str(out)],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr[-2000:]
         outputs.append(out.read_bytes())
+    return outputs
+
+
+def test_criterion_12_reproducibility(tmp_path):
+    started = time.monotonic()
+    outputs = reports_under_blas_threads(tmp_path)
     elapsed = time.monotonic() - started
     identical = outputs[0] == outputs[1]
     doc = json.loads(outputs[0])
@@ -275,4 +281,18 @@ def test_criterion_12_reproducibility(tmp_path):
         f"two runs (1 vs 4 BLAS threads) byte-identical: {identical}; "
         f"{doc['summary']['passed']}/{doc['summary']['total']} checks passed; "
         f"wall {elapsed:.0f}s < 300s",
+    )
+
+
+def test_criterion_12_reproducibility_at_n2(tmp_path):
+    # every suite on the Monte Carlo rule, at a reduced size
+    outputs = reports_under_blas_threads(tmp_path, "--n", "2", "--mc-nodes", "5000",
+                                         "--samples", "40", "--pairs", "300", "--trials", "2000")
+    identical = outputs[0] == outputs[1]
+    doc = json.loads(outputs[0])
+    report(
+        "criterion 12 (reproducibility, n = 2)",
+        identical and doc["summary"]["failed"] == 0,
+        f"two runs (1 vs 4 BLAS threads) byte-identical: {identical}; "
+        f"{doc['summary']['passed']}/{doc['summary']['total']} checks passed",
     )

@@ -107,6 +107,14 @@ class TestLandauCommand:
         assert proc.stderr == f"config error: {message}\n"
         assert proc.stdout == ""
 
+    def test_constants_beyond_double_range_are_refused_by_name(self):
+        # (2M)^(2n) once raised an uncaught OverflowError: a traceback, exit 1
+        proc = run_cli("landau", "--m", "1e80", "--n", "2")
+        assert proc.returncode == 2
+        assert proc.stderr == ("config error: Landau constants at n=2, alpha=1, M=1e+80 "
+                               "do not fit in double precision\n")
+        assert proc.stdout == ""
+
     def test_seed_is_not_a_landau_flag(self):
         proc = run_cli("landau", "--seed", "3", "--n", "1")
         assert proc.returncode == 2
@@ -360,6 +368,22 @@ class TestVerifyCommand:
         assert f"config error: {message}" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite, args, given, culprit", [
+        # 3^alpha overflowed: a traceback and exit 1, for "all" after every other suite
+        ("landau", ["--alpha", "800"], "n=1, alpha=800 and m=1", "n=1, alpha=800, M=1"),
+        ("all", ["--alpha", "800"], "n=1, alpha=800 and m=1", "n=1, alpha=800, M=1"),
+        # r_lower underflowed at n = 3 of the monotonicity sweep and blamed the constants
+        ("landau", ["--m", "1e40"], "n=1, alpha=1 and m=1e+40", "n=3, alpha=1, M=1e+40")])
+    def test_landau_constants_beyond_double_range_are_refused_first(self, tmp_path, suite,
+                                                                     args, given, culprit):
+        out = tmp_path / "report.json"
+        proc = run_cli("verify", "--suite", suite, *args, "--out", str(out))
+        assert proc.returncode == 2
+        # the whole of stderr: no suite ran and printed a check line
+        assert proc.stderr == (f"config error: {given} are beyond the landau suite's range: "
+                               f"Landau constants at {culprit} do not fit in double precision\n")
+        assert not out.exists()
+
     def test_reproducible_bytes(self, tmp_path):
         args = ("verify", "--suite", "lemma22", "--seed", "3", "--nodes", "512")
         a = run_cli(*args, "--out", str(tmp_path / "a.json"))
@@ -408,6 +432,20 @@ class TestConfigHandling:
         proc = run_cli("verify", "--suite", "landau", "--config", str(cfg),
                        "--seed", "8", "--out", str(out))
         assert json.loads(out.read_text())["config"]["seed"] == 8
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "lemmaB", "--trials", "5"],
+        ["extend", "--boundary", "re", "--points", "0.5+0i"],
+        ["landau"]], ids=["verify", "extend", "landau"])
+    def test_unknown_config_key_is_refused(self, tmp_path, command):
+        # a dash for the underscore was once dropped silently: exit 0, mc_nodes 200000
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mc-nodes=500\n")
+        proc = run_cli(*command, "--config", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stderr == ("config error: unknown config key 'mc-nodes'; known keys: n, "
+                               "nodes, mc_nodes, seed, rmax, samples, trials, pairs, alpha, m\n")
+        assert proc.stdout == ""
 
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

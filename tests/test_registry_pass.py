@@ -109,10 +109,11 @@ def test_stacked_columns_equal_scalar_fd_derivatives(case):
 
 
 def one_at_a_time(cfg):
-    """(label, evaluator) per registry entry, each with its own extension."""
+    """(label, evaluator) per registry entry, each with its own extension,
+    closed forms wrapped as the suites wrap them."""
     rule = rule_for(cfg)
-    return [(entry.label, entry.exact_extension
-             or h_extend(entry, rule, guard_radius=cfg.rmax))
+    return [(entry.label, theorems._ClosedForm(entry.exact_extension) if entry.exact_extension
+             else h_extend(entry, rule, guard_radius=cfg.rmax))
             for entry in boundary_registry(cfg.n)]
 
 
@@ -126,8 +127,8 @@ def test_thm24_suite_equals_per_function_checks(n):
     grid = theorems.ball_grid(n)
     pairs = theorems.pair_samples(n, cfg.pairs, cfg.seed, rmax=0.7)
     endpoints = np.concatenate([pairs[:, 0, :], pairs[:, 1, :]])
-    expected = [check_thm24_necessity(pairs, f(endpoints), grid, theorems._wirtinger_data(f, grid),
-                                      label=label, fd_error=theorems._fd_error(f)).to_dict()
+    expected = [check_thm24_necessity(pairs, f(endpoints), grid, f.wirtinger_many(grid)[0],
+                                      label=label, fd_error=f.fd_error).to_dict()
                 for label, f in one_at_a_time(cfg)]
     assert [rep.to_dict() for rep in suite_thm24(cfg)] == expected
     assert_derivative_path(cfg, expected)
@@ -145,8 +146,8 @@ def assert_derivative_path(cfg, reports):
 def test_lemma22_suite_equals_per_function_checks(n):
     cfg = HarnessConfig(**SMALL[n])
     zs = theorems._sample_ball(cfg, 100, 0.7)
-    expected = [check_lemma22(theorems._wirtinger_data(f, zs), zs, label=label,
-                              fd_error=theorems._fd_error(f)).to_dict()
+    expected = [check_lemma22(f.wirtinger_many(zs)[0], zs, label=label,
+                              fd_error=f.fd_error).to_dict()
                 for label, f in one_at_a_time(cfg)]
     assert [rep.to_dict() for rep in suite_lemma22(cfg)] == expected
     assert_derivative_path(cfg, expected)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 from dataclasses import replace
 
@@ -431,6 +432,21 @@ class TestLandauConstants:
             landau_constants(1, 0.0, 1.0)
         with pytest.raises(ValueError):
             landau_constants(1, 1.0, 0.5)
+
+    @pytest.mark.parametrize("n, alpha, bound", [
+        (1, 800.0, 1.0), (2, 1.0, 1e80),      # 3^alpha and (2M)^(2n) overflow
+        (3, 1.0, 1e40)])                      # r_lower underflows to 0
+    def test_constants_beyond_double_range_are_refused_by_name(self, n, alpha, bound):
+        with pytest.raises(ValueError, match=re.escape(
+                f"Landau constants at n={n}, alpha={alpha:g}, M={bound:g} do not fit")):
+            landau_constants(n, alpha, bound)
+
+    def test_config_refuses_what_the_landau_suite_cannot_compute(self):
+        # whatever the suite: M = 1e20 fits every sweep, 1e25 does not (r_lower at n = 4)
+        assert all(rep.passed for rep in theorems.suite_landau(HarnessConfig(m=1e20, pairs=50)))
+        with pytest.raises(ValueError, match=re.escape(
+                "beyond the landau suite's range: Landau constants at n=4, alpha=1, M=1e+25")):
+            HarnessConfig(m=1e25)
 
     def test_nan_is_refused_by_its_own_field(self):
         with pytest.raises(ValueError, match="^alpha must be positive$"):
