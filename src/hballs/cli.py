@@ -256,6 +256,18 @@ def cmd_landau(args: argparse.Namespace) -> int:
     return 0
 
 
+EXTEND_FIELDS = ("n", "nodes", "mc_nodes", "seed", "rmax")   # the HarnessConfig fields extend reads
+
+
+def add_config_flags(parser: argparse.ArgumentParser, names=None) -> None:
+    """One flag per HarnessConfig field (those in ``names``, else all):
+    --mc-nodes for mc_nodes, typed as the field's default, None when absent."""
+    for field in dataclasses.fields(HarnessConfig):
+        if names is None or field.name in names:
+            parser.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
+                                type=type(field.default), default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hballs", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -268,13 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ext = sub.add_parser("extend", parents=[common],
                          help="evaluate the Dirichlet extension at points (CSV)")
-    ext.add_argument("--seed", type=int, default=None)
-    ext.add_argument("--n", type=int, default=None)
+    add_config_flags(ext, EXTEND_FIELDS)
     ext.add_argument("--boundary", type=str, default=None,
                      help="const:VALUE | coord | re | fourier | crossprod | bump")
-    ext.add_argument("--nodes", type=int, default=None)
-    ext.add_argument("--mc-nodes", dest="mc_nodes", type=int, default=None)
-    ext.add_argument("--rmax", type=float, default=None)
     ext.add_argument("--points", type=str, default=None,
                      help="'a+bi,c+di;...' or grid:rmin:rmax:count")
     ext.set_defaults(func=cmd_extend)
@@ -283,16 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run a check suite and emit a JSON report")
     ver.add_argument("--suite", type=str, required=True,
                      choices=[*SUITES, "all"])
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--nodes", type=int, default=None)
-    ver.add_argument("--mc-nodes", dest="mc_nodes", type=int, default=None)
-    ver.add_argument("--rmax", type=float, default=None)
-    ver.add_argument("--samples", type=int, default=None)
-    ver.add_argument("--trials", type=int, default=None)
-    ver.add_argument("--pairs", type=int, default=None)
-    ver.add_argument("--alpha", type=float, default=None)
-    ver.add_argument("--m", type=float, default=None, help="sup / norm bound M")
+    add_config_flags(ver)
     ver.add_argument("--timings", action="store_true",
                      help="record wall-clock in the report (breaks byte-stability)")
     ver.set_defaults(func=cmd_verify)

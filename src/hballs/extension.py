@@ -42,9 +42,8 @@ tested), though it does depend on the block size.  The columns of
 C^k-valued data share each tile's kernel values, and a column's arithmetic
 does not depend on k, so stacking scalar data into one vector extension
 gives every component the bits of its own extension at about the cost of
-one kernel pass.  Standard errors are kept per column as well: the error
-of any set of columns sums their variances in column order, so it has the
-bits of the error of an extension holding only those columns.
+one kernel pass.  Standard errors are shaped like the values, one per
+column, so a column's error has the bits of its own extension's as well.
 """
 
 from __future__ import annotations
@@ -279,58 +278,44 @@ class HExtension:
                 if want_errors:
                     np.matmul(kern_sq, abs2_w[j], out=sums_sq)
                     second[rows, j] += sums_sq[:live]
-        values = first[:, 0] if self._psi_nodes.ndim == 1 else first
-        return values, second
+        return self._shaped(first), second
 
-    def _standard_errors(self, variances: np.ndarray, columns):
-        """Per-point standard errors from per-column variances (P, k).
+    def _shaped(self, stacked: np.ndarray) -> np.ndarray:
+        """A (P, k) per-column result in the shape of the values: (P,) for
+        scalar data, else (P, k)."""
+        return stacked[:, 0] if self._psi_nodes.ndim == 1 else stacked
 
-        A set of columns gets the root of its variances summed in column
-        order over the node count: the root-sum-square of its componentwise
-        Monte Carlo standard errors.  ``columns`` is a list of column slices
-        and gives one (P,) array per slice; None gives one for all columns.
-        """
-        errors = []
-        for cols in [slice(None)] if columns is None else columns:
-            total = np.zeros(len(variances))
-            for j in range(variances.shape[1])[cols]:
-                total += variances[:, j]
-            errors.append(np.sqrt(total / len(self.rule)))
-        return errors[0] if columns is None else errors
-
-    def values_with_errors(self, points, columns=None):
+    def values_with_errors(self, points):
         """Batched values plus per-point integrand standard errors.
 
-        One pass over the rule.  The error of a set of output columns is the
-        root-sum-square of their componentwise Monte Carlo standard errors
-        (0.0 for spectral rules, which skip the second moments); see
-        ``_standard_errors`` for ``columns``.
+        One pass over the rule.  The errors have the values' shape, (P,) or
+        (P, k): each column's Monte Carlo standard error sqrt(var_j / N)
+        (0.0 for spectral rules, which skip the second moments).
         """
         values, second = self._moments(points, want_errors=self.rule.monte_carlo)
-        stacked = values if values.ndim > 1 else values[:, None]
         if second is None:
-            variances = np.zeros(stacked.shape)
-        else:
-            variances = np.maximum(second - np.abs(stacked) ** 2, 0.0)
-        return values, self._standard_errors(variances, columns)
+            return values, np.zeros(values.shape)
+        variances = np.maximum(self._shaped(second) - np.abs(values) ** 2, 0.0)
+        return values, np.sqrt(variances / len(self.rule))
 
     def wirtinger(self, z) -> WirtingerData:
         """Wirtinger derivatives by differentiation under the integral."""
         return self.wirtinger_with_error(z)[0]
 
     def wirtinger_with_error(self, z):
-        """(WirtingerData, standard error) at one point: a one-row batch."""
+        """(WirtingerData, standard error) at one point: a one-row batch, the
+        error a float for scalar data and (k,) for C^k data."""
         data, errors = self.wirtinger_many(coords_of(z)[None, :])
-        return data[0], float(errors[0])
+        return data[0], _row_error(errors)
 
-    def wirtinger_many(self, points, columns=None):
+    def wirtinger_many(self, points):
         """Wirtinger derivatives and their standard errors for a (P, n) batch.
 
         Returns one ``WirtingerData`` batch, (P, k, n) arrays whose row p has
-        the bits of point p taken alone, and a (P,) array holding, per
-        row, the root-sum-square of the componentwise Monte Carlo standard
-        errors of the derivative integrands (0.0 for spectral rules), or one
-        such array per slice in ``columns`` (see ``_standard_errors``).
+        the bits of point p taken alone, and errors shaped like the values,
+        (P,) or (P, k): per row and column j, the root-sum-square over the n
+        coordinates of the Monte Carlo standard errors of the integrands of
+        df_j/dz_i (0.0 for spectral rules).
 
         The GEMM form on the value engine's tiles: with K = P_h,
         d2 = |z - zeta|^2, Q = K / d2 and R = K / (1 - |z|^2) + Q, the closed
@@ -409,11 +394,17 @@ class HExtension:
             variances = np.sum(np.maximum(mean_sq - np.abs(fz) ** 2, 0.0), axis=2)
         else:
             variances = np.zeros((count, k_out))
-        return WirtingerData(fz, fzbar), self._standard_errors(variances, columns)
+        return WirtingerData(fz, fzbar), self._shaped(np.sqrt(variances / len(self.rule)))
 
-    def value_error(self, z) -> float:
-        """Empirical standard error of the value integrand (MC rules)."""
-        return float(self.values_with_errors(coords_of(z)[None, :])[1][0])
+    def value_error(self, z):
+        """Empirical standard error of the value integrand (MC rules) at one
+        point: a float for scalar data, (k,) for C^k data."""
+        return _row_error(self.values_with_errors(coords_of(z)[None, :])[1])
+
+
+def _row_error(errors: np.ndarray):
+    """Row 0 of a one-row error batch: a float, or its (k,) columns."""
+    return float(errors[0]) if errors.ndim == 1 else errors[0]
 
 
 def h_extend(boundary: BoundaryFunction, rule: QuadratureRule,

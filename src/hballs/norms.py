@@ -113,11 +113,12 @@ def uniform_ball(n: int, count: int, rng: np.random.Generator, rmax: float) -> n
 
 
 def pair_samples(n: int, count: int, seed: int, rmax: float = 0.7) -> np.ndarray:
-    """Seeded uniform pairs inside the ball of radius rmax, shape (P, 2, n)."""
+    """Seeded uniform pairs inside the ball of radius rmax, shape (P, 2, n),
+    without those closer than 1e-9 rmax."""
     rng = rng_stream(seed, STREAM_PAIRS)
     z = uniform_ball(n, count, rng, rmax)
     w = uniform_ball(n, count, rng, rmax)
-    keep = np.linalg.norm(z - w, axis=1) > 1e-9
+    keep = np.linalg.norm(z - w, axis=1) > 1e-9 * rmax
     return np.stack([z[keep], w[keep]], axis=1)
 
 

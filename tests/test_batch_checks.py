@@ -74,7 +74,7 @@ def schwarz_value_samples(zs, values, f0, errors, bound, label, rule):
         lhs = float(np.linalg.norm(np.atleast_1d(v - kappa * f0)))
         reports.append(make_report(
             "sample", lhs, bound * (1.0 - kappa), analytic=1e-12,
-            quad_error=(1.0 + bound) * float(err),
+            quad_error=(1.0 + bound) * float(np.linalg.norm(np.atleast_1d(err))),
             inputs={"f": label, "n": n, "M": bound, "z": cplx(z), "kappa": kappa},
             rule=dict(rule)))
     return reports
@@ -88,7 +88,7 @@ def schwarz_gradient_samples(zs, data, errors, bound, label, rule):
         big_lambda = lambda_bounds_wirtinger(data[i])[0]
         reports.append(make_report(
             "sample", big_lambda, 2.0 * (2 * n - 1) * bound / (1.0 - norm_z) ** 2,
-            analytic=1e-12, quad_error=float(err),
+            analytic=1e-12, quad_error=float(np.linalg.norm(np.atleast_1d(err))),
             inputs={"f": label, "n": n, "M": bound, "z": cplx(z)}, rule=dict(rule)))
     return reports
 

@@ -484,6 +484,18 @@ def test_every_field_reaches_the_report(monkeypatch, tmp_path, field, source):
     assert type(config[key]) is type(field.default)
 
 
+def test_extend_takes_the_config_flags_it_reads(capsys):
+    from hballs import cli
+
+    parser = cli.build_parser()
+    args = parser.parse_args(["extend", "--n", "2", "--nodes", "8", "--mc-nodes", "200",
+                              "--seed", "3", "--rmax", "0.5"])
+    assert (args.n, args.nodes, args.mc_nodes, args.seed, args.rmax) == (2, 8, 200, 3, 0.5)
+    with pytest.raises(SystemExit):
+        parser.parse_args(["extend", "--samples", "5"])
+    assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+
+
 def refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 

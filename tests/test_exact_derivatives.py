@@ -102,9 +102,9 @@ def engine_rows(monkeypatch):
         rows["values"] += len(np.atleast_2d(points))
         return moments(self, points, want_errors)
 
-    def counted_wirtinger_many(self, points, columns=None):
+    def counted_wirtinger_many(self, points):
         rows["gradients"] += len(np.atleast_2d(points))
-        return wirtinger_many(self, points, columns)
+        return wirtinger_many(self, points)
 
     monkeypatch.setattr(HExtension, "_moments", counted_moments)
     monkeypatch.setattr(HExtension, "wirtinger_many", counted_wirtinger_many)

@@ -59,6 +59,13 @@ class TestSampleSets:
         assert np.array_equal(a, b)
         assert np.all(np.linalg.norm(a[:, 0] - a[:, 1], axis=1) > 0.0)
 
+    def test_pair_floor_scales_with_the_radius(self):
+        # an absolute 1e-9 floor dropped every pair below rmax = 1e-9
+        small = pair_samples(1, 50, seed=9, rmax=1e-12)
+        assert len(small) == 50
+        np.testing.assert_allclose(small, pair_samples(1, 50, seed=9, rmax=1.0) * 1e-12,
+                                   rtol=1e-12, atol=0.0)
+
     def test_near_diagonal_pairs_stay_inside(self):
         pairs = near_diagonal_pairs(ball_grid(1), delta=1e-4, n_phases=8)
         assert np.all(np.abs(pairs[:, 1, 0]) < 1.0)

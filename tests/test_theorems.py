@@ -14,7 +14,7 @@ from hballs.calculus import (
     lambda_bounds_wirtinger,
     wirtinger_fd_many,
 )
-from hballs.errors import NonFiniteResult
+from hballs.errors import EmptySampleSet, NonFiniteResult
 from hballs.extension import boundary_registry, h_extend
 from hballs.norms import ball_grid, near_diagonal_pairs, pair_samples
 from hballs.quadrature import (
@@ -448,6 +448,23 @@ class TestLandauConstants:
                 "beyond the landau suite's range: Landau constants at n=4, alpha=1, M=1e+25")):
             HarnessConfig(m=1e25)
 
+    # 508 - ulp is the largest alpha the config accepts at n = 1: beyond it
+    # the n sweep's n = 4 constant overflows
+    @pytest.mark.parametrize("alpha", [25.0, 100.0, float(np.nextafter(508.0, 0.0))])
+    def test_suite_passes_at_large_alpha(self, alpha):
+        reports = theorems.suite_landau(HarnessConfig(alpha=alpha, pairs=200))
+        assert [rep.check_id for rep in reports if not rep.passed] == []
+
+    def test_consistency_check_catches_a_perturbed_route(self, monkeypatch):
+        # a 1e-13 relative error in one of the two routes to rho
+        exact = theorems.landau_constants
+        monkeypatch.setattr(theorems, "landau_constants", lambda *args: replace(
+            exact(*args), rho=exact(*args).rho * (1.0 + 1e-13)))
+        for alpha in (1.0, 25.0, 100.0):
+            constants = theorems.suite_landau(HarnessConfig(alpha=alpha, pairs=20))[0]
+            assert constants.check_id.startswith("landau.constants")
+            assert not constants.passed
+
     def test_nan_is_refused_by_its_own_field(self):
         with pytest.raises(ValueError, match="^alpha must be positive$"):
             landau_constants(1, math.nan, 1.0)
@@ -474,6 +491,10 @@ class TestUnivalenceProbe:
         rep = univalence_probe(lambda pts: np.asarray(pts) ** 2, 0.5, pairs, 0.0)
         assert not rep.passed
         assert rep.rhs == 0.0
+
+    def test_empty_pair_set_is_refused_by_name(self):
+        with pytest.raises(EmptySampleSet, match="^univalence probe over an empty pair set$"):
+            univalence_probe(lambda pts: np.asarray(pts), 0.5, np.zeros((0, 2, 1)), 0.0)
 
     def test_pairs_must_lie_in_ball(self):
         pairs = np.array([[[0.6 + 0.0j], [0.1 + 0.0j]]])
