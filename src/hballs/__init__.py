@@ -29,9 +29,6 @@ from .extension import (
 )
 from .calculus import (
     WirtingerData,
-    RealJacobian,
-    wirtinger_from_real,
-    lambda_bounds,
     lambda_bounds_wirtinger,
     operator_norm,
 )

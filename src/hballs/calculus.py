@@ -1,15 +1,16 @@
-"""Wirtinger calculus and real-Jacobian machinery.
+"""Wirtinger calculus: one derivative type and its finite-difference engine.
 
-Conversions between the real partials of f = u + iv and its Wirtinger
-derivatives, per coordinate z_k = x_k + i y_k:
+Derivatives are ``WirtingerData``: the matrices f_z and f_zbar of a map
+f = (f_1, ..., f_k), per coordinate z_k = x_k + i y_k related to the real
+partials of f_j = u_j + i v_j by
 
     f_{z_k}    = (u_{x_k} + v_{y_k} + i (v_{x_k} - u_{y_k})) / 2
-    f_{zbar_k} = (u_{x_k} - v_{y_k} + i (v_{x_k} + u_{y_k})) / 2
+    f_{zbar_k} = (u_{x_k} - v_{y_k} + i (v_{x_k} + u_{y_k})) / 2.
 
-The real Jacobian of a map f = (f_1, ..., f_k) uses the fixed coordinate
-order rows (u_1, v_1, ..., u_k, v_k) by columns (x_1, y_1, ..., x_n, y_n);
-this is the wire order used everywhere in the package.  The distortion
-numbers are the extreme singular values of that matrix:
+Where a check needs a number of the real Jacobian, it is derived from that
+data as a plain array, rows (u_1, v_1, ..., u_k, v_k) by columns
+(x_1, y_1, ..., x_n, y_n), the wire order used everywhere in the package.
+The distortion numbers are its extreme singular values:
 
     Lambda_f = max |J theta| = max over complex unit theta of |f_z theta + f_zbar conj(theta)|
     lambda_f = min |J theta|,
@@ -17,8 +18,8 @@ numbers are the extreme singular values of that matrix:
 the two maxima ranging over the same set because a complex unit vector and
 its real coordinates have equal length.
 
-Derivative data comes in batches, (P, k, n) Wirtinger and (P, 2k, 2n) real
-Jacobian stacks; conversions, norms and singular values take a batch in one
+Derivative data comes in batches, (P, k, n) Wirtinger stacks and
+(P, 2k, 2n) Jacobian arrays; norms and singular values take a batch in one
 numpy call, each row with the bits of its point taken alone.
 
 Numerical derivatives come from one finite-difference engine: central
@@ -26,7 +27,7 @@ differences at steps h and h/2 along each real coordinate (x_1, y_1, ...,
 x_n, y_n for a complex batch), one Richardson level (4 D(h/2) - D(h)) / 3,
 one guard refusing a stencil that reaches the unit sphere, and one
 evaluator call per batch.  Its step policies sit side by side below:
-Jacobians and Wirtinger data (Bloch functionals; thm24 and lemma22 on
+Wirtinger data (Bloch functionals; thm24 and lemma22 on
 closed forms, while extensions differentiate their kernel sums), the
 Delta_h residual of ``extension`` (guarded at its reach 2h) and the
 lemma21 gradient on a ball of radius r in R^m, any m >= 2.
@@ -42,18 +43,14 @@ from .errors import NonFiniteResult, StepTooLarge
 
 __all__ = [
     "WirtingerData",
-    "RealJacobian",
-    "wirtinger_from_real",
-    "wirtinger_from_jacobian",
     "real_jacobian_from_wirtinger",
     "wirtinger_fd_many",
     "fd_partials",
     "operator_norm",
-    "lambda_bounds",
     "lambda_bounds_wirtinger",
 ]
 
-JACOBIAN_STEP_FACTOR = 1e-4  # Jacobians and Wirtinger data: h = factor * (1 - |z|)
+JACOBIAN_STEP_FACTOR = 1e-4  # Wirtinger data: h = factor * (1 - |z|)
 LB_STEP_FACTOR = 1e-3        # Delta_h residual: h = factor * (1 - |z|)
 GRADIENT_STEP_FACTOR = 1e-5  # lemma21 gradient on a ball of radius r: h = factor * r
 
@@ -106,47 +103,15 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(p[..., None, :] @ p[..., :, None] for p in (x.real, x.imag))[..., 0, 0])
 
 
-@dataclass(frozen=True)
-class RealJacobian:
-    """Real Jacobian(s) (..., 2k, 2n), rows (u_1, v_1, ...) x cols (x_1, y_1, ...)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim < 2 or m.shape[-2] % 2 or m.shape[-1] % 2:
-            raise ValueError("real Jacobian must have even-by-even shape")
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteResult("real Jacobian must be finite")
-        object.__setattr__(self, "matrix", m)
-
-    def det(self):
-        return np.linalg.det(self.matrix)
-
-
-def wirtinger_from_real(ux, uy, vx, vy):
-    """(f_{z_k}, f_{zbar_k}) from the four real partials at one coordinate."""
-    fz = 0.5 * (np.asarray(ux) + np.asarray(vy) + 1j * (np.asarray(vx) - np.asarray(uy)))
-    fzbar = 0.5 * (np.asarray(ux) - np.asarray(vy) + 1j * (np.asarray(vx) + np.asarray(uy)))
-    return fz, fzbar
-
-
-def wirtinger_from_jacobian(jac: RealJacobian) -> WirtingerData:
-    """Convert real Jacobians (..., 2k, 2n) to the Wirtinger matrices (f_z, f_zbar)."""
-    J = jac.matrix
-    return WirtingerData(*wirtinger_from_real(J[..., 0::2, 0::2], J[..., 0::2, 1::2],
-                                              J[..., 1::2, 0::2], J[..., 1::2, 1::2]))
-
-
-def real_jacobian_from_wirtinger(data: WirtingerData) -> RealJacobian:
-    """Inverse conversion: real Jacobians from (f_z, f_zbar), one or a batch."""
+def real_jacobian_from_wirtinger(data: WirtingerData) -> np.ndarray:
+    """Real Jacobians (..., 2k, 2n) of Wirtinger data (f_z, f_zbar), one or a batch."""
     a, b = data.fz, data.fzbar
     J = np.empty(a.shape[:-2] + (2 * a.shape[-2], 2 * a.shape[-1]))
     J[..., 0::2, 0::2] = (a + b).real        # du/dx
     J[..., 0::2, 1::2] = (b - a).imag        # du/dy
     J[..., 1::2, 0::2] = (a + b).imag        # dv/dx
     J[..., 1::2, 1::2] = (a - b).real        # dv/dy
-    return RealJacobian(J)
+    return J
 
 
 _STENCIL_MOVES = np.array([1.0, -1.0, 0.5, -0.5])   # h, -h, h/2, -h/2
@@ -196,16 +161,6 @@ def _check_stencil_reach(points: np.ndarray, reach: np.ndarray) -> None:
         raise StepTooLarge(f"stencil reach {reach[i]:g} leaves the ball at |z| = {norms[i]:.4g}")
 
 
-def _fd_jacobians(f, points: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Real Jacobians (P, 2k, 2n) of f at a (P, n) batch, one evaluator call."""
-    _check_stencil_reach(points, steps)
-    partials = fd_partials(f, points, steps)                # (P, 2n, k)
-    J = np.empty((len(points), 2 * partials.shape[2], partials.shape[1]))
-    J[:, 0::2, :] = partials.real.transpose(0, 2, 1)
-    J[:, 1::2, :] = partials.imag.transpose(0, 2, 1)
-    return J
-
-
 def wirtinger_fd_many(f, points: np.ndarray, step_factor: float = JACOBIAN_STEP_FACTOR):
     """Wirtinger derivatives at every row of ``points``, one evaluator call.
 
@@ -215,8 +170,13 @@ def wirtinger_fd_many(f, points: np.ndarray, step_factor: float = JACOBIAN_STEP_
     (1 - |z|), so row i has the bits of the one-row call at z_i.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
-    jac = RealJacobian(_fd_jacobians(f, points, _steps(points, step_factor)))
-    return wirtinger_from_jacobian(jac)
+    steps = _steps(points, step_factor)
+    _check_stencil_reach(points, steps)
+    partials = fd_partials(f, points, steps)                # (P, 2n, k): d/dx_1, d/dy_1, ...
+    u = np.ascontiguousarray(partials.real.transpose(0, 2, 1))   # (P, k, 2n)
+    v = np.ascontiguousarray(partials.imag.transpose(0, 2, 1))
+    ux, uy, vx, vy = u[..., 0::2], u[..., 1::2], v[..., 0::2], v[..., 1::2]
+    return WirtingerData(0.5 * (ux + vy + 1j * (vx - uy)), 0.5 * (ux - vy + 1j * (vx + uy)))
 
 
 def operator_norm(matrix):
@@ -225,12 +185,7 @@ def operator_norm(matrix):
     return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 
-def lambda_bounds(jac: RealJacobian):
-    """(Lambda, lambda): extreme singular values of a real Jacobian, or of each of a stack."""
-    s = np.linalg.svd(jac.matrix, compute_uv=False)
-    return s[..., 0], s[..., -1]
-
-
 def lambda_bounds_wirtinger(data: WirtingerData):
     """(Lambda, lambda) of theta -> f_z theta + f_zbar conj(theta), per point of a batch."""
-    return lambda_bounds(real_jacobian_from_wirtinger(data))
+    s = np.linalg.svd(real_jacobian_from_wirtinger(data), compute_uv=False)
+    return s[..., 0], s[..., -1]

@@ -173,10 +173,11 @@ def write_csv(path, header: list[str], rows) -> None:
 def cmd_extend(args: argparse.Namespace) -> int:
     file_values = read_config_file(args.config)
     cfg = resolve_config(args, file_values)
-    # --nodes names the size of whichever rule the dimension selects
-    if cfg.n >= 2 and args.mc_nodes is None and "mc_nodes" not in file_values \
-            and args.nodes is not None:
-        cfg = dataclasses.replace(cfg, mc_nodes=args.nodes)
+    # nodes, from flag or file, sizes whichever rule the dimension selects
+    def is_set(key):
+        return getattr(args, key) is not None or key in file_values
+    if cfg.n >= 2 and is_set("nodes") and not is_set("mc_nodes"):
+        cfg = dataclasses.replace(cfg, mc_nodes=cfg.nodes)
     if args.boundary is None or args.points is None:
         raise ConfigError("extend needs --boundary and --points")
     boundary = pick_boundary(args.boundary, cfg.n)

@@ -42,7 +42,7 @@ tested), though it does depend on the block size.  The columns of
 C^k-valued data share each tile's kernel values, and a column's arithmetic
 does not depend on k, so stacking scalar data into one vector extension
 gives every component the bits of its own extension at about the cost of
-one kernel pass.  Standard errors are shaped like the values, one per
+one kernel pass.  Quadrature errors are shaped like the values, one per
 column, so a column's error has the bits of its own extension's as well.
 """
 
@@ -252,32 +252,47 @@ class HExtension:
         return self._moments(points, want_errors=False)[0]
 
     def _moments(self, points, want_errors: bool):
-        """First (and optionally second) moments of the kernel-weighted data,
-        in the GEMM form of the module docstring: per tile and output column,
-        kern @ (psi_j w), and kern^2 @ (|psi_j|^2 w) for the second moments."""
+        """First moments of the kernel-weighted data, in the GEMM form of the
+        module docstring: per tile and output column, kern @ (psi_j w).  With
+        ``want_errors`` also the sums an error is read from, per column: for a
+        Monte Carlo rule the second moments kern^2 @ (|psi_j|^2 w), for a
+        spectral rule the half-rule values kern @ (psi_j w'), w' the weights of
+        every second node renormalized to sum 1 and 0 at the others."""
         pts = self._guarded_rows(points)
         count = len(pts)
         psi = self._psi_cols
         k_out = len(psi)
         w = self.rule.weights
+        monte_carlo = want_errors and self.rule.monte_carlo
+        half_rule = want_errors and not monte_carlo
         first = np.zeros((count, k_out), dtype=complex)
-        second = np.zeros((count, k_out)) if want_errors else None
+        second = np.zeros((count, k_out), dtype=complex if half_rule else float) \
+            if want_errors else None
         width_max = min(CHUNK, len(w))
         psi_w_buf, abs2_w_buf = np.empty((k_out, width_max), dtype=complex), np.empty((k_out, width_max))
+        if half_rule:
+            w_half = np.zeros(len(w))
+            w_half[::2] = w[::2] / np.sum(w[::2])
+            half_w_buf = np.empty((k_out, width_max), dtype=complex)
         sums, sums_sq = np.empty((_POINT_BLOCK, 2)), np.empty(_POINT_BLOCK)
         for rows, csl, kern, _, kern_sq in self._kernel_tiles(pts, keep_distances=False):
             width = csl.stop - csl.start
             live = rows.stop - rows.start
-            if want_errors:
+            if monte_carlo:
                 np.multiply(kern[:live], kern[:live], out=kern_sq[:live])
                 abs2_w = self._abs2_weights(csl, abs2_w_buf[:, :width])
+            elif half_rule:
+                half_w = np.multiply(psi[:, csl], w_half[csl], out=half_w_buf[:, :width])
             psi_w = np.multiply(psi[:, csl], w[csl], out=psi_w_buf[:, :width])
             for j in range(k_out):
                 np.matmul(kern, psi_w[j].view(np.float64).reshape(width, 2), out=sums)
                 first[rows, j] += sums[:live].view(complex)[:, 0]
-                if want_errors:
+                if monte_carlo:
                     np.matmul(kern_sq, abs2_w[j], out=sums_sq)
                     second[rows, j] += sums_sq[:live]
+                elif half_rule:
+                    np.matmul(kern, half_w[j].view(np.float64).reshape(width, 2), out=sums)
+                    second[rows, j] += sums[:live].view(complex)[:, 0]
         return self._shaped(first), second
 
     def _shaped(self, stacked: np.ndarray) -> np.ndarray:
@@ -286,15 +301,18 @@ class HExtension:
         return stacked[:, 0] if self._psi_nodes.ndim == 1 else stacked
 
     def values_with_errors(self, points):
-        """Batched values plus per-point integrand standard errors.
+        """Batched values plus per-point quadrature error estimates.
 
         One pass over the rule.  The errors have the values' shape, (P,) or
-        (P, k): each column's Monte Carlo standard error sqrt(var_j / N)
-        (0.0 for spectral rules, which skip the second moments).
+        (P, k), one per column: for a Monte Carlo rule its standard error
+        sqrt(var_j / N); for a spectral rule with m nodes the gap
+        |f_m(z) - f_{m/2}(z)| to the half rule on every second node, which
+        tracks the rule's aliasing error, the terms of order |z|^m of its
+        kernel sum 1 + 2 sum_{j >= 1} |z|^{jm} cos(j m theta).
         """
-        values, second = self._moments(points, want_errors=self.rule.monte_carlo)
-        if second is None:
-            return values, np.zeros(values.shape)
+        values, second = self._moments(points, want_errors=True)
+        if not self.rule.monte_carlo:
+            return values, np.abs(values - self._shaped(second))
         variances = np.maximum(self._shaped(second) - np.abs(values) ** 2, 0.0)
         return values, np.sqrt(variances / len(self.rule))
 
@@ -397,8 +415,8 @@ class HExtension:
         return WirtingerData(fz, fzbar), self._shaped(np.sqrt(variances / len(self.rule)))
 
     def value_error(self, z):
-        """Empirical standard error of the value integrand (MC rules) at one
-        point: a float for scalar data, (k,) for C^k data."""
+        """The value's quadrature error (``values_with_errors``) at one point:
+        a float for scalar data, (k,) for C^k data."""
         return _row_error(self.values_with_errors(coords_of(z)[None, :])[1])
 
 

@@ -171,8 +171,10 @@ def integrate_with_error(rule: QuadratureRule, evaluator):
     """Integral plus an empirical standard error.
 
     For Monte Carlo rules the error is the usual sample standard error of
-    the weighted mean; deterministic rules report 0.0 (their aliasing error
-    is far below any tolerance used here).
+    the weighted mean; deterministic rules report 0.0.  That is sound only
+    while their aliasing error is far below the tolerance in use: for m
+    equally spaced nodes and a Poisson integrand at radius r the error is of
+    order r^m, below 1e-300 at m = 4096 and r = 0.8 but about 6e-7 at m = 64.
     """
     total = 0.0 + 0.0j
     total_sq = 0.0

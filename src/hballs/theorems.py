@@ -6,7 +6,7 @@ metadata (function label, points, seed, rule) to replay the check
 bit-identically.  The engines evaluate and the checks compare: a pointwise
 inequality (lemma22, the Schwarz-Pick value and gradient bounds, lemma33)
 is one function that takes arrays already evaluated at a (P, n) sample
-batch (a WirtingerData batch, values with f(0) and their standard errors,
+batch (a WirtingerData batch, values with f(0) and their quadrature errors,
 Lambda, or a matrix stack), computes lhs, rhs and tolerance as (P,) arrays
 and returns one report for the batch: the worst sample's, with the sample
 count and the number of failing samples.  lemmaB does the same for a
@@ -16,7 +16,7 @@ ball's stencil, centre and boundary.
 Tolerances follow one policy:
 
     tolerance = analytic slack
-              + 10 * (quadrature standard error)
+              + 10 * (quadrature error: MC standard error or half-rule gap)
               + 10 * (finite-difference truncation estimate),
 
 with the three parts recorded separately.  Every evaluator answers the same
@@ -339,7 +339,7 @@ def check_lemma22(data: WirtingerData, zs: np.ndarray, *, label: str = "f",
     ``zs``, from the scalar Wirtinger data batch at them; ``fd_error`` is the
     data's finite-difference term (0 for exact derivatives)."""
     grad, grad_bar = data.gradient_norms()
-    J = real_jacobian_from_wirtinger(data).matrix  # rows (u, v) x cols (x1, y1, ...)
+    J = real_jacobian_from_wirtinger(data)  # rows (u, v) x cols (x1, y1, ...)
     rhs = _row_norms(J[..., 0, :]) + _row_norms(J[..., 1, :])
     return _batch_report(f"lemma22[n={zs.shape[1]},f={label}]", grad + grad_bar, rhs,
                          lambda i: {"f": label, "z": _cplx(zs[i])},
@@ -523,7 +523,7 @@ class AffineMapping:
             raise ValueError("need square matrices of equal shape")
         self.label = label
         self.n = A.shape[0]
-        det = real_jacobian_from_wirtinger(WirtingerData(A, B)).det()
+        det = np.linalg.det(real_jacobian_from_wirtinger(WirtingerData(A, B)))
         if det <= 0.0:
             raise ValueError("orientation-reversing or degenerate map")
         scale = det ** (-1.0 / (2 * self.n))

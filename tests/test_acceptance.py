@@ -141,9 +141,8 @@ def test_criterion_5_wirtinger_example():
         return z ** 2 + np.conj(z)
 
     data = wirtinger_fd_many(f, np.zeros((1, 1), dtype=complex))[0]
-    jac = real_jacobian_from_wirtinger(data)
     lhs = abs(data.fz[0, 0]) + abs(data.fzbar[0, 0])
-    J = jac.matrix
+    J = real_jacobian_from_wirtinger(data)
     rhs = float(np.linalg.norm(J[0]) + np.linalg.norm(J[1]))
     report(
         "criterion 5 (Wirtinger example)",

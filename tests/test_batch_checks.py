@@ -58,7 +58,7 @@ def lemma22_samples(data, zs, label, fd_error):
     for i, z in enumerate(zs):
         point = data[i]
         lhs = np.linalg.norm(point.fz[0]) + np.linalg.norm(point.fzbar[0])
-        J = real_jacobian_from_wirtinger(point).matrix
+        J = real_jacobian_from_wirtinger(point)
         rhs = np.linalg.norm(J[0]) + np.linalg.norm(J[1])
         reports.append(make_report("sample", lhs, rhs, analytic=1e-12, fd_error=fd_error,
                                    inputs={"f": label, "z": cplx(z)}))

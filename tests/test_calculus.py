@@ -5,16 +5,12 @@ from hypothesis.extra.numpy import arrays
 
 from hballs.calculus import (
     JACOBIAN_STEP_FACTOR,
-    RealJacobian,
     WirtingerData,
     fd_partials,
-    lambda_bounds,
     lambda_bounds_wirtinger,
     operator_norm,
     real_jacobian_from_wirtinger,
     wirtinger_fd_many,
-    wirtinger_from_jacobian,
-    wirtinger_from_real,
 )
 from hballs.errors import HballsError, NonFiniteResult, StepTooLarge
 
@@ -25,19 +21,32 @@ def square_plus_conj(pts):
     return z ** 2 + np.conj(z)
 
 
+def wirtinger_from_jacobian(J):
+    """Reference conversion of real Jacobians (..., 2k, 2n) to Wirtinger
+    data, in the expressions the finite-difference engine uses."""
+    ux, uy, vx, vy = J[..., 0::2, 0::2], J[..., 0::2, 1::2], J[..., 1::2, 0::2], J[..., 1::2, 1::2]
+    return WirtingerData(0.5 * (ux + vy + 1j * (vx - uy)), 0.5 * (ux - vy + 1j * (vx + uy)))
+
+
+def lambda_bounds(J):
+    """(Lambda, lambda) of real Jacobians, through their Wirtinger data."""
+    return lambda_bounds_wirtinger(wirtinger_from_jacobian(J))
+
+
 class TestWirtingerFromReal:
+    # the engine's differences of these maps at 0 are exact
     def test_example_function_at_zero(self):
         # u = x^2 + x - y^2, v = 2xy - y: hand partials at 0
         ux, uy, vx, vy = 1.0, 0.0, 0.0, -1.0
-        fz, fzbar = wirtinger_from_real(ux, uy, vx, vy)
-        assert abs(fz) + abs(fzbar) == pytest.approx(1.0, abs=1e-15)
+        data = wirtinger_fd_many(square_plus_conj, [[0j]])[0]
+        assert abs(data.fz[0, 0]) + abs(data.fzbar[0, 0]) == pytest.approx(1.0, abs=1e-15)
         assert np.hypot(ux, uy) + np.hypot(vx, vy) == pytest.approx(2.0, abs=1e-15)
 
     def test_identity_function(self):
         # f(z) = z: u = x, v = y
-        fz, fzbar = wirtinger_from_real(1.0, 0.0, 0.0, 1.0)
-        assert fz == pytest.approx(1.0)
-        assert fzbar == pytest.approx(0.0, abs=1e-15)
+        data = wirtinger_fd_many(lambda pts: pts, [[0j]])[0]
+        assert data.fz[0, 0] == pytest.approx(1.0)
+        assert data.fzbar[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_round_trip_with_jacobian(self):
         rng = np.random.default_rng(21)
@@ -57,12 +66,12 @@ def fd_jacobian(f, z):
 class TestJacobianReal:
     def test_identity_map(self):
         jac = fd_jacobian(lambda pts: pts, np.zeros(2, dtype=complex))
-        np.testing.assert_allclose(jac.matrix, np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(jac, np.eye(4), atol=1e-10)
 
     def test_example_jacobian_and_det(self):
         jac = fd_jacobian(square_plus_conj, np.zeros(1, dtype=complex))
-        np.testing.assert_allclose(jac.matrix, [[1.0, 0.0], [0.0, -1.0]], atol=1e-10)
-        assert jac.det() == pytest.approx(-1.0, rel=1e-9)
+        np.testing.assert_allclose(jac, [[1.0, 0.0], [0.0, -1.0]], atol=1e-10)
+        assert np.linalg.det(jac) == pytest.approx(-1.0, rel=1e-9)
 
     def test_two_path_consistency(self):
         # Wirtinger data and real Jacobian against the hand derivatives of
@@ -75,7 +84,7 @@ class TestJacobianReal:
             np.testing.assert_allclose(data.fz, [[2.0 * z[0]]], atol=1e-9)
             np.testing.assert_allclose(data.fzbar, [[1.0]], atol=1e-9)
             x, y = z[0].real, z[0].imag
-            np.testing.assert_allclose(fd_jacobian(square_plus_conj, z).matrix,
+            np.testing.assert_allclose(fd_jacobian(square_plus_conj, z),
                                        [[2 * x + 1, -2 * y], [2 * y, 2 * x - 1]], atol=1e-9)
 
     def test_det_invariant_under_round_trip(self):
@@ -88,7 +97,7 @@ class TestJacobianReal:
 
         jac = fd_jacobian(f, z)
         round_trip = real_jacobian_from_wirtinger(wirtinger_from_jacobian(jac))
-        assert round_trip.det() == pytest.approx(jac.det(), rel=1e-9)
+        assert np.linalg.det(round_trip) == pytest.approx(np.linalg.det(jac), rel=1e-9)
 
     def test_step_guard(self):
         with pytest.raises(StepTooLarge):
@@ -113,10 +122,10 @@ class TestOperatorNorm:
 
 class TestLambdaBounds:
     def test_identity(self):
-        assert lambda_bounds(RealJacobian(np.eye(4))) == (1.0, 1.0)
+        assert lambda_bounds(np.eye(4)) == (1.0, 1.0)
 
     def test_diagonal(self):
-        big, small = lambda_bounds(RealJacobian(np.diag([2.0, 0.5])))
+        big, small = lambda_bounds(np.diag([2.0, 0.5]))
         assert big == pytest.approx(2.0)
         assert small == pytest.approx(0.5)
 
@@ -124,11 +133,11 @@ class TestLambdaBounds:
         # max/min of |J theta| over 1e5 sampled directions, within 1e-3
         rng = np.random.default_rng(25)
         for n in (1, 2):
-            J = RealJacobian(rng.standard_normal((2 * n, 2 * n)) / np.sqrt(2 * n))
+            J = rng.standard_normal((2 * n, 2 * n)) / np.sqrt(2 * n)
             big, small = lambda_bounds(J)
             theta = rng.standard_normal((100000, 2 * n))
             theta /= np.linalg.norm(theta, axis=1)[:, None]
-            mapped = np.linalg.norm(theta @ J.matrix.T, axis=1)
+            mapped = np.linalg.norm(theta @ J.T, axis=1)
             assert abs(big - mapped.max()) <= 1e-3
             assert abs(small - mapped.min()) <= 1e-3
             assert mapped.max() <= big + 1e-12
@@ -172,10 +181,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             WirtingerData(np.ones((2, 2)), np.ones((1, 2)))
 
-    def test_jacobian_shape_check(self):
-        with pytest.raises(ValueError):
-            RealJacobian(np.ones((3, 4)))
-
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteResult):
             WirtingerData(np.array([[np.nan]]), np.array([[0.0]]))
@@ -184,14 +189,14 @@ class TestValidation:
         # not a ValueError, which the command line reports as a config error
         assert issubclass(NonFiniteResult, HballsError)
         assert not issubclass(NonFiniteResult, ValueError)
-        with pytest.raises(NonFiniteResult, match="real Jacobian must be finite"):
-            RealJacobian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NonFiniteResult, match="Wirtinger data must be finite"):
+            WirtingerData(np.array([[np.inf]]), np.array([[0.0]]))
 
     def test_batched_fd_refuses_non_finite_values(self):
         def blows_up(pts):
             return np.where(np.abs(np.asarray(pts)[:, 0]) > 0.3, np.nan, 1.0) + 0j
 
-        with pytest.raises(NonFiniteResult, match="real Jacobian must be finite"):
+        with pytest.raises(NonFiniteResult, match="Wirtinger data must be finite"):
             wirtinger_fd_many(blows_up, np.array([[0.1 + 0j], [0.5 + 0j]]))
 
 
@@ -218,7 +223,7 @@ def reference_wirtinger_fd(f, z, step):
     J = np.empty((2 * partials.shape[0], 2 * n))
     J[0::2, :] = partials.real
     J[1::2, :] = partials.imag
-    return wirtinger_from_jacobian(RealJacobian(J))
+    return wirtinger_from_jacobian(J)
 
 
 def scalar_map(pts):
@@ -257,6 +262,35 @@ def test_fd_many_rows_equal_per_point_fd_bit_for_bit(n, count, seed, factor, f):
         row = rows[p]
         assert np.array_equal(fd_bits(row), fd_bits(wirtinger_fd_many(f, [z], factor)[0]))
         assert np.array_equal(fd_bits(row), fd_bits(reference_wirtinger_fd(f, z, step)))
+
+
+def jacobian_route_fd(f, points, factor):
+    """The engine's former route: partials, then real Jacobians (P, 2k, 2n),
+    then Wirtinger data."""
+    steps = factor * (1.0 - np.linalg.norm(points, axis=1))
+    partials = fd_partials(f, points, steps)                # (P, 2n, k)
+    J = np.empty((len(points), 2 * partials.shape[2], partials.shape[1]))
+    J[:, 0::2, :] = partials.real.transpose(0, 2, 1)
+    J[:, 1::2, :] = partials.imag.transpose(0, 2, 1)
+    return wirtinger_from_jacobian(J)
+
+
+def pair_map(pts):
+    """Two components of the vector map."""
+    return vector_map(pts)[:, :2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 20), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-4, 1e-3]), st.sampled_from([scalar_map, pair_map]))
+def test_fd_many_equals_the_jacobian_route_bit_for_bit(n, count, seed, factor, f):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(-1.0, 1.0, (count, 2 * n))
+    pts = raw[:, :n] + 1j * raw[:, n:]
+    pts *= (0.9 * rng.random(count) / np.linalg.norm(pts, axis=1))[:, None]
+    data = wirtinger_fd_many(f, pts, factor)
+    assert data.out_dim == (1 if f is scalar_map else 2)
+    assert np.array_equal(fd_bits(data), fd_bits(jacobian_route_fd(f, pts, factor)))
 
 
 # |z| summed as a dot product and row-wise differ in the last bit here
@@ -338,17 +372,17 @@ def test_batched_round_trip_equals_per_matrix_conversions(case):
     data = WirtingerData(a, b)
     jac = real_jacobian_from_wirtinger(data)
     back = wirtinger_from_jacobian(jac)
-    big, small = lambda_bounds(jac)
-    assert jac.matrix.shape == (len(a), 2 * a.shape[1], 2 * a.shape[2])
+    big, small = lambda_bounds_wirtinger(data)
+    assert jac.shape == (len(a), 2 * a.shape[1], 2 * a.shape[2])
     for p in range(len(a)):
         # every row of a batched conversion is that matrix converted alone
         one = real_jacobian_from_wirtinger(WirtingerData(a[p], b[p]))
-        assert np.array_equal(bits(jac.matrix[p]), bits(one.matrix))
+        assert np.array_equal(bits(jac[p]), bits(one))
         one_back = wirtinger_from_jacobian(one)
         assert np.array_equal(bits(back.fz[p]), bits(one_back.fz))
         assert np.array_equal(bits(back.fzbar[p]), bits(one_back.fzbar))
         # and one stacked SVD is one SVD per matrix
-        one_big, one_small = lambda_bounds(one)
+        one_big, one_small = lambda_bounds_wirtinger(WirtingerData(a[p], b[p]))
         assert np.array_equal(bits(big[p]), bits(one_big))
         assert np.array_equal(bits(small[p]), bits(one_small))
     # The round trip rounds (a + b) and (a - b), then their half sum: each

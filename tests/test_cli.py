@@ -154,6 +154,13 @@ class TestExtendCommand:
                     "--out", str(tmp_path / "c.csv"))
         assert c.returncode == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+        # a config file's nodes reads as the flag does
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nodes=5000\n")
+        d = run_cli("extend", "--config", str(cfg), *args[1:5], *args[7:],
+                    "--out", str(tmp_path / "d.csv"))
+        assert d.returncode == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
     def test_bad_flags_exit_2(self):
         assert run_cli("extend", "--n", "1", "--boundary", "nope",
@@ -265,7 +272,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(theorems, "boundary_registry", lambda n: registry)
         code = cli.main(["verify", "--suite", "lemma22", "--n", "1", "--nodes", "256"])
         assert code == 3
-        assert "numerical failure: real Jacobian must be finite" in capsys.readouterr().err
+        assert "numerical failure: Wirtinger data must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exc, echo", [
         (NearSingularEvaluation("too close", point=np.array([0.9 + 0j])), " (point [0.9+0.j])"),

@@ -96,10 +96,16 @@ class TestExtensionValues:
             h_extend(_constant(np.nan, 2), sphere_rule_mc(2, 500, 1))
 
     def test_values_with_errors_spectral_rule(self):
-        ext = h_extend(registry_map(1)["fourier"], circle_rule(512))
-        values, errors = ext.values_with_errors(np.array([[0.2 + 0.1j]]))
-        assert errors[0] == 0.0
-        assert values[0] == pytest.approx(ext(np.array([[0.2 + 0.1j]]))[0], abs=0.0)
+        # the error is the gap to the half rule on every second node, here
+        # circle_rule(16) against circle_rule(8), and covers the true error
+        fourier = registry_map(1)["fourier"]
+        z = np.array([[0.5 + 0.3j]])
+        ext = h_extend(fourier, circle_rule(16))
+        values, errors = ext.values_with_errors(z)
+        gap = abs(values[0] - h_extend(fourier, circle_rule(8))(z)[0])
+        assert errors[0] == pytest.approx(gap, rel=1e-9)
+        assert errors[0] >= abs(values[0] - fourier.exact_extension(z)[0]) > 0.0
+        assert values[0] == pytest.approx(ext(z)[0], abs=0.0)
 
 
 class TestExtensionGradient:

@@ -58,20 +58,30 @@ DERIVATIVE_TOLERANCE = 1e-13
 GRADIENT_ERROR_TOLERANCE = 1e-12
 
 
+def half_rule_weights(w):
+    """The weights of every second node renormalized to sum 1, 0 at the others."""
+    w_half = np.zeros(len(w))
+    w_half[::2] = w[::2] / np.sum(w[::2])
+    return w_half
+
+
 def reference_moments(ext, points, want_errors):
     """The elementwise 512-point-block loop that the GEMM form replaced:
-    the accuracy reference, one pass per batch."""
+    the accuracy reference, one pass per batch.  Its error sums are the
+    second moments under a Monte Carlo rule, else the half-rule values."""
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     psi = ext._psi_nodes if ext._psi_nodes.ndim > 1 else ext._psi_nodes[:, None]
     k_out = psi.shape[1]
     w = ext.rule.weights
+    w_half = half_rule_weights(w)
     nodes = ext.rule.nodes
     pts_re, pts_im = pts.real, pts.imag
     num = 1.0 - np.sum(pts_re ** 2 + pts_im ** 2, axis=1)
     expo = 2 * ext.dim - 1
     num_pow = _int_power(num, expo)
     first = np.zeros((len(pts), k_out), dtype=complex)
-    second = np.zeros((len(pts), k_out)) if want_errors else None
+    second = np.zeros((len(pts), k_out), dtype=float if ext.rule.monte_carlo else complex) \
+        if want_errors else None
     for pstart in range(0, len(pts), 512):
         pstop = min(pstart + 512, len(pts))
         psl = slice(pstart, pstop)
@@ -88,9 +98,11 @@ def reference_moments(ext, points, want_errors):
             for j in range(k_out):
                 terms = kern * psi[start:stop, j][None, :]
                 first[psl, j] += np.add.reduce(terms * w[start:stop][None, :], axis=1)
-                if want_errors:
+                if want_errors and ext.rule.monte_carlo:
                     second[psl, j] += np.add.reduce(
                         (terms.real ** 2 + terms.imag ** 2) * w[start:stop][None, :], axis=1)
+                elif want_errors:
+                    second[psl, j] += np.add.reduce(terms * w_half[start:stop][None, :], axis=1)
     values = first[:, 0] if ext._psi_nodes.ndim == 1 else first
     return values, second
 
@@ -117,15 +129,17 @@ def gemm_moments(ext, points):
     """The engine's arithmetic one point at a time: the point as row 0 of a
     block whose other rows are the origin, |z - zeta|^2 as one product with
     the nodes' row-major augmented columns, then one product per output
-    column and moment."""
+    column and error sum (second moment or half-rule value)."""
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     n = ext.dim
     expo = 2 * n - 1
     psi = ext._psi_nodes if ext._psi_nodes.ndim > 1 else ext._psi_nodes[:, None]
     w = ext.rule.weights
+    w_half = half_rule_weights(w)
+    monte_carlo = ext.rule.monte_carlo
     cols = node_columns(ext)
     first = np.zeros((len(pts), psi.shape[1]), dtype=complex)
-    second = np.zeros((len(pts), psi.shape[1]))
+    second = np.zeros((len(pts), psi.shape[1]), dtype=float if monte_carlo else complex)
     for p, z in enumerate(pts):
         sq_norm, block = point_block(z)
         for start in range(0, len(w), CHUNK):
@@ -135,20 +149,27 @@ def gemm_moments(ext, points):
             for j in range(psi.shape[1]):
                 psi_w = psi[chunk, j] * w[chunk]
                 first[p, j] += (kern @ psi_w.view(np.float64).reshape(-1, 2))[0].view(complex)[0]
-                abs2_w = (np.square(psi[chunk, j].real) + np.square(psi[chunk, j].imag)) * w[chunk]
-                second[p, j] += ((kern * kern) @ abs2_w)[0]
+                if monte_carlo:
+                    abs2_w = (np.square(psi[chunk, j].real) + np.square(psi[chunk, j].imag)) * w[chunk]
+                    second[p, j] += ((kern * kern) @ abs2_w)[0]
+                else:
+                    half_w = psi[chunk, j] * w_half[chunk]
+                    second[p, j] += (kern @ half_w.view(np.float64).reshape(-1, 2))[0].view(complex)[0]
     values = first[:, 0] if ext._psi_nodes.ndim == 1 else first
     return values, second
 
 
 def assert_close_to_reference(ext, batch, values, second=None):
-    """Values within VALUE_TOLERANCE of the data's sup norm of the elementwise
-    loop, second moments within SECOND_MOMENT_TOLERANCE relative."""
+    """Values and half-rule values within VALUE_TOLERANCE of the data's sup
+    norm of the elementwise loop, second moments within
+    SECOND_MOMENT_TOLERANCE relative."""
     ref_values, ref_second = reference_moments(ext, batch, want_errors=second is not None)
     scale = np.abs(ext._psi_nodes).max()
     assert np.abs(values - ref_values).max() <= VALUE_TOLERANCE * scale
-    if second is not None:
+    if second is not None and ext.rule.monte_carlo:
         assert np.all(np.abs(second - ref_second) <= SECOND_MOMENT_TOLERANCE * ref_second)
+    elif second is not None:
+        assert np.abs(second - ref_second).max() <= VALUE_TOLERANCE * scale
 
 
 def sequential_chunk_sum(terms):

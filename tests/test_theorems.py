@@ -508,7 +508,7 @@ class TestMappingRegistry:
 
         for n in (1, 2):
             for mapping in mapping_registry(n):
-                det = real_jacobian_from_wirtinger(mapping.wirtinger()).det()
+                det = np.linalg.det(real_jacobian_from_wirtinger(mapping.wirtinger()))
                 assert det == pytest.approx(1.0, rel=1e-12)
                 assert mapping.bound >= 1.0
 
