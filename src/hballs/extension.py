@@ -77,8 +77,7 @@ __all__ = [
 ]
 
 DEFAULT_GUARD_RADIUS = 0.8
-SPOT_CHECK_NODES = 4096     # rule nodes a declared sup bound is checked on
-SPOT_CHECK_SLACK = 1e-9     # how far those nodes may exceed the bound
+BOUND_SLACK = 1e-9          # how far a rule node may exceed a declared bound
 # Every product of both engines has _POINT_BLOCK rows; a 64-point block
 # makes 512 KB (block x 1024) tiles, two of them (three for gradients) reused
 # for every tile.  On a 2-vCPU Xeon with a 2 MB L2 per core and one BLAS
@@ -123,28 +122,23 @@ class BoundaryFunction:
     """Boundary data psi on the unit sphere of C^n.
 
     ``values`` maps an (N, n) node array to (N,) scalar or (N, k) vector
-    samples.  ``sup_bound`` is a declared bound on |psi| when one is known;
-    it is spot-checked at registration.  ``exact_extension``, when present,
-    evaluates the known closed-form extension (used as a test oracle).
+    samples.  ``sup_bound`` is a declared bound on |psi| when one is known,
+    held on every rule node by the extension (by the bound of each of its
+    ``components`` for data stacked by ``vector_boundary``).
+    ``exact_extension``, when present, evaluates the known closed-form
+    extension (used as a test oracle).
     """
 
     label: str
     dim: int
     values: Callable[[np.ndarray], np.ndarray]
     sup_bound: Optional[float] = None
-    out_dim: int = 1
     exact_extension: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    components: tuple = ()
 
-    def spot_check(self, nodes: np.ndarray) -> None:
-        if self.sup_bound is None:
-            return
-        mags = np.abs(np.asarray(self.values(nodes)))
-        worst = float(mags.max())
-        if worst > self.sup_bound + SPOT_CHECK_SLACK:
-            raise ValueError(
-                f"boundary data {self.label!r} exceeds its declared bound: "
-                f"{worst:.6g} > {self.sup_bound:.6g}"
-            )
+    @property
+    def out_dim(self) -> int:
+        return len(self.components) or 1
 
 
 class HExtension:
@@ -153,7 +147,8 @@ class HExtension:
     Callable on a single point or an (P, n) batch; evaluation is refused
     beyond the guard radius, where the kernel mass concentrates and the
     rule's error is no longer meaningful.  Boundary data that is NaN or
-    infinite on any rule node is refused at construction.
+    infinite on any rule node, or exceeds its declared bound on one, is
+    refused at construction.
     """
 
     fd_error = 0.0   # wirtinger_many's finite-difference term: kernel derivatives are exact
@@ -172,6 +167,12 @@ class HExtension:
         self._psi_cols = np.ascontiguousarray(psi.reshape(len(rule), -1).T)
         # the (N,) or (N, k) node data, as a view of those rows
         self._psi_nodes = self._psi_cols[0] if psi.ndim == 1 else self._psi_cols.T
+        for part, column in zip(boundary.components or [boundary] * len(self._psi_cols),
+                                self._psi_cols):
+            worst = float(np.abs(column).max())
+            if part.sup_bound is not None and worst > part.sup_bound + BOUND_SLACK:
+                raise ValueError(f"boundary data {part.label!r} exceeds its declared bound: "
+                                 f"{worst:.6g} > {part.sup_bound:.6g}")
         # (2n + 2, N) columns (x_1, y_1, ..., x_n, y_n, 1, |zeta|^2) of the nodes,
         # stored row-major (see the module docstring); a point row
         # (-2x_1, -2y_1, ..., -2y_n, |z|^2, 1) times one is |z - zeta|^2
@@ -428,7 +429,6 @@ def _row_error(errors: np.ndarray):
 def h_extend(boundary: BoundaryFunction, rule: QuadratureRule,
              guard_radius: float = DEFAULT_GUARD_RADIUS) -> HExtension:
     """Build the Poisson-integral extension of ``boundary`` under ``rule``."""
-    boundary.spot_check(rule.nodes[:SPOT_CHECK_NODES])
     return HExtension(boundary, rule, guard_radius)
 
 
@@ -553,7 +553,8 @@ def vector_boundary(components: list[BoundaryFunction]) -> BoundaryFunction:
     """Stack scalar boundary data into C^k-valued data.
 
     The declared bound is the root sum of squares of the component bounds,
-    a true bound for |psi| (not necessarily attained).
+    a true bound for |psi| (not necessarily attained); an extension holds
+    each column to its own component's, stricter bound.
     """
     if not components:
         raise ValueError("need at least one component")
@@ -572,5 +573,5 @@ def vector_boundary(components: list[BoundaryFunction]) -> BoundaryFunction:
         dim=n,
         values=values,
         sup_bound=bound,
-        out_dim=len(components),
+        components=tuple(components),
     )

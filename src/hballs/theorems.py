@@ -65,8 +65,6 @@ from .calculus import (
 from .errors import EmptySampleSet
 from .extension import (
     DEFAULT_GUARD_RADIUS,
-    SPOT_CHECK_NODES,
-    HExtension,
     boundary_registry,
     h_extend,
     vector_boundary,
@@ -654,20 +652,6 @@ def suite_lemma22(cfg: HarnessConfig) -> list[CheckReport]:
             for label, (data,), fd_error in _registry_results(cfg, lambda f: (f.wirtinger_many(zs)[0],))]
 
 
-def _stacked_extension(rule: QuadratureRule, entries,
-                       guard_radius: float = DEFAULT_GUARD_RADIUS) -> HExtension:
-    """One extension whose columns are the scalar ``entries``, in order.
-
-    A column has the bits of the entry's own extension, at about the cost
-    of one kernel pass for all of them.  Each entry is first held to its own
-    declared bound, which is stricter than the stacked one (the root sum of
-    squares of the bounds).
-    """
-    for entry in entries:
-        entry.spot_check(rule.nodes[:SPOT_CHECK_NODES])
-    return h_extend(vector_boundary(entries), rule, guard_radius=guard_radius)
-
-
 class _ClosedForm:
     """A registry closed form with ``HExtension``'s calls: its values, and
     Richardson finite differences of them by this module's
@@ -691,11 +675,12 @@ def _registry_results(cfg: HarnessConfig, evaluate) -> list:
     ``evaluate`` returns a tuple of (P, k) arrays and WirtingerData batches.
     Closed forms are evaluated one by one.  The rule-based entries are the
     columns of one stacked extension, evaluated once, and each gets its own
-    column back: ``part[:, j:j + 1]`` slices arrays and batches alike.
+    column back: ``part[:, j:j + 1]`` slices arrays and batches alike, with
+    the bits of the entry's own extension, held to the entry's own bound.
     """
     registry = boundary_registry(cfg.n)
     ruled = [entry for entry in registry if entry.exact_extension is None]
-    stacked = _stacked_extension(rule_for(cfg), ruled) if ruled else None
+    stacked = h_extend(vector_boundary(ruled), rule_for(cfg)) if ruled else None
     shared = evaluate(stacked) if ruled else None
     out = []
     for entry in registry:
@@ -734,10 +719,9 @@ def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:
     boundaries = [b for b in boundary_registry(cfg.n) if b.sup_bound]
     # (label, declared bound, columns of the stacked extension) per checked entry
     entries = [(b.label, b.sup_bound, slice(j, j + 1)) for j, b in enumerate(boundaries)]
-    ext = _stacked_extension(rule, boundaries, cfg.rmax)
+    ext = h_extend(vector_boundary(boundaries), rule, guard_radius=cfg.rmax)
     if cfg.n >= 2:
         vec = vector_boundary(boundaries[1:1 + cfg.n])
-        vec.spot_check(rule.nodes[:SPOT_CHECK_NODES])
         entries.append((vec.label, vec.sup_bound, slice(1, 1 + cfg.n)))
     values, v_se = ext.values_with_errors(np.vstack([zs, np.zeros(cfg.n)]))
     f0 = values[-1]

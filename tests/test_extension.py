@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hballs.errors import NearSingularEvaluation, StepTooLarge
 from hballs.extension import (
@@ -79,13 +80,25 @@ class TestExtensionValues:
             with pytest.raises(ValueError, match="point 1 is not finite"):
                 ext.values_with_errors(batch)
 
-    def test_sup_bound_spot_check(self):
-        bad = BoundaryFunction("bad", 1, lambda nodes: 2.0 * nodes[:, 0], sup_bound=1.0)
-        with pytest.raises(ValueError):
-            h_extend(bad, circle_rule(256))
+    @pytest.mark.parametrize("rule", [circle_rule(8192), sphere_rule_mc(2, 6000, 3)],
+                             ids=["n1", "n2"])
+    @settings(max_examples=20, deadline=None)
+    @given(index=st.integers(0, 5999))
+    @example(index=5000)
+    def test_declared_bound_is_checked_on_every_node(self, rule, index):
+        # 2.0 on one node, found by its value, 0.5 on the others
+        spike = rule.nodes[index]
+
+        def values(nodes):
+            return np.where(np.all(nodes == spike, axis=1), 2.0, 0.5).astype(complex)
+
+        data = BoundaryFunction("spike", rule.dim, values, sup_bound=1.0)
+        with pytest.raises(ValueError, match="'spike' exceeds its declared bound: 2 > 1"):
+            h_extend(data, rule)
 
     def test_non_finite_data_refused(self):
-        # NaN only where Re zeta > 0.9: the bound's spot check cannot see it
+        # NaN only where Re zeta > 0.9; a NaN exceeds no bound, so only the
+        # finite check can see it
         def values(nodes):
             return np.where(nodes[:, 0].real > 0.9, np.nan, 0.5).astype(complex)
 

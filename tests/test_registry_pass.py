@@ -4,9 +4,10 @@ thm24 and lemma22 evaluate every rule-based registry entry as a column of
 one stacked extension, and schwarzpick every entry with a declared bound.
 That may not change a single bit: a column must equal the entry's own
 extension, and each suite must equal its checks run one function at a time.
-Each entry is still held to its own declared bound.  The checks are the
-batch functions the suites call, fed each function's own evaluations; the
-per-sample references they equal are in test_batch_checks.
+Each entry is still held to its own declared bound, and its data is
+evaluated once per extension built.  The checks are the batch functions the
+suites call, fed each function's own evaluations; the per-sample references
+they equal are in test_batch_checks.
 """
 
 import dataclasses
@@ -193,11 +194,35 @@ def test_entry_over_its_own_bound_is_refused_when_stacked(suite, monkeypatch):
     ruled = [entry for entry in registry if entry.exact_extension is None]
     # the stacked bound alone (root sum of squares) would let it through, both for
     # the rule-based entries (thm24, lemma22) and for all of them (schwarzpick)
+    nodes = rule_for(cfg).nodes
     for stacked in (ruled, registry):
-        vector_boundary(stacked).spot_check(rule_for(cfg).nodes)
+        vec = vector_boundary(stacked)
+        assert np.linalg.norm(vec.values(nodes), axis=1).max() <= vec.sup_bound
     monkeypatch.setattr(theorems, "boundary_registry", lambda n: registry)
     with pytest.raises(ValueError, match="'coord1' exceeds its declared bound"):
         suite(cfg)
+
+
+@pytest.mark.parametrize("suite, n, expected", [
+    ("schwarzpick", 2, {"const:1": 1, "coord1": 1, "re1": 1, "bump": 1, "crossprod": 1}),
+    ("thm24", 2, {"coord1": 1, "re1": 1, "bump": 1, "crossprod": 1}),
+    ("lemma22", 2, {"coord1": 1, "re1": 1, "bump": 1, "crossprod": 1}),
+    # lemma21, lemma22 and thm24 each extend bump, lemma33 re1, schwarzpick all five
+    ("all", 1, {"const:1": 1, "coord1": 1, "re1": 2, "bump": 4, "fourier": 1}),
+], ids=["schwarzpick-n2", "thm24-n2", "lemma22-n2", "all-n1"])
+def test_boundary_data_is_evaluated_once_per_extension(suite, n, expected, monkeypatch):
+    counts = {}
+
+    def counted(entry):
+        def values(nodes):
+            counts[entry.label] = counts.get(entry.label, 0) + 1
+            return entry.values(nodes)
+        return dataclasses.replace(entry, values=values)
+
+    monkeypatch.setattr(theorems, "boundary_registry",
+                        lambda dim: [counted(entry) for entry in boundary_registry(dim)])
+    theorems.run_suite(suite, HarnessConfig(**SMALL[n]))
+    assert counts == expected
 
 
 @pytest.mark.parametrize("suite", [suite_thm24, suite_lemma22, suite_lemma21])
