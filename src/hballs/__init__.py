@@ -9,10 +9,6 @@ inequalities those objects satisfy.
 __version__ = "0.1.0"
 
 from .geometry import real_mobius
-from .kernel import (
-    poisson_h,
-    poisson_h_wirtinger,
-)
 from .quadrature import (
     QuadratureRule,
     circle_rule,

@@ -30,7 +30,9 @@ evaluator call per batch.  Its step policies sit side by side below:
 Wirtinger data (Bloch functionals; thm24 and lemma22 on
 closed forms, while extensions differentiate their kernel sums), the
 Delta_h residual of ``extension`` (guarded at its reach 2h) and the
-lemma21 gradient on a ball of radius r in R^m, any m >= 2.
+lemma21 gradient on a ball of radius r in R^m, any m >= 2.  Each factor is
+a module constant; those of h = factor (1 - |z|) are below 1/2, so the
+guard refuses only points on or outside the sphere.
 """
 
 from __future__ import annotations
@@ -161,16 +163,17 @@ def _check_stencil_reach(points: np.ndarray, reach: np.ndarray) -> None:
         raise StepTooLarge(f"stencil reach {reach[i]:g} leaves the ball at |z| = {norms[i]:.4g}")
 
 
-def wirtinger_fd_many(f, points: np.ndarray, step_factor: float = JACOBIAN_STEP_FACTOR):
+def wirtinger_fd_many(f, points: np.ndarray):
     """Wirtinger derivatives at every row of ``points``, one evaluator call.
 
     ``f`` maps a (P, n) batch to (P,) or (P, k) complex values.  Returns one
     WirtingerData batch, (P, k, n); ``real_jacobian_from_wirtinger`` gives the
-    real Jacobians.  Steps follow the per-point policy step = step_factor *
-    (1 - |z|), so row i has the bits of the one-row call at z_i.
+    real Jacobians.  Steps follow the per-point policy step =
+    JACOBIAN_STEP_FACTOR * (1 - |z|), so row i has the bits of the one-row
+    call at z_i.
     """
     points = np.atleast_2d(np.asarray(points, dtype=complex))
-    steps = _steps(points, step_factor)
+    steps = _steps(points, JACOBIAN_STEP_FACTOR)
     _check_stencil_reach(points, steps)
     partials = fd_partials(f, points, steps)                # (P, 2n, k): d/dx_1, d/dy_1, ...
     u = np.ascontiguousarray(partials.real.transpose(0, 2, 1))   # (P, k, 2n)

@@ -42,8 +42,6 @@ from .quadrature import STREAM_SAMPLES, rng_stream, sphere_points
 from .theorems import SUITES, HarnessConfig, landau_constants, rule_for, run_suite
 
 REPORT_SCHEMA = "hballs.verify-report/1"
-EXTEND_CSV_SCHEMA = "hballs.extend-csv/1"   # columns re(z_k), im(z_k), ..., re(f), im(f)
-LANDAU_CSV_SCHEMA = "hballs.landau-csv/1"   # columns n, alpha, M, rho, half_rho, r_lower
 
 
 class ConfigError(Exception):
@@ -155,8 +153,11 @@ def pick_boundary(label: str, n: int):
 def emit(path, text: str) -> None:
     """Write ``text`` to the file ``path`` (LF line endings), or to stdout."""
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}")
     else:
         sys.stdout.write(text)
 

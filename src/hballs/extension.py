@@ -184,9 +184,12 @@ class HExtension:
         return self.boundary.dim
 
     def _guarded_rows(self, points) -> np.ndarray:
-        """The batch as contiguous (P, n) rows, each finite and within the
-        guard radius."""
+        """The batch as contiguous (P, n) rows of the extension's dimension,
+        each finite and within the guard radius."""
         pts = np.atleast_2d(np.ascontiguousarray(points, dtype=complex))
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"the extension has dimension {self.dim} and the points "
+                             f"{pts.shape[1]}")
         finite = np.isfinite(pts).all(axis=1)
         if not finite.all():
             idx = int(np.argmin(finite))
@@ -257,8 +260,8 @@ class HExtension:
         module docstring: per tile and output column, kern @ (psi_j w).  With
         ``want_errors`` also the sums an error is read from, per column: for a
         Monte Carlo rule the second moments kern^2 @ (|psi_j|^2 w), for a
-        spectral rule the half-rule values kern @ (psi_j w'), w' the weights of
-        every second node renormalized to sum 1 and 0 at the others."""
+        spectral rule the half-rule values kern @ (psi_j w'), w' the rule's
+        ``half_weights``."""
         pts = self._guarded_rows(points)
         count = len(pts)
         psi = self._psi_cols
@@ -272,8 +275,7 @@ class HExtension:
         width_max = min(CHUNK, len(w))
         psi_w_buf, abs2_w_buf = np.empty((k_out, width_max), dtype=complex), np.empty((k_out, width_max))
         if half_rule:
-            w_half = np.zeros(len(w))
-            w_half[::2] = w[::2] / np.sum(w[::2])
+            w_half = self.rule.half_weights
             half_w_buf = np.empty((k_out, width_max), dtype=complex)
         sums, sums_sq = np.empty((_POINT_BLOCK, 2)), np.empty(_POINT_BLOCK)
         for rows, csl, kern, _, kern_sq in self._kernel_tiles(pts, keep_distances=False):
@@ -432,7 +434,7 @@ def h_extend(boundary: BoundaryFunction, rule: QuadratureRule,
     return HExtension(boundary, rule, guard_radius)
 
 
-def laplace_beltrami_residual(f, z, step: float = None) -> complex:
+def laplace_beltrami_residual(f, z) -> complex:
     """Delta_h f at z by central differences with one Richardson level.
 
     Zero (up to truncation) exactly when f is hyperbolic-harmonic near z.
@@ -442,7 +444,7 @@ def laplace_beltrami_residual(f, z, step: float = None) -> complex:
     """
     zc = np.ascontiguousarray(coords_of(z))[None, :]
     n = zc.shape[1]
-    steps = _steps(zc, LB_STEP_FACTOR) if step is None else np.array([step], dtype=float)
+    steps = _steps(zc, LB_STEP_FACTOR)
     step = float(steps[0])
     _check_stencil_reach(zc, 2.0 * steps)
     values = np.asarray(f(np.concatenate([_stencils(zc, steps)[0], zc])), dtype=complex)
@@ -471,27 +473,15 @@ def _constant(c: complex, n: int) -> BoundaryFunction:
     )
 
 
-def _coordinate_trace(k: int, n: int) -> BoundaryFunction:
-    # For n = 1 the extension of zeta^1 is z (classical Poisson integral).
-    exact = (lambda pts: np.atleast_2d(pts)[:, 0]) if n == 1 else None
-    return BoundaryFunction(
-        label=f"coord{k + 1}",
-        dim=n,
-        values=lambda nodes, k=k: np.atleast_2d(nodes)[:, k],
-        sup_bound=1.0,
-        exact_extension=exact,
-    )
+def _first_coordinate(n: int, real: bool) -> BoundaryFunction:
+    # zeta_1 (coord1) or Re zeta_1 (re1); for n = 1 the extension of either
+    # is the data itself at z (classical Poisson integral).
+    def values(nodes):
+        w = np.atleast_2d(nodes)[:, 0]
+        return w.real.astype(complex) if real else w
 
-
-def _re_trace(k: int, n: int) -> BoundaryFunction:
-    exact = (lambda pts: np.atleast_2d(pts)[:, 0].real.astype(complex)) if n == 1 else None
-    return BoundaryFunction(
-        label=f"re{k + 1}",
-        dim=n,
-        values=lambda nodes, k=k: np.atleast_2d(nodes)[:, k].real.astype(complex),
-        sup_bound=1.0,
-        exact_extension=exact,
-    )
+    return BoundaryFunction(label="re1" if real else "coord1", dim=n, values=values,
+                            sup_bound=1.0, exact_extension=values if n == 1 else None)
 
 
 _FOURIER_TERMS = ((0.5, 2, False), (0.25, 3, True), (0.125, 0, False))
@@ -541,7 +531,8 @@ def boundary_registry(n: int) -> list[BoundaryFunction]:
     """Stock boundary data in dimension n, each with a declared sup bound."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    entries = [_constant(1.0, n), _coordinate_trace(0, n), _re_trace(0, n), _bump(n)]
+    entries = [_constant(1.0, n), _first_coordinate(n, real=False),
+               _first_coordinate(n, real=True), _bump(n)]
     if n == 1:
         entries.append(_fourier(n))
     if n == 2:

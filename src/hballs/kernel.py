@@ -30,9 +30,7 @@ from .errors import NearSingularEvaluation
 from .geometry import coords_of
 
 __all__ = [
-    "poisson_h",
     "poisson_h_values",
-    "poisson_h_wirtinger",
     "poisson_h_wirtinger_values",
 ]
 
@@ -59,11 +57,6 @@ def poisson_h_values(z, nodes: np.ndarray) -> np.ndarray:
     return np.exp((2 * n - 1) * (np.log(num) - np.log(d2)))
 
 
-def poisson_h(z, zeta) -> float:
-    """Hyperbolic Poisson kernel P_h(z, zeta)."""
-    return float(poisson_h_values(z, coords_of(zeta).reshape(1, -1))[0])
-
-
 def poisson_h_wirtinger_values(z, nodes: np.ndarray) -> np.ndarray:
     """(N, n) array of dP_h/dz_k over sphere nodes; conjugate for dzbar."""
     zc = coords_of(z)
@@ -77,13 +70,3 @@ def poisson_h_wirtinger_values(z, nodes: np.ndarray) -> np.ndarray:
     pref = -(2 * n - 1) * np.exp((2 * n - 2) * math.log(num) - 2 * n * np.log(d2))
     bracket = np.conj(zc)[None, :] * d2[:, None] + num * (np.conj(zc)[None, :] - np.conj(nodes))
     return pref[:, None] * bracket
-
-
-def poisson_h_wirtinger(z, zeta, k: int):
-    """(dP_h/dz_k, dP_h/dzbar_k) at (z, zeta) for the 1-based coordinate k."""
-    zc = coords_of(z)
-    if not 1 <= k <= zc.size:
-        raise ValueError(f"coordinate index {k} out of range 1..{zc.size}")
-    row = poisson_h_wirtinger_values(zc, coords_of(zeta).reshape(1, -1))[0]
-    dz = complex(row[k - 1])
-    return dz, dz.conjugate()

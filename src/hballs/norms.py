@@ -6,10 +6,10 @@ attaining it, the row of that array (a point, or a (2, n) pair) at the
 maximum.  An estimate is a certified lower bound of the true
 supremum; nothing here claims the supremum itself.
 
-Sample sets combine a radial grid (the Bloch weight peaks at the origin)
-with directions from a deterministic low-discrepancy sphere sequence,
-plus seeded uniform pairs.  Ties in the maximum break toward the lowest
-sample index.
+Sample sets are one fixed grid, ``ball_grid``: the origin (the Bloch
+weight peaks there) and 16 directions of a deterministic low-discrepancy
+sphere sequence at each of the radii 0.1, ..., 0.7, plus seeded uniform
+pairs.  Ties in the maximum break toward the lowest sample index.
 
 The weighted Lipschitz quotient
 
@@ -42,7 +42,7 @@ __all__ = [
     "weighted_lipschitz_sup",
 ]
 
-DEFAULT_RADII = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+GRID_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)   # ball_grid's shells around the origin
 LIMIT_PHASES = 32   # phases theta of the near-diagonal directions theta e_1
 
 
@@ -100,11 +100,10 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1)[:, None]
 
 
-def ball_grid(n: int, radii=DEFAULT_RADII, n_dirs: int = 16) -> np.ndarray:
-    """Tensor grid radii x directions inside the ball (origin kept once)."""
-    dirs = sphere_directions(n, n_dirs)
-    pts = [np.zeros((1, n), dtype=complex)] if 0.0 in radii else []
-    return np.concatenate(pts + [r * dirs for r in radii if r != 0.0], axis=0)
+def ball_grid(n: int) -> np.ndarray:
+    """The origin, then 16 directions at each of ``GRID_RADII``, radius by radius."""
+    dirs = sphere_directions(n, 16)
+    return np.concatenate([np.zeros((1, n), dtype=complex)] + [r * dirs for r in GRID_RADII])
 
 
 def uniform_ball(n: int, count: int, rng: np.random.Generator, rmax: float) -> np.ndarray:

@@ -11,7 +11,10 @@ families cover the needs of the harness:
   bit-identical rules.
 
 Integration reduces in fixed 1024-node chunks, summed in index order, so
-results do not depend on how the evaluation work is scheduled.  Child
+results do not depend on how the evaluation work is scheduled.  A rule
+also defines its half rule (``QuadratureRule.half_weights``), from which a
+spectral rule's error estimate is read: the extension's value errors and
+lemma21's quadrature term are gaps to it.  Child
 random streams are derived with ``SeedSequence(seed, spawn_key=(stream,))``
 so every consumer of randomness is reproducible from the one seed.
 """
@@ -86,6 +89,13 @@ class QuadratureRule:
     def monte_carlo(self) -> bool:
         """Monte Carlo rules carry a sample standard error; spectral rules do not."""
         return self.meta.get("kind", "").endswith("mc")
+
+    @property
+    def half_weights(self) -> np.ndarray:
+        """The half rule: every second node's weight renormalized to sum 1, 0 at the others."""
+        half = np.zeros(len(self))
+        half[::2] = self.weights[::2] / np.sum(self.weights[::2])
+        return half
 
     def chunks(self):
         """Slices of the fixed 1024-node chunks in index order; every node

@@ -282,13 +282,9 @@ def check_lemma21(stencil_values, fa: float, boundary_values, a, r: float,
     fa = float(fa)
     gaps = np.abs(np.asarray(boundary_values, dtype=float) - fa)
 
-    def boundary_mean(stride):
-        weights = rule.weights[::stride]
-        return float(np.sum(weights * gaps[::stride]) / np.sum(weights))
-
-    mean_full = boundary_mean(1)
-    # quadrature error estimate: compare against the half rule
-    mean_half = boundary_mean(2)
+    mean_full = float(np.sum(rule.weights * gaps) / np.sum(rule.weights))
+    # quadrature error estimate: the gap to the half rule, summed over its nodes
+    mean_half = float(np.sum(rule.half_weights[::2] * gaps[::2]))
     prefactor = 2.0 * (m - 1) * math.sqrt(m) / r
     rhs = prefactor * mean_full
     quad_err = prefactor * abs(mean_full - mean_half)
@@ -317,8 +313,10 @@ def _batch_report(check_id: str, lhs: np.ndarray, rhs: np.ndarray, inputs, *,
     ties (two sides equal in exact arithmetic) do not pick it.  The report is
     the witness's, with inputs ``inputs(witness)`` plus the sample count, the
     number of failing samples and the witness's margin; it passes when no
-    sample fails.
+    sample fails.  An empty batch is refused.
     """
+    if len(lhs) == 0:
+        raise EmptySampleSet(f"{check_id} over an empty sample set")
     quad = np.broadcast_to(np.asarray(quad_error, dtype=float), lhs.shape)
     tolerance = _tolerance(analytic, quad, fd_error)
     slack = (rhs - lhs) + tolerance

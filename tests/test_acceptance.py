@@ -6,7 +6,6 @@ Monte Carlo tolerances consume the rule's own reported standard error.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -14,13 +13,12 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from hballs.calculus import real_jacobian_from_wirtinger, wirtinger_fd_many
 from hballs.extension import boundary_registry, h_extend, laplace_beltrami_residual
 from hballs.geometry import real_mobius
 from hballs.kernel import poisson_h_values
-from hballs.norms import ball_grid, near_diagonal_pairs, pair_samples
+from hballs.norms import pair_samples
 from hballs.quadrature import circle_rule, integrate, integrate_with_error, sphere_rule_mc
 from hballs.theorems import (
     HarnessConfig,

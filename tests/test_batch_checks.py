@@ -17,17 +17,20 @@ import pytest
 
 from hballs import theorems
 from hballs.calculus import (
+    WirtingerData,
     lambda_bounds_wirtinger,
     operator_norm,
     real_jacobian_from_wirtinger,
     wirtinger_fd_many,
 )
+from hballs.errors import EmptySampleSet
 from hballs.extension import boundary_registry, h_extend, vector_boundary
 from hballs.norms import uniform_ball
 from hballs.quadrature import circle_rule, sphere_rule_mc
 from hballs.theorems import (
     check_lemma22,
     check_lemma33,
+    check_lemmaB,
     check_schwarz_pick_gradient,
     check_schwarz_pick_value,
     make_report,
@@ -224,6 +227,15 @@ def test_failures_count_the_samples_over_their_tolerance():
 def test_a_nan_side_is_a_failure():
     rep = batch("nan", [math.nan, 1.0], [2.0, 2.0])
     assert not rep.passed and rep.inputs["failures"] == 1
+
+
+def test_an_empty_batch_is_refused_by_name():
+    # once numpy's "zero-size array to reduction operation minimum"
+    with pytest.raises(EmptySampleSet, match="^lemmaB over an empty sample set$"):
+        check_lemmaB(np.zeros((0, 2, 2)))
+    empty = WirtingerData(np.zeros((0, 1, 2)), np.zeros((0, 1, 2)))
+    with pytest.raises(EmptySampleSet, match=r"^lemma22\[n=2,f=f\] over an empty sample set$"):
+        check_lemma22(empty, np.zeros((0, 2)))
 
 
 @pytest.mark.parametrize("lhs, passed", [(0.5, True), (1.5, False)])

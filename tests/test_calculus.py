@@ -100,8 +100,10 @@ class TestJacobianReal:
         assert np.linalg.det(round_trip) == pytest.approx(np.linalg.det(jac), rel=1e-9)
 
     def test_step_guard(self):
-        with pytest.raises(StepTooLarge):
-            wirtinger_fd_many(lambda pts: pts, np.array([[0.999999 + 0j]]), step_factor=1.0)
+        # h = JACOBIAN_STEP_FACTOR * (1 - |z|) stays inside the ball at |z| < 1
+        for point in (1.0, 1.5j):
+            with pytest.raises(StepTooLarge):
+                wirtinger_fd_many(lambda pts: pts, np.array([[point]]))
 
 
 class TestOperatorNorm:
@@ -246,8 +248,8 @@ def fd_bits(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([1e-4, 1e-3]), st.sampled_from([scalar_map, vector_map]))
-def test_fd_many_rows_equal_per_point_fd_bit_for_bit(n, count, seed, factor, f):
+       st.sampled_from([scalar_map, vector_map]))
+def test_fd_many_rows_equal_per_point_fd_bit_for_bit(n, count, seed, f):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-1.0, 1.0, (count, 2 * n))
     pts = raw[:, :n] + 1j * raw[:, n:]
@@ -255,19 +257,19 @@ def test_fd_many_rows_equal_per_point_fd_bit_for_bit(n, count, seed, factor, f):
     pts[0] = 0.0                          # the origin, where offsets meet signed zeros
     if count > 1:
         pts[1, 0] = complex(-0.0, pts[1, 0].imag)
-    steps = factor * (1.0 - np.linalg.norm(pts, axis=1))
-    rows = wirtinger_fd_many(f, pts, factor)
+    steps = JACOBIAN_STEP_FACTOR * (1.0 - np.linalg.norm(pts, axis=1))
+    rows = wirtinger_fd_many(f, pts)
     assert rows.fz.shape == rows.fzbar.shape == (count, 1 if f is scalar_map else 3, n)
     for p, (z, step) in enumerate(zip(pts, steps)):
         row = rows[p]
-        assert np.array_equal(fd_bits(row), fd_bits(wirtinger_fd_many(f, [z], factor)[0]))
+        assert np.array_equal(fd_bits(row), fd_bits(wirtinger_fd_many(f, [z])[0]))
         assert np.array_equal(fd_bits(row), fd_bits(reference_wirtinger_fd(f, z, step)))
 
 
-def jacobian_route_fd(f, points, factor):
+def jacobian_route_fd(f, points):
     """The engine's former route: partials, then real Jacobians (P, 2k, 2n),
     then Wirtinger data."""
-    steps = factor * (1.0 - np.linalg.norm(points, axis=1))
+    steps = JACOBIAN_STEP_FACTOR * (1.0 - np.linalg.norm(points, axis=1))
     partials = fd_partials(f, points, steps)                # (P, 2n, k)
     J = np.empty((len(points), 2 * partials.shape[2], partials.shape[1]))
     J[:, 0::2, :] = partials.real.transpose(0, 2, 1)
@@ -282,15 +284,15 @@ def pair_map(pts):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 20), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([1e-4, 1e-3]), st.sampled_from([scalar_map, pair_map]))
-def test_fd_many_equals_the_jacobian_route_bit_for_bit(n, count, seed, factor, f):
+       st.sampled_from([scalar_map, pair_map]))
+def test_fd_many_equals_the_jacobian_route_bit_for_bit(n, count, seed, f):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-1.0, 1.0, (count, 2 * n))
     pts = raw[:, :n] + 1j * raw[:, n:]
     pts *= (0.9 * rng.random(count) / np.linalg.norm(pts, axis=1))[:, None]
-    data = wirtinger_fd_many(f, pts, factor)
+    data = wirtinger_fd_many(f, pts)
     assert data.out_dim == (1 if f is scalar_map else 2)
-    assert np.array_equal(fd_bits(data), fd_bits(jacobian_route_fd(f, pts, factor)))
+    assert np.array_equal(fd_bits(data), fd_bits(jacobian_route_fd(f, pts)))
 
 
 # |z| summed as a dot product and row-wise differ in the last bit here
@@ -312,7 +314,7 @@ def test_default_step_fd_equals_one_row_batch_where_norms_differ(f):
 
 def test_fd_many_refuses_a_stencil_leaving_the_ball():
     with pytest.raises(StepTooLarge):
-        wirtinger_fd_many(scalar_map, np.array([[0.2 + 0j], [0.999999 + 0j]]), 2.0)
+        wirtinger_fd_many(scalar_map, np.array([[0.2 + 0j], [1.0 + 0j]]))
 
 
 def reference_real_gradient_fd(f, a, step):

@@ -520,3 +520,16 @@ def test_all_suites_write_strict_json(tmp_path, flags):
                      "--trials", "200", "--pairs", "200", "--out", str(out)])
     doc = json.loads(out.read_text(), parse_constant=refuse_constant)
     assert code == 0 and doc["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "landau"],
+    ["extend", "--boundary", "re", "--points", "0.5+0i"],
+    ["landau", "--n", "1"]], ids=["verify", "extend", "landau"])
+def test_unwritable_out_is_config_error(tmp_path, command):
+    # a missing directory or a directory as --out once exited 1 with a traceback
+    for out in (tmp_path / "missing" / "out.txt", tmp_path):
+        proc = run_cli(*command, "--out", str(out))
+        assert proc.returncode == 2
+        assert "config error: cannot write output file" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -108,6 +108,14 @@ class TestExtensionValues:
         with pytest.raises(ValueError, match="'const:nan' is not finite"):
             h_extend(_constant(np.nan, 2), sphere_rule_mc(2, 500, 1))
 
+    @pytest.mark.parametrize("method", ["__call__", "wirtinger_many"])
+    def test_points_of_another_dimension_are_refused_by_name(self, method):
+        # once numpy's "operands could not be broadcast together"
+        ext = h_extend(registry_map(2)["coord1"], sphere_rule_mc(2, 500, 1))
+        for dim in (1, 3):
+            with pytest.raises(ValueError, match=f"has dimension 2 and the points {dim}$"):
+                getattr(ext, method)(np.zeros((3, dim)))
+
     def test_values_with_errors_spectral_rule(self):
         # the error is the gap to the half rule on every second node, here
         # circle_rule(16) against circle_rule(8), and covers the true error
@@ -161,7 +169,7 @@ class TestExtensionGradient:
 class TestLaplaceBeltrami:
     def test_constant_is_annihilated(self):
         res = laplace_beltrami_residual(
-            lambda pts: np.full(len(pts), 2.5 + 1.0j), np.array([0.3 + 0.1j]), step=1e-3)
+            lambda pts: np.full(len(pts), 2.5 + 1.0j), np.array([0.3 + 0.1j]))
         assert res == 0.0
 
     def test_planar_harmonic(self):
@@ -201,9 +209,10 @@ class TestLaplaceBeltrami:
                     assert abs(laplace_beltrami_residual(ext, z)) <= 1e-4
 
     def test_step_guard(self):
-        with pytest.raises(StepTooLarge):
-            laplace_beltrami_residual(
-                lambda pts: pts[:, 0], np.array([0.999 + 0.0j]), step=0.01)
+        # the reach 2h = 2 LB_STEP_FACTOR (1 - |z|) stays inside the ball at |z| < 1
+        for point in (1.0, 1.5j):
+            with pytest.raises(StepTooLarge):
+                laplace_beltrami_residual(lambda pts: pts[:, 0], np.array([point]))
 
 
 class TestRegistry:

@@ -1,4 +1,4 @@
-"""Every module-level import in ``src/hballs`` is used by its module.
+"""Every module-level import in ``src/hballs`` and ``tests`` is used by its module.
 
 No linter is a dependency, so this parses each module with ``ast`` and
 fails on an imported name the module never reads.  Exempt: the package's
@@ -12,7 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hballs"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "hballs"
+MODULES = sorted(p for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
+                 if p.name != "__init__.py")
 
 
 def _module_imports(body):
@@ -45,10 +48,9 @@ def unused_imports(source: str) -> list:
     return unused
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_its_imports(path):
-    assert unused_imports((PACKAGE / path).read_text()) == []
+    assert unused_imports(path.read_text()) == []
 
 
 def test_checker_flags_an_unused_import():

@@ -4,12 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hballs.errors import NearSingularEvaluation
 from hballs.extension import _constant, h_extend
-from hballs.kernel import (
-    poisson_h,
-    poisson_h_values,
-    poisson_h_wirtinger,
-    poisson_h_wirtinger_values,
-)
+from hballs.kernel import poisson_h_values, poisson_h_wirtinger_values
 from hballs.quadrature import circle_rule, integrate, integrate_with_error, sphere_rule_mc
 
 
@@ -28,11 +23,11 @@ class TestPoissonKernel:
         rng = np.random.default_rng(0)
         for n in (1, 2, 3):
             zeta = random_sphere(rng, n)
-            assert poisson_h(np.zeros(n), zeta) == pytest.approx(1.0, abs=1e-14)
+            assert poisson_h_values(np.zeros(n), zeta[None, :])[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_disk_value(self):
         # n = 1: ((1 - 0.25) / |0.5 - 1|^2)^1 = 3
-        assert poisson_h([0.5], [1.0]) == pytest.approx(3.0, rel=1e-14)
+        assert poisson_h_values([0.5], [[1.0]])[0] == pytest.approx(3.0, rel=1e-14)
 
     def test_positivity_and_bounds(self):
         # |z - zeta| between 1-|z| and 1+|z| pins the kernel between the ratios
@@ -42,7 +37,7 @@ class TestPoissonKernel:
             z = random_interior(rng, n, 0.95)
             zeta = random_sphere(rng, n)
             r = np.linalg.norm(z)
-            value = poisson_h(z, zeta)
+            value = poisson_h_values(z, zeta[None, :])[0]
             lower = ((1.0 - r) / (1.0 + r)) ** (2 * n - 1)
             upper = ((1.0 + r) / (1.0 - r)) ** (2 * n - 1)
             assert lower - 1e-12 <= value <= upper + 1e-12
@@ -76,7 +71,8 @@ class TestPoissonKernel:
         # a point given as a plain sequence, not an array
         z = (0.3, 0.4j)
         zeta = np.array([0.6, 0.8j])
-        assert poisson_h(z, zeta) == poisson_h(np.array(z), zeta)
+        nodes = zeta[None, :]
+        assert poisson_h_values(z, nodes)[0] == poisson_h_values(np.array(z), nodes)[0]
 
 
 class TestPoissonWirtinger:
@@ -84,20 +80,8 @@ class TestPoissonWirtinger:
         rng = np.random.default_rng(2)
         for n in (1, 2, 3):
             zeta = random_sphere(rng, n)
-            for k in range(1, n + 1):
-                dz, dzbar = poisson_h_wirtinger(np.zeros(n), zeta, k)
-                assert dz == pytest.approx((2 * n - 1) * np.conj(zeta[k - 1]), rel=1e-12)
-                assert dzbar == pytest.approx(np.conj(dz), abs=1e-14)
-
-    def test_conjugate_pair(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(1, 4))
-            z = random_interior(rng, n, 0.8)
-            zeta = random_sphere(rng, n)
-            for k in range(1, n + 1):
-                dz, dzbar = poisson_h_wirtinger(z, zeta, k)
-                assert dzbar == pytest.approx(np.conj(dz), abs=1e-14 * abs(dz))
+            dz = poisson_h_wirtinger_values(np.zeros(n), zeta[None, :])[0]
+            np.testing.assert_allclose(dz, (2 * n - 1) * np.conj(zeta), rtol=1e-12)
 
     def test_matches_finite_differences(self):
         # central-difference oracle with step 1e-5, relative error <= 1e-7
@@ -107,20 +91,21 @@ class TestPoissonWirtinger:
             n = int(rng.integers(1, 3))
             z = random_interior(rng, n, 0.8)
             zeta = random_sphere(rng, n)
-            closed = poisson_h_wirtinger_values(z, zeta.reshape(1, -1))[0]
+            nodes = zeta.reshape(1, -1)
+            closed = poisson_h_wirtinger_values(z, nodes)[0]
+
+            def kernel(w):
+                return poisson_h_values(w, nodes)[0]
+
             for k in range(n):
                 ex = np.zeros(n, dtype=complex)
                 ex[k] = h
                 ey = np.zeros(n, dtype=complex)
                 ey[k] = 1j * h
-                fx = (poisson_h(z + ex, zeta) - poisson_h(z - ex, zeta)) / (2 * h)
-                fy = (poisson_h(z + ey, zeta) - poisson_h(z - ey, zeta)) / (2 * h)
+                fx = (kernel(z + ex) - kernel(z - ex)) / (2 * h)
+                fy = (kernel(z + ey) - kernel(z - ey)) / (2 * h)
                 oracle = 0.5 * (fx - 1j * fy)
                 assert abs(closed[k] - oracle) <= 1e-7 * max(abs(oracle), 1.0)
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            poisson_h_wirtinger(np.zeros(2), np.array([1.0, 0.0]), 3)
 
     def test_derivative_integrates_to_zero(self):
         # the constant-1 extension has vanishing derivative, so the kernel

@@ -23,10 +23,8 @@ from hballs.quadrature import (
     real_circle_rule,
     real_sphere_rule_mc,
     rng_stream,
-    sphere_rule_mc,
 )
 from hballs.theorems import (
-    AffineMapping,
     CheckReport,
     HarnessConfig,
     check_lemma21,
