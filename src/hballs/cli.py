@@ -150,6 +150,21 @@ def pick_boundary(label: str, n: int):
     return registry[label]
 
 
+def check_writable(path) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any work.
+
+    The file is opened for appending, so an existing one keeps its bytes, and
+    one the probe created is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}")
+
+
 def emit(path, text: str) -> None:
     """Write ``text`` to the file ``path`` (LF line endings), or to stdout."""
     if path:
@@ -193,6 +208,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args, read_config_file(args.config))
+    if args.out:
+        check_writable(args.out)
     started = time.monotonic()
     reports = run_suite(args.suite, cfg)
     wall_ms = int(1000 * (time.monotonic() - started))
@@ -243,6 +260,8 @@ def cmd_landau(args: argparse.Namespace) -> int:
     ns = parse_int_range(args.n) if args.n is not None else [default.n]
     alphas = parse_float_list(args.alpha, "--alpha") if args.alpha is not None else [default.alpha]
     bounds = parse_float_list(args.m, "--m") if args.m is not None else [default.m]
+    if args.out:
+        check_writable(args.out)
     rows = []
     for n in ns:
         for alpha in alphas:

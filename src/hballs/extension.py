@@ -329,14 +329,15 @@ class HExtension:
         data, errors = self.wirtinger_many(coords_of(z)[None, :])
         return data[0], _row_error(errors)
 
-    def wirtinger_many(self, points):
+    def wirtinger_many(self, points, want_errors: bool = True):
         """Wirtinger derivatives and their standard errors for a (P, n) batch.
 
         Returns one ``WirtingerData`` batch, (P, k, n) arrays whose row p has
         the bits of point p taken alone, and errors shaped like the values,
         (P,) or (P, k): per row and column j, the root-sum-square over the n
         coordinates of the Monte Carlo standard errors of the integrands of
-        df_j/dz_i (0.0 for spectral rules).
+        df_j/dz_i (0.0 for spectral rules).  Without ``want_errors`` the
+        errors are None and their sums are not taken; the data keep their bits.
 
         The GEMM form on the value engine's tiles: with K = P_h,
         d2 = |z - zeta|^2, Q = K / d2 and R = K / (1 - |z|^2) + Q, the closed
@@ -354,7 +355,7 @@ class HExtension:
         k_out = len(psi)
         w = self.rule.weights
         nodes = self.rule.nodes
-        monte_carlo = self.rule.monte_carlo
+        monte_carlo = want_errors and self.rule.monte_carlo
         # 1 / (1 - |z|^2), NaN on or beyond the sphere (guard radius >= 1): such
         # a point hits a refused collision or gives data WirtingerData refuses
         num = 1.0 - np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)
@@ -409,6 +410,8 @@ class HExtension:
         zc = np.conj(pts)[:, None, :]
         fz = -expo * (zc * r_sum[:, :, None] - q_sum[:, :, :n])
         fzbar = -expo * (pts[:, None, :] * r_sum[:, :, None] - q_sum[:, :, n:])
+        if not want_errors:
+            return WirtingerData(fz, fzbar), None
         if monte_carlo:
             sq_norms = (pts.real ** 2 + pts.imag ** 2)[:, None, :]
             mean_sq = expo ** 2 * (sq_norms * rr_sum[:, :, None] - 2.0 * (zc * rq_sum).real + qq_sum)

@@ -10,9 +10,9 @@ batch (a WirtingerData batch, values with f(0) and their quadrature errors,
 Lambda, or a matrix stack), computes lhs, rhs and tolerance as (P,) arrays
 and returns one report for the batch: the worst sample's, with the sample
 count and the number of failing samples.  lemmaB does the same for a
-stack of matrices.  thm24 takes the values at its pair endpoints and the
-Wirtinger data at its grid the same way, and lemma21 the values of one
-ball's stencil, centre and boundary.
+stack of matrices.  thm24 takes each function's pair sup over one point set
+and the Wirtinger data at its grid the same way, and lemma21 the values of
+one ball's stencil, centre and boundary.
 Tolerances follow one policy:
 
     tolerance = analytic slack
@@ -21,7 +21,8 @@ Tolerances follow one policy:
 
 with the three parts recorded separately.  Every evaluator answers the same
 calls: ``f(points)``, and ``f.wirtinger_many(points)`` with its quadrature
-error shaped like its values and ``f.fd_error``, its finite-difference term:
+error shaped like its values (None when ``want_errors=False`` asks for
+none) and ``f.fd_error``, its finite-difference term:
 0 for an HExtension, whose kernel derivatives are exact, and 1e-9 for a registry
 closed form (``_ClosedForm``), which has no quadrature error.  thm24 and
 lemma22 read only ``fd_error``, the discretized extension being exactly
@@ -71,10 +72,10 @@ from .extension import (
 )
 from .norms import (
     LIMIT_PHASES,
+    SupEstimate,
     _bloch_from_data,
-    _lipschitz_from_values,
     _lipschitz_limits_from_data,
-    _pair_endpoints,
+    all_pairs_lipschitz,
     ball_grid,
     # not called here: bench/tracing.py patches these module-level names
     bloch_seminorm,  # noqa: F401
@@ -85,6 +86,7 @@ from .norms import (
 from .quadrature import (
     STREAM_GEOMETRY,
     STREAM_MATRICES,
+    STREAM_PAIRS,
     STREAM_PROBE,
     STREAM_SAMPLES,
     QuadratureRule,
@@ -342,24 +344,24 @@ def check_lemma22(data: WirtingerData, zs: np.ndarray, *, label: str = "f",
                          analytic=1e-12, fd_error=fd_error)
 
 
-def check_thm24_necessity(pairs: np.ndarray, values, grid: np.ndarray, data: WirtingerData, *,
-                          label: str = "f", fd_error: float = 0.0) -> CheckReport:
+def check_thm24_necessity(pair_est: SupEstimate, pairs: int, grid: np.ndarray,
+                          data: WirtingerData, *, label: str = "f",
+                          fd_error: float = 0.0) -> CheckReport:
     """Weighted Lipschitz sup vs pi sqrt(n) * Bloch sup.
 
-    ``values`` holds f at the ``_pair_endpoints`` of ``pairs`` and ``data``
-    its Wirtinger data batch at the grid points; ``fd_error`` is the data's
-    finite-difference term.  The lhs is the larger of two lower bounds of the
-    true pair sup: the quotient's max over ``pairs``, and its derivative
-    limits at the grid points, (1-|z|^2) |f_{z_1} theta + f_{zbar_1}
-    conj(theta)|, the limit of the quotient at (z, z + delta theta e_1) as
-    delta -> 0, over the ``LIMIT_PHASES`` phases theta.  Pairs and limits are
-    counted and witnessed separately; the limits and the Bloch sup share the
-    grid data.  The qualitative converse (finite pair-sup alongside finite
-    derivative-sup) is recorded in the inputs rather than checked
-    quantitatively.
+    ``pair_est`` is f's weighted Lipschitz sup over ``pairs`` pairs, its
+    witness a (2, n) pair, and ``data`` f's Wirtinger data batch at the grid
+    points; ``fd_error`` is the data's finite-difference term.  The lhs is
+    the larger of two lower bounds of the true pair sup: ``pair_est``, and
+    the quotient's derivative limits at the grid points, (1-|z|^2)
+    |f_{z_1} theta + f_{zbar_1} conj(theta)|, the limit of the quotient at
+    (z, z + delta theta e_1) as delta -> 0, over the ``LIMIT_PHASES`` phases
+    theta.  Pairs and limits are counted and witnessed separately; the
+    limits and the Bloch sup share the grid data.  The qualitative converse
+    (finite pair-sup alongside finite derivative-sup) is recorded in the
+    inputs rather than checked quantitatively.
     """
     n = grid.shape[1]
-    pair_est = _lipschitz_from_values(pairs, values)
     limit_est = _lipschitz_limits_from_data(grid, data)
     bloch_est = _bloch_from_data(grid, data)
     from_limit = limit_est.value > pair_est.value
@@ -369,7 +371,7 @@ def check_thm24_necessity(pairs: np.ndarray, values, grid: np.ndarray, data: Wir
     return make_report(
         f"thm24[n={n},f={label}]", lhs, rhs, fd_error=fd_error,
         inputs={
-            "f": label, "n": n, "pairs": len(pairs), "limits": len(grid) * LIMIT_PHASES,
+            "f": label, "n": n, "pairs": int(pairs), "limits": len(grid) * LIMIT_PHASES,
             "grid": len(grid), "lhs_from": "limit" if from_limit else "pair",
             "pair_sup": pair_est.value, "limit_sup": limit_est.value,
             "bloch_sup": bloch_est.value,
@@ -566,9 +568,9 @@ class HarnessConfig:
     mc_nodes: int = 200000     # Monte Carlo nodes (n >= 2)
     seed: int = 0
     rmax: float = 0.8          # schwarzpick and lemma33 sampling and guard radius
-    samples: int = 200         # sampled z per pointwise sweep
+    samples: int = 200         # sampled z per pointwise sweep; thm24's points beyond the grid
     trials: int = 10000        # random matrices per dimension
-    pairs: int = 2000          # sampled pairs per pair sweep
+    pairs: int = 2000          # landau's univalence pairs per mapping
     alpha: float = 1.0
     m: float = 1.0             # the norm bound M
 
@@ -647,7 +649,8 @@ def suite_lemma22(cfg: HarnessConfig) -> list[CheckReport]:
     """Wirtinger-versus-real gradient inequality over the function registry."""
     zs = _sample_ball(cfg, LEMMA22_SAMPLES, 0.7)
     return [check_lemma22(data, zs, label=label, fd_error=fd_error)
-            for label, (data,), fd_error in _registry_results(cfg, lambda f: (f.wirtinger_many(zs)[0],))]
+            for label, (data,), fd_error in _registry_results(
+                cfg, lambda f: (f.wirtinger_many(zs, want_errors=False)[0],))]
 
 
 class _ClosedForm:
@@ -663,8 +666,8 @@ class _ClosedForm:
     def __call__(self, points):
         return self._f(points)
 
-    def wirtinger_many(self, points):
-        return wirtinger_fd_many(self._f, points), np.zeros(len(points))
+    def wirtinger_many(self, points, want_errors: bool = True):
+        return wirtinger_fd_many(self._f, points), (np.zeros(len(points)) if want_errors else None)
 
 
 def _registry_results(cfg: HarnessConfig, evaluate) -> list:
@@ -693,14 +696,23 @@ def _registry_results(cfg: HarnessConfig, evaluate) -> list:
 
 
 def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
-    """Weighted-Lipschitz sup (seeded pairs and derivative limits at the
-    grid points) against pi sqrt(n) times the Bloch sup on the grid."""
+    """Weighted-Lipschitz sup (every pair of one point set, and derivative
+    limits at the grid points) against pi sqrt(n) times the Bloch sup on
+    the grid.
+
+    The point set is the grid followed by ``cfg.samples`` seeded uniform
+    points with |z| <= 0.7; each function is evaluated there once, and one
+    walk takes every function's sup over all pairs of it.
+    """
     grid = ball_grid(cfg.n)
-    pairs = pair_samples(cfg.n, cfg.pairs, cfg.seed, rmax=0.7)
-    endpoints = _pair_endpoints(pairs)
-    return [check_thm24_necessity(pairs, vals, grid, data, label=label, fd_error=fd_error)
-            for label, (vals, data), fd_error in _registry_results(
-                cfg, lambda f: (f(endpoints), f.wirtinger_many(grid)[0]))]
+    points = np.concatenate(
+        [grid, uniform_ball(cfg.n, cfg.samples, rng_stream(cfg.seed, STREAM_PAIRS), 0.7)])
+    results = _registry_results(
+        cfg, lambda f: (f(points), f.wirtinger_many(grid, want_errors=False)[0]))
+    sups, pairs = all_pairs_lipschitz(
+        points, np.hstack([np.reshape(vals, (len(points), -1)) for _, (vals, _), _ in results]))
+    return [check_thm24_necessity(sup, pairs, grid, data, label=label, fd_error=fd_error)
+            for (label, (_, data), fd_error), sup in zip(results, sups)]
 
 
 def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:

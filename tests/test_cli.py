@@ -533,3 +533,35 @@ def test_unwritable_out_is_config_error(tmp_path, command):
         assert proc.returncode == 2
         assert "config error: cannot write output file" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "all", "--n", "2"],
+    ["landau", "--n", "1..4"]], ids=["verify", "landau"])
+def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, command):
+    # verify --suite all --n 2 once computed every suite before it exited 2,
+    # and landau printed its whole table first
+    from hballs import cli, theorems
+
+    calls = []
+    for name in theorems.SUITES:
+        monkeypatch.setitem(theorems.SUITES, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(cli, "landau_constants", lambda *args: calls.append("landau_constants"))
+    for out in (tmp_path / "missing" / "out.txt", tmp_path):
+        assert cli.main([*command, "--out", str(out)]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("config error: cannot write output file") == 2
+
+
+def test_writability_probe_leaves_files_as_it_found_them(tmp_path):
+    from hballs import cli
+
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_bytes(b"earlier report\n")
+    cli.check_writable(str(fresh))
+    cli.check_writable(str(kept))
+    assert not fresh.exists()
+    assert kept.read_bytes() == b"earlier report\n"
+

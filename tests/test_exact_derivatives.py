@@ -16,12 +16,13 @@ from hballs.calculus import wirtinger_fd_many
 from hballs.extension import HExtension, boundary_registry, h_extend, vector_boundary
 from hballs.norms import (
     _lipschitz_limits_from_data,
+    all_pairs_lipschitz,
     ball_grid,
-    pair_samples,
     sphere_directions,
+    uniform_ball,
     weighted_lipschitz_sup,
 )
-from hballs.quadrature import STREAM_PROBE, rng_stream, sphere_points, sphere_rule_mc
+from hballs.quadrature import STREAM_PAIRS, STREAM_PROBE, rng_stream, sphere_points, sphere_rule_mc
 from hballs.theorems import (
     HarnessConfig,
     check_thm24_necessity,
@@ -66,25 +67,26 @@ def test_derivative_limit_is_the_limit_of_pair_quotients():
     assert gaps[1] <= 0.2 * gaps[0] and gaps[2] <= 0.2 * gaps[1]
 
 
-def thm24_of(f, pairs, grid):
-    """check_thm24_necessity on f at the pair endpoints, with FD data on the grid."""
-    endpoints = np.concatenate([pairs[:, 0, :], pairs[:, 1, :]])
-    return check_thm24_necessity(pairs, f(endpoints), grid, wirtinger_fd_many(f, grid),
+def thm24_of(f, points, grid):
+    """check_thm24_necessity on f's sup over all pairs of the points, with FD
+    data on the grid."""
+    (sup,), pairs = all_pairs_lipschitz(points, f(points))
+    return check_thm24_necessity(sup, pairs, grid, wirtinger_fd_many(f, grid),
                                  fd_error=theorems._FD_TRUNCATION)
 
 
 def test_limits_are_counted_and_witnessed_apart_from_pairs():
     grid = ball_grid(2)
-    pairs = pair_samples(2, 20, seed=2)
-    coord1 = thm24_of(lambda pts: np.asarray(pts)[:, 0], pairs, grid)
-    # the limit at the origin is exactly 1, above any of 20 sampled pairs
+    points = uniform_ball(2, 20, rng_stream(2, STREAM_PAIRS), 0.7)
+    coord1 = thm24_of(lambda pts: np.asarray(pts)[:, 0], points, grid)
+    # the limit at the origin is exactly 1, above any pair of 20 sampled points
     assert coord1.inputs["lhs_from"] == "limit"
     assert coord1.lhs == coord1.inputs["limit_sup"] == pytest.approx(1.0, abs=1e-9)
     assert coord1.inputs["limit_witness"]["point"] == [[0.0, 0.0], [0.0, 0.0]]
-    assert coord1.inputs["pairs"] == len(pairs)
+    assert coord1.inputs["pairs"] == 20 * 19 // 2
     assert coord1.inputs["limits"] == 32 * len(grid)
     # z_2 does not move along e_1, so every limit is 0 and a pair wins
-    coord2 = thm24_of(lambda pts: np.asarray(pts)[:, 1], pairs, grid)
+    coord2 = thm24_of(lambda pts: np.asarray(pts)[:, 1], points, grid)
     assert coord2.inputs["lhs_from"] == "pair"
     assert coord2.inputs["limit_sup"] == 0.0
     assert coord2.lhs == coord2.inputs["pair_sup"] > 0.0
@@ -93,39 +95,54 @@ def test_limits_are_counted_and_witnessed_apart_from_pairs():
 
 @pytest.fixture
 def engine_rows(monkeypatch):
-    """Rows each HExtension engine receives: the value engine (``_moments``)
-    and the gradient engine (``wirtinger_many``)."""
-    rows = {"values": 0, "gradients": 0}
+    """(rows, errors asked for) of each call of the HExtension engines, the
+    value engine (``_moments``) and the gradient engine (``wirtinger_many``),
+    and the rows of each value call of a registry closed form."""
+    calls = {"values": [], "gradients": [], "closed_form_values": []}
     moments, wirtinger_many = HExtension._moments, HExtension.wirtinger_many
+    closed_form = theorems._ClosedForm.__call__
 
     def counted_moments(self, points, want_errors):
-        rows["values"] += len(np.atleast_2d(points))
+        calls["values"].append((len(np.atleast_2d(points)), want_errors))
         return moments(self, points, want_errors)
 
-    def counted_wirtinger_many(self, points):
-        rows["gradients"] += len(np.atleast_2d(points))
-        return wirtinger_many(self, points)
+    def counted_wirtinger_many(self, points, want_errors=True):
+        calls["gradients"].append((len(np.atleast_2d(points)), want_errors))
+        return wirtinger_many(self, points, want_errors)
+
+    def counted_closed_form(self, points):
+        calls["closed_form_values"].append(len(np.atleast_2d(points)))
+        return closed_form(self, points)
 
     monkeypatch.setattr(HExtension, "_moments", counted_moments)
     monkeypatch.setattr(HExtension, "wirtinger_many", counted_wirtinger_many)
-    return rows
+    monkeypatch.setattr(theorems._ClosedForm, "__call__", counted_closed_form)
+    return calls
 
 
-SMALL = dict(n=2, mc_nodes=1100, pairs=40, seed=5)
+SMALL = dict(n=2, mc_nodes=1100, samples=40, seed=5)
 
 
 def test_lemma22_sends_only_its_samples_to_the_gradient_engine(engine_rows):
     reports = suite_lemma22(HarnessConfig(**SMALL))
     assert all(rep.passed for rep in reports)
-    assert engine_rows == {"values": 0, "gradients": theorems.LEMMA22_SAMPLES}
+    # one stacked call, asking for no standard error
+    assert engine_rows == {"values": [], "gradients": [(theorems.LEMMA22_SAMPLES, False)],
+                           "closed_form_values": []}
 
 
-def test_thm24_sends_pair_endpoints_and_grid_points(engine_rows):
+def test_thm24_sends_one_point_set_and_its_grid(engine_rows):
     cfg = HarnessConfig(**SMALL)
     reports = suite_thm24(cfg)
     assert all(rep.passed for rep in reports)
-    pairs = pair_samples(cfg.n, cfg.pairs, cfg.seed, rmax=0.7)
-    assert engine_rows == {"values": 2 * len(pairs), "gradients": len(ball_grid(cfg.n))}
+    grid = len(ball_grid(cfg.n))
+    # one value call of the grid and the samples per evaluator: the stacked
+    # extension and the closed form const:1; the gradients at the grid alone
+    assert engine_rows == {"values": [(grid + cfg.samples, False)],
+                           "gradients": [(grid, False)],
+                           "closed_form_values": [grid + cfg.samples]}
+    assert all(rep.inputs["pairs"] == (grid + cfg.samples) * (grid + cfg.samples - 1) // 2
+               for rep in reports)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

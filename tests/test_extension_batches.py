@@ -32,7 +32,7 @@ from hballs.extension import (
     vector_boundary,
 )
 from hballs.kernel import poisson_h_wirtinger_values
-from hballs.quadrature import CHUNK, circle_rule, sphere_rule_mc
+from hballs.quadrature import CHUNK, circle_rule, sphere_points, sphere_rule_mc
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -345,6 +345,18 @@ def test_batch_gradients_equal_row_by_row_and_reference(case, data):
             assert np.abs(grad.fz - ref_fz).max() <= DERIVATIVE_TOLERANCE * scale
             assert np.abs(grad.fzbar - ref_fzbar).max() <= DERIVATIVE_TOLERANCE * scale
             assert np.all(np.abs(error - ref_error) <= GRADIENT_ERROR_TOLERANCE * ref_error)
+
+
+@pytest.mark.parametrize("n", sorted(RULES))   # the circle rule, then a Monte Carlo rule
+def test_gradients_asked_for_no_error_keep_their_bits(n):
+    ext = EXTENSIONS[n][-1]                   # a stacked two-column extension
+    batch = 0.79 * sphere_points(np.random.default_rng(n), 150, n) \
+        * np.random.default_rng(n + 1).random(150)[:, None]
+    with_errors, errors = ext.wirtinger_many(batch)
+    without, none = ext.wirtinger_many(batch, want_errors=False)
+    assert errors.shape == (150, 2) and none is None
+    assert_same_bits(without.fz, with_errors.fz)
+    assert_same_bits(without.fzbar, with_errors.fzbar)
 
 
 # Relative offsets of a point from a node.  The product form rounds the

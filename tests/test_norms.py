@@ -1,17 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hballs.errors import DegeneratePair, EmptySampleSet
+from hballs.extension import boundary_registry, h_extend, vector_boundary
 from hballs.norms import (
+    all_pairs_lipschitz,
     alpha_bloch_seminorm,
     ball_grid,
     bloch_seminorm,
-    near_diagonal_pairs,
     pair_samples,
     sphere_directions,
+    uniform_ball,
     weighted_lipschitz_sup,
 )
+from hballs.quadrature import STREAM_PAIRS, rng_stream, sphere_rule_mc
 
 
 def identity_map(pts):
@@ -65,43 +70,6 @@ class TestSampleSets:
         assert len(small) == 50
         np.testing.assert_allclose(small, pair_samples(1, 50, seed=9, rmax=1.0) * 1e-12,
                                    rtol=1e-12, atol=0.0)
-
-    def test_near_diagonal_pairs_stay_inside(self):
-        pairs = near_diagonal_pairs(ball_grid(1), delta=1e-4, n_phases=8)
-        assert np.all(np.abs(pairs[:, 1, 0]) < 1.0)
-
-
-def reference_near_diagonal_pairs(points, delta=1e-4, n_phases=32):
-    """The double loop near_diagonal_pairs ran before it was one broadcast."""
-    points = np.atleast_2d(points)
-    phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
-    out = []
-    for z in points:
-        for ph in phases:
-            w = z.copy()
-            w[0] += delta * ph
-            if np.linalg.norm(w) < 1.0:
-                out.append((z, w))
-    return np.asarray(out)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 30), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from([1e-4, 0.04]), st.integers(1, 40))
-def test_near_diagonal_pairs_equal_the_loop_bit_for_bit(n, count, seed, delta, n_phases):
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(-1.0, 1.0, (count, 2 * n))
-    pts = raw[:, :n] + 1j * raw[:, n:]
-    pts *= (0.95 * rng.random(count) / np.linalg.norm(pts, axis=1))[:, None]
-    # a last row so close to the sphere that part of its partners leave the ball
-    edge = np.zeros((1, n), dtype=complex)
-    edge[0, 0] = 1.0 - delta / 2.0
-    pts = np.concatenate([pts, edge])
-    got = near_diagonal_pairs(pts, delta, n_phases)
-    want = reference_near_diagonal_pairs(pts, delta, n_phases)
-    assert got.shape == want.shape
-    assert len(want) < (count + 1) * n_phases
-    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 class TestBlochSeminorm:
@@ -175,6 +143,16 @@ def one_pair(z, w):
     return np.array([[z, w]], dtype=complex)
 
 
+def near_diagonal(points, delta=1e-4, n_phases=32):
+    """Pairs (z, z + delta theta e_1) over n_phases phases theta, point by
+    point, for points with |z| < 1 - delta."""
+    phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
+    z = np.repeat(points, n_phases, axis=0)
+    w = z.copy()
+    w[:, 0] += delta * np.tile(phases, len(points))
+    return np.stack([z, w], axis=1)
+
+
 class TestWeightedLipschitz:
     def test_constant_is_zero(self):
         est = weighted_lipschitz_sup(lambda pts: np.ones(len(pts)), one_pair([0.3], [0.1]))
@@ -204,7 +182,7 @@ class TestWeightedLipschitz:
     def test_sup_for_identity_approaches_one(self):
         grid = ball_grid(1)
         pairs = np.concatenate(
-            [near_diagonal_pairs(grid), pair_samples(1, 2000, seed=8)], axis=0)
+            [near_diagonal(grid), pair_samples(1, 2000, seed=8)], axis=0)
         est = weighted_lipschitz_sup(identity_scalar, pairs)
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
@@ -212,8 +190,98 @@ class TestWeightedLipschitz:
         # pair sup <= pi sqrt(n) * Bloch sup for smooth registry functions
         grid = ball_grid(1)
         pairs = np.concatenate(
-            [near_diagonal_pairs(grid), pair_samples(1, 3000, seed=10)], axis=0)
+            [near_diagonal(grid), pair_samples(1, 3000, seed=10)], axis=0)
         for f in (identity_scalar, shear_scalar):
             pair_est = weighted_lipschitz_sup(f, pairs)
             bloch_est = bloch_seminorm(f, grid)
             assert pair_est.value <= np.pi * bloch_est.value + 1e-8
+
+
+def reference_all_pairs(points, values):
+    """``all_pairs_lipschitz`` over np.triu_indices pairs, with its arithmetic:
+    sums over real coordinates in order, the squared quotient
+    ((dRe^2 + dIm^2) * ((w_i w_j) / d2)), the sqrt of the maximum only."""
+    points = np.ascontiguousarray(points, dtype=complex)
+    cols = np.asarray(values).reshape(len(points), -1)
+    xy = points.view(np.float64)
+    i, j = np.triu_indices(len(points), 1)
+    sq_norms, d2 = np.zeros(len(points)), np.zeros(len(i))
+    for r in range(xy.shape[1]):
+        sq_norms += xy[:, r] * xy[:, r]
+        gap = xy[i, r] - xy[j, r]
+        d2 += gap * gap
+    weights = 1.0 - sq_norms
+    keep = d2 > (1e-9 * 0.7) ** 2
+    i, j, d2 = i[keep], j[keep], d2[keep]
+    factor = weights[i] * weights[j] / d2
+    out = []
+    for c in range(cols.shape[1]):
+        d_re, d_im = cols[i, c].real - cols[j, c].real, cols[i, c].imag - cols[j, c].imag
+        q2 = (d_re * d_re + d_im * d_im) * factor
+        if len(q2):
+            best = int(np.argmax(q2))
+            out.append((float(np.sqrt(q2[best])), points[[i[best], j[best]]]))
+    return out, len(i)
+
+
+@st.composite
+def point_sets(draw):
+    """(points, values): P points with |z| <= 0.7 in C^n, some rows repeated
+    (pairs the floor drops), and k value columns, some constant (all ties)."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    count = draw(st.sampled_from([2, 63, 64, 65, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = uniform_ball(n, count, rng, 0.7)
+    repeats = draw(st.integers(0, count // 2))
+    points[rng.integers(0, count, repeats)] = points[rng.integers(0, count, repeats)]
+    values = rng.standard_normal((count, k)) + 1j * rng.standard_normal((count, k))
+    values[:, rng.random(k) < 0.25] = 1.0
+    return points, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets())
+def test_all_pairs_walk_equals_the_triu_reference_bit_for_bit(case):
+    points, values = case
+    want, want_pairs = reference_all_pairs(points, values)
+    if want_pairs == 0:
+        with pytest.raises(EmptySampleSet):
+            all_pairs_lipschitz(points, values)
+        return
+    got, pairs = all_pairs_lipschitz(points, values)
+    assert pairs == want_pairs
+    assert len(got) == values.shape[1]
+    for est, (value, witness) in zip(got, want):
+        assert np.float64(est.value).tobytes() == np.float64(value).tobytes()
+        assert np.array_equal(est.witness.view(np.uint8), witness.view(np.uint8))
+
+
+def test_all_pairs_walk_drops_repeated_points_and_matches_the_pair_form():
+    points = np.array([[0.1], [0.1], [0.5j], [-0.3]], dtype=complex)
+    (est,), pairs = all_pairs_lipschitz(points, points[:, 0] ** 2)
+    assert pairs == 5                     # 6 pairs, one of them a repeated point
+    i, j = np.triu_indices(4, 1)
+    kept = [k for k in range(6) if points[i[k], 0] != points[j[k], 0]]
+    pairs_form = weighted_lipschitz_sup(lambda p: np.asarray(p)[:, 0] ** 2,
+                                        np.stack([points[i[kept]], points[j[kept]]], axis=1))
+    assert est.value == pytest.approx(pairs_form.value, rel=1e-14)
+    assert np.array_equal(est.witness, pairs_form.witness)
+
+
+def test_pair_walk_allocates_less_than_the_value_call_it_follows():
+    # thm24's point set at n = 2 (grid + 200 points) and its five value
+    # columns: the walk's block buffers stay below the value engine's tiles
+    ruled = [entry for entry in boundary_registry(2) if entry.exact_extension is None]
+    ext = h_extend(vector_boundary(ruled), sphere_rule_mc(2, 1500, 1))
+    points = np.concatenate([ball_grid(2), uniform_ball(2, 200, rng_stream(1, STREAM_PAIRS), 0.7)])
+    columns = np.column_stack([np.ones(len(points)), ext(points)])
+    peaks = []
+    for call in (lambda: ext(points), lambda: all_pairs_lipschitz(points, columns)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    value_peak, walk_peak = peaks
+    assert walk_peak < value_peak

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from hballs import theorems
 from hballs.calculus import lambda_bounds_wirtinger, wirtinger_fd_many
 from hballs.extension import boundary_registry, h_extend, vector_boundary
-from hballs.quadrature import circle_rule, sphere_rule_mc
+from hballs.norms import all_pairs_lipschitz, uniform_ball
+from hballs.quadrature import STREAM_PAIRS, circle_rule, rng_stream, sphere_rule_mc
 from hballs.theorems import (
     HarnessConfig,
     check_lemma22,
@@ -111,19 +112,22 @@ def one_at_a_time(cfg):
             for entry in boundary_registry(cfg.n)]
 
 
-SMALL = {1: dict(n=1, nodes=1500, pairs=60, seed=3),
-         2: dict(n=2, mc_nodes=1300, pairs=60, seed=3)}
+SMALL = {1: dict(n=1, nodes=1500, samples=60, seed=3),
+         2: dict(n=2, mc_nodes=1300, samples=60, seed=3)}
 
 
 @pytest.mark.parametrize("n", sorted(SMALL))
 def test_thm24_suite_equals_per_function_checks(n):
+    # each function's own walk over the point set, its own gradients at the grid
     cfg = HarnessConfig(**SMALL[n])
     grid = theorems.ball_grid(n)
-    pairs = theorems.pair_samples(n, cfg.pairs, cfg.seed, rmax=0.7)
-    endpoints = np.concatenate([pairs[:, 0, :], pairs[:, 1, :]])
-    expected = [check_thm24_necessity(pairs, f(endpoints), grid, f.wirtinger_many(grid)[0],
-                                      label=label, fd_error=f.fd_error).to_dict()
-                for label, f in one_at_a_time(cfg)]
+    points = np.concatenate(
+        [grid, uniform_ball(n, cfg.samples, rng_stream(cfg.seed, STREAM_PAIRS), 0.7)])
+    expected = []
+    for label, f in one_at_a_time(cfg):
+        (sup,), pairs = all_pairs_lipschitz(points, f(points))
+        expected.append(check_thm24_necessity(sup, pairs, grid, f.wirtinger_many(grid)[0],
+                                              label=label, fd_error=f.fd_error).to_dict())
     assert [rep.to_dict() for rep in suite_thm24(cfg)] == expected
     assert_derivative_path(cfg, expected)
 

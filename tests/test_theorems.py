@@ -16,7 +16,7 @@ from hballs.calculus import (
 )
 from hballs.errors import EmptySampleSet, NonFiniteResult
 from hballs.extension import boundary_registry, h_extend
-from hballs.norms import ball_grid, near_diagonal_pairs, pair_samples
+from hballs.norms import all_pairs_lipschitz, ball_grid, pair_samples, uniform_ball
 from hballs.quadrature import (
     STREAM_MATRICES,
     circle_rule,
@@ -55,11 +55,11 @@ def lemma22_at(f, z, label):
                          fd_error=theorems._FD_TRUNCATION)
 
 
-def thm24_of(f, pairs, grid, label):
-    """check_thm24_necessity on f evaluated at the pair endpoints and
-    differentiated by finite differences on the grid."""
-    endpoints = np.concatenate([pairs[:, 0, :], pairs[:, 1, :]])
-    return check_thm24_necessity(pairs, f(endpoints), grid, wirtinger_fd_many(f, grid),
+def thm24_of(f, points, grid, label):
+    """check_thm24_necessity on f's sup over all pairs of the points, with
+    f differentiated by finite differences on the grid."""
+    (sup,), pairs = all_pairs_lipschitz(points, f(points))
+    return check_thm24_necessity(sup, pairs, grid, wirtinger_fd_many(f, grid),
                                  label=label, fd_error=theorems._FD_TRUNCATION)
 
 
@@ -277,16 +277,15 @@ class TestLemma22:
 
 class TestThm24:
     def test_constant(self):
-        pairs = pair_samples(1, 100, seed=1)
+        points = uniform_ball(1, 100, np.random.default_rng(1), 0.7)
         grid = ball_grid(1)
-        rep = thm24_of(lambda pts: np.zeros(len(pts)), pairs, grid, "const")
+        rep = thm24_of(lambda pts: np.zeros(len(pts)), points, grid, "const")
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
 
     def test_identity_estimates(self):
         grid = ball_grid(1)
-        pairs = np.concatenate(
-            [near_diagonal_pairs(grid), pair_samples(1, 2000, seed=2)], axis=0)
-        rep = thm24_of(lambda pts: np.asarray(pts)[:, 0], pairs, grid, "id")
+        points = np.concatenate([grid, uniform_ball(1, 200, np.random.default_rng(2), 0.7)])
+        rep = thm24_of(lambda pts: np.asarray(pts)[:, 0], points, grid, "id")
         assert rep.lhs == pytest.approx(1.0, abs=1e-4)
         assert rep.rhs == pytest.approx(math.pi, abs=1e-6)
         assert rep.passed
