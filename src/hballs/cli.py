@@ -189,6 +189,8 @@ def write_csv(path, header: list[str], rows) -> None:
 def cmd_extend(args: argparse.Namespace) -> int:
     file_values = read_config_file(args.config)
     cfg = resolve_config(args, file_values)
+    if args.out:
+        check_writable(args.out)
     # nodes, from flag or file, sizes whichever rule the dimension selects
     def is_set(key):
         return getattr(args, key) is not None or key in file_values

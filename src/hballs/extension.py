@@ -15,20 +15,22 @@ of kernel sections P_h(., zeta_i), each annihilated by Delta_h, so the
 discretized extension is itself exactly hyperbolic-harmonic on the open
 ball; only its boundary values and sup bound carry quadrature error.
 Evaluation is batched: one call against the rule covers a whole stencil or
-pair sweep.  Both engines, values and gradients, share one tile walk and
-kernel setup: point blocks against the rule's node chunks, each point
-reducing over the chunks in index order, so a result does not depend on its
-batch.  Every temporary of a tile lives in a buffer made once per call.
+pair sweep.  One engine (``HExtension._walk``) serves every call: per
+request (values, Wirtinger data, and whether their errors are wanted) it
+walks point blocks against the rule's node chunks once and computes only
+what was asked, each point reducing over the chunks in index order, so a
+result depends neither on its batch nor on the other outputs requested.
+Every temporary of a tile lives in a buffer made once per call.
 
-Both engines cast a tile as BLAS products (the GEMM form):
+The engine casts a tile as BLAS products (the GEMM form):
 |z - zeta|^2 = |z|^2 + |zeta|^2 - 2 Re<z, zeta> is one product of the
 points' augmented rows (-2x_1, -2y_1, ..., |z|^2, 1) with the nodes'
 augmented columns (x_1, y_1, ..., 1, |zeta|^2), and each output column's
 node sums are products of kernel tiles with node operands: kern @ (psi_j w)
 for values, with kern^2 @ (|psi_j|^2 w) for their second moments, and for
-gradients the kernel's closed-form Wirtinger derivatives split into two
-tiles R and Q, so that the column adds R @ (psi_j w) and
-Q @ (psi_j w conj(zeta), psi_j w zeta) (see ``HExtension.wirtinger_many``).
+Wirtinger data the kernel's closed-form derivatives split into two tiles R
+and Q, so that the column adds R @ (psi_j w) and
+Q @ (psi_j w conj(zeta), psi_j w zeta) (see ``HExtension._walk``).
 OpenBLAS (0.3.31, SkylakeX kernels) gives a row of a product bits that
 depend on the product's shape: on its row count M and column count N, and,
 with the node operand stored column-major, on the row's place in the block
@@ -78,14 +80,15 @@ __all__ = [
 
 DEFAULT_GUARD_RADIUS = 0.8
 BOUND_SLACK = 1e-9          # how far a rule node may exceed a declared bound
-# Every product of both engines has _POINT_BLOCK rows; a 64-point block
-# makes 512 KB (block x 1024) tiles, two of them (three for gradients) reused
-# for every tile.  On a 2-vCPU Xeon with a 2 MB L2 per core and one BLAS
-# thread, the stacked four-column n = 2 extension took 53-62 ms for 5760
+# Every product of the engine has _POINT_BLOCK rows; a 64-point block
+# makes 512 KB (block x 1024) tiles, two of them (three with Wirtinger data)
+# reused for every tile.  On a 2-vCPU Xeon with a 2 MB L2 per core and one
+# BLAS thread, the stacked four-column n = 2 extension took 53-62 ms for 5760
 # points against 1500 nodes in blocks of 32, 64 or 128 (500-520 ms in the
-# elementwise form it replaced) and 4.0-5.3 s for 4000 points against 200k
-# nodes (32 s before); a one-point call, padded to a whole block, took 36 ms
-# against 200k nodes (24 ms before).
+# elementwise form it replaced).  Against 200k nodes, five columns took
+# 1.0 s for 201 points' values, Wirtinger data and their errors in one
+# request (1.13 s as two), and 29 ms for one point's values, padded to a
+# whole block.
 _POINT_BLOCK = 64
 # Squared distances below this refuse a tile.  The product form
 # |z|^2 + |zeta|^2 - 2 Re<z, zeta> rounds a true 0 to about +-1e-16.
@@ -203,107 +206,169 @@ class HExtension:
             )
         return pts
 
-    def _kernel_tiles(self, pts: np.ndarray, keep_distances: bool):
-        """The tile walk and kernel setup both engines share.
+    def _walk(self, points, values: bool, data: bool, errors: bool):
+        """The one engine: (values, error sums, data, data errors) of a batch,
+        None where not requested, ``errors`` asking for both outputs' errors.
 
-        Per ``_POINT_BLOCK``-row block of ``pts`` (the last padded with the
-        origin) and per node chunk in index order, yields (rows, chunk, kern,
-        d2, spare): the block's live rows of ``pts`` and three contiguous
-        (block, chunk) views of buffers made once per call.  ``kern`` holds
-        P_h on the live rows (finite values, never read back, on the others),
-        ``d2`` the squared distances if ``keep_distances`` (else it is
-        ``kern``), and ``spare`` nothing the caller needs.  A point within
-        squared distance ``_GEMM_FLOOR`` of a node is refused.  Inside the
-        guard radius the kernel ratio stays in a safe range, so the power is an
-        exact multiply chain, not the exp/log form of the kernel module.
+        Per ``_POINT_BLOCK``-row block (the last padded with the origin) and
+        node chunk, the distance product and kernel power K = P_h are made
+        once; each requested output takes its node sums from them (the GEMM
+        form of the module docstring) with the operations it takes alone, so
+        it has the bits it has alone.  A point within squared distance
+        ``_GEMM_FLOOR`` of a node is refused.  Inside the guard radius the
+        kernel ratio stays in a safe range, so the power is an exact multiply
+        chain, not the exp/log form of the kernel module.
+
+        Values are shaped like the values, kern @ (psi_j w) per column; their
+        error sums (P, k) are the second moments kern^2 @ (|psi_j|^2 w) for a
+        Monte Carlo rule and for a spectral rule the half-rule values
+        kern @ (psi_j w'), w' the rule's ``half_weights``.  Data is one
+        ``WirtingerData`` batch of (P, k, n) arrays: with d2 = |z - zeta|^2,
+        Q = K / d2 and R = K / (1 - |z|^2) + Q, the closed form of ``kernel``
+        reads dP_h/dz_k = -(2n-1) [conj(z_k) R - Q conj(zeta_k)] and
+        dP_h/dzbar_k = -(2n-1) [z_k R - Q zeta_k], so each column adds
+        R @ (psi_j w) and Q @ (psi_j w conj(zeta), psi_j w zeta).  Its errors,
+        shaped like the values, are per column the root-sum-square over the n
+        coordinates of the Monte Carlo standard errors of the integrands of
+        df_j/dz_i (0.0 for spectral rules): with m_j = |psi_j|^2 w,
+        sum w |psi_j dP_h/dz_k|^2 = (2n-1)^2 [|z_k|^2 (R^2 @ m_j)
+        - 2 Re(conj(z_k) (RQ @ m_j zeta_k)) + Q^2 @ (m_j |zeta_k|^2)], the
+        R^2, RQ and Q^2 tiles made one at a time.
         """
+        pts = self._guarded_rows(points)
         count, n = len(pts), self.dim
         expo = 2 * n - 1
+        psi, w, nodes = self._psi_cols, self.rule.weights, self.rule.nodes
+        k_out = len(psi)
+        monte_carlo = errors and self.rule.monte_carlo
+        half_rule = errors and values and not monte_carlo
         sq_norm = np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)
-        num_pow = _int_power(1.0 - sq_norm, expo)
+        num = 1.0 - sq_norm
+        num_pow = _int_power(num, expo)
+        # 1 / (1 - |z|^2), NaN on or beyond the sphere (guard radius >= 1): such
+        # a point hits a refused collision or gives data WirtingerData refuses
+        inv_num = np.divide(1.0, num, out=np.full(count, np.nan), where=num > 0.0)
         # rows (-2x_1, -2y_1, ..., -2y_n, |z|^2, 1); padding rows are the origin
         aug = np.zeros((-(-count // _POINT_BLOCK) * _POINT_BLOCK, 2 * n + 2))
         np.multiply(-2.0, pts.view(np.float64), out=aug[:count, :2 * n])
         aug[:count, 2 * n] = sq_norm
         aug[:, 2 * n + 1] = 1.0
-        size = _POINT_BLOCK * min(CHUNK, len(self.rule))
+        # per point and column: the value sums and their error sums; R psi w;
+        # Q psi w conj(zeta) and Q psi w zeta; R^2 m; RQ m zeta; Q^2 m |zeta|^2
+        first, second, r_sum, q_sum, rr_sum, rq_sum, qq_sum = (
+            np.zeros((count, k_out) + shape, dtype) if wanted else None
+            for wanted, shape, dtype in (
+                (values, (), complex), (values and errors, (), complex if half_rule else float),
+                (data, (), complex), (data, (2 * n,), complex),
+                (data and monte_carlo, (), float), (data and monte_carlo, (n,), complex),
+                (data and monte_carlo, (n,), float)))
+        # three (block, chunk) tiles, the kernel K (then R), the distances d2
+        # (then the R^2, RQ and Q^2 tiles) and a spare (the power's running
+        # square, then K^2, then Q); without data the distances are not read
+        # after the power, and K takes their buffer
+        width_max = min(CHUNK, len(w))
+        size = _POINT_BLOCK * width_max
         d2_flat, spare_flat = np.zeros(size), np.zeros(size)
-        kern_flat = np.zeros(size) if keep_distances else d2_flat
+        kern_flat = np.zeros(size) if data else d2_flat
+        # C-contiguous node operands, built per chunk, and product outputs
+        psi_w_buf, half_w_buf, m_buf = (np.empty((k_out, width_max), dtype=dtype)
+                                        for dtype in (complex, complex, float))
+        zeta_buf, psi_zeta_buf = (np.empty((width_max, 2 * n), dtype=complex) for _ in range(2))
+        m_zeta_buf, zeta_sq_buf, m_zeta_sq_buf = (np.empty((width_max, n), dtype=dtype)
+                                                  for dtype in (complex, float, float))
+        pair_out, q_out = np.empty((_POINT_BLOCK, 2)), np.empty((_POINT_BLOCK, 4 * n))
+        real_out, rq_out, qq_out = (np.empty((_POINT_BLOCK,) + shape) for shape in ((), (2 * n,), (n,)))
         for start in range(0, len(aug), _POINT_BLOCK):
             rows = slice(start, min(start + _POINT_BLOCK, count))
             live = rows.stop - start
-            for chunk in self.rule.chunks():
-                d2, kern, spare = (flat[:_POINT_BLOCK * (chunk.stop - chunk.start)].reshape(
-                    _POINT_BLOCK, -1) for flat in (d2_flat, kern_flat, spare_flat))
-                np.matmul(aug[start:start + _POINT_BLOCK], self._node_aug[:, chunk], out=d2)
+            for csl in self.rule.chunks():
+                width = csl.stop - csl.start
+                d2, kern, spare = (flat[:_POINT_BLOCK * width].reshape(_POINT_BLOCK, -1)
+                                   for flat in (d2_flat, kern_flat, spare_flat))
+                np.matmul(aug[start:start + _POINT_BLOCK], self._node_aug[:, csl], out=d2)
                 if d2[:live].min() < _GEMM_FLOOR:
-                    i, j = np.unravel_index(int(np.argmin(d2[:live])), (live, d2.shape[1]))
+                    i, j = np.unravel_index(int(np.argmin(d2[:live])), (live, width))
                     raise NearSingularEvaluation(
                         "evaluation point collides with a quadrature node",
-                        point=pts[rows][i], node=self.rule.nodes[chunk][j])
-                # num^(2n-1) / d2^(2n-1) on the live rows
-                power = _int_power(d2[:live], expo, out=kern[:live], scratch=spare[:live])
-                np.divide(num_pow[rows, None], power, out=kern[:live])
-                yield rows, chunk, kern, d2, spare
-
-    def _abs2_weights(self, chunk: slice, out: np.ndarray) -> np.ndarray:
-        """|psi_j|^2 w over a node chunk, one row per output column, in ``out``."""
-        psi = self._psi_cols[:, chunk]
-        np.add(np.square(psi.real, out=out), np.square(psi.imag), out=out)
-        return np.multiply(out, self.rule.weights[chunk], out=out)
+                        point=pts[rows][i], node=nodes[csl][j])
+                # num^(2n-1) / d2^(2n-1) on the live rows; the others hold
+                # finite values, never read back
+                k_live, spare_live = kern[:live], spare[:live]
+                power = _int_power(d2[:live], expo, out=k_live, scratch=spare_live)
+                np.divide(num_pow[rows, None], power, out=k_live)
+                psi_w = np.multiply(psi[:, csl], w[csl], out=psi_w_buf[:, :width])
+                if monte_carlo:         # m_j = |psi_j|^2 w
+                    m = m_buf[:, :width]
+                    np.add(np.square(psi[:, csl].real, out=m), np.square(psi[:, csl].imag), out=m)
+                    np.multiply(m, w[csl], out=m)
+                # the value sums read K, so they come before R overwrites it
+                if values and monte_carlo:
+                    np.multiply(k_live, k_live, out=spare_live)
+                elif half_rule:
+                    half_w = np.multiply(psi[:, csl], self.rule.half_weights[csl],
+                                         out=half_w_buf[:, :width])
+                for j in range(k_out) if values else ():
+                    np.matmul(kern, psi_w[j].view(np.float64).reshape(width, 2), out=pair_out)
+                    first[rows, j] += pair_out[:live].view(complex)[:, 0]
+                    if monte_carlo:
+                        np.matmul(spare, m[j], out=real_out)
+                        second[rows, j] += real_out[:live]
+                    elif half_rule:
+                        np.matmul(kern, half_w[j].view(np.float64).reshape(width, 2), out=pair_out)
+                        second[rows, j] += pair_out[:live].view(complex)[:, 0]
+                if not data:
+                    continue
+                r_live, q_live = k_live, spare_live
+                np.divide(r_live, d2[:live], out=q_live)
+                np.add(np.multiply(r_live, inv_num[rows, None], out=r_live), q_live, out=r_live)
+                zeta = zeta_buf[:width]
+                np.conj(nodes[csl], out=zeta[:, :n])
+                zeta[:, n:] = nodes[csl]
+                psi_zeta = psi_zeta_buf[:width]
+                for j in range(k_out):
+                    np.matmul(kern, psi_w[j].view(np.float64).reshape(width, 2), out=pair_out)
+                    r_sum[rows, j] += pair_out[:live].view(complex)[:, 0]
+                    np.multiply(psi_w[j, :, None], zeta, out=psi_zeta)
+                    np.matmul(spare, psi_zeta.view(np.float64), out=q_out)
+                    q_sum[rows, j] += q_out[:live].view(complex)
+                if not monte_carlo:
+                    continue
+                zeta_sq = np.square(np.abs(nodes[csl], out=zeta_sq_buf[:width]), out=zeta_sq_buf[:width])
+                # the distances are spent: d2 takes the R^2, RQ and Q^2 tiles in
+                # turn, against m_j, m_j zeta and m_j |zeta|^2
+                for left, right, factor, operand, out, sums in (
+                        (r_live, r_live, None, None, real_out, rr_sum),
+                        (r_live, q_live, nodes[csl], m_zeta_buf[:width], rq_out, rq_sum),
+                        (q_live, q_live, zeta_sq, m_zeta_sq_buf[:width], qq_out, qq_sum)):
+                    np.multiply(left, right, out=d2[:live])
+                    for j in range(k_out):
+                        node_op = m[j] if factor is None else np.multiply(
+                            m[j, :, None], factor, out=operand).view(np.float64)
+                        np.matmul(d2, node_op, out=out)
+                        sums[rows, j] += out[:live].view(sums.dtype)
+        value_sums = self._shaped(first) if values else None
+        if not data:
+            return value_sums, second, None, None
+        zc = np.conj(pts)[:, None, :]
+        fz = -expo * (zc * r_sum[:, :, None] - q_sum[:, :, :n])
+        fzbar = -expo * (pts[:, None, :] * r_sum[:, :, None] - q_sum[:, :, n:])
+        variances = np.zeros((count, k_out))
+        if monte_carlo:
+            sq_norms = (pts.real ** 2 + pts.imag ** 2)[:, None, :]
+            mean_sq = expo ** 2 * (sq_norms * rr_sum[:, :, None] - 2.0 * (zc * rq_sum).real + qq_sum)
+            variances = np.sum(np.maximum(mean_sq - np.abs(fz) ** 2, 0.0), axis=2)
+        data_errors = self._shaped(np.sqrt(variances / len(self.rule))) if errors else None
+        return value_sums, second, WirtingerData(fz, fzbar), data_errors
 
     def __call__(self, points) -> np.ndarray:
-        return self._moments(points, want_errors=False)[0]
-
-    def _moments(self, points, want_errors: bool):
-        """First moments of the kernel-weighted data, in the GEMM form of the
-        module docstring: per tile and output column, kern @ (psi_j w).  With
-        ``want_errors`` also the sums an error is read from, per column: for a
-        Monte Carlo rule the second moments kern^2 @ (|psi_j|^2 w), for a
-        spectral rule the half-rule values kern @ (psi_j w'), w' the rule's
-        ``half_weights``."""
-        pts = self._guarded_rows(points)
-        count = len(pts)
-        psi = self._psi_cols
-        k_out = len(psi)
-        w = self.rule.weights
-        monte_carlo = want_errors and self.rule.monte_carlo
-        half_rule = want_errors and not monte_carlo
-        first = np.zeros((count, k_out), dtype=complex)
-        second = np.zeros((count, k_out), dtype=complex if half_rule else float) \
-            if want_errors else None
-        width_max = min(CHUNK, len(w))
-        psi_w_buf, abs2_w_buf = np.empty((k_out, width_max), dtype=complex), np.empty((k_out, width_max))
-        if half_rule:
-            w_half = self.rule.half_weights
-            half_w_buf = np.empty((k_out, width_max), dtype=complex)
-        sums, sums_sq = np.empty((_POINT_BLOCK, 2)), np.empty(_POINT_BLOCK)
-        for rows, csl, kern, _, kern_sq in self._kernel_tiles(pts, keep_distances=False):
-            width = csl.stop - csl.start
-            live = rows.stop - rows.start
-            if monte_carlo:
-                np.multiply(kern[:live], kern[:live], out=kern_sq[:live])
-                abs2_w = self._abs2_weights(csl, abs2_w_buf[:, :width])
-            elif half_rule:
-                half_w = np.multiply(psi[:, csl], w_half[csl], out=half_w_buf[:, :width])
-            psi_w = np.multiply(psi[:, csl], w[csl], out=psi_w_buf[:, :width])
-            for j in range(k_out):
-                np.matmul(kern, psi_w[j].view(np.float64).reshape(width, 2), out=sums)
-                first[rows, j] += sums[:live].view(complex)[:, 0]
-                if monte_carlo:
-                    np.matmul(kern_sq, abs2_w[j], out=sums_sq)
-                    second[rows, j] += sums_sq[:live]
-                elif half_rule:
-                    np.matmul(kern, half_w[j].view(np.float64).reshape(width, 2), out=sums)
-                    second[rows, j] += sums[:live].view(complex)[:, 0]
-        return self._shaped(first), second
+        return self._walk(points, values=True, data=False, errors=False)[0]
 
     def _shaped(self, stacked: np.ndarray) -> np.ndarray:
         """A (P, k) per-column result in the shape of the values: (P,) for
         scalar data, else (P, k)."""
         return stacked[:, 0] if self._psi_nodes.ndim == 1 else stacked
 
-    def values_with_errors(self, points):
+    def values_with_errors(self, points, wirtinger: bool = False):
         """Batched values plus per-point quadrature error estimates.
 
         One pass over the rule.  The errors have the values' shape, (P,) or
@@ -311,17 +376,22 @@ class HExtension:
         sqrt(var_j / N); for a spectral rule with m nodes the gap
         |f_m(z) - f_{m/2}(z)| to the half rule on every second node, which
         tracks the rule's aliasing error, the terms of order |z|^m of its
-        kernel sum 1 + 2 sum_{j >= 1} |z|^{jm} cos(j m theta).
+        kernel sum 1 + 2 sum_{j >= 1} |z|^{jm} cos(j m theta).  With
+        ``wirtinger`` the same pass also returns ``wirtinger_many``'s data and
+        errors at the same rows: (values, errors, data, data errors).
         """
-        values, second = self._moments(points, want_errors=True)
+        values, second, data, data_errors = self._walk(points, values=True, data=wirtinger,
+                                                       errors=True)
         if not self.rule.monte_carlo:
-            return values, np.abs(values - self._shaped(second))
-        variances = np.maximum(self._shaped(second) - np.abs(values) ** 2, 0.0)
-        return values, np.sqrt(variances / len(self.rule))
+            errors = np.abs(values - self._shaped(second))
+        else:
+            variances = np.maximum(self._shaped(second) - np.abs(values) ** 2, 0.0)
+            errors = np.sqrt(variances / len(self.rule))
+        return (values, errors, data, data_errors) if wirtinger else (values, errors)
 
     def wirtinger(self, z) -> WirtingerData:
         """Wirtinger derivatives by differentiation under the integral."""
-        return self.wirtinger_with_error(z)[0]
+        return self.wirtinger_many(coords_of(z)[None, :], want_errors=False)[0][0]
 
     def wirtinger_with_error(self, z):
         """(WirtingerData, standard error) at one point: a one-row batch, the
@@ -334,91 +404,11 @@ class HExtension:
 
         Returns one ``WirtingerData`` batch, (P, k, n) arrays whose row p has
         the bits of point p taken alone, and errors shaped like the values,
-        (P,) or (P, k): per row and column j, the root-sum-square over the n
-        coordinates of the Monte Carlo standard errors of the integrands of
-        df_j/dz_i (0.0 for spectral rules).  Without ``want_errors`` the
-        errors are None and their sums are not taken; the data keep their bits.
-
-        The GEMM form on the value engine's tiles: with K = P_h,
-        d2 = |z - zeta|^2, Q = K / d2 and R = K / (1 - |z|^2) + Q, the closed
-        form of ``kernel`` reads dP_h/dz_k = -(2n-1) [conj(z_k) R -
-        Q conj(zeta_k)] and dP_h/dzbar_k = -(2n-1) [z_k R - Q zeta_k], so each
-        output column j adds R @ (psi_j w) and Q @ (psi_j w conj(zeta),
-        psi_j w zeta) per tile.  On Monte Carlo rules, with m_j = |psi_j|^2 w,
-        sum w |psi_j dP_h/dz_k|^2 = (2n-1)^2 [|z_k|^2 (R^2 @ m_j)
-        - 2 Re(conj(z_k) (RQ @ m_j zeta_k)) + Q^2 @ (m_j |zeta_k|^2)], the
-        R^2, RQ and Q^2 tiles made one at a time.
+        (P,) or (P, k) (see ``_walk``).  Without ``want_errors`` the errors
+        are None and their sums are not taken; the data keep their bits.
         """
-        pts = self._guarded_rows(points)
-        count, n = len(pts), self.dim
-        psi = self._psi_cols
-        k_out = len(psi)
-        w = self.rule.weights
-        nodes = self.rule.nodes
-        monte_carlo = want_errors and self.rule.monte_carlo
-        # 1 / (1 - |z|^2), NaN on or beyond the sphere (guard radius >= 1): such
-        # a point hits a refused collision or gives data WirtingerData refuses
-        num = 1.0 - np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)
-        inv_num = np.divide(1.0, num, out=np.full(count, np.nan), where=num > 0.0)
-        # node sums per point and column: R psi w; Q psi w conj(zeta) and
-        # Q psi w zeta; R^2 m; RQ m zeta; Q^2 m |zeta|^2
-        r_sum, q_sum, rr_sum, rq_sum, qq_sum = (np.zeros((count, k_out) + shape, dtype) for shape, dtype
-                                                in (((), complex), ((2 * n,), complex), ((), float),
-                                                    ((n,), complex), ((n,), float)))
-        # C-contiguous node operands, built per chunk, and product outputs
-        width_max = min(CHUNK, len(w))
-        psi_w_buf, m_buf = np.empty((k_out, width_max), dtype=complex), np.empty((k_out, width_max))
-        zeta_buf, psi_zeta_buf = (np.empty((width_max, 2 * n), dtype=complex) for _ in range(2))
-        m_zeta_buf, zeta_sq_buf, m_zeta_sq_buf = (np.empty((width_max, n), dtype=dtype)
-                                                  for dtype in (complex, float, float))
-        r_out, q_out = np.empty((_POINT_BLOCK, 2)), np.empty((_POINT_BLOCK, 4 * n))
-        rr_out, rq_out, qq_out = (np.empty((_POINT_BLOCK,) + shape) for shape in ((), (2 * n,), (n,)))
-        for rows, csl, r_tile, d2, q_tile in self._kernel_tiles(pts, keep_distances=True):
-            width = csl.stop - csl.start
-            live = rows.stop - rows.start
-            r_live, q_live = r_tile[:live], q_tile[:live]
-            np.divide(r_live, d2[:live], out=q_live)
-            np.add(np.multiply(r_live, inv_num[rows, None], out=r_live), q_live, out=r_live)
-            zeta = zeta_buf[:width]
-            np.conj(nodes[csl], out=zeta[:, :n])
-            zeta[:, n:] = nodes[csl]
-            psi_w = np.multiply(psi[:, csl], w[csl], out=psi_w_buf[:, :width])
-            psi_zeta = psi_zeta_buf[:width]
-            for j in range(k_out):
-                np.matmul(r_tile, psi_w[j].view(np.float64).reshape(width, 2), out=r_out)
-                r_sum[rows, j] += r_out[:live].view(complex)[:, 0]
-                np.multiply(psi_w[j, :, None], zeta, out=psi_zeta)
-                np.matmul(q_tile, psi_zeta.view(np.float64), out=q_out)
-                q_sum[rows, j] += q_out[:live].view(complex)
-            if not monte_carlo:
-                continue
-            m = self._abs2_weights(csl, m_buf[:, :width])
-            zeta_sq = np.square(np.abs(nodes[csl], out=zeta_sq_buf[:width]), out=zeta_sq_buf[:width])
-            # the distances are spent: d2 takes the R^2, RQ and Q^2 tiles in
-            # turn, against m_j, m_j zeta and m_j |zeta|^2
-            for left, right, factor, operand, out, sums in (
-                    (r_live, r_live, None, None, rr_out, rr_sum),
-                    (r_live, q_live, nodes[csl], m_zeta_buf[:width], rq_out, rq_sum),
-                    (q_live, q_live, zeta_sq, m_zeta_sq_buf[:width], qq_out, qq_sum)):
-                np.multiply(left, right, out=d2[:live])
-                for j in range(k_out):
-                    node_op = m[j] if factor is None else np.multiply(
-                        m[j, :, None], factor, out=operand).view(np.float64)
-                    np.matmul(d2, node_op, out=out)
-                    sums[rows, j] += out[:live].view(sums.dtype)
-        expo = 2 * n - 1
-        zc = np.conj(pts)[:, None, :]
-        fz = -expo * (zc * r_sum[:, :, None] - q_sum[:, :, :n])
-        fzbar = -expo * (pts[:, None, :] * r_sum[:, :, None] - q_sum[:, :, n:])
-        if not want_errors:
-            return WirtingerData(fz, fzbar), None
-        if monte_carlo:
-            sq_norms = (pts.real ** 2 + pts.imag ** 2)[:, None, :]
-            mean_sq = expo ** 2 * (sq_norms * rr_sum[:, :, None] - 2.0 * (zc * rq_sum).real + qq_sum)
-            variances = np.sum(np.maximum(mean_sq - np.abs(fz) ** 2, 0.0), axis=2)
-        else:
-            variances = np.zeros((count, k_out))
-        return WirtingerData(fz, fzbar), self._shaped(np.sqrt(variances / len(self.rule)))
+        _, _, data, errors = self._walk(points, values=False, data=True, errors=want_errors)
+        return data, errors
 
     def value_error(self, z):
         """The value's quadrature error (``values_with_errors``) at one point:

@@ -16,8 +16,8 @@ with dP_h/dzbar_k its complex conjugate (P_h is real-valued).
 
 Powers are evaluated through exp((2n-1) * log(...)) so that large
 exponents stay stable as |z| approaches 1.  These per-point forms are the
-tests' accuracy reference and are no longer evaluated in tiles: the engines
-of ``extension`` recast the same formulas as BLAS products.
+tests' accuracy reference and are no longer evaluated in tiles: the engine
+of ``extension`` recasts the same formulas as BLAS products.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Each check produces a CheckReport holding both sides of the inequality,
 the tolerance that was granted and where it came from, and enough input
 metadata (function label, points, seed, rule) to replay the check
-bit-identically.  The engines evaluate and the checks compare: a pointwise
+bit-identically.  The evaluators evaluate and the checks compare: a pointwise
 inequality (lemma22, the Schwarz-Pick value and gradient bounds, lemma33)
 is one function that takes arrays already evaluated at a (P, n) sample
 batch (a WirtingerData batch, values with f(0) and their quadrature errors,
@@ -32,8 +32,10 @@ inequality (the separation probe) uses a strict comparison, not a slack.
 Each suite evaluates one WirtingerData batch, (P, k, n) arrays, per
 function and sweep (Lambda by one stacked SVD), and f(0) as one more row of
 a value batch it already evaluates, since a row's value does not depend on
-its batch.  lemma21 evaluates each function once per sweep, at the rows of
-all its balls, and takes the registry's closed form where it has one.
+its batch.  schwarzpick asks an extension for its values, Wirtinger data
+and their errors in one request, so it walks the kernel tiles once.
+lemma21 evaluates each function once per sweep, at the rows of all its
+balls, and takes the registry's closed form where it has one.
 
 Suites group the checks the way the command line exposes them: lemma21
 (gradient-versus-boundary-mean bound on real balls), lemma22 (Wirtinger
@@ -733,9 +735,10 @@ def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:
     if cfg.n >= 2:
         vec = vector_boundary(boundaries[1:1 + cfg.n])
         entries.append((vec.label, vec.sup_bound, slice(1, 1 + cfg.n)))
-    values, v_se = ext.values_with_errors(np.vstack([zs, np.zeros(cfg.n)]))
-    f0 = values[-1]
-    data, g_se = ext.wirtinger_many(zs)
+    # one walk: all at zs and at the origin, in the last block's padding
+    values, v_se, data, g_se = ext.values_with_errors(np.vstack([zs, np.zeros(cfg.n)]),
+                                                      wirtinger=True)
+    f0, data, g_se = values[-1], data[:-1], g_se[:-1]
     reports = []
     for label, bound, cols in entries:
         reports.append(check_schwarz_pick_value(zs, values[:-1, cols], f0[cols], v_se[:-1, cols],

@@ -537,16 +537,20 @@ def test_unwritable_out_is_config_error(tmp_path, command):
 
 @pytest.mark.parametrize("command", [
     ["verify", "--suite", "all", "--n", "2"],
-    ["landau", "--n", "1..4"]], ids=["verify", "landau"])
+    ["extend", "--n", "2", "--boundary", "bump", "--points", "0.1+0i,0.2j"],
+    ["landau", "--n", "1..4"]], ids=["verify", "extend", "landau"])
 def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys, command):
     # verify --suite all --n 2 once computed every suite before it exited 2,
-    # and landau printed its whole table first
+    # extend built its rule and evaluated every point, and landau printed its
+    # whole table first
     from hballs import cli, theorems
 
     calls = []
     for name in theorems.SUITES:
         monkeypatch.setitem(theorems.SUITES, name, lambda *args, name=name: calls.append(name))
     monkeypatch.setattr(cli, "landau_constants", lambda *args: calls.append("landau_constants"))
+    monkeypatch.setattr(cli, "rule_for", lambda *args: calls.append("rule_for"))
+    monkeypatch.setattr(cli, "h_extend", lambda *args, **kwargs: calls.append("h_extend"))
     for out in (tmp_path / "missing" / "out.txt", tmp_path):
         assert cli.main([*command, "--out", str(out)]) == 2
     assert calls == []

@@ -4,8 +4,9 @@ An HExtension's Wirtinger data come from the closed-form kernel derivatives
 (``wirtinger_many``), so those reports carry no finite-difference term, and
 thm24 takes the weighted Lipschitz quotient's derivative limits from the
 same data instead of evaluating near-diagonal pairs.  The work-count guards
-pin how many rows each engine receives, so that a refactor cannot fall back
-to finite differences unnoticed.
+pin how many rows and which outputs each suite asks of the engine, so that
+a refactor cannot fall back to finite differences, or walk the same tiles
+twice, unnoticed.
 """
 
 import numpy as np
@@ -22,7 +23,14 @@ from hballs.norms import (
     uniform_ball,
     weighted_lipschitz_sup,
 )
-from hballs.quadrature import STREAM_PAIRS, STREAM_PROBE, rng_stream, sphere_points, sphere_rule_mc
+from hballs.quadrature import (
+    STREAM_PAIRS,
+    STREAM_PROBE,
+    QuadratureRule,
+    rng_stream,
+    sphere_points,
+    sphere_rule_mc,
+)
 from hballs.theorems import (
     HarnessConfig,
     check_thm24_necessity,
@@ -30,6 +38,7 @@ from hballs.theorems import (
     landau_constants,
     mapping_registry,
     suite_lemma22,
+    suite_schwarzpick,
     suite_thm24,
 )
 
@@ -95,27 +104,24 @@ def test_limits_are_counted_and_witnessed_apart_from_pairs():
 
 @pytest.fixture
 def engine_rows(monkeypatch):
-    """(rows, errors asked for) of each call of the HExtension engines, the
-    value engine (``_moments``) and the gradient engine (``wirtinger_many``),
-    and the rows of each value call of a registry closed form."""
-    calls = {"values": [], "gradients": [], "closed_form_values": []}
-    moments, wirtinger_many = HExtension._moments, HExtension.wirtinger_many
+    """(rows, outputs asked for) of each request to the HExtension engine
+    (``_walk``), the outputs named among values, data and errors, and the
+    rows of each value call of a registry closed form."""
+    calls = {"requests": [], "closed_form_values": []}
+    walk = HExtension._walk
     closed_form = theorems._ClosedForm.__call__
 
-    def counted_moments(self, points, want_errors):
-        calls["values"].append((len(np.atleast_2d(points)), want_errors))
-        return moments(self, points, want_errors)
-
-    def counted_wirtinger_many(self, points, want_errors=True):
-        calls["gradients"].append((len(np.atleast_2d(points)), want_errors))
-        return wirtinger_many(self, points, want_errors)
+    def counted_walk(self, points, values, data, errors):
+        asked = (("values", values), ("data", data), ("errors", errors))
+        calls["requests"].append((len(np.atleast_2d(points)),
+                                  tuple(name for name, wanted in asked if wanted)))
+        return walk(self, points, values, data, errors)
 
     def counted_closed_form(self, points):
         calls["closed_form_values"].append(len(np.atleast_2d(points)))
         return closed_form(self, points)
 
-    monkeypatch.setattr(HExtension, "_moments", counted_moments)
-    monkeypatch.setattr(HExtension, "wirtinger_many", counted_wirtinger_many)
+    monkeypatch.setattr(HExtension, "_walk", counted_walk)
     monkeypatch.setattr(theorems._ClosedForm, "__call__", counted_closed_form)
     return calls
 
@@ -126,8 +132,8 @@ SMALL = dict(n=2, mc_nodes=1100, samples=40, seed=5)
 def test_lemma22_sends_only_its_samples_to_the_gradient_engine(engine_rows):
     reports = suite_lemma22(HarnessConfig(**SMALL))
     assert all(rep.passed for rep in reports)
-    # one stacked call, asking for no standard error
-    assert engine_rows == {"values": [], "gradients": [(theorems.LEMMA22_SAMPLES, False)],
+    # one stacked request for the data, asking for no standard error
+    assert engine_rows == {"requests": [(theorems.LEMMA22_SAMPLES, ("data",))],
                            "closed_form_values": []}
 
 
@@ -136,13 +142,37 @@ def test_thm24_sends_one_point_set_and_its_grid(engine_rows):
     reports = suite_thm24(cfg)
     assert all(rep.passed for rep in reports)
     grid = len(ball_grid(cfg.n))
-    # one value call of the grid and the samples per evaluator: the stacked
-    # extension and the closed form const:1; the gradients at the grid alone
-    assert engine_rows == {"values": [(grid + cfg.samples, False)],
-                           "gradients": [(grid, False)],
+    # one value request for the grid and the samples per evaluator: the
+    # stacked extension and the closed form const:1; the data at the grid alone
+    assert engine_rows == {"requests": [(grid + cfg.samples, ("values",)), (grid, ("data",))],
                            "closed_form_values": [grid + cfg.samples]}
     assert all(rep.inputs["pairs"] == (grid + cfg.samples) * (grid + cfg.samples - 1) // 2
                for rep in reports)
+
+
+def test_schwarzpick_asks_one_request_for_everything_it_reads(engine_rows):
+    # the values and their errors at the samples and the origin, the data and
+    # their errors at the same rows
+    cfg = HarnessConfig(**SMALL)
+    reports = suite_schwarzpick(cfg)
+    assert all(rep.passed for rep in reports)
+    assert engine_rows == {"requests": [(cfg.samples + 1, ("values", "data", "errors"))],
+                           "closed_form_values": []}
+
+
+def test_schwarzpick_walks_its_tiles_once(monkeypatch):
+    chunk_walks = []
+    chunks = QuadratureRule.chunks
+
+    def counted_chunks(self):
+        chunk_walks.append(len(self))
+        return chunks(self)
+
+    monkeypatch.setattr(QuadratureRule, "chunks", counted_chunks)
+    cfg = HarnessConfig(**SMALL)
+    assert all(rep.passed for rep in suite_schwarzpick(cfg))
+    # the 41 rows are one point block, so the rule's chunks are walked once
+    assert chunk_walks == [cfg.mc_nodes]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

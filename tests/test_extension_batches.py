@@ -1,13 +1,13 @@
 """A value or gradient of the extension does not depend on its batch.
 
-The value-sum engine works through the points in 64-row blocks, padding
-the last block with the origin, so that every BLAS product it makes has the
-same shape.  That may not change a single bit: every row, repeated or not,
+The engine works through the points in 64-row blocks, padding the last
+block with the origin, so that every BLAS product it makes has the same
+shape.  That may not change a single bit: every row, repeated or not,
 must equal its own one-point evaluation and the
 engine's arithmetic spelled out one point at a time (``gemm_moments``
 below), and the result may not depend on the BLAS thread count.  The
 original elementwise loop, kept below as ``reference_moments``, is the
-accuracy reference.  The gradient engine works on the same tiles: every
+accuracy reference.  Gradients come from the same tiles: every
 gradient row must equal its one-point call and ``gemm_wirtinger`` below,
 must not depend on the BLAS thread count, and stays within a set tolerance
 of the per-point loop over ``kernel.poisson_h_wirtinger_values`` that the
@@ -216,7 +216,7 @@ def reference_wirtinger(ext, z, chunk_sum):
 
 
 def gemm_wirtinger(ext, points):
-    """The gradient engine's arithmetic one point at a time: the point as
+    """The engine's gradient arithmetic one point at a time: the point as
     row 0 of a block, K, Q = K / d2 and R = K / (1 - |z|^2) + Q from its
     distance row, then per output column one product with R and one with Q,
     and on Monte Carlo rules one with each of R^2, RQ and Q^2, per chunk.
@@ -314,7 +314,8 @@ def test_batch_errors_equal_row_by_row_and_reference(case, data):
     row_pairs = [ext.values_with_errors(row[None, :]) for row in batch]
     assert_same_bits(values, np.stack([v[0] for v, _ in row_pairs]))
     assert_same_bits(errors, np.array([e[0] for _, e in row_pairs]))
-    assert_close_to_reference(ext, batch, values, ext._moments(batch, want_errors=True)[1])
+    second = ext._walk(batch, values=True, data=False, errors=True)[1]
+    assert_close_to_reference(ext, batch, values, second)
 
 
 @settings(max_examples=20, deadline=None)
@@ -359,6 +360,33 @@ def test_gradients_asked_for_no_error_keep_their_bits(n):
     assert_same_bits(without.fzbar, with_errors.fzbar)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(RULES)), st.sampled_from([1, 63, 64, 65, 129]),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_each_output_of_a_request_has_the_bits_it_has_alone(n, count, columns, seed):
+    """Values, their errors, Wirtinger data and their errors from one walk,
+    under the circle rule (n = 1) and a Monte Carlo rule (n = 2), for batches
+    on both sides of a point block's edge and 1-3 stacked columns."""
+    rng = np.random.default_rng(seed)
+    registry = boundary_registry(n)
+    entries = [registry[i] for i in rng.choice(len(registry), columns, replace=False)]
+    ext = h_extend(entries[0] if columns == 1 else vector_boundary(entries), RULES[n])
+    batch = 0.79 * sphere_points(rng, count, n) * rng.random(count)[:, None]
+    values, errors, data, data_errors = ext.values_with_errors(batch, wirtinger=True)
+    alone_values, alone_errors = ext.values_with_errors(batch)
+    alone_data, alone_data_errors = ext.wirtinger_many(batch)
+    assert_same_bits(values, ext(batch))
+    assert_same_bits(values, alone_values)
+    assert_same_bits(errors, alone_errors)
+    for part, alone in ((data, alone_data), (ext.wirtinger_many(batch, want_errors=False)[0], data)):
+        assert_same_bits(part.fz, alone.fz)
+        assert_same_bits(part.fzbar, alone.fzbar)
+    assert_same_bits(data_errors, alone_data_errors)
+    # the raw error sums: second moments, or half-rule values
+    assert_same_bits(ext._walk(batch, values=True, data=True, errors=True)[1],
+                     ext._walk(batch, values=True, data=False, errors=True)[1])
+
+
 # Relative offsets of a point from a node.  The product form rounds the
 # squared distance at 1e-9 to 0, so 1e-7 (about 1e-14, positive) is the case
 # that tells the 1e-12 floor from a floor near 0.
@@ -387,7 +415,7 @@ def test_values_pin_the_gemm_arithmetic(n):
     batch = raw[:, :n] + 1j * raw[:, n:]
     batch *= (0.79 * rng.random(len(batch)) / np.linalg.norm(batch, axis=1))[:, None]
     for ext in EXTENSIONS[n]:
-        values, second = ext._moments(batch, want_errors=True)
+        values, second = ext._walk(batch, values=True, data=False, errors=True)[:2]
         ref_values, ref_second = gemm_moments(ext, batch)
         assert_same_bits(values, ref_values)
         assert_same_bits(second, ref_second)
@@ -429,8 +457,8 @@ def test_product_rows_do_not_depend_on_their_place_in_a_block(n):
         cols = ext._node_aug[:, chunk]
         kern = 1.0 / (block @ cols) ** (2 * n - 1)
         width = cols.shape[1]
-        # the node sums' right operands: (width, 2) and (width,) in the value
-        # engine, (width, 4n), (width, 2n) and (width, n) in the gradient engine
+        # the node sums' right operands: (width, 2) and (width,) for values,
+        # (width, 4n), (width, 2n) and (width, n) for gradients
         rights = [rng.normal(size=(width, c)) for c in (2, 4 * n, 2 * n, n)]
         for left, right in [(block, cols)] + [(kern, r) for r in rights + [rights[0][:, 0].copy()]]:
             full = left @ right
@@ -451,16 +479,20 @@ for n, rule in ((1, circle_rule(1500)), (2, sphere_rule_mc(2, 5000, 11)), (3, sp
     pts = raw[:, :n] + 1j * raw[:, n:]
     pts *= (0.79 * rng.random(len(pts)) / np.linalg.norm(pts, axis=1))[:, None]
     ext = h_extend(vector_boundary(boundary_registry(n)), rule)
-    for part in ext._moments(pts, want_errors=True):
+    for part in ext._walk(pts, values=True, data=False, errors=True)[:2]:
         digest.update(np.ascontiguousarray(part).tobytes())
     grads, errors = ext.wirtinger_many(pts)
     digest.update(grads.fz.tobytes() + grads.fzbar.tobytes() + errors.tobytes())
+    values, value_errors, grads, errors = ext.values_with_errors(pts, wirtinger=True)
+    for part in (values, value_errors, grads.fz, grads.fzbar, errors):
+        digest.update(part.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_values_do_not_depend_on_the_blas_thread_count():
-    """Values, second moments, Wirtinger data and their errors at n = 1, 2, 3."""
+    """Values, second moments, Wirtinger data and their errors at n = 1, 2, 3,
+    requested apart and in one request."""
     digests = []
     for threads in ("1", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,

@@ -270,7 +270,7 @@ def test_all_pairs_walk_drops_repeated_points_and_matches_the_pair_form():
 
 def test_pair_walk_allocates_less_than_the_value_call_it_follows():
     # thm24's point set at n = 2 (grid + 200 points) and its five value
-    # columns: the walk's block buffers stay below the value engine's tiles
+    # columns: the walk's block buffers stay below the extension engine's tiles
     ruled = [entry for entry in boundary_registry(2) if entry.exact_extension is None]
     ext = h_extend(vector_boundary(ruled), sphere_rule_mc(2, 1500, 1))
     points = np.concatenate([ball_grid(2), uniform_ball(2, 200, rng_stream(1, STREAM_PAIRS), 0.7)])
