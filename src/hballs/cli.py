@@ -4,15 +4,16 @@ Usage:
     hballs extend --n 1 --boundary re --nodes 4096 --points 0.5+0i --out f.csv
     hballs extend --n 1 --boundary const:1 --points grid:0.1:0.7:8 --out f.csv
     hballs verify --suite all --seed 1 --out report.json
-    hballs verify --suite lemmaB --trials 10000 --seed 7
+    hballs verify --suite lemmaB --samples 10000 --seed 7
     hballs landau --n 1..4 --alpha 1 --m 1 --out landau.csv
 
 Configuration precedence is command-line flags, then a --config file of
 key=value lines, then the defaults of HarnessConfig: n=1, nodes=4096,
-mc_nodes=200000, seed=0, rmax=0.8, samples=200, trials=10000, pairs=2000,
-alpha=1, m=1 (the norm bound M).  rmax is extend's guard radius, and the
-guard and sampling radius of the schwarzpick and lemma33 suites; lemma21,
-thm24 and lemma22 sample fixed radii under the default guard 0.8.
+mc_nodes=200000, seed=0, rmax=0.8, samples=200, pairs=2000, alpha=1, m=1
+(the norm bound M).  samples also sizes lemmaB's random matrix stacks.
+rmax is extend's guard radius, and the guard and sampling radius of the
+schwarzpick and lemma33 suites; lemma21, thm24 and lemma22 sample fixed
+radii under the default guard 0.8.
 HBALLS_SEED replaces only the default seed.  extend and verify resolve and
 check the same configuration and take --seed; landau takes n, alpha and m
 from --config unless its flags list them.

@@ -49,7 +49,6 @@ probes).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -570,8 +569,8 @@ class HarnessConfig:
     mc_nodes: int = 200000     # Monte Carlo nodes (n >= 2)
     seed: int = 0
     rmax: float = 0.8          # schwarzpick and lemma33 sampling and guard radius
-    samples: int = 200         # sampled z per pointwise sweep; thm24's points beyond the grid
-    trials: int = 10000        # random matrices per dimension
+    samples: int = 200         # sampled z per pointwise sweep; thm24's points beyond the grid;
+                               # lemmaB's random matrices per dimension
     pairs: int = 2000          # landau's univalence pairs per mapping
     alpha: float = 1.0
     m: float = 1.0             # the norm bound M
@@ -583,8 +582,7 @@ class HarnessConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.rmax < 1.0:
             raise ValueError(f"rmax must lie in (0, 1), got {self.rmax}")
-        for name, least in (("nodes", 4), ("mc_nodes", 100), ("samples", 1), ("trials", 1),
-                            ("pairs", 1)):
+        for name, least in (("nodes", 4), ("mc_nodes", 100), ("samples", 1), ("pairs", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("alpha", "m"):
@@ -783,36 +781,36 @@ def suite_lemma33(cfg: HarnessConfig) -> list[CheckReport]:
     return reports
 
 
-def _lemmaB_reports(cfg: HarnessConfig) -> list[CheckReport]:
-    """lemmaB's reports: for n = 2, 3, 4, ``check_lemmaB`` over a stack of
-    ``cfg.trials`` seeded complex n x n matrices, then its equality case.
+def suite_lemmaB(cfg: HarnessConfig) -> list[CheckReport]:
+    """Determinant vs smallest singular value: for n = 2, 3, 4,
+    ``check_lemmaB`` over a stack of ``cfg.samples`` seeded complex n x n
+    matrices, then its equality case.
 
-    Each stack is drawn into one complex array, real parts and then
-    imaginary parts, so it holds the bits of ``x + 1j * y`` for the same two
-    draws without their temporaries, and is freed before the next is drawn.
+    At n = 2 the lemma is the identity |det A| = sigma_max sigma_min, so
+    that stack's report also gives the largest relative gap of the identity
+    over the stack (``max_rel_gap``), which is rounding.  Each stack is
+    drawn into one complex array, real parts and then imaginary parts, so
+    it holds the bits of ``x + 1j * y`` for the same two draws without their
+    temporaries.
     """
     rng = rng_stream(cfg.seed, STREAM_MATRICES)
     reports = []
     for n in (2, 3, 4):
-        mats = np.empty((cfg.trials, n, n), dtype=complex)
+        mats = np.empty((cfg.samples, n, n), dtype=complex)
         mats.real = rng.standard_normal(mats.shape)
         mats.imag = rng.standard_normal(mats.shape)
-        report = check_lemmaB(mats, check_id=f"lemmaB[n={n},trials={cfg.trials}]")
-        del mats
-        report.inputs.update(trials=cfg.trials, seed=cfg.seed)
+        report = check_lemmaB(mats, check_id=f"lemmaB[n={n}]")
+        report.inputs["seed"] = cfg.seed
+        if n == 2:
+            s = np.linalg.svd(mats, compute_uv=False)
+            product = s[:, 0] * s[:, 1]
+            report.inputs["max_rel_gap"] = float(
+                np.max(np.abs(np.abs(np.linalg.det(mats)) - product) / product))
         reports.append(report)
         # equality needs every middle singular value equal to the largest
         reports.append(check_lemmaB(np.diag([2.0] * (n - 1) + [0.5]),
                                     check_id=f"lemmaB.diagonal[n={n}]"))
     return reports
-
-
-def suite_lemmaB(cfg: HarnessConfig, reports: list = None) -> list[CheckReport]:
-    """Determinant vs smallest singular value over seeded random matrices.
-
-    ``reports`` are ``_lemmaB_reports(cfg)``, built here when not given.
-    """
-    return _lemmaB_reports(cfg) if reports is None else reports
 
 
 def suite_landau(cfg: HarnessConfig) -> list[CheckReport]:
@@ -880,41 +878,9 @@ SUITES = {
 
 
 def run_suite(name: str, cfg: HarnessConfig) -> list[CheckReport]:
-    """Run one named suite, or all of them in the order of ``SUITES``.
-
-    For "all", lemmaB's reports (``_lemmaB_reports``) are built on a second
-    thread while the suites before it run on this one, and handed to its
-    suite here, so the reports are those of each suite run by itself, bit
-    for bit.  The second thread calls nothing that bench/tracing.py wraps.
-    """
+    """Run one named suite, or all of them in the order of ``SUITES``."""
     if name == "all":
-        return _run_all(cfg)
+        return [rep for suite in SUITES.values() for rep in suite(cfg)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     return SUITES[name](cfg)
-
-
-def _run_all(cfg: HarnessConfig) -> list[CheckReport]:
-    built, failure = [], []
-
-    def build():
-        try:
-            built.append(_lemmaB_reports(cfg))
-        except BaseException as exc:   # re-raised on the calling thread
-            failure.append(exc)
-
-    helper = threading.Thread(target=build, name="hballs-lemmaB")
-    helper.start()
-    reports = []
-    try:
-        for key, suite in SUITES.items():
-            if key == "lemmaB":
-                helper.join()
-                if failure:
-                    raise failure[0]
-                reports.extend(suite(cfg, built[0]))
-            else:
-                reports.extend(suite(cfg))
-    finally:
-        helper.join()
-    return reports

@@ -195,8 +195,8 @@ def test_criterion_8_schwarz_pick():
 
 
 def test_criterion_9_det_vs_singular_value():
-    reports = run_suite("lemmaB", HarnessConfig(trials=10000, seed=9))
-    aggregate = [rep for rep in reports if "trials" in rep.inputs]
+    reports = run_suite("lemmaB", HarnessConfig(samples=10000, seed=9))
+    aggregate = [rep for rep in reports if rep.check_id.startswith("lemmaB[")]
     diagonal = [rep for rep in reports if "diagonal" in rep.check_id]
     failures = sum(rep.inputs["failures"] for rep in aggregate)
     diag_ok = all(abs(rep.margin) <= 1e-12 for rep in diagonal)
@@ -284,7 +284,7 @@ def test_criterion_12_reproducibility(tmp_path):
 def test_criterion_12_reproducibility_at_n2(tmp_path):
     # every suite on the Monte Carlo rule, at a reduced size
     outputs = reports_under_blas_threads(tmp_path, "--n", "2", "--mc-nodes", "5000",
-                                         "--samples", "40", "--pairs", "300", "--trials", "2000")
+                                         "--samples", "40", "--pairs", "300")
     identical = outputs[0] == outputs[1]
     doc = json.loads(outputs[0])
     report(

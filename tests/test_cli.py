@@ -288,7 +288,7 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == f"numerical failure: {exc}{echo}\n"
 
     def test_lemmab_exit_zero(self):
-        proc = run_cli("verify", "--suite", "lemmaB", "--trials", "2000", "--seed", "7")
+        proc = run_cli("verify", "--suite", "lemmaB", "--samples", "2000", "--seed", "7")
         assert proc.returncode == 0
 
     def test_report_schema(self, tmp_path):
@@ -325,7 +325,7 @@ class TestVerifyCommand:
         assert run_cli("verify", "--suite", "landau", "--alpha", "0").returncode == 2
 
     @pytest.mark.parametrize("flag, suite", [
-        ("--samples", "schwarzpick"), ("--trials", "lemmaB"), ("--pairs", "landau"),
+        ("--samples", "schwarzpick"), ("--samples", "lemmaB"), ("--pairs", "landau"),
         ("--n", "lemmaB")])
     def test_empty_sweep_exit_2(self, flag, suite):
         proc = run_cli("verify", "--suite", suite, flag, "0")
@@ -340,7 +340,7 @@ class TestVerifyCommand:
         # lemmaB once exited 0 with both values in its report, and lemma21
         # refused nodes 2 without naming the field
         out = tmp_path / "report.json"
-        proc = run_cli("verify", "--suite", suite, "--trials", "10", *args, "--out", str(out))
+        proc = run_cli("verify", "--suite", suite, "--samples", "10", *args, "--out", str(out))
         assert proc.returncode == 2
         assert f"config error: {message}" in proc.stderr
         assert not out.exists()
@@ -358,7 +358,7 @@ class TestVerifyCommand:
     def test_non_finite_alpha_or_m_is_refused_by_name(self, tmp_path, args, message):
         # both once reached the report as the invalid JSON tokens NaN and Infinity
         out = tmp_path / "report.json"
-        proc = run_cli("verify", "--suite", "lemmaB", "--trials", "10", *args, "--out", str(out))
+        proc = run_cli("verify", "--suite", "lemmaB", "--samples", "10", *args, "--out", str(out))
         assert proc.returncode == 2
         assert f"config error: {message}" in proc.stderr
         assert not out.exists()
@@ -370,7 +370,7 @@ class TestVerifyCommand:
     def test_alpha_and_m_ranges_do_not_depend_on_the_suite(self, tmp_path, suite, args, message):
         # lemmaB once exited 0 and wrote alpha 0 and m 0.5 into its report
         out = tmp_path / "report.json"
-        proc = run_cli("verify", "--suite", suite, "--trials", "10", *args, "--out", str(out))
+        proc = run_cli("verify", "--suite", suite, "--samples", "10", *args, "--out", str(out))
         assert proc.returncode == 2
         assert f"config error: {message}" in proc.stderr
         assert not out.exists()
@@ -419,7 +419,7 @@ class TestConfigHandling:
         cfg.write_text("seed=-1\n" if route == "config" else "")
         args = ["--seed", "-1"] if route == "flag" else []
         env = {"HBALLS_SEED": "-1"} if route == "env" else None
-        proc = run_cli("verify", "--suite", "lemmaB", "--trials", "1", "--config", str(cfg),
+        proc = run_cli("verify", "--suite", "lemmaB", "--samples", "1", "--config", str(cfg),
                        *args, env_extra=env)
         assert proc.returncode == 2
         assert "config error: seed must be >= 0, got -1" in proc.stderr
@@ -441,7 +441,7 @@ class TestConfigHandling:
         assert json.loads(out.read_text())["config"]["seed"] == 8
 
     @pytest.mark.parametrize("command", [
-        ["verify", "--suite", "lemmaB", "--trials", "5"],
+        ["verify", "--suite", "lemmaB", "--samples", "5"],
         ["extend", "--boundary", "re", "--points", "0.5+0i"],
         ["landau"]], ids=["verify", "extend", "landau"])
     def test_unknown_config_key_is_refused(self, tmp_path, command):
@@ -451,7 +451,20 @@ class TestConfigHandling:
         proc = run_cli(*command, "--config", str(cfg))
         assert proc.returncode == 2
         assert proc.stderr == ("config error: unknown config key 'mc-nodes'; known keys: n, "
-                               "nodes, mc_nodes, seed, rmax, samples, trials, pairs, alpha, m\n")
+                               "nodes, mc_nodes, seed, rmax, samples, pairs, alpha, m\n")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_retired_trials_is_refused_by_name(self, tmp_path, route):
+        # lemmaB's stacks are sized by samples; the old trials knob names no field
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials=10\n" if route == "config" else "")
+        args = ["--trials", "10"] if route == "flag" else []
+        proc = run_cli("verify", "--suite", "lemmaB", "--config", str(cfg), *args)
+        assert proc.returncode == 2
+        named = "unknown config key 'trials'" if route == "config" else "--trials 10"
+        assert named in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
     def test_malformed_config_exit_2(self, tmp_path):
@@ -517,7 +530,7 @@ def test_all_suites_write_strict_json(tmp_path, flags):
 
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--suite", "all", *flags, "--seed", "2", "--samples", "20",
-                     "--trials", "200", "--pairs", "200", "--out", str(out)])
+                     "--pairs", "200", "--out", str(out)])
     doc = json.loads(out.read_text(), parse_constant=refuse_constant)
     assert code == 0 and doc["summary"]["failed"] == 0
 

@@ -1,8 +1,12 @@
-"""README's "Library use" block runs as written, so the documented API
-cannot go stale."""
+"""README's "Library use" block runs as written, and every ``hballs`` command
+line in README and in the CLI's usage text parses, so the documented API and
+flags cannot go stale."""
 
 import re
+import shlex
 from pathlib import Path
+
+from hballs import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +15,14 @@ def test_library_use_block_runs():
     section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_documented_command_lines_parse():
+    fenced = re.findall(r"^```(\w*)\n(.*?)^```$", README.read_text(encoding="utf-8"), re.S | re.M)
+    shell = [text for lang, text in fenced if lang != "python"]
+    lines = [line.strip() for text in (*shell, cli.__doc__) for line in text.splitlines()]
+    commands = [line for line in lines if line.startswith("hballs ")]
+    assert len(commands) >= 10   # five in README's CLI block, five in the usage text
+    parser = cli.build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])   # exits 2 on a flag it does not know

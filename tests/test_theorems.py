@@ -360,12 +360,12 @@ class TestLemmaB:
                 assert check_lemmaB(A).passed
 
     def test_suite_counts(self):
-        cfg = HarnessConfig(trials=1000, seed=7)
+        cfg = HarnessConfig(samples=1000, seed=7)
         reports = run_suite("lemmaB", cfg)
         assert len(reports) == 6   # aggregate + diagonal equality per dimension
-        assert all(rep.passed for rep in reports)
-        assert all(rep.inputs.get("failures", 0) == 0
-                   for rep in reports if "trials" in rep.inputs)
+        assert [rep.check_id for rep in reports] == [
+            cid for n in (2, 3, 4) for cid in (f"lemmaB[n={n}]", f"lemmaB.diagonal[n={n}]")]
+        assert all(rep.passed and rep.inputs["failures"] == 0 for rep in reports)
         # each dimension's whole stack is checked
         assert [rep.inputs["samples"] for rep in reports] == [1000, 1] * 3
 
@@ -384,7 +384,7 @@ class TestLemmaB:
 
     def test_trials_equal_the_summed_draws_to_the_bit(self, monkeypatch):
         # the stacks are drawn in place; the reference sums two separate draws
-        cfg = HarnessConfig(trials=300, seed=11)
+        cfg = HarnessConfig(samples=300, seed=11)
         rng = rng_stream(cfg.seed, STREAM_MATRICES)
         stacks = []
 
@@ -394,16 +394,34 @@ class TestLemmaB:
             return check_lemmaB(matrices, **kwargs)
 
         monkeypatch.setattr(theorems, "check_lemmaB", recording)
-        reports = theorems._lemmaB_reports(cfg)
-        assert [stack.shape for stack in stacks] == [(cfg.trials, n, n) for n in (2, 3, 4)]
+        reports = theorems.suite_lemmaB(cfg)
+        assert [stack.shape for stack in stacks] == [(cfg.samples, n, n) for n in (2, 3, 4)]
         for stack, rep in zip(stacks, reports[::2]):
             n = stack.shape[1]
-            mats = (rng.standard_normal((cfg.trials, n, n))
-                    + 1j * rng.standard_normal((cfg.trials, n, n)))
+            mats = (rng.standard_normal((cfg.samples, n, n))
+                    + 1j * rng.standard_normal((cfg.samples, n, n)))
             assert stack.tobytes() == mats.tobytes()
-            expected = check_lemmaB(mats, check_id=rep.check_id)
-            expected.inputs.update(trials=cfg.trials, seed=cfg.seed)
-            assert rep.to_dict() == expected.to_dict()
+            expected = check_lemmaB(mats, check_id=rep.check_id).to_dict()
+            expected["inputs"]["seed"] = cfg.seed
+            if n == 2:
+                expected["inputs"]["max_rel_gap"] = rep.inputs["max_rel_gap"]
+            assert rep.to_dict() == expected
+
+    def test_n2_stack_shows_the_identity_to_rounding(self):
+        # at n = 2 the lemma is |det A| = sigma_max sigma_min
+        reports = run_suite("lemmaB", HarnessConfig(seed=3))
+        stack = next(rep for rep in reports if rep.check_id == "lemmaB[n=2]")
+        assert 0.0 <= stack.inputs["max_rel_gap"] < 1e-13
+        assert all("max_rel_gap" not in rep.inputs for rep in reports if rep is not stack)
+
+    def test_default_stacks_catch_a_determinant_error_at_n2(self, monkeypatch):
+        # the fault class the random stacks see: at n = 2 a relative error of
+        # 1e-9 in det breaks the identity, as it breaks every equality case
+        true_det = np.linalg.det
+        monkeypatch.setattr(theorems.np.linalg, "det", lambda a: (1.0 + 1e-9) * true_det(a))
+        failed = {rep.check_id for rep in run_suite("lemmaB", HarnessConfig()) if not rep.passed}
+        assert failed == {"lemmaB[n=2]", "lemmaB.diagonal[n=2]", "lemmaB.diagonal[n=3]",
+                          "lemmaB.diagonal[n=4]"}
 
 
 class TestLandauConstants:
@@ -532,7 +550,7 @@ class TestSuiteRunner:
             run_suite("nope", HarnessConfig())
 
     def test_config_refuses_empty_sweeps(self):
-        for field in ("samples", "trials", "pairs", "n"):
+        for field in ("samples", "pairs", "n"):
             with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
                 HarnessConfig(**{field: 0})
 
@@ -564,9 +582,8 @@ class TestSuiteRunner:
                 HarnessConfig(rmax=rmax)
 
     def test_all_concatenates(self):
-        # lemmaB's matrices come from a second thread in "all", and not alone
-        for cfg in (HarnessConfig(n=1, nodes=512, seed=2, samples=20, trials=200, pairs=200),
-                    HarnessConfig(n=2, mc_nodes=1100, seed=2, samples=8, trials=200, pairs=40)):
+        for cfg in (HarnessConfig(n=1, nodes=512, seed=2, samples=20, pairs=200),
+                    HarnessConfig(n=2, mc_nodes=1100, seed=2, samples=8, pairs=40)):
             reports = run_suite("all", cfg)
             assert len(reports) > 30
             assert all(isinstance(rep, CheckReport) for rep in reports)
@@ -574,26 +591,24 @@ class TestSuiteRunner:
             alone = [rep for name in theorems.SUITES for rep in run_suite(name, cfg)]
             assert [rep.to_dict() for rep in reports] == [rep.to_dict() for rep in alone]
 
+    def test_all_starts_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        seen = []
+        for name in list(theorems.SUITES):
+            monkeypatch.setitem(theorems.SUITES, name,
+                                lambda cfg, *rest: seen.append(threading.active_count()) or [])
+        assert run_suite("all", HarnessConfig()) == []
+        assert seen == [before] * len(theorems.SUITES)
+
     def test_all_raises_the_failure_of_lemmaB_trials(self, monkeypatch, capsys):
         def fail(cfg):
             raise NonFiniteResult("singular values must be finite")
 
-        monkeypatch.setattr(theorems, "_lemmaB_reports", fail)
-        cfg = HarnessConfig(n=1, nodes=256, samples=5, trials=10, pairs=20)
+        monkeypatch.setitem(theorems.SUITES, "lemmaB", fail)
+        cfg = HarnessConfig(n=1, nodes=256, samples=5, pairs=20)
         with pytest.raises(NonFiniteResult, match="^singular values must be finite$"):
             run_suite("all", cfg)
         code = cli.main(["verify", "--suite", "all", "--nodes", "256", "--samples", "5",
-                         "--trials", "10", "--pairs", "20"])
+                         "--pairs", "20"])
         assert code == 3
         assert capsys.readouterr().err == "numerical failure: singular values must be finite\n"
-
-    def test_all_joins_the_helper_when_a_suite_raises(self, monkeypatch):
-        def fail(cfg):
-            raise ValueError("lemma21 failed")
-
-        monkeypatch.setitem(theorems.SUITES, "lemma21", fail)
-        threads = threading.active_count()
-        # the default trials keep the helper busy well after lemma21 raises
-        with pytest.raises(ValueError, match="^lemma21 failed$"):
-            run_suite("all", HarnessConfig(n=1))
-        assert threading.active_count() == threads

@@ -5,7 +5,7 @@ them up by.  A refactor that drops or renames one of them breaks traced
 benchmark runs, so this test installs the tracer from its file, unchanged,
 and runs small lemma21, thm24, lemma22, schwarzpick and lemma33 suites
 under it.  Its spans assume one thread, so a small ``run_suite("all")``
-also runs under it: lemmaB's second thread must call no traced name.
+also runs under it, and every traced call must come from the calling thread.
 """
 
 import importlib.util
@@ -115,7 +115,7 @@ def test_all_suites_keep_every_traced_call_on_the_calling_thread():
     tracer.spans = ThreadRecordingSpans()
     try:
         reports = hballs.theorems.run_suite(
-            "all", HarnessConfig(n=1, nodes=512, seed=5, samples=10, trials=200, pairs=40))
+            "all", HarnessConfig(n=1, nodes=512, seed=5, samples=10, pairs=40))
     finally:
         tracer.unpatch()
     assert all(rep.passed for rep in reports)
