@@ -16,7 +16,8 @@ The distortion numbers are its extreme singular values:
     lambda_f = min |J theta|,
 
 the two maxima ranging over the same set because a complex unit vector and
-its real coordinates have equal length.
+its real coordinates have equal length.  lambda_f is J's smallest singular
+value when k >= n, and 0 when k < n, where J has a kernel.
 
 Derivative data comes in batches, (P, k, n) Wirtinger stacks and
 (P, 2k, 2n) Jacobian arrays; norms and singular values take a batch in one
@@ -189,6 +190,7 @@ def operator_norm(matrix):
 
 
 def lambda_bounds_wirtinger(data: WirtingerData):
-    """(Lambda, lambda) of theta -> f_z theta + f_zbar conj(theta), per point of a batch."""
+    """(Lambda, lambda) of theta -> f_z theta + f_zbar conj(theta), per point
+    of a batch; lambda is 0 when k < n."""
     s = np.linalg.svd(real_jacobian_from_wirtinger(data), compute_uv=False)
-    return s[..., 0], s[..., -1]
+    return s[..., 0], s[..., -1] if data.out_dim >= data.dim else np.zeros_like(s[..., 0])

@@ -18,7 +18,9 @@ The weighted Lipschitz quotient
 is taken over an array of pairs (``weighted_lipschitz_sup``; one pair is a
 one-pair array), or over every pair of one point set from the values at
 its points (``all_pairs_lipschitz``): P points evaluated once give
-P(P-1)/2 pairs.  In the disk the Lipschitz number
+P(P-1)/2 pairs.  As w -> z its limits over every direction peak at
+(1-|z|^2) Lambda_f(z), taken with the Bloch sup from one Wirtinger data
+batch (``_grid_sups``).  In the disk the Lipschitz number
 sup |f(z) - f(w)| / arctanh|phi_z(w)| equals the Bloch seminorm, so it is
 taken in that derivative form.
 """
@@ -47,7 +49,6 @@ __all__ = [
 ]
 
 GRID_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)   # ball_grid's shells around the origin
-LIMIT_PHASES = 32   # phases theta of the derivative-limit directions theta e_1
 # all_pairs_lipschitz drops pairs closer than this: pair_samples' floor
 # 1e-9 rmax at thm24's sampling radius 0.7
 _PAIR_FLOOR = 1e-9 * 0.7
@@ -148,14 +149,35 @@ def _points_array(samples) -> np.ndarray:
 def bloch_seminorm(f, samples) -> SupEstimate:
     """max over samples of (1-|z|^2) (|grad f| + |grad fbar|), scalar f."""
     samples = _points_array(samples)
-    return _bloch_from_data(samples, wirtinger_fd_many(f, samples))
+    return _grid_sups(samples, wirtinger_fd_many(f, samples))[0]
 
 
-def _bloch_from_data(samples: np.ndarray, data: WirtingerData) -> SupEstimate:
-    """The Bloch sup from the Wirtinger data batch evaluated at the samples."""
-    weights = 1.0 - np.linalg.norm(samples, axis=1) ** 2
+def _grid_sups(points: np.ndarray, data: WirtingerData) -> tuple[SupEstimate, SupEstimate]:
+    """The Bloch sup and the weighted Lipschitz quotient's derivative-limit
+    sup over the (P, n) points, from the scalar Wirtinger data batch there.
+
+    With a = f_z, b = f_zbar and c = sum_k a_k b_k at z, the quotient at
+    (z, z + delta u) tends, as delta -> 0, to (1-|z|^2) |a u + b conj(u)|
+    for a unit vector u of C^n.  That modulus is the max over phases phi of
+    Re <u, exp(-i phi) conj(a) + exp(i phi) b>, so its max over u is
+    (1-|z|^2) Lambda_f(z), Lambda^2 = |a|^2 + |b|^2 + 2 |c|, attained at
+    u* = exp(-i gamma/2) (conj(a) + exp(i gamma) b) / |conj(a) + exp(i gamma) b|
+    with exp(i gamma) = conj(c) / |c| (1 when c = 0), and u* = e_1 when
+    a = b = 0.  |a| and |b| are the Bloch sup's gradient norms.  Ties go to
+    the lowest point; the limit's witness is the (2, n) row (z, u*).
+    """
+    weights = 1.0 - np.linalg.norm(points, axis=1) ** 2
     grad, grad_bar = data.gradient_norms()
-    return _argmax_estimate(weights * (grad + grad_bar), samples)
+    bloch = _argmax_estimate(weights * (grad + grad_bar), points)
+    a, b = data.fz[:, 0], data.fzbar[:, 0]                  # (P, n)
+    c = np.sum(a * b, axis=1)
+    limits = weights * np.sqrt(grad ** 2 + grad_bar ** 2 + 2.0 * np.abs(c))
+    i = int(np.argmax(limits))   # lowest index wins ties
+    half = np.sqrt(c[i] / abs(c[i])) if c[i] != 0 else 1.0   # exp(-i gamma / 2)
+    u = half * np.conj(a[i]) + np.conj(half) * b[i]
+    scale = np.linalg.norm(u)
+    u = u / scale if scale > 0 else np.eye(points.shape[1], 1, dtype=complex)[:, 0]
+    return bloch, SupEstimate(float(limits[i]), np.stack([points[i], u]))
 
 
 def alpha_bloch_seminorm(f, alpha: float, samples) -> SupEstimate:
@@ -167,33 +189,6 @@ def alpha_bloch_seminorm(f, alpha: float, samples) -> SupEstimate:
     weights = (1.0 - np.linalg.norm(samples, axis=1) ** 2) ** alpha
     norm_z, norm_zbar = operator_norm(np.stack([data.fz, data.fzbar]))   # one stacked SVD
     return _argmax_estimate(weights * (norm_z + norm_zbar), samples)
-
-
-def _lipschitz_limits_from_data(points: np.ndarray, data: WirtingerData) -> SupEstimate:
-    """The weighted Lipschitz quotient's limits along theta e_1, from the
-    Wirtinger data batch evaluated at the points.
-
-    At (z, z + delta theta e_1) the quotient tends, as delta -> 0, to
-    (1-|z|^2) |f_{z_1} theta + f_{zbar_1} conj(theta)|, each a limit of
-    pair quotients and so a lower bound of their sup.  The theta are the
-    ``LIMIT_PHASES`` phases exp(2 pi i m / LIMIT_PHASES), m = 0, 1, ..., taken
-    point by point, phases within, so the lowest such index wins ties; the
-    witness is the (2, n) row (z, theta e_1).
-    """
-    points = np.atleast_2d(points)
-    if points.size == 0:
-        raise EmptySampleSet("sup estimate over an empty sample set")
-    phases = np.exp(2j * np.pi * np.arange(LIMIT_PHASES) / LIMIT_PHASES)
-    fz, fzbar = data.fz[..., 0], data.fzbar[..., 0]        # (P, k)
-    moved = (fz[:, None, :] * phases[None, :, None]
-             + fzbar[:, None, :] * np.conj(phases)[None, :, None])
-    weights = 1.0 - np.linalg.norm(points, axis=1) ** 2
-    values = (weights[:, None] * np.linalg.norm(moved, axis=2)).reshape(-1)
-    idx = int(np.argmax(values))   # lowest index wins ties
-    witness = np.zeros((2, points.shape[1]), dtype=complex)
-    witness[0] = points[idx // LIMIT_PHASES]
-    witness[1, 0] = phases[idx % LIMIT_PHASES]
-    return SupEstimate(float(values[idx]), witness)
 
 
 def weighted_lipschitz_sup(f, pairs: np.ndarray) -> SupEstimate:

@@ -30,7 +30,8 @@ h-harmonic; schwarzpick and lemma33 only the quadrature error.  A strict
 inequality (the separation probe) uses a strict comparison, not a slack.
 
 Each suite evaluates one WirtingerData batch, (P, k, n) arrays, per
-function and sweep (Lambda by one stacked SVD), and f(0) as one more row of
+function and sweep (Lambda by one stacked SVD in schwarzpick, in closed
+form for thm24's scalar limits), and f(0) as one more row of
 a value batch it already evaluates, since a row's value does not depend on
 its batch.  schwarzpick asks an extension for its values, Wirtinger data
 and their errors in one request, so it walks the kernel tiles once.
@@ -72,10 +73,8 @@ from .extension import (
     vector_boundary,
 )
 from .norms import (
-    LIMIT_PHASES,
     SupEstimate,
-    _bloch_from_data,
-    _lipschitz_limits_from_data,
+    _grid_sups,
     all_pairs_lipschitz,
     ball_grid,
     # not called here: bench/tracing.py patches these module-level names
@@ -354,17 +353,17 @@ def check_thm24_necessity(pair_est: SupEstimate, pairs: int, grid: np.ndarray,
     witness a (2, n) pair, and ``data`` f's Wirtinger data batch at the grid
     points; ``fd_error`` is the data's finite-difference term.  The lhs is
     the larger of two lower bounds of the true pair sup: ``pair_est``, and
-    the quotient's derivative limits at the grid points, (1-|z|^2)
-    |f_{z_1} theta + f_{zbar_1} conj(theta)|, the limit of the quotient at
-    (z, z + delta theta e_1) as delta -> 0, over the ``LIMIT_PHASES`` phases
-    theta.  Pairs and limits are counted and witnessed separately; the
-    limits and the Bloch sup share the grid data.  The qualitative converse
-    (finite pair-sup alongside finite derivative-sup) is recorded in the
-    inputs rather than checked quantitatively.
+    the quotient's derivative limits at the grid points over every unit
+    direction u, (1-|z|^2) Lambda_f(z), each the limit of the quotient at
+    (z, z + delta u*) as delta -> 0 for the direction u* attaining it
+    (``norms._grid_sups``, in closed form).  Pairs and limits are counted and
+    witnessed separately; the limits and the Bloch sup share the grid data.
+    The qualitative converse (finite pair-sup alongside finite
+    derivative-sup) is recorded in the inputs rather than checked
+    quantitatively.
     """
     n = grid.shape[1]
-    limit_est = _lipschitz_limits_from_data(grid, data)
-    bloch_est = _bloch_from_data(grid, data)
+    bloch_est, limit_est = _grid_sups(grid, data)
     from_limit = limit_est.value > pair_est.value
     lhs = limit_est.value if from_limit else pair_est.value
     rhs = math.pi * math.sqrt(n) * bloch_est.value
@@ -372,7 +371,7 @@ def check_thm24_necessity(pair_est: SupEstimate, pairs: int, grid: np.ndarray,
     return make_report(
         f"thm24[n={n},f={label}]", lhs, rhs, fd_error=fd_error,
         inputs={
-            "f": label, "n": n, "pairs": int(pairs), "limits": len(grid) * LIMIT_PHASES,
+            "f": label, "n": n, "pairs": int(pairs), "limits": len(grid),
             "grid": len(grid), "lhs_from": "limit" if from_limit else "pair",
             "pair_sup": pair_est.value, "limit_sup": limit_est.value,
             "bloch_sup": bloch_est.value,
@@ -444,16 +443,22 @@ def check_lemmaB(matrices, *, check_id: str = "lemmaB") -> CheckReport:
     Stated over all unit directions theta as |A theta| >= |det A| |A|^(1-n);
     the minimum of |A theta| is the smallest singular value, so one SVD
     settles the whole family.  The witness's index in the stack and its
-    extreme singular values are in the inputs.
+    extreme singular values are in the inputs, with the largest relative
+    gap of the identity |det A| = prod sigma_i over the stack
+    (``max_rel_gap``, 0 for a matrix whose product is 0), which is rounding.
     """
     A = np.reshape(matrices, (-1,) + np.shape(matrices)[-2:])
     n = A.shape[-1]
     s = np.linalg.svd(A, compute_uv=False)
-    lhs = np.abs(np.linalg.det(A)) * s[:, 0] ** (1 - n)
+    det = np.abs(np.linalg.det(A))
+    lhs = det * s[:, 0] ** (1 - n)
+    product = np.prod(s, axis=1)
+    gaps = np.divide(np.abs(det - product), product, out=np.zeros_like(product),
+                     where=product > 0)
     return _batch_report(
         check_id, lhs, s[:, -1],
         lambda i: {"n": n, "worst_index": i, "sigma_max": float(s[i, 0]),
-                   "sigma_min": float(s[i, -1])},
+                   "sigma_min": float(s[i, -1]), "max_rel_gap": float(np.max(gaps))},
         analytic=1e-12)
 
 
@@ -787,9 +792,8 @@ def suite_lemmaB(cfg: HarnessConfig) -> list[CheckReport]:
     matrices, then its equality case.
 
     At n = 2 the lemma is the identity |det A| = sigma_max sigma_min, so
-    that stack's report also gives the largest relative gap of the identity
-    over the stack (``max_rel_gap``), which is rounding.  Each stack is
-    drawn into one complex array, real parts and then imaginary parts, so
+    that stack sees a determinant or SVD error of rounding size.  Each stack
+    is drawn into one complex array, real parts and then imaginary parts, so
     it holds the bits of ``x + 1j * y`` for the same two draws without their
     temporaries.
     """
@@ -801,11 +805,6 @@ def suite_lemmaB(cfg: HarnessConfig) -> list[CheckReport]:
         mats.imag = rng.standard_normal(mats.shape)
         report = check_lemmaB(mats, check_id=f"lemmaB[n={n}]")
         report.inputs["seed"] = cfg.seed
-        if n == 2:
-            s = np.linalg.svd(mats, compute_uv=False)
-            product = s[:, 0] * s[:, 1]
-            report.inputs["max_rel_gap"] = float(
-                np.max(np.abs(np.abs(np.linalg.det(mats)) - product) / product))
         reports.append(report)
         # equality needs every middle singular value equal to the largest
         reports.append(check_lemmaB(np.diag([2.0] * (n - 1) + [0.5]),

@@ -177,6 +177,20 @@ class TestLambdaBounds:
         assert vals.max() <= big + 1e-12
         assert vals.min() >= small - 1e-12
 
+    def test_scalar_data_at_n2_has_lambda_zero(self):
+        # k < n: the 2 x 4 real Jacobian has a kernel, so min |J theta| is 0,
+        # not J's last (second) singular value
+        data = WirtingerData([[1.0, 0.5j]], [[0.2, 0.0]])
+        big, small = lambda_bounds_wirtinger(data)
+        assert small == 0.0
+        J = real_jacobian_from_wirtinger(data)
+        assert big == pytest.approx(np.linalg.svd(J, compute_uv=False)[0], rel=1e-15)
+        kernel = np.linalg.svd(J)[2][-1]          # a real unit direction J maps to ~0
+        assert np.linalg.norm(J @ kernel) <= 1e-15
+        batch_big, batch_small = lambda_bounds_wirtinger(WirtingerData(
+            np.stack([data.fz, 2.0 * data.fz]), np.stack([data.fzbar, data.fzbar])))
+        assert np.array_equal(batch_small, [0.0, 0.0]) and batch_big[0] == big
+
 
 class TestValidation:
     def test_wirtinger_shape_check(self):

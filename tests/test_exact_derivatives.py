@@ -16,10 +16,9 @@ from hballs import theorems
 from hballs.calculus import wirtinger_fd_many
 from hballs.extension import HExtension, boundary_registry, h_extend, vector_boundary
 from hballs.norms import (
-    _lipschitz_limits_from_data,
+    _grid_sups,
     all_pairs_lipschitz,
     ball_grid,
-    sphere_directions,
     uniform_ball,
     weighted_lipschitz_sup,
 )
@@ -62,18 +61,24 @@ def test_exact_wirtinger_data_agree_with_finite_differences():
 
 
 def test_derivative_limit_is_the_limit_of_pair_quotients():
-    points = 0.45 * sphere_directions(2, 16)
-    data = BUMP.wirtinger_many(points)[0]
-    limit = _lipschitz_limits_from_data(points, data)
+    # an engine cross-check: at the grid's limit witness (z, u*) the same
+    # discretized extension's pair quotients converge to the limit taken
+    # from its kernel derivatives
+    grid = ball_grid(2)
+    limit = _grid_sups(grid, BUMP.wirtinger_many(grid)[0])[1]
     z, direction = limit.witness
-    assert np.isclose(abs(direction[0]), 1.0) and np.all(direction[1:] == 0.0)
-    gaps = []
-    for delta in (1e-3, 1e-4, 1e-5):
-        pair = np.array([[z, z + delta * direction]])
-        gaps.append(abs(weighted_lipschitz_sup(BUMP, pair).value - limit.value))
-    assert gaps[0] <= 1e-2 * limit.value
-    # O(delta): each tenfold smaller step shrinks the gap about tenfold
-    assert gaps[1] <= 0.2 * gaps[0] and gaps[2] <= 0.2 * gaps[1]
+    assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-15)
+    one_sided, centred = [], []
+    for t in (1e-2, 1e-3, 1e-4, 1e-5):
+        for gaps, pair in ((one_sided, [z, z + t * direction]),
+                           (centred, [z - 0.5 * t * direction, z + 0.5 * t * direction])):
+            gaps.append(abs(weighted_lipschitz_sup(BUMP, np.array([pair])).value - limit.value))
+    assert one_sided[0] <= 2e-2 * limit.value and centred[0] <= 1e-3 * limit.value
+    # O(t) for (z, z + t u*); O(t^2) for the centred pair, down to rounding
+    # (measured 8.9e-5, 8.9e-7, 8.9e-9, 5.6e-11)
+    assert all(later <= 0.2 * gap for gap, later in zip(one_sided, one_sided[1:]))
+    assert all(later <= 0.02 * gap for gap, later in zip(centred[:3], centred[1:3]))
+    assert centred[3] <= 1e-9
 
 
 def thm24_of(f, points, grid):
@@ -88,18 +93,34 @@ def test_limits_are_counted_and_witnessed_apart_from_pairs():
     grid = ball_grid(2)
     points = uniform_ball(2, 20, rng_stream(2, STREAM_PAIRS), 0.7)
     coord1 = thm24_of(lambda pts: np.asarray(pts)[:, 0], points, grid)
-    # the limit at the origin is exactly 1, above any pair of 20 sampled points
+    # the limit at the origin is exactly 1, along e_1, above any pair of 20
+    # sampled points
     assert coord1.inputs["lhs_from"] == "limit"
     assert coord1.lhs == coord1.inputs["limit_sup"] == pytest.approx(1.0, abs=1e-9)
-    assert coord1.inputs["limit_witness"]["point"] == [[0.0, 0.0], [0.0, 0.0]]
+    assert coord1.inputs["limit_witness"] == {"point": [[0.0, 0.0], [0.0, 0.0]],
+                                              "direction": [[1.0, 0.0], [0.0, 0.0]]}
     assert coord1.inputs["pairs"] == 20 * 19 // 2
-    assert coord1.inputs["limits"] == 32 * len(grid)
-    # z_2 does not move along e_1, so every limit is 0 and a pair wins
-    coord2 = thm24_of(lambda pts: np.asarray(pts)[:, 1], points, grid)
-    assert coord2.inputs["lhs_from"] == "pair"
-    assert coord2.inputs["limit_sup"] == 0.0
-    assert coord2.lhs == coord2.inputs["pair_sup"] > 0.0
-    assert coord2.passed
+    assert coord1.inputs["limits"] == len(grid)
+    # z_2^2 has zero derivative at the origin, the only grid point, so its one
+    # limit is 0, witnessed along e_1, and a pair wins
+    origin = np.zeros((1, 2), dtype=complex)
+    square2 = thm24_of(lambda pts: np.asarray(pts)[:, 1] ** 2, points, origin)
+    assert square2.inputs["lhs_from"] == "pair"
+    assert square2.inputs["limit_sup"] == 0.0 and square2.inputs["limits"] == 1
+    assert square2.inputs["limit_witness"]["direction"] == [[1.0, 0.0], [0.0, 0.0]]
+    assert square2.lhs == square2.inputs["pair_sup"] > 0.0
+    # the one-point grid sees no Bloch norm either, so that report fails
+    assert square2.inputs["bloch_sup"] == 0.0 and not square2.passed
+
+
+def test_thm24_takes_no_svd(monkeypatch):
+    # the every-direction limit is in closed form: no LAPACK SVD on the path
+    def refused(*args, **kwargs):
+        raise AssertionError("thm24 called np.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    reports = suite_thm24(HarnessConfig(n=2, mc_nodes=300, samples=10))
+    assert all(rep.inputs["limits"] == len(ball_grid(2)) for rep in reports)
 
 
 @pytest.fixture

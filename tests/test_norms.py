@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hballs.calculus import WirtingerData, lambda_bounds_wirtinger
 from hballs.errors import DegeneratePair, EmptySampleSet
 from hballs.extension import boundary_registry, h_extend, vector_boundary
 from hballs.norms import (
+    _grid_sups,
     all_pairs_lipschitz,
     alpha_bloch_seminorm,
     ball_grid,
@@ -137,6 +139,39 @@ class TestAlphaBloch:
             alpha_bloch_seminorm(identity_map, 0.0, ball_grid(1))
         with pytest.raises(ValueError):
             alpha_bloch_seminorm(identity_map, -1.0, ball_grid(1))
+
+
+@st.composite
+def scalar_data(draw):
+    """(points, WirtingerData): P points with |z| <= 0.7 in C^n, n <= 4, and
+    scalar data of one scale, some rows with f_z or f_zbar zero, or both."""
+    n, count = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = uniform_ball(n, count, rng, 0.7)
+    a, b = (10.0 ** draw(st.floats(-6, 6)) * (rng.standard_normal((count, 1, n))
+                                             + 1j * rng.standard_normal((count, 1, n)))
+            for _ in range(2))
+    a[rng.random(count) < 0.25] = 0.0
+    b[rng.random(count) < 0.25] = 0.0
+    return points, WirtingerData(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_data())
+def test_derivative_limit_is_the_weighted_jacobian_norm_and_u_star_attains_it(case):
+    points, data = case
+    limit = _grid_sups(points, data)[1]
+    weights = 1.0 - np.linalg.norm(points, axis=1) ** 2
+    # the reference: Lambda as the real Jacobian's largest singular value
+    want = float(np.max(weights * lambda_bounds_wirtinger(data)[0]))
+    assert limit.value == pytest.approx(want, rel=1e-13, abs=0.0)
+    z, u = limit.witness
+    i = int(np.flatnonzero(np.all(points == z, axis=1))[0])
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-15)
+    moved = data.fz[i, 0] @ u + data.fzbar[i, 0] @ np.conj(u)
+    assert weights[i] * abs(moved) == pytest.approx(limit.value, rel=1e-13, abs=0.0)
+    if limit.value == 0.0:
+        assert np.array_equal(u, np.eye(points.shape[1], 1)[:, 0])
 
 
 def one_pair(z, w):

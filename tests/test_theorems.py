@@ -350,7 +350,14 @@ class TestLemmaB:
         assert rep.margin == 0.0          # README's diagonal equality case
         # one matrix is a stack of one
         assert rep.inputs == {"n": 2, "worst_index": 0, "sigma_max": 2.0, "sigma_min": 0.5,
-                              "samples": 1, "failures": 0, "worst_margin": 0.0}
+                              "max_rel_gap": 0.0, "samples": 1, "failures": 0,
+                              "worst_margin": 0.0}
+
+    def test_singular_matrix_passes_with_no_gap(self):
+        # a product of singular values of 0 gives no relative gap, and no warning
+        rep = check_lemmaB(np.diag([1.0, 0.0]))
+        assert rep.passed and rep.lhs == rep.rhs == 0.0
+        assert rep.inputs["max_rel_gap"] == 0.0
 
     def test_random_matrices_all_pass(self):
         rng = np.random.default_rng(44)
@@ -403,16 +410,22 @@ class TestLemmaB:
             assert stack.tobytes() == mats.tobytes()
             expected = check_lemmaB(mats, check_id=rep.check_id).to_dict()
             expected["inputs"]["seed"] = cfg.seed
-            if n == 2:
-                expected["inputs"]["max_rel_gap"] = rep.inputs["max_rel_gap"]
             assert rep.to_dict() == expected
 
     def test_n2_stack_shows_the_identity_to_rounding(self):
-        # at n = 2 the lemma is |det A| = sigma_max sigma_min
-        reports = run_suite("lemmaB", HarnessConfig(seed=3))
-        stack = next(rep for rep in reports if rep.check_id == "lemmaB[n=2]")
-        assert 0.0 <= stack.inputs["max_rel_gap"] < 1e-13
-        assert all("max_rel_gap" not in rep.inputs for rep in reports if rep is not stack)
+        # |det A| = prod sigma_i at every n; at n = 2 it is the lemma itself
+        cfg = HarnessConfig(seed=3)
+        reports = run_suite("lemmaB", cfg)
+        assert all(0.0 <= rep.inputs["max_rel_gap"] < 1e-13 for rep in reports)
+        # the n = 2 stack's gap has the bits of sigma_max sigma_min from a second SVD
+        mats = np.empty((cfg.samples, 2, 2), dtype=complex)
+        rng = rng_stream(cfg.seed, STREAM_MATRICES)
+        mats.real = rng.standard_normal(mats.shape)
+        mats.imag = rng.standard_normal(mats.shape)
+        s = np.linalg.svd(mats, compute_uv=False)
+        product = s[:, 0] * s[:, 1]
+        gap = np.max(np.abs(np.abs(np.linalg.det(mats)) - product) / product)
+        assert reports[0].check_id == "lemmaB[n=2]" and reports[0].inputs["max_rel_gap"] == gap
 
     def test_default_stacks_catch_a_determinant_error_at_n2(self, monkeypatch):
         # the fault class the random stacks see: at n = 2 a relative error of
