@@ -30,7 +30,9 @@ node sums are products of kernel tiles with node operands: kern @ (psi_j w)
 for values, with kern^2 @ (|psi_j|^2 w) for their second moments, and for
 Wirtinger data the kernel's closed-form derivatives split into two tiles R
 and Q, so that the column adds R @ (psi_j w) and
-Q @ (psi_j w conj(zeta), psi_j w zeta) (see ``HExtension._walk``).
+Q @ (psi_j w conj(zeta), psi_j w zeta) (see ``HExtension._walk``).  The
+kernel's value fixes its gradient's norm (see ``kernel``), so the data's
+Monte Carlo errors take the values' second moments, with no tile of their own.
 OpenBLAS (0.3.31, SkylakeX kernels) gives a row of a product bits that
 depend on the product's shape: on its row count M and column count N, and,
 with the node operand stored column-major, on the row's place in the block
@@ -80,15 +82,15 @@ __all__ = [
 
 DEFAULT_GUARD_RADIUS = 0.8
 BOUND_SLACK = 1e-9          # how far a rule node may exceed a declared bound
+SPHERE_SLACK = 1e-12        # how far a rule node's |zeta|^2 may be from 1
 # Every product of the engine has _POINT_BLOCK rows; a 64-point block
 # makes 512 KB (block x 1024) tiles, two of them (three with Wirtinger data)
 # reused for every tile.  On a 2-vCPU Xeon with a 2 MB L2 per core and one
 # BLAS thread, the stacked four-column n = 2 extension took 53-62 ms for 5760
 # points against 1500 nodes in blocks of 32, 64 or 128 (500-520 ms in the
 # elementwise form it replaced).  Against 200k nodes, five columns took
-# 1.0 s for 201 points' values, Wirtinger data and their errors in one
-# request (1.13 s as two), and 29 ms for one point's values, padded to a
-# whole block.
+# 0.54 s for 201 points' values, Wirtinger data and their errors in one
+# request, and 29 ms for one point's values, padded to a whole block.
 _POINT_BLOCK = 64
 # Squared distances below this refuse a tile.  The product form
 # |z|^2 + |zeta|^2 - 2 Re<z, zeta> rounds a true 0 to about +-1e-16.
@@ -151,7 +153,7 @@ class HExtension:
     beyond the guard radius, where the kernel mass concentrates and the
     rule's error is no longer meaningful.  Boundary data that is NaN or
     infinite on any rule node, or exceeds its declared bound on one, is
-    refused at construction.
+    refused at construction, as is a rule with a node off the unit sphere.
     """
 
     fd_error = 0.0   # wirtinger_many's finite-difference term: kernel derivatives are exact
@@ -180,7 +182,16 @@ class HExtension:
         # stored row-major (see the module docstring); a point row
         # (-2x_1, -2y_1, ..., -2y_n, |z|^2, 1) times one is |z - zeta|^2
         xy = np.ascontiguousarray(rule.nodes, dtype=complex).view(np.float64)
-        self._node_aug = np.column_stack([xy, np.ones(len(xy)), np.sum(xy * xy, axis=1)]).T.copy()
+        two_n = xy.shape[1]
+        self._node_aug = np.empty((two_n + 2, len(xy)))
+        self._node_aug[:two_n] = xy.T
+        self._node_aug[two_n] = 1.0
+        sq_norms = np.sum(xy * xy, axis=1, out=self._node_aug[two_n + 1])
+        # the kernel and the engine's gradient errors hold for |zeta| = 1 only
+        off_sphere = float(np.abs(sq_norms - 1.0).max())
+        if off_sphere > SPHERE_SLACK:
+            raise ValueError(f"quadrature rule {rule.meta.get('kind', '?')!r} ({len(rule)} nodes) "
+                             f"has nodes off the unit sphere: ||zeta|^2 - 1| = {off_sphere:.3g}")
 
     @property
     def dim(self) -> int:
@@ -228,12 +239,12 @@ class HExtension:
         reads dP_h/dz_k = -(2n-1) [conj(z_k) R - Q conj(zeta_k)] and
         dP_h/dzbar_k = -(2n-1) [z_k R - Q zeta_k], so each column adds
         R @ (psi_j w) and Q @ (psi_j w conj(zeta), psi_j w zeta).  Its errors,
-        shaped like the values, are per column the root-sum-square over the n
-        coordinates of the Monte Carlo standard errors of the integrands of
-        df_j/dz_i (0.0 for spectral rules): with m_j = |psi_j|^2 w,
-        sum w |psi_j dP_h/dz_k|^2 = (2n-1)^2 [|z_k|^2 (R^2 @ m_j)
-        - 2 Re(conj(z_k) (RQ @ m_j zeta_k)) + Q^2 @ (m_j |zeta_k|^2)], the
-        R^2, RQ and Q^2 tiles made one at a time.
+        shaped like the values, are per column sqrt(var_j / N), var_j the sum
+        over k of the Monte Carlo variances of df_j/dz_k's integrands (0.0
+        for spectral rules).  As sum_k |dP_h/dz_k|^2 = ((2n-1) P_h /
+        (1 - |z|^2))^2 (see ``kernel``), var_j = max(((2n-1) / (1 - |z|^2))^2
+        second_j - sum_k |df_j/dz_k|^2, 0) with second_j the value's second
+        moment, taken for data errors even without the values.
         """
         pts = self._guarded_rows(points)
         count, n = len(pts), self.dim
@@ -254,18 +265,16 @@ class HExtension:
         aug[:count, 2 * n] = sq_norm
         aug[:, 2 * n + 1] = 1.0
         # per point and column: the value sums and their error sums; R psi w;
-        # Q psi w conj(zeta) and Q psi w zeta; R^2 m; RQ m zeta; Q^2 m |zeta|^2
-        first, second, r_sum, q_sum, rr_sum, rq_sum, qq_sum = (
+        # Q psi w conj(zeta) and Q psi w zeta
+        first, second, r_sum, q_sum = (
             np.zeros((count, k_out) + shape, dtype) if wanted else None
             for wanted, shape, dtype in (
-                (values, (), complex), (values and errors, (), complex if half_rule else float),
-                (data, (), complex), (data, (2 * n,), complex),
-                (data and monte_carlo, (), float), (data and monte_carlo, (n,), complex),
-                (data and monte_carlo, (n,), float)))
+                (values, (), complex), (monte_carlo or half_rule, (), complex if half_rule else float),
+                (data, (), complex), (data, (2 * n,), complex)))
         # three (block, chunk) tiles, the kernel K (then R), the distances d2
-        # (then the R^2, RQ and Q^2 tiles) and a spare (the power's running
-        # square, then K^2, then Q); without data the distances are not read
-        # after the power, and K takes their buffer
+        # and a spare (the power's running square, then K^2, then Q); without
+        # data the distances are not read after the power, and K takes their
+        # buffer
         width_max = min(CHUNK, len(w))
         size = _POINT_BLOCK * width_max
         d2_flat, spare_flat = np.zeros(size), np.zeros(size)
@@ -274,10 +283,8 @@ class HExtension:
         psi_w_buf, half_w_buf, m_buf = (np.empty((k_out, width_max), dtype=dtype)
                                         for dtype in (complex, complex, float))
         zeta_buf, psi_zeta_buf = (np.empty((width_max, 2 * n), dtype=complex) for _ in range(2))
-        m_zeta_buf, zeta_sq_buf, m_zeta_sq_buf = (np.empty((width_max, n), dtype=dtype)
-                                                  for dtype in (complex, float, float))
         pair_out, q_out = np.empty((_POINT_BLOCK, 2)), np.empty((_POINT_BLOCK, 4 * n))
-        real_out, rq_out, qq_out = (np.empty((_POINT_BLOCK,) + shape) for shape in ((), (2 * n,), (n,)))
+        real_out = np.empty(_POINT_BLOCK)
         for start in range(0, len(aug), _POINT_BLOCK):
             rows = slice(start, min(start + _POINT_BLOCK, count))
             live = rows.stop - start
@@ -297,19 +304,20 @@ class HExtension:
                 power = _int_power(d2[:live], expo, out=k_live, scratch=spare_live)
                 np.divide(num_pow[rows, None], power, out=k_live)
                 psi_w = np.multiply(psi[:, csl], w[csl], out=psi_w_buf[:, :width])
-                if monte_carlo:         # m_j = |psi_j|^2 w
+                # the value sums and second moments read K, so they come
+                # before R and Q overwrite it and K^2
+                if monte_carlo:         # K^2 against m_j = |psi_j|^2 w
                     m = m_buf[:, :width]
                     np.add(np.square(psi[:, csl].real, out=m), np.square(psi[:, csl].imag), out=m)
                     np.multiply(m, w[csl], out=m)
-                # the value sums read K, so they come before R overwrites it
-                if values and monte_carlo:
                     np.multiply(k_live, k_live, out=spare_live)
                 elif half_rule:
                     half_w = np.multiply(psi[:, csl], self.rule.half_weights[csl],
                                          out=half_w_buf[:, :width])
-                for j in range(k_out) if values else ():
-                    np.matmul(kern, psi_w[j].view(np.float64).reshape(width, 2), out=pair_out)
-                    first[rows, j] += pair_out[:live].view(complex)[:, 0]
+                for j in range(k_out):
+                    if values:
+                        np.matmul(kern, psi_w[j].view(np.float64).reshape(width, 2), out=pair_out)
+                        first[rows, j] += pair_out[:live].view(complex)[:, 0]
                     if monte_carlo:
                         np.matmul(spare, m[j], out=real_out)
                         second[rows, j] += real_out[:live]
@@ -331,32 +339,15 @@ class HExtension:
                     np.multiply(psi_w[j, :, None], zeta, out=psi_zeta)
                     np.matmul(spare, psi_zeta.view(np.float64), out=q_out)
                     q_sum[rows, j] += q_out[:live].view(complex)
-                if not monte_carlo:
-                    continue
-                zeta_sq = np.square(np.abs(nodes[csl], out=zeta_sq_buf[:width]), out=zeta_sq_buf[:width])
-                # the distances are spent: d2 takes the R^2, RQ and Q^2 tiles in
-                # turn, against m_j, m_j zeta and m_j |zeta|^2
-                for left, right, factor, operand, out, sums in (
-                        (r_live, r_live, None, None, real_out, rr_sum),
-                        (r_live, q_live, nodes[csl], m_zeta_buf[:width], rq_out, rq_sum),
-                        (q_live, q_live, zeta_sq, m_zeta_sq_buf[:width], qq_out, qq_sum)):
-                    np.multiply(left, right, out=d2[:live])
-                    for j in range(k_out):
-                        node_op = m[j] if factor is None else np.multiply(
-                            m[j, :, None], factor, out=operand).view(np.float64)
-                        np.matmul(d2, node_op, out=out)
-                        sums[rows, j] += out[:live].view(sums.dtype)
         value_sums = self._shaped(first) if values else None
         if not data:
             return value_sums, second, None, None
-        zc = np.conj(pts)[:, None, :]
-        fz = -expo * (zc * r_sum[:, :, None] - q_sum[:, :, :n])
+        fz = -expo * (np.conj(pts)[:, None, :] * r_sum[:, :, None] - q_sum[:, :, :n])
         fzbar = -expo * (pts[:, None, :] * r_sum[:, :, None] - q_sum[:, :, n:])
         variances = np.zeros((count, k_out))
-        if monte_carlo:
-            sq_norms = (pts.real ** 2 + pts.imag ** 2)[:, None, :]
-            mean_sq = expo ** 2 * (sq_norms * rr_sum[:, :, None] - 2.0 * (zc * rq_sum).real + qq_sum)
-            variances = np.sum(np.maximum(mean_sq - np.abs(fz) ** 2, 0.0), axis=2)
+        if monte_carlo:         # sum_k |dP_h/dz_k|^2 = ((2n-1) P_h / (1 - |z|^2))^2
+            mean_sq = np.square(expo * inv_num)[:, None] * second
+            variances = np.maximum(mean_sq - np.sum(np.square(np.abs(fz)), axis=2), 0.0)
         data_errors = self._shaped(np.sqrt(variances / len(self.rule))) if errors else None
         return value_sums, second, WirtingerData(fz, fzbar), data_errors
 

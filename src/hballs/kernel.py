@@ -14,6 +14,12 @@ Wirtinger derivatives have the closed form
 
 with dP_h/dzbar_k its complex conjugate (P_h is real-valued).
 
+For |zeta| = 1 the value fixes the gradient's norm, the identity behind
+the extension's gradient errors: sum_k |dP_h/dz_k|^2 = ((2n-1) P_h / (1-|z|^2))^2,
+since d log P_h / dz_k = -(2n-1) conj(a_k + b_k), a = z / (1-|z|^2) and
+b = (z - zeta) / |z - zeta|^2, and 2 Re<z, z - zeta> = |z|^2 - 1 + |z - zeta|^2
+makes |a + b|^2 = 1 / (1-|z|^2)^2.
+
 Powers are evaluated through exp((2n-1) * log(...)) so that large
 exponents stay stable as |z| approaches 1.  These per-point forms are the
 tests' accuracy reference and are no longer evaluated in tiles: the engine

@@ -12,7 +12,7 @@ from hballs.extension import (
     laplace_beltrami_residual,
     vector_boundary,
 )
-from hballs.quadrature import circle_rule, integrate, sphere_rule_mc
+from hballs.quadrature import QuadratureRule, circle_rule, integrate, sphere_rule_mc
 
 
 def interior_points(rng, n, count, rmax):
@@ -107,6 +107,16 @@ class TestExtensionValues:
             h_extend(data, circle_rule(256))
         with pytest.raises(ValueError, match="'const:nan' is not finite"):
             h_extend(_constant(np.nan, 2), sphere_rule_mc(2, 500, 1))
+
+    @pytest.mark.parametrize("rule", [circle_rule(256), sphere_rule_mc(2, 500, 1)],
+                             ids=["n1", "n2"])
+    def test_rule_off_the_unit_sphere_is_refused_by_name(self, rule):
+        # the kernel, and the gradient errors read from the value's second
+        # moments, hold for |zeta| = 1 only
+        inner = QuadratureRule(0.9 * rule.nodes, rule.weights, rule.meta)
+        kind = rule.meta["kind"]
+        with pytest.raises(ValueError, match=f"rule '{kind}' \\(.* off the unit sphere"):
+            h_extend(registry_map(rule.dim)["coord1"], inner)
 
     @pytest.mark.parametrize("method", ["__call__", "wirtinger_many"])
     def test_points_of_another_dimension_are_refused_by_name(self, method):

@@ -122,6 +122,24 @@ class TestPoissonWirtinger:
             assert abs(total) <= 5.0 * max(err, 1e-12)
 
 
+# Measured over n = 1..6, |z| < 0.95, 200 points x 50 nodes each: the
+# largest relative gap was 1.6e-14.
+GRADIENT_NORM_TOLERANCE = 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.floats(0.0, 0.95), st.integers(0, 2 ** 32 - 1))
+def test_gradient_norm_is_fixed_by_the_value(n, radius, seed):
+    """On the sphere sum_k |dP_h/dz_k|^2 = ((2n-1) P_h / (1 - |z|^2))^2: the
+    score d log P_h / dz has norm (2n-1) / (1 - |z|^2) whatever the node."""
+    rng = np.random.default_rng(seed)
+    z = radius * random_sphere(rng, n)
+    nodes = np.stack([random_sphere(rng, n) for _ in range(50)])
+    lhs = np.sum(np.abs(poisson_h_wirtinger_values(z, nodes)) ** 2, axis=1)
+    rhs = ((2 * n - 1) * poisson_h_values(z, nodes) / (1.0 - np.linalg.norm(z) ** 2)) ** 2
+    assert np.all(np.abs(lhs - rhs) <= GRADIENT_NORM_TOLERANCE * rhs)
+
+
 # Measured over 3000 points with |z| <= 0.8 per rule size: the kernel module
 # summed to 1 within 4.5 ulp of 1 and the extension engine (a constant
 # boundary) within 10 ulp.  The circle rule's aliasing error, about 2|z|^m,
