@@ -28,12 +28,12 @@ differences at steps h and h/2 along each real coordinate (x_1, y_1, ...,
 x_n, y_n for a complex batch), one Richardson level (4 D(h/2) - D(h)) / 3,
 one guard refusing a stencil that reaches the unit sphere, and one
 evaluator call per batch.  Its step policies sit side by side below:
-Wirtinger data (Bloch functionals; thm24 and lemma22 on
-closed forms, while extensions differentiate their kernel sums), the
-Delta_h residual of ``extension`` (guarded at its reach 2h) and the
-lemma21 gradient on a ball of radius r in R^m, any m >= 2.  Each factor is
-a module constant; those of h = factor (1 - |z|) are below 1/2, so the
-guard refuses only points on or outside the sphere.
+Wirtinger data (Bloch functionals; thm24 on closed forms, while extensions
+differentiate their kernel sums), the Delta_h residual of ``extension``
+(guarded at its reach 2h) and the lemma21 gradient on a ball of radius r in
+R^m, any m >= 2.  Each factor is a module constant; those of
+h = factor (1 - |z|) are below 1/2, so the guard refuses only points on or
+outside the sphere.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ Usage:
 Configuration precedence is command-line flags, then a --config file of
 key=value lines, then the defaults of HarnessConfig: n=1, nodes=4096,
 mc_nodes=200000, seed=0, rmax=0.8, samples=200, pairs=2000, alpha=1, m=1
-(the norm bound M).  samples also sizes lemmaB's random matrix stacks.
-rmax is extend's guard radius, and the guard and sampling radius of the
-schwarzpick and lemma33 suites; lemma21, thm24 and lemma22 sample fixed
-radii under the default guard 0.8.
+(the norm bound M).  samples also sizes lemma22's random Wirtinger pair
+stack and lemmaB's random matrix stacks.  rmax is extend's guard radius,
+and the guard and sampling radius of the schwarzpick and lemma33 suites;
+lemma21 and thm24 sample fixed radii under the default guard 0.8.
 HBALLS_SEED replaces only the default seed.  extend and verify resolve and
 check the same configuration and take --seed; landau takes n, alpha and m
 from --config unless its flags list them.

@@ -46,6 +46,7 @@ STREAM_PAIRS = 2
 STREAM_MATRICES = 3
 STREAM_PROBE = 4
 STREAM_GEOMETRY = 5
+STREAM_WIRTINGER = 6
 
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:

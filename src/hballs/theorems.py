@@ -4,15 +4,16 @@ Each check produces a CheckReport holding both sides of the inequality,
 the tolerance that was granted and where it came from, and enough input
 metadata (function label, points, seed, rule) to replay the check
 bit-identically.  The evaluators evaluate and the checks compare: a pointwise
-inequality (lemma22, the Schwarz-Pick value and gradient bounds, lemma33)
-is one function that takes arrays already evaluated at a (P, n) sample
-batch (a WirtingerData batch, values with f(0) and their quadrature errors,
-Lambda, or a matrix stack), computes lhs, rhs and tolerance as (P,) arrays
-and returns one report for the batch: the worst sample's, with the sample
-count and the number of failing samples.  lemmaB does the same for a
-stack of matrices.  thm24 takes each function's pair sup over one point set
-and the Wirtinger data at its grid the same way, and lemma21 the values of
-one ball's stencil, centre and boundary.
+inequality (the Schwarz-Pick value and gradient bounds, lemma33) is one
+function that takes arrays already evaluated at a (P, n) sample batch
+(values with f(0) and their quadrature errors, Lambda, or a matrix stack),
+computes lhs, rhs and tolerance as (P,) arrays and returns one report for
+the batch: the worst sample's, with the sample count and the number of
+failing samples.  lemma22 and lemmaB do the same for a seeded stack of
+random Wirtinger pairs (lemma22 is algebra in the pair, true for any
+function) or matrices.  thm24 takes each function's pair sup over one point
+set and the Wirtinger data at its grid the same way, and lemma21 the values
+of one ball's stencil, centre and boundary.
 Tolerances follow one policy:
 
     tolerance = analytic slack
@@ -24,15 +25,15 @@ calls: ``f(points)``, and ``f.wirtinger_many(points)`` with its quadrature
 error shaped like its values (None when ``want_errors=False`` asks for
 none) and ``f.fd_error``, its finite-difference term:
 0 for an HExtension, whose kernel derivatives are exact, and 1e-9 for a registry
-closed form (``_ClosedForm``), which has no quadrature error.  thm24 and
-lemma22 read only ``fd_error``, the discretized extension being exactly
-h-harmonic; schwarzpick and lemma33 only the quadrature error.  A strict
+closed form (``_ClosedForm``), which has no quadrature error.  thm24 reads
+only ``fd_error``, the discretized extension being exactly h-harmonic;
+schwarzpick and lemma33 only the quadrature error.  A strict
 inequality (the separation probe) uses a strict comparison, not a slack.
 
-Each suite evaluates one WirtingerData batch, (P, k, n) arrays, per
-function and sweep (Lambda by one stacked SVD in schwarzpick, in closed
-form for thm24's scalar limits), and f(0) as one more row of
-a value batch it already evaluates, since a row's value does not depend on
+A suite that differentiates evaluates one WirtingerData batch, (P, k, n)
+arrays, per function and sweep (Lambda by one stacked SVD in schwarzpick,
+in closed form for thm24's scalar limits), and f(0) as one more row of a
+value batch it already evaluates, since a row's value does not depend on
 its batch.  schwarzpick asks an extension for its values, Wirtinger data
 and their errors in one request, so it walks the kernel tiles once.
 lemma21 evaluates each function once per sweep, at the rows of all its
@@ -89,6 +90,7 @@ from .quadrature import (
     STREAM_PAIRS,
     STREAM_PROBE,
     STREAM_SAMPLES,
+    STREAM_WIRTINGER,
     QuadratureRule,
     circle_rule,
     real_circle_rule,
@@ -120,9 +122,8 @@ __all__ = [
 
 _FD_TRUNCATION = 1e-9   # Richardson-extrapolated central differences at our steps
 _WITNESS_TIE = 1e-12    # margins this close count as one worst margin
-# fixed sweep sizes (--samples sets none): lemma21 balls, lemma22 points, lemma33 points per radius
+# fixed sweep sizes (--samples sets none): lemma21 balls, lemma33 points per radius
 LEMMA21_CASES = 20
-LEMMA22_SAMPLES = 100
 LEMMA33_POINTS = 25
 
 
@@ -331,17 +332,21 @@ def _batch_report(check_id: str, lhs: np.ndarray, rhs: np.ndarray, inputs, *,
     return replace(report, passed=failures == 0)
 
 
-def check_lemma22(data: WirtingerData, zs: np.ndarray, *, label: str = "f",
-                  fd_error: float = 0.0) -> CheckReport:
-    """|grad f| + |grad fbar| <= |grad u| + |grad v| at the (P, n) points
-    ``zs``, from the scalar Wirtinger data batch at them; ``fd_error`` is the
-    data's finite-difference term (0 for exact derivatives)."""
+def check_lemma22(data: WirtingerData, *, label: str = "f",
+                  equality: bool = False) -> CheckReport:
+    """|grad f| + |grad fbar| <= |grad u| + |grad v| for f = u + iv, on a
+    scalar Wirtinger data batch (P, 1, n) of any pairs (f_z, f_zbar); the
+    witness's pair is in its inputs.  With ``equality``: lhs = rhs to 1e-12
+    relative, as for real f (f_zbar = conj f_z) or imaginary f (-conj f_z)."""
     grad, grad_bar = data.gradient_norms()
     J = real_jacobian_from_wirtinger(data)  # rows (u, v) x cols (x1, y1, ...)
-    rhs = _row_norms(J[..., 0, :]) + _row_norms(J[..., 1, :])
-    return _batch_report(f"lemma22[n={zs.shape[1]},f={label}]", grad + grad_bar, rhs,
-                         lambda i: {"f": label, "z": _cplx(zs[i])},
-                         analytic=1e-12, fd_error=fd_error)
+    lhs, rhs = grad + grad_bar, _row_norms(J[..., 0, :]) + _row_norms(J[..., 1, :])
+    if equality:   # |lhs - rhs| <= 1e-12 rhs, with no other slack
+        lhs, rhs = np.abs(lhs - rhs), 1e-12 * rhs
+    return _batch_report(f"lemma22{'.equality' if equality else ''}[n={data.dim},f={label}]",
+                         lhs, rhs, lambda i: {"f": label, "fz": _cplx(data.fz[i, 0]),
+                                              "fzbar": _cplx(data.fzbar[i, 0])},
+                         analytic=0.0 if equality else 1e-12)
 
 
 def check_thm24_necessity(pair_est: SupEstimate, pairs: int, grid: np.ndarray,
@@ -575,7 +580,7 @@ class HarnessConfig:
     seed: int = 0
     rmax: float = 0.8          # schwarzpick and lemma33 sampling and guard radius
     samples: int = 200         # sampled z per pointwise sweep; thm24's points beyond the grid;
-                               # lemmaB's random matrices per dimension
+                               # lemma22's random Wirtinger pairs; lemmaB's matrices per n
     pairs: int = 2000          # landau's univalence pairs per mapping
     alpha: float = 1.0
     m: float = 1.0             # the norm bound M
@@ -616,10 +621,6 @@ def rule_for(cfg: HarnessConfig) -> QuadratureRule:
     return sphere_rule_mc(cfg.n, cfg.mc_nodes, cfg.seed)
 
 
-def _sample_ball(cfg: HarnessConfig, count: int, rmax: float) -> np.ndarray:
-    return uniform_ball(cfg.n, count, rng_stream(cfg.seed, STREAM_SAMPLES), rmax)
-
-
 def suite_lemma21(cfg: HarnessConfig) -> list[CheckReport]:
     """Real-ball gradient bound on restrictions of disk functions (m = 2).
 
@@ -651,11 +652,20 @@ def suite_lemma21(cfg: HarnessConfig) -> list[CheckReport]:
 
 
 def suite_lemma22(cfg: HarnessConfig) -> list[CheckReport]:
-    """Wirtinger-versus-real gradient inequality over the function registry."""
-    zs = _sample_ball(cfg, LEMMA22_SAMPLES, 0.7)
-    return [check_lemma22(data, zs, label=label, fd_error=fd_error)
-            for label, (data,), fd_error in _registry_results(
-                cfg, lambda f: (f.wirtinger_many(zs, want_errors=False)[0],))]
+    """lemma22 on ``cfg.samples`` seeded standard complex Gaussian pairs
+    (f_z, f_zbar) in C^n, drawn like lemmaB's stacks, then its equality cases
+    on the same f_z: real and imaginary data.  No function is evaluated."""
+    rng = rng_stream(cfg.seed, STREAM_WIRTINGER)
+    pairs = np.empty((2, cfg.samples, 1, cfg.n), dtype=complex)     # the f_z and f_zbar stacks
+    pairs.real = rng.standard_normal(pairs.shape)
+    pairs.imag = rng.standard_normal(pairs.shape)
+    fz, fzbar = pairs
+    cases = (("random", fzbar), ("real", fz.conj()), ("imaginary", -fz.conj()))
+    reports = [check_lemma22(WirtingerData(fz, bar), label=label, equality=label != "random")
+               for label, bar in cases]
+    for report in reports:
+        report.inputs["seed"] = cfg.seed
+    return reports
 
 
 class _ClosedForm:
@@ -675,31 +685,6 @@ class _ClosedForm:
         return wirtinger_fd_many(self._f, points), (np.zeros(len(points)) if want_errors else None)
 
 
-def _registry_results(cfg: HarnessConfig, evaluate) -> list:
-    """(label, evaluate(f), f.fd_error) per registry entry, in registry order.
-
-    ``evaluate`` returns a tuple of (P, k) arrays and WirtingerData batches.
-    Closed forms are evaluated one by one.  The rule-based entries are the
-    columns of one stacked extension, evaluated once, and each gets its own
-    column back: ``part[:, j:j + 1]`` slices arrays and batches alike, with
-    the bits of the entry's own extension, held to the entry's own bound.
-    """
-    registry = boundary_registry(cfg.n)
-    ruled = [entry for entry in registry if entry.exact_extension is None]
-    stacked = h_extend(vector_boundary(ruled), rule_for(cfg)) if ruled else None
-    shared = evaluate(stacked) if ruled else None
-    out = []
-    for entry in registry:
-        if entry.exact_extension is not None:
-            f = _ClosedForm(entry.exact_extension)
-            parts = evaluate(f)
-        else:
-            j = ruled.index(entry)
-            f, parts = stacked, tuple(part[:, j:j + 1] for part in shared)
-        out.append((entry.label, parts, f.fd_error))
-    return out
-
-
 def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
     """Weighted-Lipschitz sup (every pair of one point set, and derivative
     limits at the grid points) against pi sqrt(n) times the Bloch sup on
@@ -707,17 +692,30 @@ def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
 
     The point set is the grid followed by ``cfg.samples`` seeded uniform
     points with |z| <= 0.7; each function is evaluated there once, and one
-    walk takes every function's sup over all pairs of it.
+    walk takes every function's sup over all pairs of it.  The rule-based
+    entries are the columns of one stacked extension: each column has the
+    bits of the entry's own extension and is held to the entry's own bound.
     """
     grid = ball_grid(cfg.n)
     points = np.concatenate(
         [grid, uniform_ball(cfg.n, cfg.samples, rng_stream(cfg.seed, STREAM_PAIRS), 0.7)])
-    results = _registry_results(
-        cfg, lambda f: (f(points), f.wirtinger_many(grid, want_errors=False)[0]))
-    sups, pairs = all_pairs_lipschitz(
-        points, np.hstack([np.reshape(vals, (len(points), -1)) for _, (vals, _), _ in results]))
+    registry = boundary_registry(cfg.n)
+    ruled = [entry for entry in registry if entry.exact_extension is None]
+    stacked = h_extend(vector_boundary(ruled), rule_for(cfg))
+    ruled_values, ruled_data = stacked(points), stacked.wirtinger_many(grid, want_errors=False)[0]
+    columns, grid_data = [], []
+    for entry in registry:
+        if entry.exact_extension is None:
+            j = ruled.index(entry)
+            f, values, data = stacked, ruled_values[:, j:j + 1], ruled_data[:, j:j + 1]
+        else:
+            f = _ClosedForm(entry.exact_extension)
+            values, data = f(points), f.wirtinger_many(grid, want_errors=False)[0]
+        columns.append(np.reshape(values, (len(points), -1)))
+        grid_data.append((entry.label, data, f.fd_error))
+    sups, pairs = all_pairs_lipschitz(points, np.hstack(columns))
     return [check_thm24_necessity(sup, pairs, grid, data, label=label, fd_error=fd_error)
-            for (label, (_, data), fd_error), sup in zip(results, sups)]
+            for (label, data, fd_error), sup in zip(grid_data, sups)]
 
 
 def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:
@@ -730,7 +728,7 @@ def suite_schwarzpick(cfg: HarnessConfig) -> list[CheckReport]:
     every check runs under the rule.
     """
     rule = rule_for(cfg)
-    zs = _sample_ball(cfg, cfg.samples, cfg.rmax)
+    zs = uniform_ball(cfg.n, cfg.samples, rng_stream(cfg.seed, STREAM_SAMPLES), cfg.rmax)
     boundaries = [b for b in boundary_registry(cfg.n) if b.sup_bound]
     # (label, declared bound, columns of the stacked extension) per checked entry
     entries = [(b.label, b.sup_bound, slice(j, j + 1)) for j, b in enumerate(boundaries)]

@@ -21,7 +21,6 @@ from hballs.calculus import (
     lambda_bounds_wirtinger,
     operator_norm,
     real_jacobian_from_wirtinger,
-    wirtinger_fd_many,
 )
 from hballs.errors import EmptySampleSet
 from hballs.extension import boundary_registry, h_extend, vector_boundary
@@ -56,15 +55,18 @@ def reference_reduce(reports, check_id):
                    passed=all(rep.passed for rep in reports))
 
 
-def lemma22_samples(data, zs, label, fd_error):
+def lemma22_samples(data, label, equality=False):
     reports = []
-    for i, z in enumerate(zs):
-        point = data[i]
-        lhs = np.linalg.norm(point.fz[0]) + np.linalg.norm(point.fzbar[0])
-        J = real_jacobian_from_wirtinger(point)
+    for i in range(len(data.fz)):
+        pair = data[i]
+        lhs = np.linalg.norm(pair.fz[0]) + np.linalg.norm(pair.fzbar[0])
+        J = real_jacobian_from_wirtinger(pair)
         rhs = np.linalg.norm(J[0]) + np.linalg.norm(J[1])
-        reports.append(make_report("sample", lhs, rhs, analytic=1e-12, fd_error=fd_error,
-                                   inputs={"f": label, "z": cplx(z)}))
+        inputs = {"f": label, "fz": cplx(pair.fz[0]), "fzbar": cplx(pair.fzbar[0])}
+        if equality:
+            reports.append(make_report("sample", abs(lhs - rhs), 1e-12 * rhs, inputs=inputs))
+        else:
+            reports.append(make_report("sample", lhs, rhs, analytic=1e-12, inputs=inputs))
     return reports
 
 
@@ -160,17 +162,22 @@ def test_schwarz_pick_checks_equal_their_references(n):
 
 @pytest.mark.parametrize("n", sorted(RULES))
 def test_lemma22_check_equals_its_reference(n):
+    # random pairs, their real and imaginary equality cases, and the exact
+    # derivatives of every registry entry's extension
+    raw = np.random.default_rng(n).standard_normal((4, 30, 1, n))
+    fz, fzbar = raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]
     zs = sample_points(n, rmax=0.7)
-    for entry in boundary_registry(n):
-        # exact kernel derivatives, and finite differences of a closed form
-        paths = [(h_extend(entry, RULES[n]).wirtinger_many(zs)[0], 0.0)]
-        if entry.exact_extension is not None:
-            paths.append((wirtinger_fd_many(entry.exact_extension, zs), theorems._FD_TRUNCATION))
-        for data, fd_error in paths:
-            assert_matches_reference(
-                lambda p: check_lemma22(data[p], zs[p], label=entry.label, fd_error=fd_error),
-                lambda p: lemma22_samples(data[p], zs[p], entry.label, fd_error),
-                len(zs), f"lemma22[n={n},f={entry.label}]")
+    cases = [("random", WirtingerData(fz, fzbar), False),
+             ("real", WirtingerData(fz, np.conj(fz)), True),
+             ("imaginary", WirtingerData(fz, -np.conj(fz)), True)]
+    cases += [(entry.label, h_extend(entry, RULES[n]).wirtinger_many(zs)[0], False)
+              for entry in boundary_registry(n)]
+    for label, data, equality in cases:
+        kind = "lemma22.equality" if equality else "lemma22"
+        assert_matches_reference(
+            lambda p: check_lemma22(data[p], label=label, equality=equality),
+            lambda p: lemma22_samples(data[p], label, equality),
+            len(data.fz), f"{kind}[n={n},f={label}]")
 
 
 @pytest.mark.parametrize("n", sorted(RULES))
@@ -235,7 +242,7 @@ def test_an_empty_batch_is_refused_by_name():
         check_lemmaB(np.zeros((0, 2, 2)))
     empty = WirtingerData(np.zeros((0, 1, 2)), np.zeros((0, 1, 2)))
     with pytest.raises(EmptySampleSet, match=r"^lemma22\[n=2,f=f\] over an empty sample set$"):
-        check_lemma22(empty, np.zeros((0, 2)))
+        check_lemma22(empty)
 
 
 @pytest.mark.parametrize("lhs, passed", [(0.5, True), (1.5, False)])

@@ -270,7 +270,7 @@ class TestVerifyCommand:
                     if entry.label == "fourier" else entry
                     for entry in theorems.boundary_registry(1)]
         monkeypatch.setattr(theorems, "boundary_registry", lambda n: registry)
-        code = cli.main(["verify", "--suite", "lemma22", "--n", "1", "--nodes", "256"])
+        code = cli.main(["verify", "--suite", "thm24", "--n", "1", "--nodes", "256"])
         assert code == 3
         assert "numerical failure: Wirtinger data must be finite" in capsys.readouterr().err
 
@@ -392,7 +392,7 @@ class TestVerifyCommand:
         assert not out.exists()
 
     def test_reproducible_bytes(self, tmp_path):
-        args = ("verify", "--suite", "lemma22", "--seed", "3", "--nodes", "512")
+        args = ("verify", "--suite", "lemma22", "--seed", "3", "--samples", "512")
         a = run_cli(*args, "--out", str(tmp_path / "a.json"))
         b = run_cli(*args, "--out", str(tmp_path / "b.json"))
         assert a.returncode == 0 and b.returncode == 0

@@ -1,4 +1,4 @@
-"""thm24 and lemma22 differentiate rule-based extensions exactly.
+"""thm24 differentiates rule-based extensions exactly; lemma22 differentiates nothing.
 
 An HExtension's Wirtinger data come from the closed-form kernel derivatives
 (``wirtinger_many``), so those reports carry no finite-difference term, and
@@ -6,7 +6,7 @@ thm24 takes the weighted Lipschitz quotient's derivative limits from the
 same data instead of evaluating near-diagonal pairs.  The work-count guards
 pin how many rows and which outputs each suite asks of the engine, so that
 a refactor cannot fall back to finite differences, or walk the same tiles
-twice, unnoticed.
+twice, unnoticed.  lemma22 checks random Wirtinger pairs and asks nothing.
 """
 
 import numpy as np
@@ -153,9 +153,8 @@ SMALL = dict(n=2, mc_nodes=1100, samples=40, seed=5)
 def test_lemma22_sends_only_its_samples_to_the_gradient_engine(engine_rows):
     reports = suite_lemma22(HarnessConfig(**SMALL))
     assert all(rep.passed for rep in reports)
-    # one stacked request for the data, asking for no standard error
-    assert engine_rows == {"requests": [(theorems.LEMMA22_SAMPLES, ("data",))],
-                           "closed_form_values": []}
+    # its samples are random Wirtinger pairs: nothing is sent to an evaluator
+    assert engine_rows == {"requests": [], "closed_form_values": []}
 
 
 def test_thm24_sends_one_point_set_and_its_grid(engine_rows):

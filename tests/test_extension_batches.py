@@ -37,20 +37,23 @@ from hballs.quadrature import CHUNK, circle_rule, sphere_points, sphere_rule_mc
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # sizes off a multiple of the chunk, so the last node chunk is a partial one
-RULES = {1: circle_rule(1500), 2: sphere_rule_mc(2, 2500, 11)}
-# the gradients are also compared at n = 3, where the value tolerances below
-# were not measured
-GRADIENT_RULES = {**RULES, 3: sphere_rule_mc(3, 2100, 5)}
+RULES = {1: circle_rule(1500), 2: sphere_rule_mc(2, 2500, 11), 3: sphere_rule_mc(3, 2100, 5)}
 EXTENSIONS = {
     n: [h_extend(entry, rule) for entry in boundary_registry(n)]
     + [h_extend(vector_boundary(boundary_registry(n)[1:3]), rule)]
-    for n, rule in GRADIENT_RULES.items()
+    for n, rule in RULES.items()
 }
 
 
 # Measured against ``reference_moments`` over 2000 points per dimension with
-# |z| <= 0.79 (a quarter of them at 0.79): first moments within 1.0e-14 of
-# the data's sup norm, second moments within 3.3e-14 relative.
+# |z| <= 0.79 (a quarter of them at 0.79): at n = 1, 2 first moments within
+# 1.0e-14 of the data's sup norm, second moments within 3.3e-14 relative.
+# At n = 3 (6000 such points and 8000 at |z| = 0.79) a few nodes near the
+# point carry terms up to 21 times the sup norm, and first moments differ by
+# up to 4.0e-13 of it but by 3.8e-14 of the node sum of the terms'
+# magnitudes, sum w |P_h psi_j|; second moments by 8.4e-14 relative.
+# |z - zeta|^2 rounds at the scale (1 + |z|)^2 and the kernel raises it to
+# the power 2n - 1, so both bounds grow by (2n - 1) / 3 past n = 2.
 VALUE_TOLERANCE = 1e-13
 SECOND_MOMENT_TOLERANCE = 1e-13
 # Measured against ``reference_wirtinger`` (either node-sum order) over 400
@@ -71,7 +74,9 @@ def half_rule_weights(w):
 def reference_moments(ext, points, want_errors):
     """The elementwise 512-point-block loop that the GEMM form replaced:
     the accuracy reference, one pass per batch.  Its error sums are the
-    second moments under a Monte Carlo rule, else the half-rule values."""
+    second moments under a Monte Carlo rule, else the half-rule values.
+    Also returns the node sums of the terms' magnitudes, (P, k): the scale
+    of the rounding error of any node sum of those terms."""
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     psi = ext._psi_nodes if ext._psi_nodes.ndim > 1 else ext._psi_nodes[:, None]
     k_out = psi.shape[1]
@@ -83,6 +88,7 @@ def reference_moments(ext, points, want_errors):
     expo = 2 * ext.dim - 1
     num_pow = _int_power(num, expo)
     first = np.zeros((len(pts), k_out), dtype=complex)
+    magnitudes = np.zeros((len(pts), k_out))
     second = np.zeros((len(pts), k_out), dtype=float if ext.rule.monte_carlo else complex) \
         if want_errors else None
     for pstart in range(0, len(pts), 512):
@@ -101,13 +107,14 @@ def reference_moments(ext, points, want_errors):
             for j in range(k_out):
                 terms = kern * psi[start:stop, j][None, :]
                 first[psl, j] += np.add.reduce(terms * w[start:stop][None, :], axis=1)
+                magnitudes[psl, j] += np.add.reduce(np.abs(terms) * w[start:stop][None, :], axis=1)
                 if want_errors and ext.rule.monte_carlo:
                     second[psl, j] += np.add.reduce(
                         (terms.real ** 2 + terms.imag ** 2) * w[start:stop][None, :], axis=1)
                 elif want_errors:
                     second[psl, j] += np.add.reduce(terms * w_half[start:stop][None, :], axis=1)
     values = first[:, 0] if ext._psi_nodes.ndim == 1 else first
-    return values, second
+    return values, second, magnitudes
 
 
 def node_columns(ext):
@@ -163,16 +170,22 @@ def gemm_moments(ext, points):
 
 
 def assert_close_to_reference(ext, batch, values, second=None):
-    """Values and half-rule values within VALUE_TOLERANCE of the data's sup
-    norm of the elementwise loop, second moments within
-    SECOND_MOMENT_TOLERANCE relative."""
-    ref_values, ref_second = reference_moments(ext, batch, want_errors=second is not None)
-    scale = np.abs(ext._psi_nodes).max()
-    assert np.abs(values - ref_values).max() <= VALUE_TOLERANCE * scale
+    """Values within VALUE_TOLERANCE of the node sum of the terms' magnitudes
+    of the elementwise loop, per point and column, and at n = 1, 2 also of the
+    data's sup norm; half-rule values (n = 1) within VALUE_TOLERANCE of the
+    sup norm; second moments within SECOND_MOMENT_TOLERANCE relative.  Past
+    n = 2 the bounds grow with the kernel's power 2n - 1."""
+    ref_values, ref_second, magnitudes = reference_moments(ext, batch,
+                                                           want_errors=second is not None)
+    sup = np.abs(ext._psi_nodes).max()
+    growth = max(1.0, (2 * ext.dim - 1) / 3.0)
+    scale = np.minimum(magnitudes, sup) if ext.dim <= 2 else magnitudes
+    gap = np.abs(np.reshape(values - ref_values, magnitudes.shape))
+    assert np.all(gap <= growth * VALUE_TOLERANCE * scale)
     if second is not None and ext.rule.monte_carlo:
-        assert np.all(np.abs(second - ref_second) <= SECOND_MOMENT_TOLERANCE * ref_second)
+        assert np.all(np.abs(second - ref_second) <= growth * SECOND_MOMENT_TOLERANCE * ref_second)
     elif second is not None:
-        assert np.abs(second - ref_second).max() <= VALUE_TOLERANCE * scale
+        assert np.abs(second - ref_second).max() <= VALUE_TOLERANCE * sup
 
 
 def sequential_chunk_sum(terms):
@@ -319,7 +332,7 @@ def test_batch_errors_equal_row_by_row_and_reference(case, data):
 
 
 @settings(max_examples=20, deadline=None)
-@given(batches(GRADIENT_RULES), st.data())
+@given(batches(), st.data())
 def test_batch_gradients_equal_row_by_row_and_reference(case, data):
     n, batch = case
     ext = data.draw(st.sampled_from(EXTENSIONS[n]))
@@ -348,7 +361,7 @@ def test_batch_gradients_equal_row_by_row_and_reference(case, data):
             assert np.all(np.abs(error - ref_error) <= GRADIENT_ERROR_TOLERANCE * ref_error)
 
 
-@pytest.mark.parametrize("n", sorted(RULES))   # the circle rule, then a Monte Carlo rule
+@pytest.mark.parametrize("n", sorted(RULES))   # the circle rule, then Monte Carlo rules
 def test_gradients_asked_for_no_error_keep_their_bits(n):
     ext = EXTENSIONS[n][-1]                   # a stacked two-column extension
     batch = 0.79 * sphere_points(np.random.default_rng(n), 150, n) \
@@ -365,7 +378,7 @@ def test_gradients_asked_for_no_error_keep_their_bits(n):
        st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_each_output_of_a_request_has_the_bits_it_has_alone(n, count, columns, seed):
     """Values, their errors, Wirtinger data and their errors from one walk,
-    under the circle rule (n = 1) and a Monte Carlo rule (n = 2), for batches
+    under the circle rule (n = 1) and Monte Carlo rules (n = 2, 3), for batches
     on both sides of a point block's edge and 1-3 stacked columns."""
     rng = np.random.default_rng(seed)
     registry = boundary_registry(n)
@@ -421,7 +434,7 @@ def test_values_pin_the_gemm_arithmetic(n):
         assert_same_bits(second, ref_second)
 
 
-@pytest.mark.parametrize("n", sorted(GRADIENT_RULES))
+@pytest.mark.parametrize("n", sorted(RULES))
 def test_gradients_pin_the_gemm_arithmetic(n):
     rng = np.random.default_rng(11 + n)
     raw = rng.normal(size=(70, 2 * n))
@@ -463,7 +476,7 @@ def test_a_one_tile_request_makes_its_products_once(columns, monkeypatch):
 def test_product_rows_do_not_depend_on_their_place_in_a_block(n):
     """The premise of the GEMM form, on the engine's operands: a row of each
     of its products has the same bits at every place in a full block.  The
-    rules' last chunks (476 and 452 nodes) are not multiples of 8, where
+    rules' last chunks (476, 452 and 52 nodes) are not multiples of 8, where
     distance products with column-major node columns gave rows 60-63 other
     bits."""
     ext = EXTENSIONS[n][0]

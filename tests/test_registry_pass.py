@@ -1,7 +1,7 @@
 """The registry's rule-based functions share one kernel pass per batch.
 
-thm24 and lemma22 evaluate every rule-based registry entry as a column of
-one stacked extension, and schwarzpick every entry with a declared bound.
+thm24 evaluates every rule-based registry entry as a column of one stacked
+extension, and schwarzpick every entry with a declared bound.
 That may not change a single bit: a column must equal the entry's own
 extension, and each suite must equal its checks run one function at a time.
 Each entry is still held to its own declared bound, and its data is
@@ -20,7 +20,15 @@ from hballs import theorems
 from hballs.calculus import lambda_bounds_wirtinger, wirtinger_fd_many
 from hballs.extension import boundary_registry, h_extend, vector_boundary
 from hballs.norms import all_pairs_lipschitz, uniform_ball
-from hballs.quadrature import STREAM_PAIRS, circle_rule, rng_stream, sphere_rule_mc
+from hballs.calculus import WirtingerData
+from hballs.quadrature import (
+    STREAM_PAIRS,
+    STREAM_SAMPLES,
+    STREAM_WIRTINGER,
+    circle_rule,
+    rng_stream,
+    sphere_rule_mc,
+)
 from hballs.theorems import (
     HarnessConfig,
     check_lemma22,
@@ -142,13 +150,18 @@ def assert_derivative_path(cfg, reports):
 
 @pytest.mark.parametrize("n", sorted(SMALL))
 def test_lemma22_suite_equals_per_function_checks(n):
+    # its "functions" are data: the seeded pairs, then the real and imaginary
+    # equality cases of their f_z; no registry entry is evaluated
     cfg = HarnessConfig(**SMALL[n])
-    zs = theorems._sample_ball(cfg, 100, 0.7)
-    expected = [check_lemma22(f.wirtinger_many(zs)[0], zs, label=label,
-                              fd_error=f.fd_error).to_dict()
-                for label, f in one_at_a_time(cfg)]
-    assert [rep.to_dict() for rep in suite_lemma22(cfg)] == expected
-    assert_derivative_path(cfg, expected)
+    rng = rng_stream(cfg.seed, STREAM_WIRTINGER)
+    real, imag = rng.standard_normal((2, 2, cfg.samples, 1, n))
+    fz, fzbar = real + 1j * imag
+    expected = [check_lemma22(WirtingerData(fz, fzbar), label="random"),
+                check_lemma22(WirtingerData(fz, np.conj(fz)), label="real", equality=True),
+                check_lemma22(WirtingerData(fz, -np.conj(fz)), label="imaginary", equality=True)]
+    for rep in expected:
+        rep.inputs["seed"] = cfg.seed
+    assert [rep.to_dict() for rep in suite_lemma22(cfg)] == [rep.to_dict() for rep in expected]
 
 
 POINTWISE = {1: dict(n=1, nodes=1500, samples=15, seed=3),
@@ -160,7 +173,7 @@ POINTWISE = {1: dict(n=1, nodes=1500, samples=15, seed=3),
 def test_schwarzpick_suite_equals_per_entry_checks(n):
     cfg = HarnessConfig(**POINTWISE[n])
     rule = rule_for(cfg)
-    zs = theorems._sample_ball(cfg, cfg.samples, cfg.rmax)
+    zs = uniform_ball(n, cfg.samples, rng_stream(cfg.seed, STREAM_SAMPLES), cfg.rmax)
     entries = [entry for entry in boundary_registry(n) if entry.sup_bound]
     if n >= 2:
         entries.append(vector_boundary(entries[1:1 + n]))
@@ -189,7 +202,7 @@ def test_schwarzpick_suite_equals_per_entry_checks(n):
     assert [rep.to_dict() for rep in suite_schwarzpick(cfg)] == [rep.to_dict() for rep in expected]
 
 
-@pytest.mark.parametrize("suite", [suite_thm24, suite_lemma22, suite_schwarzpick])
+@pytest.mark.parametrize("suite", [suite_thm24, suite_schwarzpick])
 def test_entry_over_its_own_bound_is_refused_when_stacked(suite, monkeypatch):
     cfg = HarnessConfig(**SMALL[2])
     # |coord1| reaches about 1 on the sphere; declare 0.9 instead
@@ -197,7 +210,7 @@ def test_entry_over_its_own_bound_is_refused_when_stacked(suite, monkeypatch):
                 for entry in boundary_registry(2)]
     ruled = [entry for entry in registry if entry.exact_extension is None]
     # the stacked bound alone (root sum of squares) would let it through, both for
-    # the rule-based entries (thm24, lemma22) and for all of them (schwarzpick)
+    # the rule-based entries (thm24) and for all of them (schwarzpick)
     nodes = rule_for(cfg).nodes
     for stacked in (ruled, registry):
         vec = vector_boundary(stacked)
@@ -210,9 +223,9 @@ def test_entry_over_its_own_bound_is_refused_when_stacked(suite, monkeypatch):
 @pytest.mark.parametrize("suite, n, expected", [
     ("schwarzpick", 2, {"const:1": 1, "coord1": 1, "re1": 1, "bump": 1, "crossprod": 1}),
     ("thm24", 2, {"coord1": 1, "re1": 1, "bump": 1, "crossprod": 1}),
-    ("lemma22", 2, {"coord1": 1, "re1": 1, "bump": 1, "crossprod": 1}),
-    # lemma21, lemma22 and thm24 each extend bump, lemma33 re1, schwarzpick all five
-    ("all", 1, {"const:1": 1, "coord1": 1, "re1": 2, "bump": 4, "fourier": 1}),
+    ("lemma22", 2, {}),        # random pairs: no boundary data, no extension
+    # lemma21 and thm24 each extend bump, lemma33 re1, schwarzpick all five
+    ("all", 1, {"const:1": 1, "coord1": 1, "re1": 2, "bump": 3, "fourier": 1}),
 ], ids=["schwarzpick-n2", "thm24-n2", "lemma22-n2", "all-n1"])
 def test_boundary_data_is_evaluated_once_per_extension(suite, n, expected, monkeypatch):
     counts = {}
@@ -231,8 +244,9 @@ def test_boundary_data_is_evaluated_once_per_extension(suite, n, expected, monke
 
 @pytest.mark.parametrize("suite", [suite_thm24, suite_lemma22, suite_lemma21])
 def test_fixed_radius_suites_do_not_read_rmax(suite):
-    # thm24 and lemma22 sample out to |z| = 0.7 and lemma21's rows reach 0.75,
-    # whatever --rmax says; their extensions take the default guard radius
+    # thm24 samples out to |z| = 0.7 and lemma21's rows reach 0.75, whatever
+    # --rmax says, and their extensions take the default guard radius; lemma22
+    # samples no point
     for n in sorted(SMALL):
         reports = suite(HarnessConfig(**SMALL[n], rmax=0.5))
         assert all(rep.passed for rep in reports)

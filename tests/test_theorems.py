@@ -10,6 +10,7 @@ import pytest
 from hballs import cli, theorems
 from hballs.calculus import (
     GRADIENT_STEP_FACTOR,
+    WirtingerData,
     fd_partials,
     lambda_bounds_wirtinger,
     wirtinger_fd_many,
@@ -49,10 +50,8 @@ def registry_map(n):
 
 
 def lemma22_at(f, z, label):
-    """check_lemma22 on a one-point batch, by finite differences."""
-    zs = np.atleast_2d(z)
-    return check_lemma22(wirtinger_fd_many(f, zs), zs, label=label,
-                         fd_error=theorems._FD_TRUNCATION)
+    """check_lemma22 on f's Wirtinger data at one point, by finite differences."""
+    return check_lemma22(wirtinger_fd_many(f, np.atleast_2d(z)), label=label)
 
 
 def thm24_of(f, points, grid, label):
@@ -268,11 +267,62 @@ class TestLemma22:
         assert rep.passed
 
     def test_registry_sweep(self):
+        # the suite: random pairs, then the real and imaginary equality cases
         for n in (1, 2):
-            cfg = HarnessConfig(n=n, nodes=1024, mc_nodes=4000, seed=5)
-            reports = run_suite("lemma22", cfg)
+            reports = run_suite("lemma22", HarnessConfig(n=n, seed=5))
+            assert [rep.check_id for rep in reports] == [
+                f"lemma22[n={n},f=random]", f"lemma22.equality[n={n},f=real]",
+                f"lemma22.equality[n={n},f=imaginary]"]
             assert all(rep.passed for rep in reports)
             assert all(rep.inputs["failures"] == 0 for rep in reports)
+
+    def test_equality_case_catches_a_scaled_conjugate(self, monkeypatch):
+        # negative control: real data whose f_zbar is (1 + 1e-9) conj f_z still
+        # satisfies the inequality, but misses equality by about 5e-10 of rhs
+        check = theorems.check_lemma22
+
+        def scaled(data, *, label, equality=False):
+            if label == "real":
+                data = WirtingerData(data.fz, (1.0 + 1e-9) * data.fzbar)
+                assert check(data, label=label).passed
+            return check(data, label=label, equality=equality)
+
+        monkeypatch.setattr(theorems, "check_lemma22", scaled)
+        reports = run_suite("lemma22", HarnessConfig(n=2, seed=1))
+        assert [rep.passed for rep in reports] == [True, False, True]
+        assert reports[1].inputs["failures"] == HarnessConfig().samples
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_seed_replays_the_report_and_another_seed_moves_the_witness(self, n):
+        def reports(seed):
+            return run_suite("lemma22", HarnessConfig(n=n, seed=seed))
+
+        first = reports(4)
+        assert (json.dumps([rep.to_dict() for rep in first])
+                == json.dumps([rep.to_dict() for rep in reports(4)]))
+        assert all(rep.inputs["fz"] != other.inputs["fz"]
+                   for rep, other in zip(first, reports(5)))
+        # the witness's pair alone replays its sides
+        fz, fzbar = ([[[complex(*c) for c in first[0].inputs[key]]]] for key in ("fz", "fzbar"))
+        again = check_lemma22(WirtingerData(fz, fzbar), label="random")
+        assert (again.lhs, again.rhs) == (first[0].lhs, first[0].rhs)
+
+    def test_samples_flag_sizes_the_stack(self, tmp_path):
+        out = tmp_path / "lemma22.json"
+        assert cli.main(["verify", "--suite", "lemma22", "--n", "3", "--samples", "37",
+                         "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert [check["inputs"]["samples"] for check in checks] == [37] * 3
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_suite_builds_no_rule_and_no_extension(self, n, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("lemma22 evaluates no function")
+
+        monkeypatch.setattr(theorems, "rule_for", refused)
+        monkeypatch.setattr(theorems, "h_extend", refused)
+        reports = run_suite("lemma22", HarnessConfig(n=n, seed=2))
+        assert len(reports) == 3 and all(rep.passed for rep in reports)
 
 
 class TestThm24:
