@@ -13,7 +13,6 @@ from .quadrature import (
     QuadratureRule,
     circle_rule,
     sphere_rule_mc,
-    integrate,
     integrate_with_error,
 )
 from .extension import (

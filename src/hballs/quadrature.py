@@ -32,7 +32,6 @@ __all__ = [
     "sphere_points",
     "real_circle_rule",
     "real_sphere_rule_mc",
-    "integrate",
     "integrate_with_error",
     "rng_stream",
 ]
@@ -168,18 +167,13 @@ def real_sphere_rule_mc(real_dim: int, count: int, seed: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, meta)
 
 
-def integrate(rule: QuadratureRule, evaluator) -> complex:
-    """Sum of w_i * g(node_i) in fixed chunk order.
+def integrate_with_error(rule: QuadratureRule, evaluator):
+    """Sum of w_i * g(node_i) in fixed chunk order, plus an empirical
+    standard error.
 
     ``evaluator`` receives an (C, n) slice of nodes and returns (C,) values.
     The reduction order is independent of any parallel evaluation, so a
     given rule and evaluator always produce bit-identical results.
-    """
-    return integrate_with_error(rule, evaluator)[0]
-
-
-def integrate_with_error(rule: QuadratureRule, evaluator):
-    """Integral plus an empirical standard error.
 
     For Monte Carlo rules the error is the usual sample standard error of
     the weighted mean; deterministic rules report 0.0.  That is sound only

@@ -337,16 +337,25 @@ def check_lemma22(data: WirtingerData, *, label: str = "f",
     """|grad f| + |grad fbar| <= |grad u| + |grad v| for f = u + iv, on a
     scalar Wirtinger data batch (P, 1, n) of any pairs (f_z, f_zbar); the
     witness's pair is in its inputs.  With ``equality``: lhs = rhs to 1e-12
-    relative, as for real f (f_zbar = conj f_z) or imaginary f (-conj f_z)."""
+    relative, as for real f (f_zbar = conj f_z) or imaginary f (-conj f_z),
+    and the inputs also give the largest relative gap |lhs - rhs| / rhs over
+    the stack (``max_rel_gap``, 0 for a pair whose rhs is 0)."""
     grad, grad_bar = data.gradient_norms()
     J = real_jacobian_from_wirtinger(data)  # rows (u, v) x cols (x1, y1, ...)
     lhs, rhs = grad + grad_bar, _row_norms(J[..., 0, :]) + _row_norms(J[..., 1, :])
+    gaps = None
     if equality:   # |lhs - rhs| <= 1e-12 rhs, with no other slack
+        gaps = np.divide(np.abs(lhs - rhs), rhs, out=np.zeros_like(rhs), where=rhs > 0)
         lhs, rhs = np.abs(lhs - rhs), 1e-12 * rhs
+
+    def inputs(i):
+        fields = {"f": label, "fz": _cplx(data.fz[i, 0]), "fzbar": _cplx(data.fzbar[i, 0])}
+        if equality:
+            fields["max_rel_gap"] = float(np.max(gaps))
+        return fields
+
     return _batch_report(f"lemma22{'.equality' if equality else ''}[n={data.dim},f={label}]",
-                         lhs, rhs, lambda i: {"f": label, "fz": _cplx(data.fz[i, 0]),
-                                              "fzbar": _cplx(data.fzbar[i, 0])},
-                         analytic=0.0 if equality else 1e-12)
+                         lhs, rhs, inputs, analytic=0.0 if equality else 1e-12)
 
 
 def check_thm24_necessity(pair_est: SupEstimate, pairs: int, grid: np.ndarray,

@@ -56,7 +56,9 @@ def reference_reduce(reports, check_id):
 
 
 def lemma22_samples(data, label, equality=False):
-    reports = []
+    """Per pair its report; an equality report's inputs also carry the
+    largest |lhs - rhs| / rhs over all pairs."""
+    reports, gaps = [], []
     for i in range(len(data.fz)):
         pair = data[i]
         lhs = np.linalg.norm(pair.fz[0]) + np.linalg.norm(pair.fzbar[0])
@@ -64,9 +66,12 @@ def lemma22_samples(data, label, equality=False):
         rhs = np.linalg.norm(J[0]) + np.linalg.norm(J[1])
         inputs = {"f": label, "fz": cplx(pair.fz[0]), "fzbar": cplx(pair.fzbar[0])}
         if equality:
+            gaps.append(abs(lhs - rhs) / rhs if rhs > 0 else 0.0)
             reports.append(make_report("sample", abs(lhs - rhs), 1e-12 * rhs, inputs=inputs))
         else:
             reports.append(make_report("sample", lhs, rhs, analytic=1e-12, inputs=inputs))
+    for rep in reports if equality else ():
+        rep.inputs["max_rel_gap"] = float(max(gaps))
     return reports
 
 

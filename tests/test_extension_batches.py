@@ -12,6 +12,12 @@ gradient row must equal its one-point call and ``gemm_wirtinger`` below,
 must not depend on the BLAS thread count, and stays within a set tolerance
 of the per-point loop over ``kernel.poisson_h_wirtinger_values`` that the
 elementwise engine followed, kept below as ``reference_wirtinger``.
+
+An even circle rule whose series truncates within m/4 terms at the guard,
+as ``RULES[1]`` does, takes the Fourier path instead of the tiles: the same
+properties hold for it, its arithmetic is pinned by ``series_moments`` and
+``series_wirtinger``, and the GEMM pins run at n = 1 on the odd
+``circle_rule(1499)``, which is still walked.
 """
 
 import os
@@ -27,11 +33,12 @@ from hballs.errors import NearSingularEvaluation
 from hballs.extension import (
     _POINT_BLOCK,
     _int_power,
+    _series_terms,
     boundary_registry,
     h_extend,
     vector_boundary,
 )
-from hballs.kernel import poisson_h_wirtinger_values
+from hballs.kernel import poisson_h_values, poisson_h_wirtinger_values
 from hballs.quadrature import CHUNK, circle_rule, sphere_points, sphere_rule_mc
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -43,6 +50,9 @@ EXTENSIONS = {
     + [h_extend(vector_boundary(boundary_registry(n)[1:3]), rule)]
     for n, rule in RULES.items()
 }
+# the extensions that walk the kernel tiles: at n = 1 an odd circle rule
+WALKED = {**EXTENSIONS, 1: [h_extend(entry, circle_rule(1499)) for entry in boundary_registry(1)]
+          + [h_extend(vector_boundary(boundary_registry(1)[1:3]), circle_rule(1499))]}
 
 
 # Measured against ``reference_moments`` over 2000 points per dimension with
@@ -278,6 +288,91 @@ def gemm_wirtinger(ext, points):
     return fz, fzbar, errors if ext._psi_nodes.ndim > 1 else errors[:, 0]
 
 
+def series_operands(ext):
+    """K and, per column, the Fourier path's operands spelled out term by term:
+    rows k and K + k of the value's and the half rule's operands give Re and
+    Im of a_k z^k + b_k conj(z)^k (a_k = c_k, b_k = c_{-k}, b_0 = 0) from Re z^k
+    and Im z^k, and those of the data's give f_z's (k+1) c_{k+1} z^k and
+    f_zbar's (k+1) c_{-(k+1)} conj(z)^k, with c = FFT(psi) / m on the m nodes
+    or on the half rule's m/2."""
+    m = len(ext.rule)
+    terms = _series_terms(ext.guard_radius, m // 4)
+    psi = ext._psi_nodes if ext._psi_nodes.ndim > 1 else ext._psi_nodes[:, None]
+    operands = []
+    for col in psi.T:
+        col = np.ascontiguousarray(col)
+        full, half = np.fft.fft(col) / m, np.fft.fft(col[::2]) / (m // 2)
+        value, half_value, data = (np.zeros((2 * terms, width)) for width in (2, 2, 4))
+        for k in range(terms):
+            for coef, op in ((full, value), (half, half_value)):
+                a, b = coef[k], coef[-k] if k else 0j
+                op[k] = a.real + b.real, a.imag + b.imag
+                op[terms + k] = b.imag - a.imag, a.real - b.real
+            alpha, beta = (k + 1) * full[k + 1], (k + 1) * full[-(k + 1)]
+            data[k] = alpha.real, alpha.imag, beta.real, beta.imag
+            data[terms + k] = -alpha.imag, alpha.real, beta.imag, -beta.real
+        operands.append((value, half_value, data))
+    return terms, operands
+
+
+def power_row(z, terms):
+    """(Re z^0, ..., Re z^(K-1), Im z^0, ..., Im z^(K-1)) one scalar at a time,
+    by the engine's doubling: w = z^s by squaring, then z^(s+i) = z^i w."""
+    re, im = np.zeros(terms), np.zeros(terms)
+    re[0], re[1], im[1] = 1.0, z.real, z.imag
+    w_re, w_im = re[1], im[1]
+    filled = 2
+    while filled < terms:
+        w_sq = w_re * w_im
+        w_re, w_im = w_re * w_re - w_im * w_im, w_sq + w_sq
+        span = min(filled, terms - filled)
+        for i in range(span):
+            re[filled + i] = re[i] * w_re - im[i] * w_im
+            im[filled + i] = re[i] * w_im + im[i] * w_re
+        filled += span
+    return np.concatenate([re, im])
+
+
+def series_block(z, terms):
+    """A block whose row 0 is z's power row and whose other rows are the
+    origin's (z^0 = 1, every other power 0)."""
+    block = np.zeros((_POINT_BLOCK, 2 * terms))
+    block[:, 0] = 1.0
+    block[0] = power_row(z, terms)
+    return block
+
+
+def series_moments(ext, points):
+    """The Fourier path's values and half-rule values one point at a time:
+    the point's power row as row 0 of a block, one product per column and
+    output."""
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    terms, operands = series_operands(ext)
+    first = np.zeros((len(pts), len(operands)), dtype=complex)
+    second = np.zeros_like(first)
+    for p, z in enumerate(pts[:, 0]):
+        block = series_block(z, terms)
+        for j, (value, half_value, _) in enumerate(operands):
+            first[p, j] = (block @ value)[0].view(complex)[0]
+            second[p, j] = (block @ half_value)[0].view(complex)[0]
+    return (first[:, 0] if ext._psi_nodes.ndim == 1 else first), second
+
+
+def series_wirtinger(ext, points):
+    """The Fourier path's (f_z, f_zbar) one point at a time, with the data
+    errors 0.0 that a spectral rule reports."""
+    pts = np.atleast_2d(np.asarray(points, dtype=complex))
+    terms, operands = series_operands(ext)
+    fz = np.empty((len(pts), len(operands), 1), dtype=complex)
+    fzbar = np.empty_like(fz)
+    for p, z in enumerate(pts[:, 0]):
+        block = series_block(z, terms)
+        for j, (_, _, data) in enumerate(operands):
+            fz[p, j, 0], fzbar[p, j, 0] = (block @ data)[0].view(complex)
+    errors = np.zeros((len(pts), len(operands)))
+    return fz, fzbar, errors if ext._psi_nodes.ndim > 1 else errors[:, 0]
+
+
 def bits(array):
     return np.ascontiguousarray(array).view(np.uint8)
 
@@ -346,7 +441,8 @@ def test_batch_gradients_equal_row_by_row_and_reference(case, data):
         assert_same_bits(grad.fz, one.fz)
         assert_same_bits(grad.fzbar, one.fzbar)
         assert_same_bits(error, np.asarray(one_error, dtype=float))
-    fz, fzbar, gemm_errors = gemm_wirtinger(ext, batch[:10])
+    pinned = gemm_wirtinger if ext._series is None else series_wirtinger
+    fz, fzbar, gemm_errors = pinned(ext, batch[:10])
     for p, (row, error) in enumerate(zip(batch[:10], errors)):
         grad = grads[p]
         # the engine's arithmetic, one point at a time
@@ -427,7 +523,7 @@ def test_values_pin_the_gemm_arithmetic(n):
     raw = rng.normal(size=(70, 2 * n))
     batch = raw[:, :n] + 1j * raw[:, n:]
     batch *= (0.79 * rng.random(len(batch)) / np.linalg.norm(batch, axis=1))[:, None]
-    for ext in EXTENSIONS[n]:
+    for ext in WALKED[n]:
         values, second = ext._walk(batch, values=True, data=False, errors=True)[:2]
         ref_values, ref_second = gemm_moments(ext, batch)
         assert_same_bits(values, ref_values)
@@ -440,12 +536,133 @@ def test_gradients_pin_the_gemm_arithmetic(n):
     raw = rng.normal(size=(70, 2 * n))
     batch = raw[:, :n] + 1j * raw[:, n:]
     batch *= (0.79 * rng.random(len(batch)) / np.linalg.norm(batch, axis=1))[:, None]
-    for ext in EXTENSIONS[n]:
+    for ext in WALKED[n]:
         grads, errors = ext.wirtinger_many(batch)
         fz, fzbar, ref_errors = gemm_wirtinger(ext, batch)
         assert_same_bits(grads.fz, fz)
         assert_same_bits(grads.fzbar, fzbar)
         assert_same_bits(errors, ref_errors)
+
+
+def ball_batch(seed, count, n=1):
+    """``count`` seeded points with |z| <= 0.79, a quarter of them at 0.79."""
+    rng = np.random.default_rng(seed)
+    radii = 0.79 * np.sqrt(rng.random(count))
+    radii[:count // 4] = 0.79
+    return sphere_points(rng, count, n) * radii[:, None]
+
+
+def test_values_pin_the_series_arithmetic():
+    batch = ball_batch(8, 70)
+    for ext in EXTENSIONS[1]:
+        assert ext._series is not None
+        values, second = ext._walk(batch, values=True, data=False, errors=True)[:2]
+        ref_values, ref_second = series_moments(ext, batch)
+        assert_same_bits(values, ref_values)
+        assert_same_bits(second, ref_second)
+
+
+def test_gradients_pin_the_series_arithmetic():
+    batch = ball_batch(12, 70)
+    for ext in EXTENSIONS[1]:
+        grads, errors = ext.wirtinger_many(batch)
+        fz, fzbar, ref_errors = series_wirtinger(ext, batch)
+        assert_same_bits(grads.fz, fz)
+        assert_same_bits(grads.fzbar, fzbar)
+        assert_same_bits(errors, ref_errors)
+
+
+def test_series_terms_bound_the_dropped_tail():
+    """K(g) is the least K with 2 sum_{k >= K} k g^(k-1) <= 2^-53, summed
+    term by term here; 200 terms at the default guard 0.8."""
+    def tail(g, terms):
+        return sum(k * g ** (k - 1) for k in range(terms, terms + 20000))
+
+    for guard in (0.0, 0.5, 0.79, 0.8, 0.95):
+        terms = _series_terms(guard, 10 ** 5)
+        assert 2.0 * tail(guard, terms) <= 2.0 ** -53 < 2.0 * tail(guard, terms - 1)
+    assert _series_terms(0.8, 10 ** 5) == 200
+    assert _series_terms(0.8, 199) is None
+    assert _series_terms(1.0, 10 ** 5) is None
+
+
+# Measured against the kernel sums of ``poisson_h_values`` and
+# ``poisson_h_wirtinger_values`` at 400 points with |z| <= 0.79 (a quarter at
+# 0.79), m = 1500 and 4096, each n = 1 entry and their stack: values and
+# half-rule errors within 1.6e-15 of the data's sup norm, f_z and f_zbar
+# within 3.2e-15; most of it is the reference's exp/log rounding.  Closed
+# forms agree with the Fourier path within 2.6e-16.
+SERIES_TOLERANCE = 1e-14
+
+
+@pytest.mark.parametrize("m", [1500, 4096])
+@pytest.mark.parametrize("entry", boundary_registry(1) + [vector_boundary(boundary_registry(1))],
+                         ids=lambda entry: entry.label)
+def test_series_extensions_match_the_kernel_sums(m, entry):
+    rule = circle_rule(m)
+    ext = h_extend(entry, rule)
+    assert ext._series is not None
+    batch = ball_batch(m, 200)
+    values, errors, data, data_errors = ext.values_with_errors(batch, wirtinger=True)
+    psi = ext._psi_nodes
+    kernel = np.array([poisson_h_values(z, rule.nodes) for z in batch])
+    derivative = np.array([poisson_h_wirtinger_values(z, rule.nodes)[:, 0] for z in batch])
+    ref_values = (kernel * rule.weights) @ psi
+    ref_errors = np.abs(ref_values - (kernel * rule.half_weights) @ psi)
+    ref_fz = (derivative * rule.weights) @ psi
+    ref_fzbar = (np.conj(derivative) * rule.weights) @ psi
+    bound = SERIES_TOLERANCE * np.abs(psi).max()
+    assert np.abs(values - ref_values).max() <= bound
+    assert np.abs(errors - ref_errors).max() <= bound
+    for side, ref in ((data.fz, ref_fz), (data.fzbar, ref_fzbar)):
+        assert np.abs(side[:, :, 0].reshape(ref.shape) - ref).max() <= bound
+    assert not data_errors.any()
+    if entry.exact_extension is not None:
+        assert np.abs(values - entry.exact_extension(batch)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("m, guard, series", [
+    (800, 0.8, True), (798, 0.8, False), (801, 0.8, False), (800, 0.79, True),
+    (1500, 1.0, False), (64, 0.5, False), (248, 0.5, True)])
+def test_the_fourier_path_needs_an_even_rule_with_room_for_its_terms(m, guard, series):
+    """K(0.8) = 200 and K(0.5) = 62 terms fit in m/4 from m = 800 and 248."""
+    ext = h_extend(boundary_registry(1)[1], circle_rule(m), guard_radius=guard)
+    assert (ext._series is not None) == series
+
+
+@pytest.mark.parametrize("m, guard", [(1499, 0.8), (64, 0.8), (1500, 1.0)],
+                         ids=["odd", "too-coarse", "guard-1"])
+def test_rules_the_series_cannot_serve_keep_the_kernel_walk(m, guard):
+    """An odd rule, a rule too coarse for its guard and guard 1.0 walk the
+    kernel tiles with the GEMM arithmetic, bit for bit."""
+    ext = h_extend(vector_boundary(boundary_registry(1)[1:4]), circle_rule(m), guard_radius=guard)
+    assert ext._series is None
+    batch = ball_batch(m, 70)
+    values, second = ext._walk(batch, values=True, data=False, errors=True)[:2]
+    ref_values, ref_second = gemm_moments(ext, batch)
+    assert_same_bits(values, ref_values)
+    assert_same_bits(second, ref_second)
+    grads, errors = ext.wirtinger_many(batch)
+    fz, fzbar, ref_errors = gemm_wirtinger(ext, batch)
+    assert_same_bits(grads.fz, fz)
+    assert_same_bits(grads.fzbar, fzbar)
+    assert_same_bits(errors, ref_errors)
+
+
+def test_series_product_rows_do_not_depend_on_their_place_in_a_block():
+    """The GEMM premise on the Fourier path's operands: a row of the power
+    table times each operand has the same bits at every place in a block."""
+    ext = EXTENSIONS[1][-1]
+    terms, operands = series_operands(ext)
+    table = np.stack([power_row(z, terms) for z in ball_batch(3, _POINT_BLOCK)[:, 0]])
+    origin = np.zeros_like(table)
+    origin[:, 0] = 1.0
+    for right in operands[0]:
+        full = table @ right
+        for r in range(_POINT_BLOCK):
+            alone = origin.copy()
+            alone[0] = table[r]
+            assert_same_bits((alone @ right)[0], full[r])
 
 
 @pytest.mark.parametrize("columns", [1, 2, 3])
@@ -511,7 +728,8 @@ from hballs.extension import boundary_registry, h_extend, vector_boundary
 from hballs.quadrature import circle_rule, sphere_rule_mc
 rng = np.random.default_rng(3)
 digest = hashlib.sha256()
-for n, rule in ((1, circle_rule(1500)), (2, sphere_rule_mc(2, 5000, 11)), (3, sphere_rule_mc(3, 3000, 2))):
+for n, rule in ((1, circle_rule(1500)), (1, circle_rule(1499)), (2, sphere_rule_mc(2, 5000, 11)),
+                (3, sphere_rule_mc(3, 3000, 2))):
     raw = rng.normal(size=(200, 2 * n))
     pts = raw[:, :n] + 1j * raw[:, n:]
     pts *= (0.79 * rng.random(len(pts)) / np.linalg.norm(pts, axis=1))[:, None]
@@ -529,7 +747,8 @@ print(digest.hexdigest())
 
 def test_values_do_not_depend_on_the_blas_thread_count():
     """Values, second moments, Wirtinger data and their errors at n = 1, 2, 3,
-    requested apart and in one request."""
+    requested apart and in one request; at n = 1 on the Fourier path and on
+    the kernel walk."""
     digests = []
     for threads in ("1", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,

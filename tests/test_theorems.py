@@ -214,19 +214,24 @@ class TestLemma21:
 
     def test_rule_based_constant_passes_through_its_finite_difference_term(self):
         # case 0 at seed 1 on the rule-based constant extension: rounding in the
-        # kernel sum gives lhs 2.3e-10 against rhs 2.6e-15, inside only 10 * 1e-9
+        # kernel sum gives lhs 2.3e-10 against rhs 2.6e-15, inside only 10 * 1e-9.
+        # Guard 1.0 keeps the kernel walk; at the guard 0.8 the Fourier path's
+        # constant is exactly 1, and both sides are 0
         reports = theorems.suite_lemma21(HarnessConfig(n=1, seed=1))
         case0 = reports[0]
         assert case0.check_id == "lemma21[m=2,f=const:1.re,case=0]"
         const = boundary_registry(1)[0]
-        ext = h_extend(const, circle_rule(4096), guard_radius=0.8)
         a, r, rule = np.array(case0.inputs["a"]), case0.inputs["r"], real_circle_rule(1024)
+        ext = h_extend(const, circle_rule(4096), guard_radius=1.0)
         rep = lemma21_of(disk_part(ext, True), a, r, rule, check_id="const")
         ref = lemma21_reference(disk_part(ext, True), a, r, rule, "const")
         assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
         assert rep.lhs / rep.rhs > 1e4
         assert rep.lhs > rep.rhs + rep.tol_breakdown["quadrature"]
         assert rep.passed and rep.lhs <= rep.rhs + rep.tolerance
+        ext = h_extend(const, circle_rule(4096), guard_radius=0.8)
+        rep = lemma21_of(disk_part(ext, True), a, r, rule, check_id="const")
+        assert rep.lhs == rep.rhs == 0.0 and rep.passed
 
     def test_harness_sweep_passes(self):
         cfg = HarnessConfig(n=1, nodes=1024, seed=3)
@@ -291,6 +296,18 @@ class TestLemma22:
         reports = run_suite("lemma22", HarnessConfig(n=2, seed=1))
         assert [rep.passed for rep in reports] == [True, False, True]
         assert reports[1].inputs["failures"] == HarnessConfig().samples
+        # the drift shows in the stack's largest relative gap, not in the witness
+        assert 1e-10 < reports[1].inputs["max_rel_gap"] < 1e-9
+        assert reports[2].inputs["max_rel_gap"] < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equality_reports_give_the_largest_relative_gap(self, n):
+        reports = run_suite("lemma22", HarnessConfig(n=n, seed=1))
+        assert "max_rel_gap" not in reports[0].inputs
+        for rep in reports[1:]:
+            # rounding only, and at least the witness's own gap
+            assert 0.0 < rep.inputs["max_rel_gap"] < 1e-13
+            assert rep.inputs["max_rel_gap"] >= rep.lhs / (rep.rhs / 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_seed_replays_the_report_and_another_seed_moves_the_witness(self, n):
