@@ -37,13 +37,16 @@ do not alias within |k| <= K either.  Each column's coefficients are taken
 once at construction, from psi on the rule's nodes and on the half rule's
 (``QuadratureRule.half_weights > 0``), and every request is answered from
 the K powers of each point (``HExtension._series_walk``): values, the
-half-rule gap and Wirtinger data, with data errors 0.0.  ``circle_rule``'s
+half-rule gap and Wirtinger data, with data errors 0.0; for real data the
+value and the half-rule value are real to the bit.  ``circle_rule``'s
 nodes are rounded values of exp(2 pi i j / m), at which psi is sampled and
 the kernel walk evaluates the kernel, while the series assumes the exact
 roots, so the two paths agree to rounding, not to the bit.
 
-Every other extension walks the kernel tiles: Monte Carlo rules, odd m,
-and guards too close to 1 for m/4 terms (guard 1.0 among them).  The walk
+Every other extension walks the kernel tiles: Monte Carlo rules, odd m
+(which has no half rule, so it answers values and Wirtinger data but no
+value errors) and guards too close to 1 for m/4 terms.  A guard radius
+lies in (0, 1).  The walk
 takes point blocks against the rule's node chunks once, each point reducing
 over the chunks in index order.  Every temporary of a tile lives in a
 buffer made once per call.
@@ -143,8 +146,6 @@ def _series_terms(guard: float, limit: int) -> Optional[int]:
     sup|psi| T(K), T(K) = sum_{k >= K} k g^(k-1) = g^(K-1) (K - (K-1) g) /
     (1 - g)^2; K is the least with 2 T(K) <= 2^-53.
     """
-    if not 0.0 <= guard < 1.0:
-        return None
     for terms in range(1, limit + 1):
         tail = guard ** (terms - 1) * (terms - (terms - 1) * guard) / (1.0 - guard) ** 2
         if 2.0 * tail <= _SERIES_TAIL:
@@ -171,6 +172,8 @@ def _series_operands(psi_cols: np.ndarray, terms: int):
             a, b = coef[k], np.where(k > 0, coef[-k], 0.0)
             op[:terms, 0], op[terms:, 0] = a.real + b.real, b.imag - a.imag
             op[:terms, 1], op[terms:, 1] = a.imag + b.imag, a.real - b.real
+        if not col.imag.any():      # real data: c_(-k) = conj(c_k) to rounding only
+            value_op[:, 1] = half_op[:, 1] = 0.0
         alpha, beta = (k + 1) * full[k + 1], (k + 1) * full[-(k + 1)]
         data_op[:terms, 0], data_op[terms:, 0] = alpha.real, -alpha.imag
         data_op[:terms, 1], data_op[terms:, 1] = alpha.imag, alpha.real
@@ -213,7 +216,7 @@ class BoundaryFunction:
     held on every rule node by the extension (by the bound of each of its
     ``components`` for data stacked by ``vector_boundary``).
     ``exact_extension``, when present, evaluates the known closed-form
-    extension (used as a test oracle).
+    extension, which lemma21 and thm24 take in place of a rule's.
     """
 
     label: str
@@ -233,7 +236,8 @@ class HExtension:
 
     Callable on a single point or an (P, n) batch; evaluation is refused
     beyond the guard radius, where the kernel mass concentrates and the
-    rule's error is no longer meaningful.  Boundary data that is NaN or
+    rule's error is no longer meaningful, and a guard radius outside (0, 1)
+    is refused at construction.  Boundary data that is NaN or
     infinite on any rule node, or exceeds its declared bound on one, is
     refused at construction, as is a rule with a node off the unit sphere.
     The rule and the guard radius also choose the engine's path (see the
@@ -241,12 +245,12 @@ class HExtension:
     takes its Fourier coefficients here.
     """
 
-    fd_error = 0.0   # wirtinger_many's finite-difference term: kernel derivatives are exact
-
     def __init__(self, boundary: BoundaryFunction, rule: QuadratureRule,
                  guard_radius: float = DEFAULT_GUARD_RADIUS):
         if rule.dim != boundary.dim:
             raise ValueError("rule and boundary data dimensions differ")
+        if not 0.0 < guard_radius < 1.0:
+            raise ValueError(f"the guard radius must lie in (0, 1), got {guard_radius}")
         self.boundary = boundary
         self.rule = rule
         self.guard_radius = float(guard_radius)
@@ -348,12 +352,11 @@ class HExtension:
         k_out = len(psi)
         monte_carlo = errors and self.rule.monte_carlo
         half_rule = errors and values and not monte_carlo
+        half_weights = self.rule.half_weights if half_rule else None
         sq_norm = np.sum(pts.real ** 2 + pts.imag ** 2, axis=1)
         num = 1.0 - sq_norm
         num_pow = _int_power(num, expo)
-        # 1 / (1 - |z|^2), NaN on or beyond the sphere (guard radius >= 1): such
-        # a point hits a refused collision or gives data WirtingerData refuses
-        inv_num = np.divide(1.0, num, out=np.full(count, np.nan), where=num > 0.0)
+        inv_num = 1.0 / num
         # rows (-2x_1, -2y_1, ..., -2y_n, |z|^2, 1); padding rows are the origin
         aug = np.zeros((-(-count // _POINT_BLOCK) * _POINT_BLOCK, 2 * n + 2))
         np.multiply(-2.0, pts.view(np.float64), out=aug[:count, :2 * n])
@@ -407,8 +410,7 @@ class HExtension:
                     np.multiply(m, w[csl], out=m)
                     np.multiply(k_live, k_live, out=spare_live)
                 elif half_rule:
-                    half_w = np.multiply(psi[:, csl], self.rule.half_weights[csl],
-                                         out=half_w_buf[:, :width])
+                    half_w = np.multiply(psi[:, csl], half_weights[csl], out=half_w_buf[:, :width])
                 for j in range(k_out):
                     if values:
                         np.matmul(kern, psi_w[j].view(np.float64).reshape(width, 2), out=pair_out)
@@ -532,7 +534,7 @@ class HExtension:
 
         One pass over the rule.  The errors have the values' shape, (P,) or
         (P, k), one per column: for a Monte Carlo rule its standard error
-        sqrt(var_j / N); for a spectral rule with m nodes the gap
+        sqrt(var_j / N); for a spectral rule with m nodes, m even, the gap
         |f_m(z) - f_{m/2}(z)| to the half rule on every second node, which
         tracks the rule's aliasing error, the terms of order |z|^m of its
         kernel sum 1 + 2 sum_{j >= 1} |z|^{jm} cos(j m theta).  With
@@ -692,12 +694,18 @@ def boundary_registry(n: int) -> list[BoundaryFunction]:
     return entries
 
 
+def _stacked(parts) -> Callable[[np.ndarray], np.ndarray]:
+    """The (P, k) map whose column j is parts[j] of the same (P, n) batch."""
+    return lambda points: np.stack([np.asarray(part(points)) for part in parts], axis=1)
+
+
 def vector_boundary(components: list[BoundaryFunction]) -> BoundaryFunction:
     """Stack scalar boundary data into C^k-valued data.
 
     The declared bound is the root sum of squares of the component bounds,
     a true bound for |psi| (not necessarily attained); an extension holds
-    each column to its own component's, stricter bound.
+    each column to its own component's, stricter bound.  The closed-form
+    extensions stack as the data do, when every component has one.
     """
     if not components:
         raise ValueError("need at least one component")
@@ -707,14 +715,12 @@ def vector_boundary(components: list[BoundaryFunction]) -> BoundaryFunction:
     bound = None
     if all(c.sup_bound is not None for c in components):
         bound = float(np.sqrt(sum(c.sup_bound ** 2 for c in components)))
-
-    def values(nodes, comps=tuple(components)):
-        return np.stack([np.asarray(c.values(nodes)) for c in comps], axis=1)
-
+    exact = [c.exact_extension for c in components]
     return BoundaryFunction(
         label="vec(" + ",".join(c.label for c in components) + ")",
         dim=n,
-        values=values,
+        values=_stacked([c.values for c in components]),
         sup_bound=bound,
+        exact_extension=_stacked(exact) if None not in exact else None,
         components=tuple(components),
     )

@@ -12,9 +12,10 @@ families cover the needs of the harness:
 
 Integration reduces in fixed 1024-node chunks, summed in index order, so
 results do not depend on how the evaluation work is scheduled.  A rule
-also defines its half rule (``QuadratureRule.half_weights``), from which a
-spectral rule's error estimate is read: the extension's value errors and
-lemma21's quadrature term are gaps to it.  Child
+of even node count also defines its half rule
+(``QuadratureRule.half_weights``), from which a spectral rule's error
+estimate is read: the extension's value errors and lemma21's quadrature
+term are gaps to it.  Child
 random streams are derived with ``SeedSequence(seed, spawn_key=(stream,))``
 so every consumer of randomness is reproducible from the one seed.
 """
@@ -92,7 +93,11 @@ class QuadratureRule:
 
     @property
     def half_weights(self) -> np.ndarray:
-        """The half rule: every second node's weight renormalized to sum 1, 0 at the others."""
+        """The half rule: every second node's weight renormalized to sum 1, 0 at the others.
+        An odd rule has none (every second node of an odd circle rule is no
+        circle rule), so an odd node count is refused."""
+        if len(self) % 2:
+            raise ValueError(f"a rule of {len(self)} nodes, an odd count, has no half rule")
         half = np.zeros(len(self))
         half[::2] = self.weights[::2] / np.sum(self.weights[::2])
         return half

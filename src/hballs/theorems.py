@@ -20,15 +20,16 @@ Tolerances follow one policy:
               + 10 * (quadrature error: MC standard error or half-rule gap)
               + 10 * (finite-difference truncation estimate),
 
-with the three parts recorded separately.  Every evaluator answers the same
-calls: ``f(points)``, and ``f.wirtinger_many(points)`` with its quadrature
-error shaped like its values (None when ``want_errors=False`` asks for
-none) and ``f.fd_error``, its finite-difference term:
-0 for an HExtension, whose kernel derivatives are exact, and 1e-9 for a registry
-closed form (``_ClosedForm``), which has no quadrature error.  thm24 reads
-only ``fd_error``, the discretized extension being exactly h-harmonic;
-schwarzpick and lemma33 only the quadrature error.  A strict
-inequality (the separation probe) uses a strict comparison, not a slack.
+with the three parts recorded separately.  An extension's Wirtinger data
+are its kernel derivatives, exact for the discretized function, so their
+finite-difference term is 0; a registry closed form has no quadrature
+error, and its data are finite differences with the term 1e-9.  thm24
+evaluates its closed forms as one stack (``vector_boundary``'s
+``exact_extension``) and its rule-based entries as one stacked extension,
+and reads only the finite-difference term, the discretized extension being
+exactly h-harmonic; schwarzpick and lemma33 read only the quadrature error.
+A strict inequality (the separation probe) uses a strict comparison, not a
+slack.
 
 A suite that differentiates evaluates one WirtingerData batch, (P, k, n)
 arrays, per function and sweep (Lambda by one stacked SVD in schwarzpick,
@@ -677,23 +678,6 @@ def suite_lemma22(cfg: HarnessConfig) -> list[CheckReport]:
     return reports
 
 
-class _ClosedForm:
-    """A registry closed form with ``HExtension``'s calls: its values, and
-    Richardson finite differences of them by this module's
-    ``wirtinger_fd_many``, looked up per call, with no quadrature error."""
-
-    fd_error = _FD_TRUNCATION
-
-    def __init__(self, f):
-        self._f = f
-
-    def __call__(self, points):
-        return self._f(points)
-
-    def wirtinger_many(self, points, want_errors: bool = True):
-        return wirtinger_fd_many(self._f, points), (np.zeros(len(points)) if want_errors else None)
-
-
 def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
     """Weighted-Lipschitz sup (every pair of one point set, and derivative
     limits at the grid points) against pi sqrt(n) times the Bloch sup on
@@ -701,27 +685,30 @@ def suite_thm24(cfg: HarnessConfig) -> list[CheckReport]:
 
     The point set is the grid followed by ``cfg.samples`` seeded uniform
     points with |z| <= 0.7; each function is evaluated there once, and one
-    walk takes every function's sup over all pairs of it.  The rule-based
-    entries are the columns of one stacked extension: each column has the
-    bits of the entry's own extension and is held to the entry's own bound.
+    walk takes every function's sup over all pairs of it.  The registry's
+    closed forms are the columns of one stack, differentiated by finite
+    differences (FD term ``_FD_TRUNCATION``), and its rule-based entries the
+    columns of one stacked extension, differentiated exactly (FD term 0):
+    each column has the bits of the entry's own evaluation, and each
+    extension column is held to the entry's own bound.
     """
     grid = ball_grid(cfg.n)
     points = np.concatenate(
         [grid, uniform_ball(cfg.n, cfg.samples, rng_stream(cfg.seed, STREAM_PAIRS), 0.7)])
     registry = boundary_registry(cfg.n)
+    closed = [entry for entry in registry if entry.exact_extension is not None]
     ruled = [entry for entry in registry if entry.exact_extension is None]
+    closed_form = vector_boundary(closed).exact_extension
     stacked = h_extend(vector_boundary(ruled), rule_for(cfg))
-    ruled_values, ruled_data = stacked(points), stacked.wirtinger_many(grid, want_errors=False)[0]
+    # (entries, values at the points, data at the grid, FD term) per stack
+    stacks = [(closed, closed_form(points), wirtinger_fd_many(closed_form, grid), _FD_TRUNCATION),
+              (ruled, stacked(points), stacked.wirtinger_many(grid, want_errors=False)[0], 0.0)]
     columns, grid_data = [], []
     for entry in registry:
-        if entry.exact_extension is None:
-            j = ruled.index(entry)
-            f, values, data = stacked, ruled_values[:, j:j + 1], ruled_data[:, j:j + 1]
-        else:
-            f = _ClosedForm(entry.exact_extension)
-            values, data = f(points), f.wirtinger_many(grid, want_errors=False)[0]
-        columns.append(np.reshape(values, (len(points), -1)))
-        grid_data.append((entry.label, data, f.fd_error))
+        entries, values, data, fd_error = stacks[entry.exact_extension is None]
+        j = entries.index(entry)
+        columns.append(values[:, j:j + 1])
+        grid_data.append((entry.label, data[:, j:j + 1], fd_error))
     sups, pairs = all_pairs_lipschitz(points, np.hstack(columns))
     return [check_thm24_necessity(sup, pairs, grid, data, label=label, fd_error=fd_error)
             for (label, data, fd_error), sup in zip(grid_data, sups)]

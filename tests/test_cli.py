@@ -274,6 +274,19 @@ class TestVerifyCommand:
         assert code == 3
         assert "numerical failure: Wirtinger data must be finite" in capsys.readouterr().err
 
+    def test_an_odd_circle_rule_refuses_value_errors(self, tmp_path, capsys):
+        # schwarzpick reads the half-rule gap, which an odd rule does not have;
+        # lemma21's extension takes values alone and runs on it
+        from hballs import cli
+
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--suite", "schwarzpick", "--n", "1", "--nodes", "4097",
+                         "--out", str(out)]) == 2
+        assert "4097 nodes, an odd count, has no half rule" in capsys.readouterr().err
+        assert cli.main(["verify", "--suite", "lemma21", "--n", "2", "--nodes", "4097",
+                         "--out", str(out)]) == 0
+        assert all(check["pass"] for check in json.loads(out.read_text())["checks"])
+
     @pytest.mark.parametrize("exc, echo", [
         (NearSingularEvaluation("too close", point=np.array([0.9 + 0j])), " (point [0.9+0.j])"),
         (NonFiniteResult("not finite"), "")])

@@ -9,6 +9,8 @@ a refactor cannot fall back to finite differences, or walk the same tiles
 twice, unnoticed.  lemma22 checks random Wirtinger pairs and asks nothing.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -126,11 +128,12 @@ def test_thm24_takes_no_svd(monkeypatch):
 @pytest.fixture
 def engine_rows(monkeypatch):
     """(rows, outputs asked for) of each request to the HExtension engine
-    (``_walk``), the outputs named among values, data and errors, and the
-    rows of each value call of a registry closed form."""
-    calls = {"requests": [], "closed_form_values": []}
-    walk = HExtension._walk
-    closed_form = theorems._ClosedForm.__call__
+    (``_walk``), the outputs named among values, data and errors; the rows
+    of each call of a stack of registry closed forms (``vector_boundary``'s
+    ``exact_extension``), finite-difference stencils included; and the rows
+    of each ``theorems.wirtinger_fd_many`` call."""
+    calls = {"requests": [], "closed_form_values": [], "fd": []}
+    walk, stack, fd = HExtension._walk, theorems.vector_boundary, theorems.wirtinger_fd_many
 
     def counted_walk(self, points, values, data, errors):
         asked = (("values", values), ("data", data), ("errors", errors))
@@ -138,12 +141,25 @@ def engine_rows(monkeypatch):
                                   tuple(name for name, wanted in asked if wanted)))
         return walk(self, points, values, data, errors)
 
-    def counted_closed_form(self, points):
-        calls["closed_form_values"].append(len(np.atleast_2d(points)))
-        return closed_form(self, points)
+    def counted_stack(components):
+        stacked = stack(components)
+        closed_form = stacked.exact_extension
+        if closed_form is None:
+            return stacked
+
+        def counted_closed_form(points):
+            calls["closed_form_values"].append(len(np.atleast_2d(points)))
+            return closed_form(points)
+
+        return dataclasses.replace(stacked, exact_extension=counted_closed_form)
+
+    def counted_fd(f, points):
+        calls["fd"].append(len(points))
+        return fd(f, points)
 
     monkeypatch.setattr(HExtension, "_walk", counted_walk)
-    monkeypatch.setattr(theorems._ClosedForm, "__call__", counted_closed_form)
+    monkeypatch.setattr(theorems, "vector_boundary", counted_stack)
+    monkeypatch.setattr(theorems, "wirtinger_fd_many", counted_fd)
     return calls
 
 
@@ -154,18 +170,30 @@ def test_lemma22_sends_only_its_samples_to_the_gradient_engine(engine_rows):
     reports = suite_lemma22(HarnessConfig(**SMALL))
     assert all(rep.passed for rep in reports)
     # its samples are random Wirtinger pairs: nothing is sent to an evaluator
-    assert engine_rows == {"requests": [], "closed_form_values": []}
+    assert engine_rows == {"requests": [], "closed_form_values": [], "fd": []}
 
 
 def test_thm24_sends_one_point_set_and_its_grid(engine_rows):
-    cfg = HarnessConfig(**SMALL)
+    assert_thm24_calls(HarnessConfig(**SMALL), engine_rows)
+
+
+def test_thm24_evaluates_its_closed_forms_as_one_stack(engine_rows):
+    # four closed forms at n = 1, one value call and one FD call for all
+    assert_thm24_calls(HarnessConfig(n=1, samples=40, seed=5), engine_rows)
+
+
+def assert_thm24_calls(cfg, engine_rows):
     reports = suite_thm24(cfg)
     assert all(rep.passed for rep in reports)
     grid = len(ball_grid(cfg.n))
-    # one value request for the grid and the samples per evaluator: the
-    # stacked extension and the closed form const:1; the data at the grid alone
+    # one value call for the grid and the samples per stack: the closed forms
+    # (const:1 alone at n = 2; const:1, coord1, re1 and fourier at n = 1) and
+    # the stacked extension; the data at the grid alone, for the closed forms
+    # one finite-difference call, which evaluates them once on its 8n
+    # stencil rows per grid point
     assert engine_rows == {"requests": [(grid + cfg.samples, ("values",)), (grid, ("data",))],
-                           "closed_form_values": [grid + cfg.samples]}
+                           "closed_form_values": [grid + cfg.samples, 8 * cfg.n * grid],
+                           "fd": [grid]}
     assert all(rep.inputs["pairs"] == (grid + cfg.samples) * (grid + cfg.samples - 1) // 2
                for rep in reports)
 
@@ -177,7 +205,7 @@ def test_schwarzpick_asks_one_request_for_everything_it_reads(engine_rows):
     reports = suite_schwarzpick(cfg)
     assert all(rep.passed for rep in reports)
     assert engine_rows == {"requests": [(cfg.samples + 1, ("values", "data", "errors"))],
-                           "closed_form_values": []}
+                           "closed_form_values": [], "fd": []}
 
 
 def test_schwarzpick_walks_its_tiles_once(monkeypatch):

@@ -70,6 +70,11 @@ class TestExtensionValues:
         ext = h_extend(registry_map(1)["re1"], circle_rule(256), guard_radius=0.8)
         with pytest.raises(NearSingularEvaluation):
             ext(np.array([[0.9 + 0.0j]]))
+        # a guard lies in (0, 1): at 1.0 points on the sphere got nonsense
+        # data, at 1.5 points outside the ball got values
+        for guard in (0.0, -0.5, 1.0, 1.5, np.nan):
+            with pytest.raises(ValueError, match=rf"guard radius must lie in \(0, 1\), got {guard}"):
+                h_extend(registry_map(1)["re1"], circle_rule(4096), guard_radius=guard)
 
     def test_non_finite_points_refused(self):
         ext = h_extend(registry_map(1)["re1"], circle_rule(256))

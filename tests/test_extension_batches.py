@@ -16,8 +16,9 @@ elementwise engine followed, kept below as ``reference_wirtinger``.
 An even circle rule whose series truncates within m/4 terms at the guard,
 as ``RULES[1]`` does, takes the Fourier path instead of the tiles: the same
 properties hold for it, its arithmetic is pinned by ``series_moments`` and
-``series_wirtinger``, and the GEMM pins run at n = 1 on the odd
-``circle_rule(1499)``, which is still walked.
+``series_wirtinger``, and the GEMM pins run at n = 1 on the even
+``circle_rule(600)``, which is still walked: its m/4 = 150 cannot hold the
+series' 200 terms at the guard 0.8.
 """
 
 import os
@@ -50,9 +51,13 @@ EXTENSIONS = {
     + [h_extend(vector_boundary(boundary_registry(n)[1:3]), rule)]
     for n, rule in RULES.items()
 }
-# the extensions that walk the kernel tiles: at n = 1 an odd circle rule
-WALKED = {**EXTENSIONS, 1: [h_extend(entry, circle_rule(1499)) for entry in boundary_registry(1)]
-          + [h_extend(vector_boundary(boundary_registry(1)[1:3]), circle_rule(1499))]}
+# the extensions that walk the kernel tiles: at n = 1 an even circle rule too
+# coarse for the Fourier path
+WALKED = {**EXTENSIONS, 1: [h_extend(entry, circle_rule(600)) for entry in boundary_registry(1)]
+          + [h_extend(vector_boundary(boundary_registry(1)[1:3]), circle_rule(600))]}
+# a guard just below 1: it admits points 1e-9 inside the sphere, so a
+# collision with a node reaches the tile check
+GUARD_NEAR_ONE = 1.0 - 1e-10
 
 
 # Measured against ``reference_moments`` over 2000 points per dimension with
@@ -294,20 +299,21 @@ def series_operands(ext):
     Im of a_k z^k + b_k conj(z)^k (a_k = c_k, b_k = c_{-k}, b_0 = 0) from Re z^k
     and Im z^k, and those of the data's give f_z's (k+1) c_{k+1} z^k and
     f_zbar's (k+1) c_{-(k+1)} conj(z)^k, with c = FFT(psi) / m on the m nodes
-    or on the half rule's m/2."""
+    or on the half rule's m/2.  For real psi the two values' Im rows are 0."""
     m = len(ext.rule)
     terms = _series_terms(ext.guard_radius, m // 4)
     psi = ext._psi_nodes if ext._psi_nodes.ndim > 1 else ext._psi_nodes[:, None]
     operands = []
     for col in psi.T:
         col = np.ascontiguousarray(col)
+        real = not col.imag.any()
         full, half = np.fft.fft(col) / m, np.fft.fft(col[::2]) / (m // 2)
         value, half_value, data = (np.zeros((2 * terms, width)) for width in (2, 2, 4))
         for k in range(terms):
             for coef, op in ((full, value), (half, half_value)):
                 a, b = coef[k], coef[-k] if k else 0j
-                op[k] = a.real + b.real, a.imag + b.imag
-                op[terms + k] = b.imag - a.imag, a.real - b.real
+                op[k] = a.real + b.real, 0.0 if real else a.imag + b.imag
+                op[terms + k] = b.imag - a.imag, 0.0 if real else a.real - b.real
             alpha, beta = (k + 1) * full[k + 1], (k + 1) * full[-(k + 1)]
             data[k] = alpha.real, alpha.imag, beta.real, beta.imag
             data[terms + k] = -alpha.imag, alpha.real, beta.imag, -beta.real
@@ -498,23 +504,32 @@ def test_each_output_of_a_request_has_the_bits_it_has_alone(n, count, columns, s
 
 # Relative offsets of a point from a node.  The product form rounds the
 # squared distance at 1e-9 to 0, so 1e-7 (about 1e-14, positive) is the case
-# that tells the 1e-12 floor from a floor near 0.
+# that tells the 1e-12 floor from a floor near 0.  At offset 0 the point lies
+# on the sphere, beyond any guard radius, so the guard refuses it.
 COLLISION_OFFSETS = [0.0, 1e-9, 1e-7]
+
+
+def assert_collision_refused(info, point, node, offset):
+    """The refusal names the point, and the node when the tile check fired."""
+    assert_same_bits(info.value.point, point)
+    if offset:
+        assert_same_bits(info.value.node, node)
+    else:
+        assert info.value.node is None and "guard radius" in str(info.value)
 
 
 @pytest.mark.parametrize("n", sorted(RULES))
 @pytest.mark.parametrize("offset", COLLISION_OFFSETS)
 def test_gradient_collision_with_a_node_is_refused(n, offset):
     rule = RULES[n]
-    ext = h_extend(boundary_registry(n)[1], rule, guard_radius=1.0)
+    ext = h_extend(boundary_registry(n)[1], rule, guard_radius=GUARD_NEAR_ONE)
     inside = np.flatnonzero(np.linalg.norm(rule.nodes, axis=1) <= 1.0)
     node = rule.nodes[inside[len(inside) // 2]]
     point = node * (1.0 - offset)
     batch = np.concatenate([0.5 * rule.nodes[:40], point[None, :], 0.5 * rule.nodes[40:45]])
     with pytest.raises(NearSingularEvaluation) as info:
         ext.wirtinger_many(batch)
-    assert_same_bits(info.value.point, point)
-    assert_same_bits(info.value.node, node)
+    assert_collision_refused(info, point, node, offset)
 
 
 @pytest.mark.parametrize("n", sorted(RULES))
@@ -583,7 +598,20 @@ def test_series_terms_bound_the_dropped_tail():
         assert 2.0 * tail(guard, terms) <= 2.0 ** -53 < 2.0 * tail(guard, terms - 1)
     assert _series_terms(0.8, 10 ** 5) == 200
     assert _series_terms(0.8, 199) is None
-    assert _series_terms(1.0, 10 ** 5) is None
+
+
+@pytest.mark.parametrize("entry", [entry for entry in boundary_registry(1)
+                                   if not entry.values(circle_rule(8).nodes).imag.any()]
+                         + [vector_boundary(boundary_registry(1)[2:4])],
+                         ids=lambda entry: entry.label)
+def test_real_data_have_real_series_values(entry):
+    """A real column's value and half-rule value are real to the bit on the
+    Fourier path: c_(-k) = conj(c_k) holds only to rounding, so the series
+    takes no imaginary part from it."""
+    ext = h_extend(entry, circle_rule(4096))
+    assert ext._series is not None
+    values, second = ext._walk(ball_batch(5, 300), values=True, data=False, errors=True)[:2]
+    assert not values.imag.any() and not second.imag.any()
 
 
 # Measured against the kernel sums of ``poisson_h_values`` and
@@ -623,25 +651,31 @@ def test_series_extensions_match_the_kernel_sums(m, entry):
 
 @pytest.mark.parametrize("m, guard, series", [
     (800, 0.8, True), (798, 0.8, False), (801, 0.8, False), (800, 0.79, True),
-    (1500, 1.0, False), (64, 0.5, False), (248, 0.5, True)])
+    (1500, 0.99, False), (64, 0.5, False), (248, 0.5, True)])
 def test_the_fourier_path_needs_an_even_rule_with_room_for_its_terms(m, guard, series):
     """K(0.8) = 200 and K(0.5) = 62 terms fit in m/4 from m = 800 and 248."""
     ext = h_extend(boundary_registry(1)[1], circle_rule(m), guard_radius=guard)
     assert (ext._series is not None) == series
 
 
-@pytest.mark.parametrize("m, guard", [(1499, 0.8), (64, 0.8), (1500, 1.0)],
-                         ids=["odd", "too-coarse", "guard-1"])
+@pytest.mark.parametrize("m, guard", [(1499, 0.8), (64, 0.8), (1500, 0.99)],
+                         ids=["odd", "too-coarse", "guard-0.99"])
 def test_rules_the_series_cannot_serve_keep_the_kernel_walk(m, guard):
-    """An odd rule, a rule too coarse for its guard and guard 1.0 walk the
-    kernel tiles with the GEMM arithmetic, bit for bit."""
+    """An odd rule, rules too coarse for their guard and a guard near 1 walk
+    the kernel tiles with the GEMM arithmetic, bit for bit.  The odd rule has
+    no half rule, so it gives values and Wirtinger data but no value errors."""
     ext = h_extend(vector_boundary(boundary_registry(1)[1:4]), circle_rule(m), guard_radius=guard)
     assert ext._series is None
     batch = ball_batch(m, 70)
-    values, second = ext._walk(batch, values=True, data=False, errors=True)[:2]
     ref_values, ref_second = gemm_moments(ext, batch)
-    assert_same_bits(values, ref_values)
-    assert_same_bits(second, ref_second)
+    if m % 2:
+        assert_same_bits(ext(batch), ref_values)
+        with pytest.raises(ValueError, match=f"{m} nodes, an odd count, has no half rule"):
+            ext.values_with_errors(batch)
+    else:
+        values, second = ext._walk(batch, values=True, data=False, errors=True)[:2]
+        assert_same_bits(values, ref_values)
+        assert_same_bits(second, ref_second)
     grads, errors = ext.wirtinger_many(batch)
     fz, fzbar, ref_errors = gemm_wirtinger(ext, batch)
     assert_same_bits(grads.fz, fz)
@@ -728,7 +762,7 @@ from hballs.extension import boundary_registry, h_extend, vector_boundary
 from hballs.quadrature import circle_rule, sphere_rule_mc
 rng = np.random.default_rng(3)
 digest = hashlib.sha256()
-for n, rule in ((1, circle_rule(1500)), (1, circle_rule(1499)), (2, sphere_rule_mc(2, 5000, 11)),
+for n, rule in ((1, circle_rule(1500)), (1, circle_rule(600)), (2, sphere_rule_mc(2, 5000, 11)),
                 (3, sphere_rule_mc(3, 3000, 2))):
     raw = rng.normal(size=(200, 2 * n))
     pts = raw[:, :n] + 1j * raw[:, n:]
@@ -764,7 +798,7 @@ def test_values_do_not_depend_on_the_blas_thread_count():
 @pytest.mark.parametrize("offset", COLLISION_OFFSETS)
 def test_value_collision_with_a_node_is_refused(n, offset):
     rule = RULES[n]
-    ext = h_extend(boundary_registry(n)[1], rule, guard_radius=1.0)
+    ext = h_extend(boundary_registry(n)[1], rule, guard_radius=GUARD_NEAR_ONE)
     inside = np.flatnonzero(np.linalg.norm(rule.nodes, axis=1) <= 1.0)
     node = rule.nodes[inside[len(inside) // 2]]
     point = node * (1.0 - offset)
@@ -772,5 +806,4 @@ def test_value_collision_with_a_node_is_refused(n, offset):
     for call in (ext, ext.values_with_errors):
         with pytest.raises(NearSingularEvaluation) as info:
             call(batch)
-        assert_same_bits(info.value.point, point)
-        assert_same_bits(info.value.node, node)
+        assert_collision_refused(info, point, node, offset)

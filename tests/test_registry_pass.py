@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from hballs import theorems
 from hballs.calculus import lambda_bounds_wirtinger, wirtinger_fd_many
-from hballs.extension import boundary_registry, h_extend, vector_boundary
+from hballs.extension import _constant, boundary_registry, h_extend, vector_boundary
 from hballs.norms import all_pairs_lipschitz, uniform_ball
 from hballs.calculus import WirtingerData
 from hballs.quadrature import (
@@ -111,13 +111,39 @@ def test_stacked_columns_equal_scalar_fd_derivatives(case):
         assert_same_bits(stacked.fzbar[:, j:j + 1], one.fzbar)
 
 
-def one_at_a_time(cfg):
-    """(label, evaluator) per registry entry, each with its own extension,
-    closed forms wrapped as the suites wrap them."""
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_closed_forms_equal_each_closed_form(n):
+    """The stack of closed forms thm24 evaluates has, column by column, the
+    bits of each closed form alone, in values and in finite-difference data;
+    a constant of its own makes a stack of two at n >= 2."""
+    closed = [entry for entry in boundary_registry(n) if entry.exact_extension] + [_constant(0.5j, n)]
+    stacked = vector_boundary(closed).exact_extension
+    rng = np.random.default_rng(n)
+    points = uniform_ball(n, 150, rng, 0.7)
+    grid = theorems.ball_grid(n)
+    values, data = stacked(points), wirtinger_fd_many(stacked, grid)
+    assert values.shape == (len(points), len(closed))
+    for j, entry in enumerate(closed):
+        assert_same_bits(values[:, j], np.asarray(entry.exact_extension(points), dtype=complex))
+        one = wirtinger_fd_many(entry.exact_extension, grid)
+        assert_same_bits(data.fz[:, j:j + 1], one.fz)
+        assert_same_bits(data.fzbar[:, j:j + 1], one.fzbar)
+    # a stack with one rule-based component has no closed form
+    assert vector_boundary(boundary_registry(n)).exact_extension is None
+
+
+def one_at_a_time(cfg, points, grid):
+    """(label, values at the points, Wirtinger data at the grid, FD term) per
+    registry entry, each evaluated alone: a closed form by finite differences,
+    else its own extension, differentiated exactly."""
     rule = rule_for(cfg)
-    return [(entry.label, theorems._ClosedForm(entry.exact_extension) if entry.exact_extension
-             else h_extend(entry, rule, guard_radius=cfg.rmax))
-            for entry in boundary_registry(cfg.n)]
+    for entry in boundary_registry(cfg.n):
+        f = entry.exact_extension
+        if f is not None:
+            yield entry.label, f(points), wirtinger_fd_many(f, grid), theorems._FD_TRUNCATION
+        else:
+            ext = h_extend(entry, rule, guard_radius=cfg.rmax)
+            yield entry.label, ext(points), ext.wirtinger_many(grid)[0], 0.0
 
 
 SMALL = {1: dict(n=1, nodes=1500, samples=60, seed=3),
@@ -132,10 +158,10 @@ def test_thm24_suite_equals_per_function_checks(n):
     points = np.concatenate(
         [grid, uniform_ball(n, cfg.samples, rng_stream(cfg.seed, STREAM_PAIRS), 0.7)])
     expected = []
-    for label, f in one_at_a_time(cfg):
-        (sup,), pairs = all_pairs_lipschitz(points, f(points))
-        expected.append(check_thm24_necessity(sup, pairs, grid, f.wirtinger_many(grid)[0],
-                                              label=label, fd_error=f.fd_error).to_dict())
+    for label, values, data, fd_error in one_at_a_time(cfg, points, grid):
+        (sup,), pairs = all_pairs_lipschitz(points, values)
+        expected.append(check_thm24_necessity(sup, pairs, grid, data, label=label,
+                                              fd_error=fd_error).to_dict())
     assert [rep.to_dict() for rep in suite_thm24(cfg)] == expected
     assert_derivative_path(cfg, expected)
 

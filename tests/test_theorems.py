@@ -214,15 +214,15 @@ class TestLemma21:
 
     def test_rule_based_constant_passes_through_its_finite_difference_term(self):
         # case 0 at seed 1 on the rule-based constant extension: rounding in the
-        # kernel sum gives lhs 2.3e-10 against rhs 2.6e-15, inside only 10 * 1e-9.
-        # Guard 1.0 keeps the kernel walk; at the guard 0.8 the Fourier path's
-        # constant is exactly 1, and both sides are 0
+        # kernel sum gives lhs 2.3e-10 against rhs 8.6e-16, inside only 10 * 1e-9.
+        # The odd rule keeps the kernel walk; on the Fourier path (even, 4096
+        # nodes) the constant is exactly 1, and both sides are 0
         reports = theorems.suite_lemma21(HarnessConfig(n=1, seed=1))
         case0 = reports[0]
         assert case0.check_id == "lemma21[m=2,f=const:1.re,case=0]"
         const = boundary_registry(1)[0]
         a, r, rule = np.array(case0.inputs["a"]), case0.inputs["r"], real_circle_rule(1024)
-        ext = h_extend(const, circle_rule(4096), guard_radius=1.0)
+        ext = h_extend(const, circle_rule(4095), guard_radius=0.8)
         rep = lemma21_of(disk_part(ext, True), a, r, rule, check_id="const")
         ref = lemma21_reference(disk_part(ext, True), a, r, rule, "const")
         assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
@@ -232,6 +232,14 @@ class TestLemma21:
         ext = h_extend(const, circle_rule(4096), guard_radius=0.8)
         rep = lemma21_of(disk_part(ext, True), a, r, rule, check_id="const")
         assert rep.lhs == rep.rhs == 0.0 and rep.passed
+
+    def test_real_data_read_zero_imaginary_parts(self):
+        # bump is real, so its extension on the Fourier path is real to the bit
+        reports = theorems.suite_lemma21(HarnessConfig(n=1, seed=1))
+        bump_im = [rep for rep in reports if "f=bump.im" in rep.check_id]
+        assert [rep.check_id for rep in bump_im] == ["lemma21[m=2,f=bump.im,case=3]",
+                                                     "lemma21[m=2,f=bump.im,case=13]"]
+        assert all(rep.lhs == rep.rhs == rep.inputs["f(a)"] == 0.0 for rep in bump_im)
 
     def test_harness_sweep_passes(self):
         cfg = HarnessConfig(n=1, nodes=1024, seed=3)
